@@ -555,6 +555,12 @@ def classify(m: ModuleRep) -> ClassificationResult:
         raise ParameterError("module fails the defining relations")
     if not burnside_irreducible(m):
         raise ParameterError("module is reducible; classification needs irreducibility")
+    return _classify_irreducible(m)
+
+
+def _classify_irreducible(m: ModuleRep) -> ClassificationResult:
+    """:func:`classify` for a module already known to satisfy the
+    relations and to be irreducible."""
     q = m.params.q
     d = m.dim - 1
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .analysis import (
     INDETERMINATE,
+    _classify_irreducible,
     burnside_irreducible,
-    classify,
     criterion_E,
     criterion_O,
     det_fingerprint,
@@ -212,7 +212,7 @@ def cmd_classify(args) -> int:
     if closure != module.dim * module.dim:
         _dump({"verdict": "reducible", "closure_dim": closure}, args.out)
         return EXIT_OK
-    result = classify(module)
+    result = _classify_irreducible(module)
     _dump({"verdict": "classified", **result.to_json()}, args.out)
     return EXIT_OK
 

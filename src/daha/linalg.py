@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DahaError, SingularMatrixError
-from .scalar import as_scalar, scalar_from_str, scalar_to_str
+from .scalar import QQ, QQ_Q, RatFun, as_scalar, scalar_from_str, scalar_to_str
 
 
 class Matrix:
@@ -201,6 +203,11 @@ class Subspace:
         return all(not x for x in v)
 
 
+def _field_of_rows(rows):
+    """The field the entries live in: RatFun if any entry is one."""
+    return QQ_Q if any(isinstance(e, RatFun) for row in rows for e in row) else QQ
+
+
 def _leading_index(row) -> int:
     for i, x in enumerate(row):
         if x:
@@ -261,10 +268,11 @@ def kernel(m: Matrix) -> Subspace:
     reduced, pivots = _rref_rows(rows)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
+    field = _field_of_rows(m.entries)
     vectors = []
     for fc in free:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
+        v = [field.zero] * m.cols
+        v[fc] = field.one
         for row, pc in zip(reduced, pivots):
             v[pc] = -row[fc]
         vectors.append(v)
@@ -304,8 +312,8 @@ def inverse(m: Matrix) -> Matrix:
     if not m.is_square():
         raise DahaError("inverse of a non-square matrix")
     n = m.rows
-    one = Fraction(1)
-    zero = Fraction(0)
+    field = _field_of_rows(m.entries)
+    one, zero = field.one, field.zero
     aug = [
         list(row) + [one if i == j else zero for j in range(n)]
         for i, row in enumerate(m.entries)
@@ -331,10 +339,7 @@ def solve_right(m: Matrix, rhs):
         return None  # inconsistent
     if len(pivots) != m.cols:
         return None  # underdetermined
-    x = [Fraction(0)] * m.cols
-    for row, pc in zip(reduced, pivots):
-        x[pc] = row[-1]
-    return tuple(x)
+    return tuple(row[-1] for row in reduced)  # pivots are 0..cols-1
 
 
 def solve_sylvester_homogeneous(pairs) -> Subspace:
@@ -354,7 +359,7 @@ def solve_sylvester_homogeneous(pairs) -> Subspace:
             raise DahaError("left matrices must be square of equal size")
         if not b.is_square() or b.rows != m:
             raise DahaError("right matrices must be square of equal size")
-    zero = Fraction(0)
+    zero = _field_of_rows(row for a, b in pairs for row in a.entries + b.entries).zero
     rows = []
     for a, b in pairs:
         ae = a.entries
@@ -373,9 +378,22 @@ def solve_sylvester_homogeneous(pairs) -> Subspace:
 def span_closure(gens) -> int:
     """Dimension of the unital matrix algebra generated by gens.
 
-    Seeds with the identity and repeatedly left-multiplies the current
-    basis by each generator, inserting only elements that enlarge the
-    echelonized span, until stable.  The result is at most n**2.
+    Seeds with the identity and repeatedly left-multiplies each newly
+    inserted word by every generator, inserting only products that
+    enlarge the echelonized span, until stable.  The result is at most
+    n**2.
+
+    When every entry is a Fraction the closure runs on Python ints and
+    is still exact over the rationals.  Each generator is scaled by the
+    lcm of its denominators; a nonzero scalar multiple of a generator
+    generates the same unital algebra, and every word becomes a nonzero
+    multiple of the corresponding rational word, so the spans agree.
+    A candidate is reduced by the fraction-free step
+    ``v <- (b[p]/g)*v - (v[p]/g)*b`` with ``g = gcd(b[p], v[p])`` and
+    then divided by the gcd of its entries: both are invertible
+    rational row operations, so membership in the span and the rank
+    are those of elimination over the rationals.  Other scalars (RatFun)
+    take the field loop, which divides by the pivot.
     """
     gens = list(gens)
     if not gens:
@@ -384,36 +402,84 @@ def span_closure(gens) -> int:
     for g in gens:
         if not g.is_square() or g.rows != n:
             raise DahaError("generators must be square of equal size")
-    cap = n * n
+    if _field_of_rows(row for g in gens for row in g.entries) is QQ:
+        words = [_integer_rows(g.entries) for g in gens]
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        return _closure(words, ident, _int_product, _int_insert, n * n)
+    return _closure(gens, Matrix.identity(n, one=QQ_Q.one), mul, _field_insert, n * n)
 
-    basis = {}  # leading index -> normalized flat vector
 
-    def insert(mat: Matrix) -> bool:
-        v = [e for row in mat.entries for e in row]
-        for p in sorted(basis):
-            if v[p]:
-                c = v[p]
-                bv = basis[p]
-                v = [a - c * b for a, b in zip(v, bv)]
-        for p, x in enumerate(v):
-            if x:
-                inv = 1 / x
-                basis[p] = tuple(e * inv for e in v)
-                return True
-        return False
-
-    frontier = [Matrix.identity(n, one=gens[0].entries[0][0] ** 0)]
-    insert(frontier[0])
+def _closure(gens, ident, product, insert, cap) -> int:
+    """Close the span of ident under left multiplication by gens."""
+    basis = {}  # leading index -> flat basis vector
+    insert(basis, ident)
+    frontier = [ident]
     while frontier:
         if len(basis) > cap:
             raise DahaError("span closure exceeded its dimension cap")
         new = []
         for w in frontier:
             for g in gens:
-                cand = g * w
-                if insert(cand):
+                cand = product(g, w)
+                if insert(basis, cand):
                     new.append(cand)
         frontier = new
         if len(basis) == cap:
             break
     return len(basis)
+
+
+def _field_insert(basis, mat: Matrix) -> bool:
+    """Reduce mat against basis by division; store it when independent."""
+    v = [e for row in mat.entries for e in row]
+    for p in sorted(basis):
+        if v[p]:
+            c = v[p]
+            bv = basis[p]
+            v = [a - c * b for a, b in zip(v, bv)]
+    for p, x in enumerate(v):
+        if x:
+            inv = 1 / x
+            basis[p] = tuple(e * inv for e in v)
+            return True
+    return False
+
+
+def _int_insert(basis, rows) -> bool:
+    """Fraction-free reduction of an int word against primitive rows.
+
+    Only the leading entry is eliminated, while a basis row has its
+    pivot there; each step clears it and keeps the entries before it
+    zero, so the scan resumes where it stopped."""
+    v = [e for row in rows for e in row]
+    lead = 0
+    size = len(v)
+    while True:
+        while lead < size and not v[lead]:
+            lead += 1
+        if lead == size:
+            return False
+        b = basis.get(lead)
+        if b is None:
+            g = gcd(*v)
+            basis[lead] = [x // g for x in v]
+            return True
+        g = gcd(b[lead], v[lead])
+        bp, c = b[lead] // g, v[lead] // g
+        v = [bp * x - c * y for x, y in zip(v, b)]
+
+
+def _integer_rows(entries):
+    """Rows of Fractions scaled by the lcm of their denominators to ints."""
+    den = lcm(*(e.denominator for row in entries for e in row))
+    return [[e.numerator * (den // e.denominator) for e in row] for row in entries]
+
+
+def _int_product(a, b):
+    """The integer matrix a*b divided by the gcd of its entries."""
+    cols = list(zip(*b))
+    out = [[sum(map(mul, row, col)) for col in cols] for row in a]
+    g = gcd(*(x for row in out for x in row))
+    if g > 1:
+        out = [[x // g for x in row] for row in out]
+    return out

@@ -24,7 +24,7 @@ from daha.linalg import Matrix
 from daha.modrep import ModuleRep, central_character, make_E, make_O
 from daha.params import ParamQuadruple, canonical_orbit_rep
 from daha.sampling import adversarial_even, adversarial_odd, sample_even, sample_odd
-from daha.scalar import scalar_pow
+from daha.scalar import QQ_Q, RatFun, scalar_pow
 
 F = Fraction
 
@@ -304,3 +304,11 @@ def test_simultaneous_eigenvector(p_even_d1, p_odd_d0):
                 simultaneous_eigenvector(module, (0, 1)) is not None
                 or simultaneous_eigenvector(module, (2, 3)) is not None
             )
+
+
+def test_ratfun_classification_certificate_is_ratfun():
+    rng = random.Random("ratfun-certificate")
+    for p in (sample_even(rng, 1, field=QQ_Q), sample_odd(rng, 2, field=QQ_Q)):
+        result = classify(make_E(p) if p.parity == "even" else make_O(p))
+        entries = [e for row in result.certificate.entries for e in row]
+        assert all(isinstance(e, RatFun) for e in entries), result.certificate

@@ -1,5 +1,7 @@
 import json
 
+import daha.analysis
+import daha.cli
 from daha.cli import (
     EXIT_CONSTRAINT,
     EXIT_IO,
@@ -156,3 +158,24 @@ def test_selftest_structural(capsys):
     assert run("selftest", "--grid", "0", "--backend", "rational") == EXIT_OK
     out = capsys.readouterr().out
     assert "PASS criterion 1" in out and "FAIL" not in out
+
+
+def test_classify_runs_each_check_once(tmp_path, monkeypatch):
+    calls = {"verify_relations": 0, "span_closure": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (daha.cli, daha.analysis):
+        for name in calls:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    mod = tmp_path / "odd.json"
+    run("construct", "--parity", "odd", "--q", "2", "--k", "1,1,3,1/24",
+        "--d", "2", "--out", str(mod))
+    out = tmp_path / "cls.json"
+    assert run("classify", "--in", str(mod), "--out", str(out)) == EXIT_OK
+    assert json.loads(out.read_text())["verdict"] == "classified"
+    assert calls == {"verify_relations": 1, "span_closure": 1}

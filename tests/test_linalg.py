@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -15,8 +16,12 @@ from daha.linalg import (
     solve_right,
     solve_sylvester_homogeneous,
     span_closure,
+    _closure,
+    _field_insert,
 )
-from daha.modrep import make_E
+from daha.analysis import criterion_E, criterion_O
+from daha.modrep import make_E, make_O
+from daha.sampling import adversarial_even, adversarial_odd, sample_params
 from daha.scalar import RatFun
 
 Q = RatFun.variable()
@@ -154,3 +159,125 @@ def test_matrix_json_round_trip():
     m = Matrix([[Fraction(1, 2), Q], [0, 1]])
     again = Matrix.from_json(m.to_json())
     assert again == m
+
+
+# -- span_closure: the integer path against independent references ----------
+
+def lift(m):
+    """The same matrix with RatFun entries, which takes the field loop."""
+    return Matrix([[RatFun.from_fraction(e) for e in row] for row in m.entries])
+
+
+def field_closure(gens):
+    return span_closure([lift(g) for g in gens])
+
+
+def module_gens(p):
+    return (make_E(p) if p.parity == "even" else make_O(p)).t
+
+
+def test_integer_closure_matches_field_loop():
+    rng = random.Random("int-closure")
+    verdicts = set()
+    for d in range(6):
+        family = "even" if d % 2 else "odd"
+        samples = [sample_params(rng, family, d)]
+        if family == "even":
+            samples.append(adversarial_even(rng, d))
+        elif d >= 2:
+            samples.append(adversarial_odd(rng, d))
+        for p in samples:
+            gens = module_gens(p)
+            dim = span_closure(gens)
+            assert dim == field_closure(gens), p
+            verdicts.add(dim == (d + 1) ** 2)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("family,d", [("odd", 6), ("even", 7)])
+def test_integer_closure_matches_field_loop_large(family, d):
+    # The RatFun-lifted field loop takes minutes here, so the reference
+    # is the same field loop run directly on the Fraction generators.
+    rng = random.Random(f"int-closure-{d}")
+    crit = criterion_E if family == "even" else criterion_O
+    p = sample_params(rng, family, d)
+    while not crit(p):
+        p = sample_params(rng, family, d)
+    gens = module_gens(p)
+    n = d + 1
+    reference = _closure(gens, Matrix.identity(n), mul, _field_insert, n * n)
+    assert span_closure(gens) == reference == n * n
+
+
+def test_integer_closure_edge_cases():
+    F = Fraction
+    one_by_one = [Matrix([[F(-3, 7)]])]
+    assert span_closure(one_by_one) == field_closure(one_by_one) == 1
+    assert span_closure([Matrix([[0]])]) == 1
+    assert span_closure([Matrix.identity(4)]) == 1
+    assert span_closure([Matrix.zeros(3, 3)]) == 1
+    diag = Matrix([[1, 0], [0, 2]])
+    assert span_closure([Matrix.zeros(2, 2), diag]) == 2
+    rotation = Matrix([[0, -1], [1, 0]])  # generates a copy of Q(i)
+    assert span_closure([rotation]) == field_closure([rotation]) == 2
+    negatives = [
+        Matrix([[-1, -2, 0], [0, -3, 0], [0, 0, -5]]),
+        Matrix([[0, 0, 0], [-7, 0, 0], [0, 0, 0]]),
+    ]
+    assert span_closure(negatives) == field_closure(negatives)
+    big = 10 ** 40 + 7
+    huge = [
+        Matrix([[F(1, big), F(-big, 3)], [0, F(2, big * big)]]),
+        Matrix([[F(big, big + 2), 0], [F(-1, big - 1), F(5, 2)]]),
+    ]
+    assert span_closure(huge) == field_closure(huge) == 4
+
+
+def test_integer_closure_invariant_under_scaling(p_even_d1_reducible, p_odd_d2):
+    rng = random.Random("scaling")
+    cases = [module_gens(p_even_d1_reducible), module_gens(p_odd_d2)]
+    cases += [[rand_matrix(rng, 3, height=2), rand_matrix(rng, 3, height=2)] for _ in range(3)]
+    for gens in cases:
+        base = span_closure(gens)
+        for c in (Fraction(-1), Fraction(7, 3), Fraction(1, 10 ** 12)):
+            i = rng.randrange(len(gens))
+            scaled = list(gens)
+            scaled[i] = gens[i].scale(c)
+            assert span_closure(scaled) == base
+
+
+def sympy_algebra_dim(gens):
+    """Dimension of the generated algebra, computed with sympy ranks."""
+    sympy = pytest.importorskip("sympy")
+    mats = [
+        sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row] for row in g.entries])
+        for g in gens
+    ]
+    words = [sympy.eye(gens[0].rows)]
+    while True:
+        grown = words + [g * w for g in mats for w in words]
+        stacked = sympy.Matrix([list(w) for w in grown])
+        _, pivots = stacked.T.rref()
+        if len(pivots) == len(words):
+            return len(words)
+        words = [grown[i] for i in pivots]
+
+
+def test_integer_closure_matches_sympy_rank(p_even_d1, p_even_d1_reducible, p_odd_d2):
+    rng = random.Random("sympy-closure")
+    cases = [module_gens(p) for p in (p_even_d1, p_even_d1_reducible, p_odd_d2)]
+    cases.append(module_gens(adversarial_odd(rng, 2)))
+    cases.append([rand_matrix(rng, 3, height=3)])
+    for gens in cases:
+        assert span_closure(gens) == sympy_algebra_dim(gens)
+
+
+def test_ratfun_results_have_one_scalar_type():
+    m = Matrix([[Q, 1, Q + 1], [Q * Q, Q, Q * Q + Q], [0, 0, 0]])
+    entries = [e for v in kernel(m).basis for e in v]
+    square = Matrix([[Q, 1], [0, Q ** -1]])
+    entries += [e for row in inverse(square).entries for e in row]
+    entries += list(solve_right(square, [1, 0]))
+    space = solve_sylvester_homogeneous([(square, square)])
+    entries += [e for v in space.basis for e in v]
+    assert entries and all(isinstance(e, RatFun) for e in entries)
