@@ -443,23 +443,32 @@ def l_matrix_routes(p: ParamQuadruple):
 def twist(m: ModuleRep, e) -> ModuleRep:
     """Precompose the action with the cyclic generator shift by e: the
     new matrix of t_i is the old matrix of t_{i+e mod 4}."""
+    out = _shift(m, e)
+    if out is not m and not verify_relations(out).ok:
+        raise TranscriptionError("twisted module fails the defining relations")
+    return out
+
+
+def _shift(m: ModuleRep, e) -> ModuleRep:
+    """:func:`twist` without its relation check, for modules known to
+    satisfy the relations.
+
+    The shift keeps them: each generator keeps its inverse and its
+    scalar t_i + t_i^{-1}, and the product of the shifted generators is
+    a conjugate of the old one, t1 t2 t3 t0 = t0^{-1} (t0 t1 t2 t3) t0
+    = t0^{-1} q^{-1} t0 = q^{-1}.
+    """
     e = int(e) % 4
     if e == 0:
         return m
-    t = tuple(m.t[(i + e) % 4] for i in range(4))
-    tinv = tuple(m.tinv[(i + e) % 4] for i in range(4))
-    out = ModuleRep(
+    return ModuleRep(
         dim=m.dim,
-        t=t,
-        tinv=tinv,
+        t=tuple(m.t[(i + e) % 4] for i in range(4)),
+        tinv=tuple(m.tinv[(i + e) % 4] for i in range(4)),
         params=m.params,
         twist=(m.twist + e) % 4,
         label=f"{m.label}^twist{e}",
     )
-    report = verify_relations(out)
-    if not report.ok:
-        raise TranscriptionError("twisted module fails the defining relations")
-    return out
 
 
 def det_fingerprint(m: ModuleRep):
@@ -560,7 +569,9 @@ def classify(m: ModuleRep) -> ClassificationResult:
 
 def _classify_irreducible(m: ModuleRep) -> ClassificationResult:
     """:func:`classify` for a module already known to satisfy the
-    relations and to be irreducible."""
+    relations and to be irreducible.  Its twists, and those of the
+    reference module :func:`make_E` builds, need no relation check (see
+    :func:`_shift`)."""
     q = m.params.q
     d = m.dim - 1
 
@@ -573,7 +584,7 @@ def _classify_irreducible(m: ModuleRep) -> ClassificationResult:
                 "determinant fingerprint does not determine a unique twist"
             )
         eps = (-positions[0]) % 4
-        base = twist(m, (4 - eps) % 4)
+        base = _shift(m, (4 - eps) % 4)
         c = central_character(base)
         k0 = c[0] / (1 + scalar_pow(q, d + 1))
         if not k0 or k0 * k0 != scalar_pow(q, -d - 1):
@@ -591,7 +602,7 @@ def _classify_irreducible(m: ModuleRep) -> ClassificationResult:
         except ParameterError as exc:
             raise ClassificationError(str(exc)) from exc
         canonical = canonical_orbit_rep(recovered)
-        reference = twist(make_E(canonical), eps)
+        reference = _shift(make_E(canonical), eps)
         certificate = find_intertwiner(m, reference)
         if certificate is None or certificate is INDETERMINATE:
             raise ClassificationError("no invertible intertwiner certifies the result")

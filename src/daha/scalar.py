@@ -8,6 +8,11 @@ optional evaluation at a rational point):
   :class:`fractions.Fraction`.  Numeric runs default to q = 2.
 * :class:`RatFun` -- rational functions in one formal variable q with
   rational coefficients, for identities that must hold for generic q.
+  A value is stored as two integer polynomials, numerator and
+  denominator, coprime over the rationals, with joint content 1 and a
+  positive leading denominator coefficient.  That form is unique, so
+  equality is a comparison of coefficient tuples, and all arithmetic
+  runs on Python ints.
 
 Both are immutable, all operations are pure, and values can be shared
 freely between threads.
@@ -36,90 +41,67 @@ def as_scalar(x) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials: tuples of Fraction, ascending degree,
-# no trailing zeros, zero polynomial = ()
+# dense univariate integer polynomials: sequences of int, ascending
+# degree, no trailing zeros, zero polynomial = ()
 # ---------------------------------------------------------------------------
 
-def _ptrim(cs) -> tuple:
+def _ptrim(cs) -> list:
     cs = list(cs)
     while cs and cs[-1] == 0:
         cs.pop()
-    return tuple(cs)
+    return cs
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _ptrim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
+def _padd(a, b) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def _pneg(a):
-    return tuple(-c for c in a)
+def _pmul(a, b) -> list:
+    """Product of two nonzero polynomials."""
+    if len(a) == 1:
+        c = a[0]
+        return list(b) if c == 1 else [c * x for x in b]
+    if len(b) == 1:
+        c = b[0]
+        return list(a) if c == 1 else [c * x for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _ptrim(out)
+def _ppow(a, n: int) -> list:
+    """a**n for a nonzero polynomial a and n >= 1."""
+    out = None
+    base = list(a)
+    while True:
+        if n & 1:
+            out = base if out is None else _pmul(out, base)
+        n >>= 1
+        if not n:
+            return out
+        base = _pmul(base, base)
 
 
-def _pscale(a, c):
-    if c == 0:
-        return ()
-    return tuple(ai * c for ai in a)
-
-
-def _pdivmod(a, b):
-    """Quotient and remainder of a by b (b nonzero) over the rationals."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db and r:
-        k = len(r) - 1 - db
-        c = r[-1] / lb
-        q[k] = c
-        for i in range(db + 1):
-            r[k + i] -= c * b[i]
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return _ptrim(q), _ptrim(r)
-
-
-def _pexact_div(a, b):
-    q, r = _pdivmod(a, b)
-    if r:
-        raise DahaError("inexact polynomial division")
-    return q
-
-
-def _int_primitive(cs):
-    """Divide an int coefficient list by its content; positive leading coeff."""
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        return []
-    g = 0
-    for c in cs:
-        g = math.gcd(g, abs(c))
+def _primitive(cs) -> list:
+    """Divide a nonzero polynomial by its content; positive leading coeff."""
+    g = math.gcd(*cs)
     if cs[-1] < 0:
         g = -g
-    return [c // g for c in cs]
+    return list(cs) if g == 1 else [c // g for c in cs]
 
 
-def _int_prem(a, b):
-    """Pseudo-remainder of int polynomial a by b (b nonzero)."""
+def _prem(a, b) -> list:
+    """Pseudo-remainder of a by b (b nonzero)."""
     db = len(b) - 1
     lb = b[-1]
     r = list(a)
@@ -135,72 +117,84 @@ def _int_prem(a, b):
     return r
 
 
-def _pgcd(a, b):
-    """Monic gcd over the rationals.
+def _pgcd(a, b) -> tuple:
+    """The gcd over the rationals of two nonzero polynomials, as a
+    primitive integer polynomial with positive leading coefficient.
 
-    Coefficients are cleared to integers and a primitive Euclidean
-    remainder sequence is used, which keeps intermediate coefficient
+    The common power of q is split off first; what remains goes through
+    a primitive Euclidean remainder sequence, which keeps coefficient
     growth under control.
     """
-    if not a:
-        return _pmonic(b)
-    if not b:
-        return _pmonic(a)
+    i = 0
+    while a[i] == 0:
+        i += 1
+    j = 0
+    while b[j] == 0:
+        j += 1
+    a, b = a[i:], b[j:]
     if len(a) == 1 or len(b) == 1:
-        return (Fraction(1),)
-    A = _int_clear(a)
-    B = _int_clear(b)
-    while B:
-        A, B = B, _int_primitive(_int_prem(A, B))
-    return _pmonic(tuple(Fraction(c) for c in A))
+        g = (1,)
+    elif a == b:
+        g = tuple(_primitive(a))
+    else:
+        a, b = _primitive(a), _primitive(b)
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, _prem(a, b)
+            if b:
+                b = _primitive(b)
+        g = tuple(a) if len(a) > 1 else (1,)
+    m = min(i, j)
+    return (0,) * m + g if m else g
 
 
-def _int_clear(a):
-    """Fraction coefficient tuple -> primitive int coefficient list."""
-    lcm = 1
-    for c in a:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return _int_primitive([int(c * lcm) for c in a])
+def _pexquo(a, g) -> list:
+    """a / g for a primitive divisor g of a.
 
-
-def _pmonic(a):
-    if not a:
-        return ()
-    lead = a[-1]
-    if lead == 1:
-        return tuple(a)
-    return tuple(c / lead for c in a)
-
-
-def _peval(a, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+    By Gauss's lemma the quotient of an integer polynomial by a
+    primitive factor has integer coefficients, so every step of the
+    long division divides exactly.
+    """
+    if len(g) == 1:
+        return list(a)
+    m = 0
+    while g[m] == 0:
+        m += 1
+    if m == len(g) - 1:
+        return list(a[m:])
+    dg = len(g) - 1
+    lg = g[-1]
+    r = list(a)
+    out = [0] * (len(a) - dg)
+    for k in range(len(a) - 1 - dg, -1, -1):
+        c = r[k + dg] // lg
+        out[k] = c
+        if c:
+            for i in range(dg):
+                r[k + i] -= c * g[i]
+    return out
 
 
 def _psqrt(a):
-    """Exact polynomial square root, or None when a is not a square."""
-    if not a:
-        return ()
-    if (len(a) - 1) % 2:
+    """The square root with positive leading coefficient of a nonzero
+    integer polynomial, or None when a is not the square of one."""
+    if (len(a) - 1) % 2 or a[-1] < 0:
         return None
-    lead = _fraction_sqrt(a[-1])
-    if lead is None:
+    lead = math.isqrt(a[-1])
+    if lead * lead != a[-1]:
         return None
     n = (len(a) - 1) // 2
-    g = [Fraction(0)] * (n + 1)
+    g = [0] * (n + 1)
     g[n] = lead
     # match coefficients from the top down
     for k in range(n - 1, -1, -1):
-        s = Fraction(0)
-        for i in range(k + 1, n):
-            j = n + k - i
-            if 0 <= j <= n:
-                s += g[i] * g[j]
-        g[k] = (a[n + k] - s) / (2 * lead)
-    g = _ptrim(g)
-    if _pmul(g, g) != tuple(a):
+        s = sum(g[i] * g[n + k - i] for i in range(k + 1, n))
+        c, rem = divmod(a[n + k] - s, 2 * lead)
+        if rem:
+            return None
+        g[k] = c
+    if _pmul(g, g) != list(a):
         return None
     return g
 
@@ -223,31 +217,43 @@ def _fraction_sqrt(x: Fraction):
 class RatFun:
     """A rational function num/den in one variable over the rationals.
 
-    Canonical form: num and den coprime, den monic and never zero; the
-    zero element is ()/1.  Arithmetic re-normalizes, so closure under
-    sum, product and quotient preserves the canonical form.
+    Stored as integer coefficient tuples ``_n``/``_d`` (ascending
+    degree) in canonical form: coprime over the rationals, joint
+    content 1 (the gcd of all their coefficients), positive leading
+    denominator coefficient; the zero element is ()/(1,).  Two coprime
+    representatives of one value differ by a rational factor, and the
+    content and sign conditions fix that factor, so the form is unique
+    and ``==`` compares tuples.
+
+    The constructor is the one normalising entry point: it accepts
+    sequences of int or Fraction coefficients, clears denominators,
+    divides by the gcd and fixes content and sign.  Dividing by a
+    primitive gcd is exact over the integers by Gauss's lemma, so no
+    Fraction is created.
+    Results that are canonical by construction (negation, inversion,
+    powers, constants, cross-cancelled products and sums over coprime
+    denominators) skip it; every result that needs a polynomial gcd
+    goes through it.
+
+    ``num`` and ``den`` are the monic-denominator views with Fraction
+    coefficients, which is also what ``str`` prints.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
-    def __init__(self, num, den=(Fraction(1),)):
-        num = _ptrim(Fraction(c) for c in num)
-        den = _ptrim(Fraction(c) for c in den)
+    def __init__(self, num, den=(1,)):
+        scale = math.lcm(*(c.denominator for c in num), *(c.denominator for c in den))
+        num = _ptrim(c.numerator * (scale // c.denominator) for c in num)
+        den = _ptrim(c.numerator * (scale // c.denominator) for c in den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
-            den = (Fraction(1),)
+            num, den = (), (1,)
         else:
             g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pexact_div(num, g)
-                den = _pexact_div(den, g)
-            lead = den[-1]
-            if lead != 1:
-                num = tuple(c / lead for c in num)
-                den = tuple(c / lead for c in den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            num, den = _content_free(_pexquo(num, g), _pexquo(den, g))
+        _set_n(self, num)
+        _set_d(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
@@ -257,115 +263,118 @@ class RatFun:
     @classmethod
     def variable(cls) -> "RatFun":
         """The generator q itself."""
-        return cls((Fraction(0), Fraction(1)))
+        return _raw((0, 1), (1,))
 
     @classmethod
     def from_fraction(cls, x) -> "RatFun":
-        return cls((Fraction(x),))
+        return _const(Fraction(x))
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def num(self) -> tuple:
+        """Numerator coefficients (Fractions) over the monic denominator."""
+        lead = self._d[-1]
+        return tuple(Fraction(c, lead) for c in self._n)
+
+    @property
+    def den(self) -> tuple:
+        """Monic denominator coefficients (Fractions)."""
+        lead = self._d[-1]
+        return tuple(Fraction(c, lead) for c in self._d)
+
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
+        return len(self._n) <= 1 and len(self._d) == 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise DahaError(f"non-constant rational function: {self}")
-        return self.num[0] if self.num else Fraction(0)
+        return Fraction(self._n[0], self._d[0]) if self._n else Fraction(0)
 
     def eval_at(self, x) -> Fraction:
         """Evaluate at a rational point; the denominator must not vanish."""
         x = Fraction(x)
-        d = _peval(self.den, x)
+        p, r = x.numerator, x.denominator
+        top = max(len(self._n), len(self._d)) - 1
+        d = _heval(self._d, p, r, top)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at {x}")
-        return _peval(self.num, x) / d
+        return Fraction(_heval(self._n, p, r, top), d)
 
     # -- arithmetic ---------------------------------------------------
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RatFun):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatFun((Fraction(other),))
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return RatFun(
-            _padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-            _pmul(self.den, o.den),
-        )
+        return _add(self._n, self._d, *o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = RatFun.__new__(RatFun)
-        object.__setattr__(r, "num", _pneg(self.num))
-        object.__setattr__(r, "den", self.den)
-        return r
+        return _raw(tuple(-c for c in self._n), self._d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        c, d = o
+        return _add(self._n, self._d, tuple(-x for x in c), d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _add(tuple(-x for x in self._n), self._d, *o)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return RatFun(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        return _mul(self._n, self._d, *o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        if not o.num:
+        c, d = o
+        if not c:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFun(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        if c[-1] < 0:
+            c, d = tuple(-x for x in c), tuple(-x for x in d)
+        return _mul(self._n, self._d, d, c)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _raw(*o) / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        if n == 0:
-            return RatFun((Fraction(1),))
-        base = self
+        num, den = self._n, self._d
         if n < 0:
-            if not self.num:
+            if not num:
                 raise ZeroDivisionError("zero base with negative exponent")
-            base = RatFun(self.den, self.num)
+            num, den = (den, num) if num[-1] > 0 else (
+                tuple(-c for c in den), tuple(-c for c in num))
             n = -n
-        out = RatFun((Fraction(1),))
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if n == 0:
+            return _ONE
+        if not num:
+            return self
+        # a canonical a/b has a**n/b**n canonical: coprime, contents
+        # cont(a)**n and cont(b)**n coprime, leading coefficient > 0
+        return _raw(tuple(_ppow(num, n)), tuple(_ppow(den, n)))
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self._n == o[0] and self._d == o[1]
 
     def __hash__(self):
         if self.is_constant():
@@ -373,17 +382,113 @@ class RatFun:
         return hash((self.num, self.den))
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     # -- text ---------------------------------------------------------
 
     def __str__(self):
-        num = ",".join(fraction_to_str(c) for c in self.num) if self.num else "0"
+        num = ",".join(fraction_to_str(c) for c in self.num) if self._n else "0"
         den = ",".join(fraction_to_str(c) for c in self.den)
         return f"{num} | {den}"
 
     def __repr__(self):
         return f"RatFun({self})"
+
+
+_set_n = RatFun._n.__set__
+_set_d = RatFun._d.__set__
+
+
+def _raw(num: tuple, den: tuple) -> RatFun:
+    """A RatFun from coefficient tuples already in canonical form."""
+    r = object.__new__(RatFun)
+    _set_n(r, num)
+    _set_d(r, den)
+    return r
+
+
+def _const(x: Fraction) -> RatFun:
+    return _raw((x.numerator,), (x.denominator,)) if x else _ZERO
+
+
+_ZERO = _raw((), (1,))
+_ONE = _raw((1,), (1,))
+
+
+def _parts(x):
+    """(num, den) integer tuples of a RatFun, int or Fraction; else None."""
+    if isinstance(x, RatFun):
+        return x._n, x._d
+    if isinstance(x, int):
+        return ((x,) if x else ()), (1,)
+    if isinstance(x, Fraction):
+        return ((x.numerator,) if x else ()), (x.denominator,)
+    return None
+
+
+def _content_free(num, den):
+    """Divide coprime num/den by their joint content, den leading > 0."""
+    g = math.gcd(*num, *den)
+    if den[-1] < 0:
+        g = -g
+    if g == 1:
+        return tuple(num), tuple(den)
+    return tuple(c // g for c in num), tuple(c // g for c in den)
+
+
+def _canonical(num, den) -> RatFun:
+    """A RatFun from coprime num/den (num may be zero)."""
+    if not num:
+        return _ZERO
+    return _raw(*_content_free(num, den))
+
+
+def _mul(a, b, c, d) -> RatFun:
+    """(a/b)(c/d) for canonical operands, cross-cancelled."""
+    if not a or not c:
+        return _ZERO
+    # gcd(a, b) = gcd(c, d) = 1, so after removing gcd(a, d) and
+    # gcd(c, b) the product of the numerators is coprime to that of the
+    # denominators
+    if len(a) > 1 and len(d) > 1:
+        g = _pgcd(a, d)
+        if len(g) > 1:
+            a, d = _pexquo(a, g), _pexquo(d, g)
+    if len(c) > 1 and len(b) > 1:
+        g = _pgcd(c, b)
+        if len(g) > 1:
+            c, b = _pexquo(c, g), _pexquo(b, g)
+    return _canonical(_pmul(a, c), _pmul(b, d))
+
+
+def _add(a, b, c, d) -> RatFun:
+    """a/b + c/d for canonical operands."""
+    if not c:
+        return _raw(a, b)
+    if not a:
+        return _raw(c, d)
+    if b == d:
+        if len(b) == 1:
+            return _canonical(_padd(a, c), b)
+        return RatFun(_padd(a, c), b)
+    if len(b) > 1 and len(d) > 1:
+        g = _pgcd(b, d)
+        if len(g) > 1:
+            b1 = _pexquo(b, g)
+            return RatFun(_padd(_pmul(a, _pexquo(d, g)), _pmul(c, b1)), _pmul(b1, d))
+    # coprime denominators: gcd(a*d + c*b, b) = gcd(a*d, b) = 1, and
+    # likewise for d, so the sum needs no gcd
+    return _canonical(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
+
+
+def _heval(cs, p: int, r: int, top: int) -> int:
+    """r**top * cs(p/r) for a polynomial of degree at most top."""
+    acc = 0
+    rp = 1
+    for c in reversed(cs):
+        acc = acc * p + c * rp
+        rp *= r
+    return acc * r ** (top + 1 - len(cs)) if cs else 0
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +515,8 @@ class RatFunField:
     """Rational functions in the formal variable q."""
 
     name = "ratfun"
-    zero = RatFun(())
-    one = RatFun((Fraction(1),))
+    zero = _ZERO
+    one = _ONE
 
     @staticmethod
     def default_q() -> RatFun:
@@ -419,7 +524,7 @@ class RatFunField:
 
     @staticmethod
     def from_int(n: int) -> RatFun:
-        return RatFun((Fraction(n),))
+        return _const(Fraction(n))
 
 
 QQ = RationalField()
@@ -479,14 +584,21 @@ def scalar_eval_at(x, point) -> Fraction:
 
 
 def scalar_sqrt(x):
-    """An exact square root of x in its own field, or None."""
+    """An exact square root of x in its own field, or None.
+
+    A RatFun root has a numerator with positive leading coefficient.
+    The canonical form of (s/t)**2 is s**2/t**2, so x = a/b has a root
+    exactly when a and b are squares of integer polynomials.
+    """
     x = as_scalar(x)
     if isinstance(x, RatFun):
-        num = _psqrt(x.num)
-        den = _psqrt(x.den)
+        if not x:
+            return x
+        num = _psqrt(x._n)
+        den = _psqrt(x._d)
         if num is None or den is None:
             return None
-        return RatFun(num, den)
+        return _raw(tuple(num), tuple(den))
     return _fraction_sqrt(x)
 
 
@@ -510,10 +622,14 @@ def scalar_to_str(x) -> str:
 
 
 def scalar_from_str(s: str) -> Scalar:
+    """Parse a scalar string; a zero denominator raises ValueError."""
     s = s.strip()
-    if "|" in s:
-        num_s, den_s = s.split("|")
-        num = tuple(Fraction(c.strip()) for c in num_s.strip().split(",")) if num_s.strip() else ()
-        den = tuple(Fraction(c.strip()) for c in den_s.strip().split(","))
-        return RatFun(num, den)
-    return Fraction(s)
+    try:
+        if "|" in s:
+            num_s, den_s = s.split("|")
+            num = tuple(Fraction(c.strip()) for c in num_s.strip().split(",")) if num_s.strip() else ()
+            den = tuple(Fraction(c.strip()) for c in den_s.strip().split(","))
+            return RatFun(num, den)
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {s!r}") from None

@@ -21,10 +21,10 @@ from daha.analysis import (
 )
 from daha.errors import ParameterError
 from daha.linalg import Matrix
-from daha.modrep import ModuleRep, central_character, make_E, make_O
+from daha.modrep import ModuleRep, central_character, make_E, make_O, verify_relations
 from daha.params import ParamQuadruple, canonical_orbit_rep
 from daha.sampling import adversarial_even, adversarial_odd, sample_even, sample_odd
-from daha.scalar import QQ_Q, RatFun, scalar_pow
+from daha.scalar import QQ_Q, RatFun, field_by_name, scalar_pow
 
 F = Fraction
 
@@ -143,6 +143,18 @@ def test_twist_group_behavior(p_even_d1):
     assert central_character(twisted) == character[1:] + character[:1]
     fp = det_fingerprint(module)
     assert det_fingerprint(twisted) == fp[1:] + fp[:1]
+
+
+@pytest.mark.parametrize("field", ["rational", "ratfun"])
+def test_twist_keeps_the_relations(field):
+    """The shift classify uses without a check is safe: every twist of a
+    verified module verifies."""
+    rng = random.Random(f"twist-relations:{field}")
+    field = field_by_name(field)
+    for module in (make_E(sample_even(rng, 3, field)), make_O(sample_odd(rng, 2, field))):
+        assert verify_relations(module).ok
+        for e in range(-1, 5):
+            assert verify_relations(twist(module, e)).ok
 
 
 def test_det_fingerprint_examples(p_even_d1, p_odd_d0):

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import daha
 import daha.analysis
 import daha.cli
 from daha.cli import (
@@ -9,6 +16,10 @@ from daha.cli import (
     EXIT_VERIFY,
     main,
 )
+from daha.modrep import verify_relations
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(*argv):
@@ -179,3 +190,69 @@ def test_classify_runs_each_check_once(tmp_path, monkeypatch):
     assert run("classify", "--in", str(mod), "--out", str(out)) == EXIT_OK
     assert json.loads(out.read_text())["verdict"] == "classified"
     assert calls == {"verify_relations": 1, "span_closure": 1}
+
+
+def test_classify_twisted_even_checks_relations_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(module):
+        calls.append(module)
+        return verify_relations(module)
+
+    for module in (daha.cli, daha.analysis):
+        monkeypatch.setattr(module, "verify_relations", counting)
+    mod, tw = tmp_path / "even.json", tmp_path / "tw.json"
+    run("construct", "--parity", "even", "--q", "2", "--k", "1/2,1,3,1",
+        "--d", "1", "--out", str(mod))
+    run("twist", "--in", str(mod), "--e", "1", "--out", str(tw))
+    calls.clear()
+    out = tmp_path / "cls.json"
+    assert run("classify", "--in", str(tw), "--out", str(out)) == EXIT_OK
+    assert json.loads(out.read_text())["twist"] == 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("entry", ["1/0", "1 | 0"])
+@pytest.mark.parametrize("command", ["verify", "classify", "irreducible"])
+def test_zero_denominator_is_an_input_error(tmp_path, capsys, command, entry):
+    mod = tmp_path / "mod.json"
+    run("construct", "--parity", "even", "--backend", "ratfun",
+        "--k", "q^-1,2,3,5", "--d", "1", "--out", str(mod))
+    data = json.loads(mod.read_text())
+    data["t"][1]["entries"][0][1] = entry
+    mod.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(command, "--in", str(mod)) == EXIT_IO
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_python_m_daha_help():
+    src = os.path.dirname(os.path.dirname(daha.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "daha", "--help"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "selftest" in proc.stdout
+
+
+# Formal-q construct/classify output, kept byte for byte.
+GOLDEN_RATFUN = [
+    ("even", "3", "-q^-2;1,1 | 2;-3;2/7q", "ratfun_even_d3.json"),
+    ("odd", "2", "1,1 | 2;3;-2/5;-5 | 0,0,0,3,3", "ratfun_odd_d2.json"),
+]
+
+
+@pytest.mark.parametrize("parity,d,k,golden", GOLDEN_RATFUN)
+def test_ratfun_construct_golden(tmp_path, parity, d, k, golden):
+    out = tmp_path / golden
+    assert run("construct", "--parity", parity, "--backend", "ratfun",
+               "--k", k, "--d", d, "--out", str(out)) == EXIT_OK
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+def test_ratfun_classify_golden(tmp_path):
+    out = tmp_path / "cls.json"
+    assert run("classify", "--in", str(DATA / "ratfun_even_d3.json"),
+               "--out", str(out)) == EXIT_OK
+    assert out.read_bytes() == (DATA / "ratfun_even_d3_classify.json").read_bytes()

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daha.scalar import (
     QQ,
@@ -139,3 +142,95 @@ def test_field_descriptors():
 def test_eval_at_identity_on_rationals():
     assert scalar_eval_at(Fraction(5, 3), 2) == Fraction(5, 3)
     assert scalar_eval_at(Q ** 2 + 1, Fraction(3)) == 10
+
+
+def test_ratfun_integer_canonical_form():
+    """Coprime integer numerator and denominator, joint content 1,
+    positive leading denominator coefficient; scaling both parts by any
+    nonzero rational gives the same stored tuples."""
+    rng = random.Random("int-canonical")
+    for _ in range(200):
+        f = rand_ratfun(rng, allow_zero=True)
+        n, d = f._n, f._d
+        assert all(type(c) is int for c in n + d)
+        assert d and d[-1] > 0 and math.gcd(*n, *d) == 1
+        c = rand_fraction(rng)
+        g = RatFun([x * c for x in f.num], [x * c for x in f.den])
+        assert (g._n, g._d) == (n, d)
+
+
+def test_scalar_from_str_zero_denominator():
+    for text in ("1/0", "1 | 0", "1 | 0,0", "1,2 | 1/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            scalar_from_str(text)
+
+
+def test_ratfun_matches_sympy_cancel():
+    """Canonical num/den against sympy.cancel on seeded random rational
+    functions, with shared factors and sums over equal denominators."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random("sympy-cancel")
+
+    def rand_poly():
+        while True:
+            cs = [rand_fraction(rng, allow_zero=True) for _ in range(rng.randint(1, 4))]
+            if any(cs):
+                return sum(sympy.Rational(c.numerator, c.denominator) * x ** i for i, c in enumerate(cs))
+
+    def coeffs(expr):
+        return tuple(Fraction(str(c)) for c in reversed(sympy.Poly(expr, x).all_coeffs()))
+
+    def canonical(expr):
+        num, den = sympy.fraction(sympy.cancel(expr))
+        lead = sympy.Poly(den, x).LC()
+        num, den = sympy.expand(num / lead), sympy.expand(den / lead)
+        return (coeffs(num) if num != 0 else ()), coeffs(den)
+
+    for case in range(120):
+        a, b, shared = rand_poly(), rand_poly(), rand_poly()
+        if case % 2:
+            f = RatFun(coeffs(sympy.expand(a * shared)), coeffs(sympy.expand(b * shared)))
+            expr = a * shared / (b * shared)
+        else:
+            c = rand_poly()
+            f = RatFun(coeffs(a), coeffs(b)) + RatFun(coeffs(c), coeffs(b))
+            expr = (a + c) / b
+        assert (f.num, f.den) == canonical(expr), (f, expr)
+
+
+fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
+
+
+@st.composite
+def ratfuns(draw):
+    num = draw(st.lists(fractions, max_size=4))
+    den = draw(st.lists(fractions, max_size=4))
+    return RatFun(num, den if any(den) else den + [Fraction(1)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(ratfuns(), ratfuns(), ratfuns())
+def test_ratfun_field_axioms_property(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a and a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a - a == 0 and a + 0 == a and a * 1 == a
+    if b:
+        assert (a / b) * b == a
+        assert b * b ** -1 == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(ratfuns())
+def test_ratfun_string_round_trip_property(x):
+    assert scalar_from_str(scalar_to_str(x)) == x
+
+
+@given(fractions)
+def test_ratfun_from_fraction_property(x):
+    f = RatFun.from_fraction(x)
+    assert f == x and x == f
+    assert hash(f) == hash(x)
+    assert f.as_fraction() == x
