@@ -11,6 +11,7 @@ classifies modules by twist and canonical parameter orbit.
 from .errors import (
     ClassificationError,
     DahaError,
+    InputError,
     ParameterError,
     SingularMatrixError,
     TranscriptionError,

@@ -31,7 +31,7 @@ from .analysis import (
     l_matrix_routes,
     twist,
 )
-from .errors import ClassificationError, DahaError, ParameterError
+from .errors import ClassificationError, DahaError, InputError, ParameterError
 from .linalg import span_closure
 from .modrep import (
     ModuleRep,
@@ -191,7 +191,7 @@ def cmd_irreducible(args) -> int:
         "criterion": None,
         "agrees": None,
     }
-    if module.twist == 0 and module.params.d + 1 == module.dim:
+    if module.twist == 0:
         p = module.params
         crit = criterion_E(p) if p.parity == PARITY_EVEN else criterion_O(p)
         out["criterion"] = crit
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     except ClassificationError as exc:
         print(f"classification error: {exc}", file=sys.stderr)
         return EXIT_CLASSIFY
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DahaError as exc:

@@ -19,5 +19,9 @@ class TranscriptionError(DahaError):
     formula, never a bad user input."""
 
 
+class InputError(DahaError):
+    """A module or parameter file does not have the documented shape."""
+
+
 class ClassificationError(DahaError):
     """Certification of a classification result failed."""

@@ -2,8 +2,10 @@
 
 Everything here works entrywise with :mod:`daha.scalar` values
 (Fraction or RatFun); a pivot is any nonzero entry, there are no
-tolerances anywhere.  Matrices are immutable after construction, all
-functions are pure.
+tolerances anywhere.  On rational input, elimination, determinants
+and the span closure run fraction-free on Python ints and return
+Fractions; RatFun input takes the field loops.  Matrices are immutable
+after construction, all functions are pure.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DahaError, SingularMatrixError
-from .scalar import QQ, QQ_Q, RatFun, as_scalar, scalar_from_str, scalar_to_str
+from .errors import DahaError, InputError, SingularMatrixError
+from .scalar import QQ, QQ_Q, RatFun, as_scalar, json_field, scalar_from_json, scalar_to_str
 
 
 class Matrix:
@@ -159,9 +161,13 @@ class Matrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "Matrix":
-        m = cls([[scalar_from_str(e) for e in row] for row in data["entries"]])
-        if m.rows != data["rows"] or m.cols != data["cols"]:
-            raise DahaError("matrix JSON shape mismatch")
+        entries = json_field(data, "entries", list)
+        widths = {len(row) if isinstance(row, list) else 0 for row in entries}
+        if len(widths) != 1 or 0 in widths:
+            raise InputError("matrix entries must be nonempty lists of equal length")
+        m = cls([[scalar_from_json(e) for e in row] for row in entries])
+        if m.rows != json_field(data, "rows", int) or m.cols != json_field(data, "cols", int):
+            raise InputError("matrix JSON shape mismatch")
         return m
 
 
@@ -205,7 +211,7 @@ class Subspace:
 
 def _field_of_rows(rows):
     """The field the entries live in: RatFun if any entry is one."""
-    return QQ_Q if any(isinstance(e, RatFun) for row in rows for e in row) else QQ
+    return QQ_Q if any(RatFun in set(map(type, row)) for row in rows) else QQ
 
 
 def _leading_index(row) -> int:
@@ -216,9 +222,49 @@ def _leading_index(row) -> int:
 
 
 def _rref_rows(rows):
-    """In-place reduced row echelon form; returns (nonzero rows, pivot cols)."""
+    """Reduced row echelon form; returns (nonzero rows, pivot cols).
+
+    When no entry is a RatFun the elimination runs on Python ints and
+    still returns the rational reduced rows, as Fractions.  Each row is
+    scaled by the lcm of its denominators.  Forward elimination inserts
+    the rows one by one with :func:`_int_insert`: a candidate is reduced
+    at its leading entry by ``v <- (b[p]/g)*v - (v[p]/g)*b`` with
+    ``g = gcd(b[p], v[p])`` and stored divided by the gcd of its
+    entries.  Back-elimination clears each pivot column from the rows
+    above it by the same step, in decreasing pivot order, and divides
+    out the content again; each row is divided by its pivot only once,
+    at the end.  Every step is an invertible rational row operation, so
+    the rows span the same space throughout, and the reduced row
+    echelon form of a space is unique: the result is the one the field
+    loop computes.  Other scalars (RatFun) take the field loop, which
+    divides by the pivot.
+    """
     if not rows:
         return [], []
+    if _field_of_rows(rows) is not QQ:
+        return _field_rref_rows(rows)
+    ncols = len(rows[0])
+    basis = {}  # pivot column -> primitive int row
+    for row in rows:
+        _int_insert(basis, _int_row(row)[0])
+        if len(basis) == ncols:
+            break
+    pivots = sorted(basis)
+    reduced = [basis[p] for p in pivots]
+    for k in range(len(pivots) - 1, 0, -1):
+        p, b = pivots[k], reduced[k]
+        for i in range(k):
+            if reduced[i][p]:
+                reduced[i] = _primitive(_cancel(reduced[i], b, p))
+    zero = Fraction(0)
+    return [
+        [Fraction(x, row[p]) if x else zero for x in row]
+        for row, p in zip(reduced, pivots)
+    ], pivots
+
+
+def _field_rref_rows(rows):
+    """In-place reduced row echelon form over any exact field."""
     ncols = len(rows[0])
     pivots = []
     r = 0
@@ -280,11 +326,25 @@ def kernel(m: Matrix) -> Subspace:
 
 
 def det(m: Matrix):
-    """Exact determinant by elimination with exact pivoting."""
+    """Exact determinant.
+
+    Rational input: each row is scaled by the lcm of its denominators
+    and Bareiss's fraction-free elimination (Math. Comp. 22, 1968)
+    runs on the ints, where every division is exact; the determinant
+    is the last pivot divided by the product of the row scales.  Other
+    scalars (RatFun) take elimination with exact pivoting.
+    """
     if not m.is_square():
         raise DahaError("determinant of a non-square matrix")
-    rows = [list(r) for r in m.entries]
-    n = m.rows
+    if _field_of_rows(m.entries) is QQ:
+        return _int_det(m.entries)
+    return _field_det(m.entries)
+
+
+def _field_det(entries):
+    """Elimination with exact pivoting over any exact field."""
+    rows = [list(r) for r in entries]
+    n = len(rows)
     sign = 1
     acc = None
     for c in range(n):
@@ -294,7 +354,7 @@ def det(m: Matrix):
                 pr = i
                 break
         if pr is None:
-            return m.entries[0][0] * 0
+            return entries[0][0] * 0
         if pr != c:
             rows[c], rows[pr] = rows[pr], rows[c]
             sign = -sign
@@ -305,6 +365,31 @@ def det(m: Matrix):
                 f = rows[i][c] / pv
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
     return acc if sign > 0 else -acc
+
+
+def _int_det(entries):
+    """Bareiss elimination on the row-scaled ints; a Fraction."""
+    rows, scale = [], 1
+    for row in entries:
+        ints, den = _int_row(row)
+        rows.append(ints)
+        scale *= den
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            pr = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if pr is None:
+                return Fraction(0)
+            rows[k], rows[pr] = rows[pr], rows[k]
+            sign = -sign
+        rk = rows[k]
+        pv = rk[k]
+        for i in range(k + 1, n):
+            f = rows[i][k]
+            rows[i] = [(pv * a - f * b) // prev for a, b in zip(rows[i], rk)]
+        prev = pv
+    return Fraction(sign * rows[-1][-1], scale)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -368,9 +453,10 @@ def solve_sylvester_homogeneous(pairs) -> Subspace:
             for c in range(n):
                 row = [zero] * (m * n)
                 for s in range(n):
-                    row[r * n + s] = row[r * n + s] + ae[s][c]
+                    row[r * n + s] = ae[s][c]
                 for u in range(m):
-                    row[u * n + c] = row[u * n + c] - be[r][u]
+                    if be[r][u]:
+                        row[u * n + c] = row[u * n + c] - be[r][u]
                 rows.append(row)
     return kernel(Matrix(rows))
 
@@ -405,7 +491,11 @@ def span_closure(gens) -> int:
     if _field_of_rows(row for g in gens for row in g.entries) is QQ:
         words = [_integer_rows(g.entries) for g in gens]
         ident = [[int(i == j) for j in range(n)] for i in range(n)]
-        return _closure(words, ident, _int_product, _int_insert, n * n)
+
+        def insert(basis, word):
+            return _int_insert(basis, [e for row in word for e in row])
+
+        return _closure(words, ident, _int_product, insert, n * n)
     return _closure(gens, Matrix.identity(n, one=QQ_Q.one), mul, _field_insert, n * n)
 
 
@@ -445,13 +535,12 @@ def _field_insert(basis, mat: Matrix) -> bool:
     return False
 
 
-def _int_insert(basis, rows) -> bool:
-    """Fraction-free reduction of an int word against primitive rows.
+def _int_insert(basis, v) -> bool:
+    """Fraction-free reduction of a flat int vector against primitive rows.
 
     Only the leading entry is eliminated, while a basis row has its
     pivot there; each step clears it and keeps the entries before it
     zero, so the scan resumes where it stopped."""
-    v = [e for row in rows for e in row]
     lead = 0
     size = len(v)
     while True:
@@ -461,12 +550,32 @@ def _int_insert(basis, rows) -> bool:
             return False
         b = basis.get(lead)
         if b is None:
-            g = gcd(*v)
-            basis[lead] = [x // g for x in v]
+            basis[lead] = _primitive(v)
             return True
-        g = gcd(b[lead], v[lead])
-        bp, c = b[lead] // g, v[lead] // g
-        v = [bp * x - c * y for x, y in zip(v, b)]
+        v = _cancel(v, b, lead)
+
+
+def _cancel(v, b, p):
+    """``(b[p]/g)*v - (v[p]/g)*b`` with ``g = gcd(b[p], v[p])``: zero at p."""
+    g = gcd(b[p], v[p])
+    bp, c = b[p] // g, v[p] // g
+    return [bp * x - c * y for x, y in zip(v, b)]
+
+
+def _primitive(v):
+    """A nonzero int vector divided by the gcd of its entries."""
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _int_row(row):
+    """A row of Fractions (or ints) scaled by the lcm of its
+    denominators: (int row, lcm)."""
+    dens = [e.denominator for e in row]
+    den = lcm(*dens)
+    if den == 1:
+        return [e.numerator for e in row], den
+    return [e.numerator * (den // d) for e, d in zip(row, dens)], den
 
 
 def _integer_rows(entries):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DahaError, ParameterError, TranscriptionError
+from .errors import DahaError, InputError, ParameterError, TranscriptionError
 from .linalg import Matrix, inverse, rank, solve_right
 from .params import (
     PARITY_EVEN,
@@ -31,7 +31,7 @@ from .params import (
     seq_phi,
     seq_rho,
 )
-from .scalar import as_scalar, scalar_pow, scalar_to_str
+from .scalar import as_scalar, json_field, scalar_pow, scalar_to_str
 
 GEN_NAMES = ("t0", "t1", "t2", "t3")
 
@@ -111,19 +111,31 @@ class ModuleRep:
 
     @classmethod
     def from_json(cls, data: dict) -> "ModuleRep":
-        t = tuple(Matrix.from_json(m) for m in data["t"])
-        tinv = tuple(Matrix.from_json(m) for m in data["tinv"])
-        dim = int(data["dim"])
-        for m in t + tinv:
-            if m.shape != (dim, dim):
-                raise DahaError("module JSON has a generator of the wrong shape")
+        """Load a module file; InputError unless it holds four generators
+        and four inverses, all dim x dim with dim = d+1, and a twist in
+        0..3."""
+        params = ParamQuadruple.from_json(json_field(data, "params", dict))
+        dim = json_field(data, "dim", int)
+        if dim != params.d + 1:
+            raise InputError(f"dim {dim} is not d+1 = {params.d + 1}")
+        twist = json_field(data, "twist", int)
+        if not 0 <= twist < 4:
+            raise InputError(f"twist {twist} is not in 0..3")
+        mats = {}
+        for key in ("t", "tinv"):
+            listed = json_field(data, key, list)
+            if len(listed) != 4:
+                raise InputError(f"{key!r} needs four matrices, got {len(listed)}")
+            mats[key] = tuple(Matrix.from_json(m) for m in listed)
+            if any(m.shape != (dim, dim) for m in mats[key]):
+                raise InputError(f"{key!r} has a matrix that is not {dim} x {dim}")
         return cls(
             dim=dim,
-            t=t,
-            tinv=tinv,
-            params=ParamQuadruple.from_json(data["params"]),
-            twist=int(data["twist"]) % 4,
-            label=data.get("label", ""),
+            t=mats["t"],
+            tinv=mats["tinv"],
+            params=params,
+            twist=twist,
+            label=json_field(data, "label", str) if "label" in data else "",
         )
 
 
@@ -525,7 +537,7 @@ class SparseVec:
     def __add__(self, other: "SparseVec") -> "SparseVec":
         acc = dict(self.items)
         for i, c in other.items:
-            acc[i] = acc.get(i, 0) + c
+            acc[i] = acc[i] + c if i in acc else c
         return SparseVec.from_dict(acc)
 
     def __sub__(self, other: "SparseVec") -> "SparseVec":
@@ -591,7 +603,8 @@ def _verma_forward(gen: int, v: SparseVec, p: ParamQuadruple) -> SparseVec:
     acc = {}
     for j, c in v.items:
         for i, e in _verma_column(gen, j, p).items():
-            acc[i] = acc.get(i, 0) + c * e
+            ce = c * e
+            acc[i] = acc[i] + ce if i in acc else ce
     return SparseVec.from_dict(acc)
 
 
@@ -684,7 +697,8 @@ class LaurentPoly:
         for e, c in dict(terms).items() if isinstance(terms, dict) else terms:
             c = as_scalar(c)
             if c:
-                acc[int(e)] = acc.get(int(e), Fraction(0)) + c
+                e = int(e)
+                acc[e] = acc[e] + c if e in acc else c
         object.__setattr__(
             self, "terms", tuple(sorted((e, c) for e, c in acc.items() if c))
         )
@@ -721,7 +735,7 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         acc = dict(self.terms)
         for e, c in other.terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
+            acc[e] = acc[e] + c if e in acc else c
         return LaurentPoly(acc)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -736,8 +750,8 @@ class LaurentPoly:
         acc = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+                e, c = e1 + e2, c1 * c2
+                acc[e] = acc[e] + c if e in acc else c
         return LaurentPoly(acc)
 
     def shift(self, n: int) -> "LaurentPoly":

@@ -19,11 +19,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DahaError, ParameterError, TranscriptionError
+from .errors import DahaError, InputError, ParameterError, TranscriptionError
 from .scalar import (
     as_scalar,
     field_of,
-    scalar_from_str,
+    json_field,
+    scalar_from_json,
     scalar_pow,
     scalar_to_str,
     validate_q,
@@ -95,8 +96,15 @@ class ParamQuadruple:
 
     @classmethod
     def from_json(cls, data: dict) -> "ParamQuadruple":
-        ks = [scalar_from_str(s) for s in data["k"]]
-        return cls(scalar_from_str(data["q"]), *ks, d=int(data["d"]), parity=data["parity"])
+        ks = json_field(data, "k", list)
+        if len(ks) != 4:
+            raise InputError(f"params need four k values, got {len(ks)}")
+        return cls(
+            scalar_from_json(json_field(data, "q", str)),
+            *(scalar_from_json(k) for k in ks),
+            d=json_field(data, "d", int),
+            parity=json_field(data, "parity", str),
+        )
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import DahaError
+from .errors import DahaError, InputError
 
 Rational = Fraction
 
@@ -33,9 +33,9 @@ Scalar = Union[Fraction, "RatFun"]
 
 def as_scalar(x) -> Scalar:
     """Coerce ints to Fraction; pass Fractions and RatFuns through."""
-    if isinstance(x, RatFun):
+    if isinstance(x, (RatFun, Fraction)):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"not a scalar: {x!r}")
 
@@ -633,3 +633,25 @@ def scalar_from_str(s: str) -> Scalar:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in scalar {s!r}") from None
+
+
+def scalar_from_json(value) -> Scalar:
+    """A scalar string read from a JSON file; InputError when it is not
+    a string or does not parse."""
+    if not isinstance(value, str):
+        raise InputError(f"a scalar must be a string, got {value!r}")
+    try:
+        return scalar_from_str(value)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
+def json_field(data, key: str, kind):
+    """data[key] of a parsed JSON object, checked to be an instance of
+    kind (a bool is never accepted); InputError otherwise."""
+    if not isinstance(data, dict) or key not in data:
+        raise InputError(f"missing field {key!r}")
+    value = data[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise InputError(f"field {key!r} must be of type {kind.__name__}, got {value!r}")
+    return value

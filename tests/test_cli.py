@@ -256,3 +256,78 @@ def test_ratfun_classify_golden(tmp_path):
     assert run("classify", "--in", str(DATA / "ratfun_even_d3.json"),
                "--out", str(out)) == EXIT_OK
     assert out.read_bytes() == (DATA / "ratfun_even_d3_classify.json").read_bytes()
+
+
+# Rational classify/intertwiner output, kept byte for byte: a twisted
+# even d=5 module and an odd d=4 module in a conjugated basis.
+def test_rational_even_classify_intertwiner_golden(tmp_path):
+    mod, tw = tmp_path / "e5.json", tmp_path / "tw.json"
+    run("construct", "--parity", "even", "--q", "2", "--k", "1/8,3,-2/5,7/3",
+        "--d", "5", "--out", str(mod))
+    run("twist", "--in", str(mod), "--e", "3", "--out", str(tw))
+    assert tw.read_bytes() == (DATA / "rational_even_d5_tw3.json").read_bytes()
+    other, other_tw = tmp_path / "e5b.json", tmp_path / "e5b_tw.json"
+    run("construct", "--parity", "even", "--q", "2", "--k", "1/8,3,-2/5,3/7",
+        "--d", "5", "--out", str(other))
+    run("twist", "--in", str(other), "--e", "3", "--out", str(other_tw))
+    cls, itw = tmp_path / "cls.json", tmp_path / "itw.json"
+    assert run("classify", "--in", str(tw), "--out", str(cls)) == EXIT_OK
+    assert run("intertwiner", "--a", str(tw), "--b", str(other_tw), "--out", str(itw)) == EXIT_OK
+    assert cls.read_bytes() == (DATA / "rational_even_d5_tw3_classify.json").read_bytes()
+    assert itw.read_bytes() == (DATA / "rational_even_d5_tw3_intertwiner.json").read_bytes()
+
+
+def test_rational_odd_classify_intertwiner_golden(tmp_path):
+    conj = DATA / "rational_odd_d4_conj.json"
+    mod, cls, itw = tmp_path / "o4.json", tmp_path / "cls.json", tmp_path / "itw.json"
+    run("construct", "--parity", "odd", "--q", "2", "--k", "3,-5/2,7/3,-1/560",
+        "--d", "4", "--out", str(mod))
+    assert run("classify", "--in", str(conj), "--out", str(cls)) == EXIT_OK
+    assert run("intertwiner", "--a", str(mod), "--b", str(conj), "--out", str(itw)) == EXIT_OK
+    assert cls.read_bytes() == (DATA / "rational_odd_d4_conj_classify.json").read_bytes()
+    assert itw.read_bytes() == (DATA / "rational_odd_d4_conj_intertwiner.json").read_bytes()
+
+
+def _drop_last_generator(data):
+    del data["t"][-1], data["tinv"][-1]
+
+
+def _set_in(path, value):
+    def mutate(data):
+        *keys, last = path
+        for key in keys:
+            data = data[key]
+        data[last] = value
+    return mutate
+
+
+MALFORMED = {
+    "three_generators": _drop_last_generator,
+    "entries_not_a_list": _set_in(("t", 0, "entries"), 5),
+    "d_null": _set_in(("params", "d"), None),
+    "dim_disagrees": _set_in(("dim",), 3),
+    "entry_not_a_string": _set_in(("t", 1, "entries", 0, 0), 1),
+    "ragged_rows": _set_in(("tinv", 2, "entries", 1), ["1"]),
+    "twist_out_of_range": _set_in(("twist",), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("command", ["verify", "classify", "irreducible"])
+def test_malformed_module_is_an_input_error(tmp_path, capsys, command, case):
+    mod = tmp_path / "mod.json"
+    run("construct", "--parity", "even", "--q", "2", "--k", "1/2,1,3,1",
+        "--d", "1", "--out", str(mod))
+    data = json.loads(mod.read_text())
+    MALFORMED[case](data)
+    mod.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(command, "--in", str(mod)) == EXIT_IO
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_non_object_module_file_is_an_input_error(tmp_path, capsys):
+    mod = tmp_path / "mod.json"
+    mod.write_text("[1, 2]")
+    assert run("classify", "--in", str(mod)) == EXIT_IO
+    assert "missing field" in capsys.readouterr().err

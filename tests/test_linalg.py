@@ -1,9 +1,11 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from operator import mul
 
 import pytest
 
+from daha import linalg
 from daha.errors import SingularMatrixError
 from daha.linalg import (
     Matrix,
@@ -17,10 +19,14 @@ from daha.linalg import (
     solve_sylvester_homogeneous,
     span_closure,
     _closure,
+    _field_det,
     _field_insert,
+    _field_rref_rows,
+    _rref_rows,
 )
-from daha.analysis import criterion_E, criterion_O
+from daha.analysis import _shift, criterion_E, criterion_O
 from daha.modrep import make_E, make_O
+from daha.params import canonical_orbit_rep
 from daha.sampling import adversarial_even, adversarial_odd, sample_params
 from daha.scalar import RatFun
 
@@ -272,6 +278,18 @@ def test_integer_closure_matches_sympy_rank(p_even_d1, p_even_d1_reducible, p_od
         assert span_closure(gens) == sympy_algebra_dim(gens)
 
 
+def scalars_of_results(m, rhs, vectors):
+    """Every scalar that rref, kernel, inverse, solve_right, det and
+    Subspace.from_vectors return for the square invertible matrix m."""
+    out = [e for row in rref(m)[0].entries for e in row]
+    out += [e for v in kernel(m).basis for e in v]
+    out += [e for row in inverse(m).entries for e in row]
+    out += list(solve_right(m, rhs))
+    out.append(det(m))
+    out += [e for v in Subspace.from_vectors(len(vectors[0]), vectors).basis for e in v]
+    return out
+
+
 def test_ratfun_results_have_one_scalar_type():
     m = Matrix([[Q, 1, Q + 1], [Q * Q, Q, Q * Q + Q], [0, 0, 0]])
     entries = [e for v in kernel(m).basis for e in v]
@@ -280,4 +298,131 @@ def test_ratfun_results_have_one_scalar_type():
     entries += list(solve_right(square, [1, 0]))
     space = solve_sylvester_homogeneous([(square, square)])
     entries += [e for v in space.basis for e in v]
+    entries += scalars_of_results(square, [Q, 1], [[Q, 1, 0], [Q * Q, Q, 1]])
     assert entries and all(isinstance(e, RatFun) for e in entries)
+
+
+def test_rational_results_have_one_scalar_type():
+    # Plain ints come back as Fractions, like Fraction input.
+    F = Fraction
+    cases = [
+        (Matrix([[2, 1], [4, 3]]), [1, 0], [[2, 4, 0], [1, 2, 1], [0, 0, 3]]),
+        (Matrix([[F(1, 2), 1], [0, F(-3, 4)]]), [F(1, 3), 1], [[F(1, 2), 0], [0, F(5, 3)]]),
+    ]
+    for m, rhs, vectors in cases:
+        entries = scalars_of_results(m, rhs, vectors)
+        assert entries and all(type(e) is Fraction for e in entries)
+
+
+# -- rational elimination: the integer path against the field loop ----------
+
+@pytest.fixture
+def field_loop(monkeypatch):
+    """A context in which rref, rank, kernel, inverse, solve_right,
+    Subspace.from_vectors and det run the field loops on any input."""
+    @contextmanager
+    def context():
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                linalg, "_rref_rows", lambda rows: _field_rref_rows(rows) if rows else ([], [])
+            )
+            patch.setattr(linalg, "_int_det", _field_det)
+            yield
+
+    return context
+
+
+def results(m):
+    out = {"rref": rref(m), "rank": rank(m), "kernel": kernel(m)}
+    out["solve_right"] = solve_right(m, range(1, m.rows + 1))
+    if m.is_square():
+        out["det"] = det(m)
+        out["inverse"] = inverse(m) if out["det"] else None
+    return out
+
+
+def elimination_grid():
+    """Seeded rational matrices: tall, wide and square, full rank and
+    rank-deficient, with zero rows, 1x1, negative entries and
+    denominators of size 10^40."""
+    rng = random.Random("int-elimination")
+    big = 10 ** 40 + 7
+
+    def rand(rows, cols, height, dens):
+        return Matrix(
+            [
+                [Fraction(rng.randint(-height, height), rng.choice(dens)) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+        )
+
+    grid = [Matrix([[Fraction(-3, 7)]]), Matrix([[0]]), Matrix([[Fraction(1, big)]])]
+    for rows, cols in [(1, 4), (4, 1), (2, 5), (5, 2), (3, 3), (4, 4), (6, 3), (3, 7), (6, 6)]:
+        for dens in ((1,), (1, 2, 3, 4), (big, big - 2, 3)):
+            full = rand(rows, cols, 9, dens)
+            k = rng.randint(1, min(rows, cols))
+            grid += [full, rand(rows, k, 4, dens) * rand(k, cols, 4, dens)]  # rank <= k
+            with_zero_row = [list(row) for row in full.entries]
+            with_zero_row[rng.randrange(rows)] = [Fraction(0)] * cols
+            grid.append(Matrix(with_zero_row))
+    return grid
+
+
+def test_integer_elimination_matches_field_loop(field_loop):
+    grid = elimination_grid()
+    with field_loop():
+        expected = [results(m) for m in grid]
+    assert any(r["rank"] < min(m.shape) for m, r in zip(grid, expected))
+    assert any(r.get("inverse") for r in expected)
+    for m, want in zip(grid, expected):
+        rows = [list(r) for r in m.entries]
+        assert _rref_rows([list(r) for r in rows]) == _field_rref_rows(rows), m
+        assert results(m) == want, m
+
+
+def sylvester_systems():
+    """The intertwining systems of both families for d <= 5: a module
+    against itself, against its twisted canonical reference (the
+    system classify solves) and against a module with other parameters."""
+    rng = random.Random("int-sylvester")
+    systems = []
+    for d in range(6):
+        if d % 2:
+            p = sample_params(rng, "even", d)
+            a = _shift(make_E(p), d % 4)
+            pairs = [(a, a), (a, _shift(make_E(canonical_orbit_rep(p)), d % 4))]
+            pairs.append((a, make_E(sample_params(rng, "even", d))))
+        else:
+            a = make_O(sample_params(rng, "odd", d))
+            pairs = [(a, a), (a, make_O(sample_params(rng, "odd", d)))]
+        systems += [[(x.t[i], y.t[i]) for i in range(4)] for x, y in pairs]
+    return systems
+
+
+def test_integer_sylvester_kernel_matches_field_loop(field_loop):
+    systems = sylvester_systems()
+    with field_loop():
+        expected = [solve_sylvester_homogeneous(s) for s in systems]
+    assert {space.dim for space in expected} == {0, 1}
+    for system, want in zip(systems, expected):
+        assert solve_sylvester_homogeneous(system) == want
+
+
+def test_integer_elimination_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def fraction(x):
+        return Fraction(int(x.p), int(x.q))
+
+    for m in elimination_grid():
+        sm = sympy.Matrix(
+            [[sympy.Rational(e.numerator, e.denominator) for e in row] for row in m.entries]
+        )
+        reduced, rk = rref(m)
+        sreduced, spivots = sm.rref()
+        assert rk == len(spivots)
+        assert [[fraction(e) for e in row] for row in sreduced.tolist()] == [
+            list(row) for row in reduced.entries
+        ]
+        if m.is_square():
+            assert det(m) == fraction(sm.det())
