@@ -46,12 +46,11 @@ from .params import (
     TwistElement,
     canonical_orbit_rep,
     eval_sequence,
-    in_EP,
-    in_OP,
     orbit_act,
     orbit_members,
     theta,
     theta_coincidence,
+    violations,
 )
 from .modrep import (
     LaurentPoly,

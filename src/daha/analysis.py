@@ -26,6 +26,7 @@ from .params import (
     seq_phi,
     seq_psi,
     seq_rho,
+    violations,
 )
 from .scalar import scalar_pow, scalar_sqrt
 
@@ -52,42 +53,19 @@ INDETERMINATE = _Indeterminate()
 # ---------------------------------------------------------------------------
 
 def criterion_E(p: ParamQuadruple) -> bool:
-    """Closed-form irreducibility test for the even-dimensional family."""
+    """Closed-form irreducibility test for the even-dimensional family:
+    no atomic condition of :func:`~daha.params.violations` fails."""
     if p.parity != PARITY_EVEN:
         raise ParameterError("criterion_E needs an even-family quadruple")
-    q, (k0, k1, k2, k3), d = p.q, p.k, p.d
-    one = q ** 0
-    for i in range(2, d, 2):
-        if scalar_pow(q, i) == one:
-            return False
-        if k0 * k0 == scalar_pow(q, -i):
-            return False
-    products = (
-        k0 * k1 * k2 * k3,
-        k0 * k2 * k3 / k1,
-        k0 * k1 * k3 / k2,
-        k0 * k1 * k2 / k3,
-    )
-    for i in range(1, d + 1, 2):
-        qi = scalar_pow(q, -i)
-        if any(prod == qi for prod in products):
-            return False
-    return True
+    return not violations(p)
 
 
 def criterion_O(p: ParamQuadruple) -> bool:
-    """Closed-form irreducibility test for the odd-dimensional family."""
+    """Closed-form irreducibility test for the odd-dimensional family:
+    no atomic condition of :func:`~daha.params.violations` fails."""
     if p.parity != PARITY_ODD:
         raise ParameterError("criterion_O needs an odd-family quadruple")
-    q, d = p.q, p.d
-    one = q ** 0
-    for i in range(2, d + 1, 2):
-        if scalar_pow(q, i) == one:
-            return False
-        qi = scalar_pow(q, -i)
-        if any(kj * kj == qi for kj in p.k):
-            return False
-    return True
+    return not violations(p)
 
 
 def burnside_irreducible(m: ModuleRep) -> bool:

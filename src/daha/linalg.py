@@ -126,9 +126,6 @@ class Matrix:
             raise DahaError("vector length mismatch")
         return tuple(sum(e * v for e, v in zip(row, vec)) for row in self.entries)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.entries)))
-
     def scalar_value(self):
         """The scalar c when this matrix equals c*I, else None."""
         if not self.is_square():

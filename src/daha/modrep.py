@@ -2,25 +2,26 @@
 
 Three realizations are built here:
 
-* finite-dimensional matrix modules -- :func:`make_E` (dimension d+1
-  even) and :func:`make_O` (dimension d+1 odd), transcribed column by
-  column from their defining basis formulas;
 * the infinite-dimensional ladder module with basis m_0, m_1, ... --
   applied lazily to finitely supported vectors by :func:`verma_apply`;
+* finite-dimensional matrix modules -- :func:`make_E` (dimension d+1
+  even) and :func:`make_O` (dimension d+1 odd), the truncations of the
+  ladder module to m_0 .. m_d, which are its quotients under the parity
+  constraint;
 * the Laurent-polynomial realization in one variable z --
   :func:`poly_apply`, together with the basis image map
   :func:`verma_basis_image` that intertwines the two.
 
 Matrices act on column coordinate vectors: the j-th column of a
 generator matrix is the coordinate vector of the generator applied to
-the j-th basis vector.  Inverse generator matrices are computed by
-exact inversion rather than from transcribed formulas.
+the j-th basis vector.  The generator columns are written once, in
+:func:`_verma_column`; inverse generator matrices are computed by exact
+inversion rather than from formulas of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DahaError, InputError, ParameterError, TranscriptionError
 from .linalg import Matrix, inverse, rank, solve_right
@@ -139,17 +140,22 @@ class ModuleRep:
         )
 
 
-def _columns_to_matrix(dim: int, columns, zero) -> Matrix:
-    return Matrix(
-        [[columns[j].get(i, zero) for j in range(dim)] for i in range(dim)]
-    )
+def _truncate(p: ParamQuadruple, family: str) -> ModuleRep:
+    """The quotient of the ladder module by the span of m_{d+1},
+    m_{d+2}, ..., on the basis m_0 .. m_d.
 
-
-def _finish_module(p: ParamQuadruple, cols_by_gen, label: str) -> ModuleRep:
+    That span is a submodule under the parity constraint.  A generator
+    maps m_j into the span of m_{j-1}, m_j, m_{j+1}, so only its
+    (d, d+1) entry could leave the span.  That entry is either absent or
+    carries the factor 1 - k0^2 q^{d+1} (even family, t0 and t1) or
+    a - 1/k2 with a = k0 k1 k3 q^{d+1} (odd family, t2 and t3), which
+    the constraint makes zero.
+    """
     dim = p.d + 1
-    zero = p.q * 0
-    t = tuple(_columns_to_matrix(dim, cols, zero) for cols in cols_by_gen)
+    t = tuple(_ladder_block(gen, dim, dim, p) for gen in range(4))
     tinv = tuple(inverse(m) for m in t)
+    ks = ",".join(scalar_to_str(x) for x in p.k)
+    label = f"{family}[q={scalar_to_str(p.q)}; k={ks}; d={p.d}]"
     return ModuleRep(dim=dim, t=t, tinv=tinv, params=p, twist=0, label=label)
 
 
@@ -157,134 +163,17 @@ def make_E(p: ParamQuadruple) -> ModuleRep:
     """The (d+1)-dimensional module of the even-dimensional family."""
     if p.parity != PARITY_EVEN:
         raise ParameterError("make_E needs parity 'even' (d odd, k0^2 = q^{-d-1})")
-    q, (k0, k1, k2, k3), d = p.q, p.k, p.d
-
-    t0 = {}
-    for j in range(d + 1):
-        if j == 0 or j == d:
-            t0[j] = {j: k0}
-        elif j % 2 == 0:
-            c = scalar_pow(q, -j) / k0
-            t0[j] = {
-                j - 1: c * (1 - scalar_pow(q, j)) * (1 - k0 * k0 * scalar_pow(q, j)),
-                j: k0 + 1 / k0 - c,
-            }
-        else:
-            c = scalar_pow(q, -j - 1) / k0
-            t0[j] = {j: c, j + 1: -c}
-
-    t1 = {}
-    for j in range(d + 1):
-        if j == 0:
-            t1[j] = {0: k1, 1: 1 / k1}
-        elif j % 2 == 0:
-            t1[j] = {
-                j - 1: -k1 * (1 - scalar_pow(q, j)) * (1 - k0 * k0 * scalar_pow(q, j)),
-                j: k1,
-                j + 1: 1 / k1,
-            }
-        else:
-            t1[j] = {j: 1 / k1}
-
-    t2 = {}
-    for j in range(d + 1):
-        if j % 2 == 0:
-            c = scalar_pow(q, -j - 1) / (k0 * k1 * k3)
-            t2[j] = {j: c, j + 1: -c}
-        else:
-            a = k0 * k1 * k3 * scalar_pow(q, j)
-            t2[j] = {
-                j - 1: (a - k2) * (a - 1 / k2) / a,
-                j: k2 + 1 / k2 - 1 / a,
-            }
-
-    t3 = {}
-    for j in range(d + 1):
-        if j % 2 == 0:
-            t3[j] = {j: k3}
-        else:
-            a = k0 * k1 * k3 * scalar_pow(q, j)
-            col = {j - 1: -(a - k2) * (a - 1 / k2) / k3, j: 1 / k3}
-            if j != d:
-                col[j + 1] = k3
-            t3[j] = col
-
-    label = f"E[q={scalar_to_str(q)}; k={','.join(scalar_to_str(x) for x in p.k)}; d={d}]"
-    return _finish_module(p, (t0, t1, t2, t3), label)
+    return _truncate(p, "E")
 
 
 def make_O(p: ParamQuadruple) -> ModuleRep:
-    """The (d+1)-dimensional module of the odd-dimensional family.
-
-    All index ranges with an empty span are skipped, which makes the
-    d = 0 case the four 1x1 matrices (k0), (k1), (k2), (k3).
-    """
+    """The (d+1)-dimensional module of the odd-dimensional family; d = 0
+    gives the four 1x1 matrices (k0), (k1), (k2), (k3)."""
     if p.parity != PARITY_ODD:
         raise ParameterError(
             "make_O needs parity 'odd' (d even, k0*k1*k2*k3 = q^{-d-1})"
         )
-    q, (k0, k1, k2, k3), d = p.q, p.k, p.d
-
-    t0 = {}
-    for j in range(d + 1):
-        if j == 0:
-            t0[j] = {0: k0}
-        elif j % 2 == 0:
-            c = scalar_pow(q, -j) / k0
-            t0[j] = {
-                j - 1: c * (1 - scalar_pow(q, j)) * (1 - k0 * k0 * scalar_pow(q, j)),
-                j: k0 + 1 / k0 - c,
-            }
-        else:
-            c = scalar_pow(q, -j - 1) / k0
-            t0[j] = {j: c, j + 1: -c}
-
-    t1 = {}
-    for j in range(d + 1):
-        if j == 0:
-            t1[j] = {0: k1} if d == 0 else {0: k1, 1: 1 / k1}
-        elif j == d:
-            t1[j] = {
-                d - 1: -k1 * (1 - scalar_pow(q, d)) * (1 - k0 * k0 * scalar_pow(q, d)),
-                d: k1,
-            }
-        elif j % 2 == 0:
-            t1[j] = {
-                j - 1: -k1 * (1 - scalar_pow(q, j)) * (1 - k0 * k0 * scalar_pow(q, j)),
-                j: k1,
-                j + 1: 1 / k1,
-            }
-        else:
-            t1[j] = {j: 1 / k1}
-
-    t2 = {}
-    for j in range(d + 1):
-        if j == d:
-            t2[j] = {d: k2}
-        elif j % 2 == 0:
-            c = k2 * scalar_pow(q, d - j)
-            t2[j] = {j: c, j + 1: -c}
-        else:
-            u = scalar_pow(q, j - d - 1)
-            t2[j] = {
-                j - 1: -k2 * (1 - u / (k2 * k2)) * (1 - scalar_pow(q, d - j + 1)),
-                j: k2 + 1 / k2 - k2 * scalar_pow(q, d - j + 1),
-            }
-
-    t3 = {}
-    for j in range(d + 1):
-        if j % 2 == 0:
-            t3[j] = {j: k3}
-        else:
-            u = scalar_pow(q, j - d - 1)
-            t3[j] = {
-                j - 1: -(1 - u / (k2 * k2)) * (1 - u) / k3,
-                j: 1 / k3,
-                j + 1: k3,
-            }
-
-    label = f"O[q={scalar_to_str(q)}; k={','.join(scalar_to_str(x) for x in p.k)}; d={d}]"
-    return _finish_module(p, (t0, t1, t2, t3), label)
+    return _truncate(p, "O")
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +399,8 @@ class SparseVec:
         return cls(tuple(sorted((i, as_scalar(c)) for i, c in d.items() if c)))
 
     @classmethod
-    def unit(cls, i: int, one=Fraction(1)) -> "SparseVec":
-        return cls(((i, one),))
+    def unit(cls, i: int, one=1) -> "SparseVec":
+        return cls(((i, as_scalar(one)),))
 
     @classmethod
     def zero(cls) -> "SparseVec":
@@ -522,12 +411,6 @@ class SparseVec:
 
     def max_index(self) -> int:
         return self.items[-1][0] if self.items else 0
-
-    def coeff(self, i: int):
-        for j, c in self.items:
-            if j == i:
-                return c
-        return Fraction(0)
 
     def scale(self, c) -> "SparseVec":
         if not c:
@@ -599,6 +482,14 @@ def _verma_column(gen: int, j: int, p: ParamQuadruple) -> dict:
     raise DahaError(f"unknown generator {gen!r}")
 
 
+def _ladder_block(gen: int, rows: int, cols: int, p: ParamQuadruple) -> Matrix:
+    """The top-left rows x cols block of generator gen on the basis
+    m_0, m_1, ...: column j holds the coordinates of gen applied to m_j."""
+    zero = p.q * 0
+    columns = [_verma_column(gen, j, p) for j in range(cols)]
+    return Matrix([[col.get(i, zero) for col in columns] for i in range(rows)])
+
+
 def _verma_forward(gen: int, v: SparseVec, p: ParamQuadruple) -> SparseVec:
     acc = {}
     for j, c in v.items:
@@ -617,10 +508,7 @@ def _verma_inverse(gen: int, v: SparseVec, p: ParamQuadruple) -> SparseVec:
     the residual vanishes."""
     width = v.max_index() + 2 + _INVERSE_SLACK
     zero = p.q * 0
-    cols = [_verma_column(gen, j, p) for j in range(width + 1)]
-    band = Matrix(
-        [[cols[j].get(i, zero) for j in range(width + 1)] for i in range(width + 2)]
-    )
+    band = _ladder_block(gen, width + 2, width + 1, p)
     rhs = [zero] * (width + 2)
     for i, c in v.items:
         rhs[i] = c
@@ -710,22 +598,8 @@ class LaurentPoly:
     def zero(cls) -> "LaurentPoly":
         return cls(())
 
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls(((0, Fraction(1)),))
-
-    @classmethod
-    def monomial(cls, e: int, c=Fraction(1)) -> "LaurentPoly":
-        return cls(((e, c),))
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff(self, e: int):
-        for ee, c in self.terms:
-            if ee == e:
-                return c
-        return Fraction(0)
 
     def min_exp(self) -> int:
         if not self.terms:
@@ -780,13 +654,14 @@ class LaurentPoly:
         d_shift = other.min_exp()
         num = self.shift(-n_shift)
         den = other.shift(-d_shift)
-        nn = [Fraction(0)] * (num.terms[-1][0] + 1)
+        zero = num.terms[0][1] * 0
+        nn = [zero] * (num.terms[-1][0] + 1)
         for e, c in num.terms:
             nn[e] = c
-        dd = [Fraction(0)] * (den.terms[-1][0] + 1)
+        dd = [zero] * (den.terms[-1][0] + 1)
         for e, c in den.terms:
             dd[e] = c
-        quot = [Fraction(0)] * max(len(nn) - len(dd) + 1, 1)
+        quot = [zero] * max(len(nn) - len(dd) + 1, 1)
         lead = dd[-1]
         while nn and len(nn) >= len(dd):
             k = len(nn) - len(dd)
@@ -836,12 +711,13 @@ def poly_apply(gen: int, f: LaurentPoly, p: ParamQuadruple) -> LaurentPoly:
     of a silent wrong answer.
     """
     q, (k0, k1, k2, k3) = p.q, p.k
+    one = q ** 0
     c0, c1 = k0 + 1 / k0, k1 + 1 / k1
     c2, c3 = k2 + 1 / k2, k3 + 1 / k3
     if gen == 0:
         g = f.substitute_q2_inverse(q)
         bracket = LaurentPoly(((0, c0), (-1, -c1 * q)))
-        den = LaurentPoly(((0, Fraction(1)), (-2, -q * q)))
+        den = LaurentPoly(((0, one), (-2, -q * q)))
         return g.scale(k0) + (bracket * (f - g)).exact_div(den)
     if gen == 1:
         g = f.substitute_q2_inverse(q)
@@ -849,18 +725,18 @@ def poly_apply(gen: int, f: LaurentPoly, p: ParamQuadruple) -> LaurentPoly:
         b = LaurentPoly(
             ((-2, -q * q * c1), (-3, k0 * q ** 3), (-1, q / k0))
         )
-        den = LaurentPoly(((0, Fraction(1)), (-2, -q * q)))
+        den = LaurentPoly(((0, one), (-2, -q * q)))
         return (a * f + b * g).exact_div(den)
     if gen == 2:
         g = f.substitute_inverse()
         a = LaurentPoly(((0, c2), (1, -c3)))
         b = LaurentPoly(((1, k3), (-1, 1 / k3), (0, -c2)))
-        den = LaurentPoly(((0, Fraction(1)), (2, Fraction(-1))))
+        den = LaurentPoly(((0, one), (2, -one)))
         return (a * f + b * g).exact_div(den)
     if gen == 3:
         g = f.substitute_inverse()
         bracket = LaurentPoly(((0, c3), (1, -c2)))
-        den = LaurentPoly(((0, Fraction(1)), (2, Fraction(-1))))
+        den = LaurentPoly(((0, one), (2, -one)))
         return g.scale(k3) + (bracket * (f - g)).exact_div(den)
     raise DahaError(f"unknown generator {gen!r}")
 
@@ -871,11 +747,12 @@ def verma_basis_image(i: int, p: ParamQuadruple) -> LaurentPoly:
     if i < 0:
         raise DahaError("basis index must be nonnegative")
     q, k0, k1 = p.q, p.k0, p.k1
-    out = LaurentPoly.one()
+    one = q ** 0
+    out = LaurentPoly(((0, one),))
     for h in range(i):
         coef = k0 * k1 * scalar_pow(q, 2 * ((h + 1) // 2)) * scalar_pow(q, (-1) ** h)
         z_exp = (-1) ** (h - 1)
-        out = out * LaurentPoly(((0, Fraction(1)), (z_exp, -coef)))
+        out = out * LaurentPoly(((0, one), (z_exp, -coef)))
     return out
 
 

@@ -7,11 +7,12 @@ requires d even with k0*k1*k2*k3 = q**(-d-1).  The universal ladder
 module exists for arbitrary nonzero parameters, which is what parity
 "free" is for.
 
-This module also houses the four scalar coefficient sequences that
-drive every ladder computation, the spectral sequence used in the
-simultaneous-eigenvector argument, membership predicates for the
-classification parameter sets, and the two group actions on
-parameters (sign flips on k1,k2,k3 and the cyclic twist).
+This module also houses the scalar coefficient sequences that drive
+every ladder computation, the spectral sequence used in the
+simultaneous-eigenvector argument, the atomic irreducibility
+conditions that cut out the classification parameter sets, and the
+two group actions on parameters (sign flips on k1,k2,k3 and the cyclic
+twist).
 """
 
 from __future__ import annotations
@@ -164,11 +165,8 @@ class SignTriple:
 # Each is a two-case formula indexed by any integer i; the even-index
 # case is a q-Pochhammer-style factor pair, the odd-index case pairs a
 # product of three parameters against k2 (or k3) and its inverse.  The
-# four kinds differ only by which parameter is inverted or cycled.
+# kinds differ only by which parameter is inverted or cycled.
 # ---------------------------------------------------------------------------
-
-SEQ_KINDS = ("phi", "rho", "chi", "psi")
-
 
 def seq_phi(q, k0, k1, k2, k3, i: int):
     if i % 2 == 0:
@@ -184,13 +182,6 @@ def seq_rho(q, k0, k1, k2, k3, i: int):
     return (a - k2) * (a - 1 / k2)
 
 
-def seq_chi(q, k0, k1, k2, k3, i: int):
-    if i % 2 == 0:
-        return (1 - scalar_pow(q, i)) * (1 - k0 * k0 * scalar_pow(q, i))
-    a = k0 * k1 * scalar_pow(q, i) / k3
-    return (a - k2) * (a - 1 / k2)
-
-
 def seq_psi(q, k0, k1, k2, k3, i: int):
     if i % 2 == 0:
         return (1 - scalar_pow(q, i)) * (1 - k1 * k1 * scalar_pow(q, i))
@@ -198,11 +189,11 @@ def seq_psi(q, k0, k1, k2, k3, i: int):
     return (a - k3) * (a - 1 / k3)
 
 
-_SEQ_FUNCS = {"phi": seq_phi, "rho": seq_rho, "chi": seq_chi, "psi": seq_psi}
+_SEQ_FUNCS = {"phi": seq_phi, "rho": seq_rho, "psi": seq_psi}
 
 
 def eval_sequence(kind: str, p: ParamQuadruple, i: int):
-    """Evaluate one of the four coefficient sequences at index i.
+    """Evaluate one of the coefficient sequences at index i.
 
     For the odd family the constraint collapses the odd-index cases of
     rho and psi to simpler two-factor forms; both are computed and
@@ -259,39 +250,40 @@ def theta_coincidence(q, mu, i: int, j: int) -> bool:
 # classification parameter sets and orbits
 # ---------------------------------------------------------------------------
 
-def _even_products(p: ParamQuadruple):
+def violations(p: ParamQuadruple) -> list:
+    """The atomic irreducibility conditions that p fails, as (name, i)
+    pairs; the family's irreducibility criterion holds iff there are none.
+
+    Even family: for each odd i in 1..d, none of the four parameter
+    products P0 = k0*k1*k2*k3, P1 = k0*k2*k3/k1, P2 = k0*k1*k3/k2,
+    P3 = k0*k1*k2/k3 may equal q^{-i}.  Odd family: for each even i in
+    2..d, no k_j^2 ("k0^2" .. "k3^2") may equal q^{-i}.
+
+    The criteria as stated also ask q^i != 1 and, for the even family,
+    k0^2 != q^{-i} at even i in 2..d-1.  Neither can fail for a valid
+    quadruple: ParamQuadruple rejects roots of unity, and with
+    k0^2 = q^{-d-1} the second would make q^{d+1-i} = 1.  So they are
+    left out.
+    """
     k0, k1, k2, k3 = p.k
-    return (
-        k0 * k1 * k2 * k3,
-        k0 * k2 * k3 / k1,
-        k0 * k1 * k3 / k2,
-        k0 * k1 * k2 / k3,
-    )
-
-
-def in_EP(p: ParamQuadruple) -> bool:
-    """Membership in the even classification parameter set: all four
-    parameter products avoid q^{-i} for every odd i in 1..d."""
-    if p.parity != PARITY_EVEN:
-        raise ParameterError("in_EP needs an even-family quadruple")
-    products = _even_products(p)
-    for i in range(1, p.d + 1, 2):
+    if p.parity == PARITY_EVEN:
+        named = (
+            ("P0", k0 * k1 * k2 * k3),
+            ("P1", k0 * k2 * k3 / k1),
+            ("P2", k0 * k1 * k3 / k2),
+            ("P3", k0 * k1 * k2 / k3),
+        )
+        powers = range(1, p.d + 1, 2)
+    elif p.parity == PARITY_ODD:
+        named = tuple((f"k{j}^2", kj * kj) for j, kj in enumerate(p.k))
+        powers = range(2, p.d + 1, 2)
+    else:
+        raise ParameterError("violations needs an even- or odd-family quadruple")
+    out = []
+    for i in powers:
         qi = scalar_pow(p.q, -i)
-        if any(prod == qi for prod in products):
-            return False
-    return True
-
-
-def in_OP(p: ParamQuadruple) -> bool:
-    """Membership in the odd classification parameter set: every k_j^2
-    avoids q^{-i} for even i in 2..d."""
-    if p.parity != PARITY_ODD:
-        raise ParameterError("in_OP needs an odd-family quadruple")
-    for i in range(2, p.d + 1, 2):
-        qi = scalar_pow(p.q, -i)
-        if any(kj * kj == qi for kj in p.k):
-            return False
-    return True
+        out.extend((name, i) for name, value in named if value == qi)
+    return out
 
 
 def orbit_act(p: ParamQuadruple, s: SignTriple) -> ParamQuadruple:

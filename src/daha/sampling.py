@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 
 from .errors import DahaError
-from .params import PARITY_EVEN, PARITY_ODD, ParamQuadruple
+from .params import PARITY_EVEN, PARITY_ODD, ParamQuadruple, violations
 from .scalar import QQ, scalar_pow
 
 _POOL_HEIGHT = 16
@@ -79,45 +79,6 @@ def sample_params(rng: random.Random, parity: str, d: int, field=QQ, q=None) -> 
 # adversarial samples: break exactly one irreducibility condition
 # ---------------------------------------------------------------------------
 
-def _even_violations(p: ParamQuadruple):
-    """Atomic failed conditions of the even irreducibility criterion."""
-    q, (k0, k1, k2, k3), d = p.q, p.k, p.d
-    one = q ** 0
-    out = []
-    for i in range(2, d, 2):
-        if scalar_pow(q, i) == one:
-            out.append(("q", i))
-        if k0 * k0 == scalar_pow(q, -i):
-            out.append(("k0^2", i))
-    products = {
-        "P0": k0 * k1 * k2 * k3,
-        "P1": k0 * k2 * k3 / k1,
-        "P2": k0 * k1 * k3 / k2,
-        "P3": k0 * k1 * k2 / k3,
-    }
-    for i in range(1, d + 1, 2):
-        qi = scalar_pow(q, -i)
-        for name, prod in products.items():
-            if prod == qi:
-                out.append((name, i))
-    return out
-
-
-def _odd_violations(p: ParamQuadruple):
-    """Atomic failed conditions of the odd irreducibility criterion."""
-    q, d = p.q, p.d
-    one = q ** 0
-    out = []
-    for i in range(2, d + 1, 2):
-        if scalar_pow(q, i) == one:
-            out.append(("q", i))
-        qi = scalar_pow(q, -i)
-        for j, kj in enumerate(p.k):
-            if kj * kj == qi:
-                out.append((f"k{j}^2", i))
-    return out
-
-
 def adversarial_even(rng: random.Random, d: int, q=None) -> ParamQuadruple:
     """An even-family quadruple violating exactly one atomic condition
     (one parameter product equal to one forbidden power q^{-i})."""
@@ -138,7 +99,7 @@ def adversarial_even(rng: random.Random, d: int, q=None) -> ParamQuadruple:
         else:
             k3 = k0 * k1 * k2 / qi
         p = ParamQuadruple(q, k0, k1, k2, k3, d=d, parity=PARITY_EVEN)
-        if len(_even_violations(p)) == 1:
+        if len(violations(p)) == 1:
             return p
     raise DahaError("could not build a single-violation even sample")
 
@@ -157,7 +118,7 @@ def adversarial_odd(rng: random.Random, d: int, q=None) -> ParamQuadruple:
         ks[j] = rng.choice((1, -1)) * scalar_pow(q, -i // 2)
         k3 = scalar_pow(q, -d - 1) / (ks[0] * ks[1] * ks[2])
         p = ParamQuadruple(q, ks[0], ks[1], ks[2], k3, d=d, parity=PARITY_ODD)
-        if len(_odd_violations(p)) == 1:
+        if len(violations(p)) == 1:
             return p
     raise DahaError("could not build a single-violation odd sample")
 

@@ -556,11 +556,6 @@ def scalar_pow(x, n: int) -> Scalar:
     return x ** n
 
 
-def scalar_inv(x) -> Scalar:
-    x = as_scalar(x)
-    return 1 / x
-
-
 def validate_q(q) -> bool:
     """True iff q is nonzero and not a root of unity in its field.
 

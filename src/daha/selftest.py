@@ -498,7 +498,6 @@ def run_all(seed=0, grid=None, backend="both", report=print):
     """Run the acceptance criteria, printing one pass/fail line each."""
     results = []
     for crit in CRITERIA:
-        index = len(results) + 1
         if backend == "rational" and crit is criterion_8:
             continue
         if backend == "ratfun" and crit is not criterion_8:

@@ -171,6 +171,14 @@ def test_selftest_structural(capsys):
     assert "PASS criterion 1" in out and "FAIL" not in out
 
 
+def test_selftest_acceptance_golden(tmp_path):
+    # the per-criterion check counts at the acceptance seed, byte for byte
+    out = tmp_path / "selftest.json"
+    assert run("selftest", "--seed", "acceptance", "--grid", "2",
+               "--out", str(out)) == EXIT_OK
+    assert out.read_bytes() == (DATA / "selftest_acceptance_grid2.json").read_bytes()
+
+
 def test_classify_runs_each_check_once(tmp_path, monkeypatch):
     calls = {"verify_relations": 0, "span_closure": 0}
 

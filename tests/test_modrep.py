@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from daha.errors import ParameterError, TranscriptionError
-from daha.linalg import Matrix
+from daha.linalg import Matrix, inverse
 from daha.modrep import (
     LaurentPoly,
+    _ladder_block,
     ModuleRep,
     SparseVec,
     central_character,
@@ -25,7 +26,7 @@ from daha.modrep import (
 )
 from daha.params import ParamQuadruple
 from daha.sampling import sample_even, sample_free, sample_odd
-from daha.scalar import QQ_Q
+from daha.scalar import QQ_Q, RatFun
 
 F = Fraction
 
@@ -56,6 +57,21 @@ def test_make_E_reducible_invariant_line(p_even_d1_reducible):
 def test_make_E_rejects_wrong_parity(p_odd_d0):
     with pytest.raises(ParameterError):
         make_E(p_odd_d0)
+
+
+def test_truncation_needs_the_parity_constraint():
+    # without the constraint m_{d+1}, m_{d+2}, ... span no submodule, so
+    # the truncated ladder matrices break a defining relation; at these
+    # parameters t0 + t0^-1 (odd d) or t2 + t2^-1 (even d) is not scalar
+    for d in (1, 2, 3, 4):
+        free = ParamQuadruple(2, 5, F(2, 3), 7, F(3, 11), d=d, parity="free")
+        t = tuple(_ladder_block(gen, d + 1, d + 1, free) for gen in range(4))
+        module = ModuleRep(
+            dim=d + 1, t=t, tinv=tuple(inverse(m) for m in t),
+            params=free, twist=0, label="",
+        )
+        failed = {item.name for item in verify_relations(module).failed()}
+        assert failed == {"t0+t0^-1 scalar" if d % 2 else "t2+t2^-1 scalar"}
 
 
 def test_make_O_d0(p_odd_d0):
@@ -170,7 +186,7 @@ def test_verma_ladder(p_even_d1, p_odd_d2):
 
 def test_poly_apply_examples(p_even_d1):
     p = p_even_d1
-    one = LaurentPoly.one()
+    one = LaurentPoly({0: 1})
     assert poly_apply(3, one, p) == one.scale(p.k3)
     assert poly_apply(0, one, p) == one.scale(p.k0)
 
@@ -188,7 +204,7 @@ def test_poly_y_multiplication():
 
 def test_verma_basis_image(p_even_d1):
     p = p_even_d1
-    assert verma_basis_image(0, p) == LaurentPoly.one()
+    assert verma_basis_image(0, p) == LaurentPoly({0: 1})
     expected = LaurentPoly({0: 1, -1: -p.k0 * p.k1 * p.q})
     assert verma_basis_image(1, p) == expected
 
@@ -203,6 +219,15 @@ def test_poly_intertwining():
                 assert poly_apply(gen, image, p) == sparse_to_poly(
                     verma_apply(gen, mi, p), p
                 )
+
+
+def test_formal_q_laurent_coefficients_stay_in_the_field():
+    rng = random.Random("laurentfield")
+    for p in (sample_even(rng, 3, field=QQ_Q), sample_odd(rng, 2, field=QQ_Q)):
+        for i in range(4):
+            image = verma_basis_image(i, p)
+            polys = [image] + [poly_apply(gen, image, p) for gen in range(4)]
+            assert all(isinstance(c, RatFun) for f in polys for _, c in f.terms)
 
 
 def test_laurent_exact_div_guard():

@@ -10,17 +10,16 @@ from daha.params import (
     TwistElement,
     canonical_orbit_rep,
     eval_sequence,
-    in_EP,
-    in_OP,
     orbit_act,
-    seq_chi,
     seq_phi,
     seq_psi,
     seq_rho,
     theta,
     theta_coincidence,
+    violations,
 )
-from daha.sampling import sample_even, sample_odd
+from daha.analysis import criterion_E, criterion_O
+from daha.sampling import adversarial_even, adversarial_odd, sample_even, sample_odd
 from daha.scalar import QQ_Q, scalar_pow
 
 
@@ -60,7 +59,6 @@ def test_sequences_are_parameter_substitutions():
         i = rng.randint(-6, 6)
         k0, k1, k2, k3 = ks
         assert seq_phi(q, k0, k1, k2, k3, i) == seq_rho(q, k0, 1 / k1, k2, k3, i)
-        assert seq_chi(q, k0, k1, k2, k3, i) == seq_rho(q, k0, k1, k2, 1 / k3, i)
         assert seq_psi(q, k0, k1, k2, k3, i) == seq_rho(q, k1, k2, k3, k0, i)
 
 
@@ -97,39 +95,49 @@ def test_theta_coincidence_brute_agreement():
                 assert theta_coincidence(2, mu, i, j) == (thetas[i] == thetas[j])
 
 
+# Membership in the classification parameter sets EP and OP is the
+# family's irreducibility criterion.
+
 def test_in_EP_examples(p_even_d1, p_even_d1_reducible):
-    assert in_EP(p_even_d1)
-    assert not in_EP(p_even_d1_reducible)
+    assert criterion_E(p_even_d1)
+    assert not criterion_E(p_even_d1_reducible)
+    assert violations(p_even_d1_reducible) == [("P0", 1), ("P1", 1), ("P2", 1), ("P3", 1)]
     with pytest.raises(ParameterError):
-        in_EP(ParamQuadruple(2, 1, 1, 1, Fraction(1, 2), d=0, parity="odd"))
+        criterion_E(ParamQuadruple(2, 1, 1, 1, Fraction(1, 2), d=0, parity="odd"))
 
 
 def test_in_OP_examples(p_odd_d0, p_odd_d2):
-    assert in_OP(p_odd_d0)
-    assert in_OP(p_odd_d2)
+    assert criterion_O(p_odd_d0)
+    assert criterion_O(p_odd_d2)
     bad = ParamQuadruple(2, 1, 1, Fraction(1, 2), Fraction(1, 4), d=2, parity="odd")
-    assert not in_OP(bad)
-
-
-def test_in_EP_matches_criterion_at_numeric_q():
-    # at q = 2 the extra powers-of-q conditions of the irreducibility
-    # criterion are vacuous, so membership and the criterion coincide
-    from daha.analysis import criterion_E
-
-    rng = random.Random("epcrit")
-    for d in (1, 3, 5):
-        for _ in range(10):
-            p = sample_even(rng, d)
-            assert in_EP(p) == criterion_E(p)
+    assert not criterion_O(bad)
+    assert violations(bad) == [("k2^2", 2)]
 
 
 def test_in_EP_orbit_invariant():
     rng = random.Random("eporbit")
     for _ in range(30):
         p = sample_even(rng, rng.choice((1, 3, 5)))
-        value = in_EP(p)
+        value = criterion_E(p)
         for s in SignTriple.all():
-            assert in_EP(orbit_act(p, s)) == value
+            assert criterion_E(orbit_act(p, s)) == value
+
+
+def test_violations_single_for_adversarial_and_empty_iff_criterion():
+    rng = random.Random("violations")
+    for d in range(1, 8):
+        if d % 2:
+            family, adversarial, crit = "even", adversarial_even, criterion_E
+        else:
+            family, adversarial, crit = "odd", adversarial_odd, criterion_O
+        for _ in range(10):
+            bad = adversarial(rng, d)
+            assert len(violations(bad)) == 1 and not crit(bad)
+            p = sample_even(rng, d) if family == "even" else sample_odd(rng, d)
+            assert (violations(p) == []) == crit(p)
+    free = ParamQuadruple(2, 5, 7, 11, 13, d=0, parity="free")
+    with pytest.raises(ParameterError):
+        violations(free)
 
 
 def test_orbit_action(p_even_d1):
@@ -176,10 +184,10 @@ def test_symbolic_quadruples():
     rng = random.Random("symbolic")
     p = sample_even(rng, 3, field=QQ_Q)
     assert p.k0 * p.k0 == scalar_pow(p.q, -4)
-    assert in_EP(p)  # generic q avoids every q-power coincidence
+    assert criterion_E(p)  # generic q avoids every q-power coincidence
     po = sample_odd(rng, 2, field=QQ_Q)
     assert po.k0 * po.k1 * po.k2 * po.k3 == scalar_pow(po.q, -3)
-    assert in_OP(po)
+    assert criterion_O(po)
 
 
 def test_params_json_round_trip(p_even_d1):
