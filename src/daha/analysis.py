@@ -33,7 +33,6 @@ from .scalar import scalar_pow, scalar_sqrt
 ROUTE_OPERATOR = "operator"
 ROUTE_RECURRENCE = "recurrence"
 ROUTE_CLOSED = "closed"
-ROUTES = (ROUTE_OPERATOR, ROUTE_RECURRENCE, ROUTE_CLOSED)
 
 
 class _Indeterminate:
@@ -115,21 +114,14 @@ def _prod(factors, one):
 def _l_operator(module: ModuleRep, r_factors, s_factors_for) -> Matrix:
     """Read L off the module: L[i][j] is the 0-coordinate of R*S_i
     applied to basis vector j; all other coordinates must vanish."""
-    dim = module.dim
-    one = module.params.q ** 0
-    zero = module.params.q * 0
     ident = module.identity_matrix()
     r_mat = _prod(r_factors, ident)
     rows = []
-    for i in range(dim):
+    for i in range(module.dim):
         rs = r_mat * _prod(s_factors_for(i), ident)
-        for j in range(dim):
-            col = rs.column(j)
-            if any(col[r] for r in range(1, dim)):
-                raise TranscriptionError(
-                    "lowering product did not land in the base line"
-                )
-        rows.append([rs.entries[0][j] for j in range(dim)])
+        if any(any(row) for row in rs.entries[1:]):
+            raise TranscriptionError("lowering product did not land in the base line")
+        rows.append(rs.entries[0])
     return Matrix(rows)
 
 
@@ -280,7 +272,7 @@ def l_matrix_O(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
                     out = out * psi(d - h + 1)
                 return out
         else:
-            operator_col0 = _l_operator_O(p).column(0)
+            operator_col0 = [row[0] for row in _l_operator_O(p).entries]
 
             def seed(i):
                 return operator_col0[i]

@@ -13,6 +13,8 @@ constraint violation, 4 unreadable or malformed input file,
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import re
 import sys
@@ -128,14 +130,7 @@ def cmd_construct(args) -> int:
     p = _params_from_args(args)
     module = make_E(p) if p.parity == PARITY_EVEN else make_O(p)
     if args.label:
-        module = ModuleRep(
-            dim=module.dim,
-            t=module.t,
-            tinv=module.tinv,
-            params=module.params,
-            twist=module.twist,
-            label=args.label,
-        )
+        module = dataclasses.replace(module, label=args.label)
     _dump(module.to_json(), args.out)
     return EXIT_OK
 
@@ -180,8 +175,19 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _verified(module, out_path) -> bool:
+    """Whether module satisfies the defining relations; if not, write
+    the "invalid" verdict with the relations report."""
+    report = verify_relations(module)
+    if not report.ok:
+        _dump({"verdict": "invalid", "relations": report.to_json()}, out_path)
+    return report.ok
+
+
 def cmd_irreducible(args) -> int:
     module = _load_module(args.infile)
+    if not _verified(module, args.out):
+        return EXIT_VERIFY
     closure = span_closure(module.t)
     burnside = closure == module.dim * module.dim
     out = {
@@ -204,9 +210,7 @@ def cmd_irreducible(args) -> int:
 
 def cmd_classify(args) -> int:
     module = _load_module(args.infile)
-    report = verify_relations(module)
-    if not report.ok:
-        _dump({"verdict": "invalid", "relations": report.to_json()}, args.out)
+    if not _verified(module, args.out):
         return EXIT_VERIFY
     closure = span_closure(module.t)
     if closure != module.dim * module.dim:
@@ -220,6 +224,8 @@ def cmd_classify(args) -> int:
 def cmd_intertwiner(args) -> int:
     a = _load_module(args.a)
     b = _load_module(args.b)
+    if not (_verified(a, args.out) and _verified(b, args.out)):
+        return EXIT_VERIFY
     found = find_intertwiner(a, b)
     if found is None:
         _dump({"status": "none"}, args.out)
@@ -320,7 +326,10 @@ def _add_param_args(sub, with_parity=True):
     sub.add_argument("--backend", choices=("rational", "ratfun"), default="rational")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``daha`` argument parser, built once per process: parsing
+    leaves it unchanged, so every :func:`main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="daha",
         description="Exact workbench for modules of the universal double "
@@ -336,20 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out")
     sub.set_defaults(fn=cmd_construct)
 
-    sub = subs.add_parser("verify", help="check relations, ladders, characters")
-    sub.add_argument("--in", dest="infile", required=True)
-    sub.add_argument("--out")
-    sub.set_defaults(fn=cmd_verify)
-
-    sub = subs.add_parser("irreducible", help="Burnside closure verdict")
-    sub.add_argument("--in", dest="infile", required=True)
-    sub.add_argument("--out")
-    sub.set_defaults(fn=cmd_irreducible)
-
-    sub = subs.add_parser("classify", help="twist + canonical parameters with certificate")
-    sub.add_argument("--in", dest="infile", required=True)
-    sub.add_argument("--out")
-    sub.set_defaults(fn=cmd_classify)
+    for name, fn, text in (
+        ("verify", cmd_verify, "check relations, ladders, characters"),
+        ("irreducible", cmd_irreducible, "Burnside closure verdict"),
+        ("classify", cmd_classify, "twist + canonical parameters with certificate"),
+    ):
+        sub = subs.add_parser(name, help=text)
+        sub.add_argument("--in", dest="infile", required=True)
+        sub.add_argument("--out")
+        sub.set_defaults(fn=fn)
 
     sub = subs.add_parser("intertwiner", help="solve the intertwining equations")
     sub.add_argument("--a", required=True)

@@ -1,9 +1,10 @@
 """Dense exact linear algebra over an exact scalar field.
 
-Everything here works entrywise with :mod:`daha.scalar` values
-(Fraction or RatFun); a pivot is any nonzero entry, there are no
-tolerances anywhere.  On rational input, elimination, determinants
-and the span closure run fraction-free on Python ints and return
+Everything here works with :mod:`daha.scalar` values (Fraction or
+RatFun); a pivot is any nonzero entry, there are no tolerances
+anywhere.  A rational matrix is held as int rows over one common
+denominator, so its arithmetic, elimination, determinant and the span
+closure run fraction-free on Python ints, and results read as
 Fractions; RatFun input takes the field loops.  Matrices are immutable
 after construction, all functions are pure.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -20,9 +22,18 @@ from .scalar import QQ, QQ_Q, RatFun, as_scalar, json_field, scalar_from_json, s
 
 
 class Matrix:
-    """An immutable rows x cols matrix with exact scalar entries."""
+    """An immutable rows x cols matrix with exact scalar entries.
 
-    __slots__ = ("rows", "cols", "entries")
+    A rational matrix is held as int rows ``_ints`` over a positive
+    denominator ``_den``, with no common factor (canonical, see
+    :meth:`__mul__`); its Fraction :attr:`entries` are built on first
+    read.  A matrix with a RatFun entry keeps its scalars (``_ints`` is
+    None) and takes the field loops, as does every operation with such
+    an operand; their results again hold a RatFun, so a matrix learns
+    its field once, at construction.
+    """
+
+    __slots__ = ("rows", "cols", "_ints", "_den", "_entries")
 
     def __init__(self, entries):
         rows = tuple(tuple(as_scalar(e) for e in row) for row in entries)
@@ -31,9 +42,12 @@ class Matrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise DahaError("ragged matrix rows")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", rows)
+        if any(RatFun in set(map(type, row)) for row in rows):
+            _fill(self, None, None, rows)
+        else:
+            den = lcm(*(e.denominator for row in rows for e in row))
+            ints = tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in rows)
+            _fill(self, ints, den, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -45,49 +59,62 @@ class Matrix:
         zero = one - one
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, zero=Fraction(0)) -> "Matrix":
-        return cls([[zero] * cols for _ in range(rows)])
-
-    @classmethod
-    def from_columns(cls, columns) -> "Matrix":
-        """Build from a list of column vectors (each a sequence of scalars)."""
-        cols = [list(c) for c in columns]
-        n = len(cols[0])
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
-
     # -- arithmetic ---------------------------------------------------
 
     def __mul__(self, other):
+        """The matrix product.
+
+        Rational operands multiply int rows and denominators, then
+        divide out the gcd of all entries and the denominator.  That
+        pair is canonical.  Reduced fractions n/e over their lcm D
+        already have content 1: a prime p | D divides some e as often
+        as D, and p divides neither that n nor D/e.  Any content-1 pair
+        (rows', D') for the same matrix has D | D' and rows' =
+        (D'/D)*rows, so D' = D.  Hence ``==`` on canonical (rows, den)
+        pairs is exact matrix equality.  Other operands take the field
+        loop, a sum of products per entry.
+        """
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise DahaError(f"shape mismatch {self.shape} * {other.shape}")
+        a, b = self._ints, other._ints
+        if a is not None and b is not None:
+            cols = list(zip(*b))
+            rows = [[sum(map(mul, row, col)) for col in cols] for row in a]
+            return _int_matrix(rows, self._den * other._den)
         bt = list(zip(*other.entries))
-        out = []
-        for arow in self.entries:
-            out.append([sum(a * b for a, b in zip(arow, bcol)) for bcol in bt])
-        return Matrix(out)
+        return _field_matrix(
+            [[sum(a * b for a, b in zip(arow, bcol)) for bcol in bt] for arow in self.entries]
+        )
 
     def scale(self, c) -> "Matrix":
-        return Matrix([[c * e for e in row] for row in self.entries])
+        c = as_scalar(c)
+        if self._ints is not None and not isinstance(c, RatFun):
+            num, den = c.numerator, self._den * c.denominator
+            return _int_matrix([[num * x for x in row] for row in self._ints], den)
+        return _field_matrix([[c * e for e in row] for row in self.entries])
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """self + sign * other, for sign 1 or -1."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.shape != other.shape:
             raise DahaError("shape mismatch in addition")
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
+        a, b = self._ints, other._ints
+        if a is not None and b is not None:
+            den = lcm(self._den, other._den)
+            fa, fb = den // self._den, sign * (den // other._den)
+            rows = [[fa * x + fb * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+            return _int_matrix(rows, den)
+        if sign < 0:
+            other = other.scale(-1)
+        return _field_matrix(
+            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self + other.scale(-1)
+        return self.__add__(other, -1)
 
     def __neg__(self):
         return self.scale(-1)
@@ -95,11 +122,11 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.shape == other.shape and all(
-            a == b
-            for ra, rb in zip(self.entries, other.entries)
-            for a, b in zip(ra, rb)
-        )
+        if self.shape != other.shape:
+            return False
+        if self._ints is not None and other._ints is not None:
+            return self._den == other._den and self._ints == other._ints
+        return all(a == b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb))
 
     def __hash__(self):
         return hash((self.rows, self.cols))
@@ -107,17 +134,27 @@ class Matrix:
     # -- views ----------------------------------------------------------
 
     @property
+    def entries(self) -> tuple:
+        """The rows of scalars; built on first read for a rational matrix."""
+        rows = self._entries
+        if rows is None:
+            den = self._den
+            rows = tuple(tuple(Fraction(x, den) for x in row) for row in self._ints)
+            object.__setattr__(self, "_entries", rows)
+        return rows
+
+    def entry(self, i: int, j: int):
+        """Entry (i, j), without building the others."""
+        if self._ints is None:
+            return self._entries[i][j]
+        return Fraction(self._ints[i][j], self._den)
+
+    @property
     def shape(self):
         return (self.rows, self.cols)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
 
     def apply(self, vec) -> tuple:
         """Matrix times a coordinate column vector."""
@@ -130,31 +167,26 @@ class Matrix:
         """The scalar c when this matrix equals c*I, else None."""
         if not self.is_square():
             return None
-        c = self.entries[0][0]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = self.entries[i][j]
-                if i == j:
-                    if e != c:
-                        return None
-                elif e:
-                    return None
-        return c
+        ints = self._ints
+        rows = self._entries if ints is None else ints
+        c = rows[0][0]
+        if any(e != c if i == j else e for i, row in enumerate(rows) for j, e in enumerate(row)):
+            return None
+        return c if ints is None else Fraction(c, self._den)
+
+    def _strings(self) -> list:
+        """The entries as exact strings, without caching Fractions."""
+        rows = self._entries or [[Fraction(x, self._den) for x in r] for r in self._ints]
+        return [[scalar_to_str(e) for e in row] for row in rows]
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(scalar_to_str(e) for e in row) for row in self.entries
-        )
+        body = "; ".join(" ".join(row) for row in self._strings())
         return f"Matrix[{body}]"
 
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[scalar_to_str(e) for e in row] for row in self.entries],
-        }
+        return {"rows": self.rows, "cols": self.cols, "entries": self._strings()}
 
     @classmethod
     def from_json(cls, data: dict) -> "Matrix":
@@ -166,6 +198,30 @@ class Matrix:
         if m.rows != json_field(data, "rows", int) or m.cols != json_field(data, "cols", int):
             raise InputError("matrix JSON shape mismatch")
         return m
+
+
+def _fill(m: Matrix, ints, den, entries) -> Matrix:
+    """Set the slots of m from one of its two forms."""
+    rows = entries if ints is None else ints
+    for name, value in zip(Matrix.__slots__, (len(rows), len(rows[0]), ints, den, entries)):
+        object.__setattr__(m, name, value)
+    return m
+
+
+def _int_matrix(rows, den) -> Matrix:
+    """The rational matrix rows/den (lists of ints, den > 0), reduced to
+    the canonical form."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(rows))
+        if g > 1:
+            rows = [[x // g for x in row] for row in rows]
+            den //= g
+    return _fill(object.__new__(Matrix), tuple(map(tuple, rows)), den, None)
+
+
+def _field_matrix(rows) -> Matrix:
+    """A matrix from rows of scalars known to hold a RatFun entry."""
+    return _fill(object.__new__(Matrix), None, None, tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -185,66 +241,37 @@ class Subspace:
         for r in rows:
             if len(r) != ambient:
                 raise DahaError("vector length does not match ambient dimension")
-        reduced, _ = _rref_rows(rows)
+        reduced, _ = _rref_rows(Matrix(rows)) if rows else ([], [])
         return cls(ambient, tuple(tuple(r) for r in reduced))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, vec) -> bool:
-        v = list(vec)
-        if len(v) != self.ambient:
-            raise DahaError("vector length does not match ambient dimension")
-        for row in self.basis:
-            p = _leading_index(row)
-            if v[p]:
-                c = v[p]
-                for i in range(p, self.ambient):
-                    if row[i]:
-                        v[i] = v[i] - c * row[i]
-        return all(not x for x in v)
 
+def _rref_rows(m: Matrix):
+    """Reduced row echelon form of m's rows: (nonzero rows, pivot cols).
 
-def _field_of_rows(rows):
-    """The field the entries live in: RatFun if any entry is one."""
-    return QQ_Q if any(RatFun in set(map(type, row)) for row in rows) else QQ
-
-
-def _leading_index(row) -> int:
-    for i, x in enumerate(row):
-        if x:
-            return i
-    raise DahaError("zero row has no leading index")
-
-
-def _rref_rows(rows):
-    """Reduced row echelon form; returns (nonzero rows, pivot cols).
-
-    When no entry is a RatFun the elimination runs on Python ints and
-    still returns the rational reduced rows, as Fractions.  Each row is
-    scaled by the lcm of its denominators.  Forward elimination inserts
-    the rows one by one with :func:`_int_insert`: a candidate is reduced
-    at its leading entry by ``v <- (b[p]/g)*v - (v[p]/g)*b`` with
-    ``g = gcd(b[p], v[p])`` and stored divided by the gcd of its
-    entries.  Back-elimination clears each pivot column from the rows
-    above it by the same step, in decreasing pivot order, and divides
-    out the content again; each row is divided by its pivot only once,
-    at the end.  Every step is an invertible rational row operation, so
-    the rows span the same space throughout, and the reduced row
-    echelon form of a space is unique: the result is the one the field
-    loop computes.  Other scalars (RatFun) take the field loop, which
-    divides by the pivot.
+    A rational matrix is eliminated fraction-free on its int rows (a
+    nonzero multiple of m, so the same row space) and the reduced rows
+    come back as Fractions.  Forward elimination inserts the rows one by
+    one with :func:`_int_insert`: a candidate is reduced at its leading
+    entry by ``v <- (b[p]/g)*v - (v[p]/g)*b`` with ``g = gcd(b[p], v[p])``
+    and stored divided by the gcd of its entries.  Back-elimination
+    clears each pivot column from the rows above it by the same step,
+    in decreasing pivot order, and divides out the content again; each
+    row is divided by its pivot only once, at the end.  Every step is
+    an invertible rational row operation, so the rows span the same
+    space throughout, and the reduced row echelon form of a space is
+    unique: the result is the one the field loop computes.  Other
+    scalars (RatFun) take the field loop, which divides by the pivot.
     """
-    if not rows:
-        return [], []
-    if _field_of_rows(rows) is not QQ:
-        return _field_rref_rows(rows)
-    ncols = len(rows[0])
+    if m._ints is None:
+        return _field_rref_rows([list(r) for r in m._entries])
     basis = {}  # pivot column -> primitive int row
-    for row in rows:
-        _int_insert(basis, _int_row(row)[0])
-        if len(basis) == ncols:
+    for row in m._ints:
+        _int_insert(basis, row)
+        if len(basis) == m.cols:
             break
     pivots = sorted(basis)
     reduced = [basis[p] for p in pivots]
@@ -291,27 +318,22 @@ def _field_rref_rows(rows):
 
 def rref(m: Matrix):
     """Reduced row echelon form and rank."""
-    rows = [list(r) for r in m.entries]
-    reduced, pivots = _rref_rows(rows)
-    zero = m.entries[0][0] * 0
-    while len(reduced) < m.rows:
-        reduced.append([zero] * m.cols)
+    reduced, pivots = _rref_rows(m)
+    zero = m.entry(0, 0) * 0
+    reduced += [[zero] * m.cols for _ in range(m.rows - len(reduced))]
     return Matrix(reduced), len(pivots)
 
 
 def rank(m: Matrix) -> int:
-    rows = [list(r) for r in m.entries]
-    _, pivots = _rref_rows(rows)
-    return len(pivots)
+    return len(_rref_rows(m)[1])
 
 
 def kernel(m: Matrix) -> Subspace:
     """Basis of the right null space; dim = cols - rank."""
-    rows = [list(r) for r in m.entries]
-    reduced, pivots = _rref_rows(rows)
+    reduced, pivots = _rref_rows(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    field = _field_of_rows(m.entries)
+    field = QQ if m._ints is not None else QQ_Q
     vectors = []
     for fc in free:
         v = [field.zero] * m.cols
@@ -325,16 +347,15 @@ def kernel(m: Matrix) -> Subspace:
 def det(m: Matrix):
     """Exact determinant.
 
-    Rational input: each row is scaled by the lcm of its denominators
-    and Bareiss's fraction-free elimination (Math. Comp. 22, 1968)
-    runs on the ints, where every division is exact; the determinant
-    is the last pivot divided by the product of the row scales.  Other
-    scalars (RatFun) take elimination with exact pivoting.
+    Rational input: Bareiss's fraction-free elimination (Math. Comp. 22,
+    1968) runs on the int rows, where every division is exact; the
+    determinant is the last pivot divided by den**n.  Other scalars
+    (RatFun) take elimination with exact pivoting.
     """
     if not m.is_square():
         raise DahaError("determinant of a non-square matrix")
-    if _field_of_rows(m.entries) is QQ:
-        return _int_det(m.entries)
+    if m._ints is not None:
+        return _int_det(m)
     return _field_det(m.entries)
 
 
@@ -364,13 +385,9 @@ def _field_det(entries):
     return acc if sign > 0 else -acc
 
 
-def _int_det(entries):
-    """Bareiss elimination on the row-scaled ints; a Fraction."""
-    rows, scale = [], 1
-    for row in entries:
-        ints, den = _int_row(row)
-        rows.append(ints)
-        scale *= den
+def _int_det(m: Matrix):
+    """Bareiss elimination on the int rows of a rational matrix; a Fraction."""
+    rows = list(m._ints)
     n = len(rows)
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -386,21 +403,24 @@ def _int_det(entries):
             f = rows[i][k]
             rows[i] = [(pv * a - f * b) // prev for a, b in zip(rows[i], rk)]
         prev = pv
-    return Fraction(sign * rows[-1][-1], scale)
+    return Fraction(sign * rows[-1][-1], m._den ** n)
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrixError when det is zero."""
+    """Exact inverse; raises SingularMatrixError when det is zero.
+
+    A rational m = A/den is inverted by reducing [A | den*I], whose
+    reduced row echelon form is [I | m^-1]."""
     if not m.is_square():
         raise DahaError("inverse of a non-square matrix")
     n = m.rows
-    field = _field_of_rows(m.entries)
-    one, zero = field.one, field.zero
-    aug = [
-        list(row) + [one if i == j else zero for j in range(n)]
-        for i, row in enumerate(m.entries)
+    rational = m._ints is not None
+    one, zero = (m._den, 0) if rational else (QQ_Q.one, QQ_Q.zero)
+    rows = [
+        row + tuple(one if i == j else zero for j in range(n))
+        for i, row in enumerate(m._ints if rational else m._entries)
     ]
-    reduced, pivots = _rref_rows(aug)
+    reduced, pivots = _rref_rows(_int_matrix(rows, 1) if rational else _field_matrix(rows))
     if len(pivots) < n or pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return Matrix([row[n:] for row in reduced[:n]])
@@ -415,8 +435,8 @@ def solve_right(m: Matrix, rhs):
     rhs = [as_scalar(x) for x in rhs]
     if len(rhs) != m.rows:
         raise DahaError("right-hand side length mismatch")
-    aug = [list(row) + [b] for row, b in zip(m.entries, rhs)]
-    reduced, pivots = _rref_rows(aug)
+    rows = [list(row) + [b] for row, b in zip(m.entries, rhs)]
+    reduced, pivots = _rref_rows(Matrix(rows) if m._ints is not None else _field_matrix(rows))
     if m.cols in pivots:
         return None  # inconsistent
     if len(pivots) != m.cols:
@@ -430,6 +450,8 @@ def solve_sylvester_homogeneous(pairs) -> Subspace:
     All A_i must be square of one size n and all B_i square of one size
     m; the result is the solution space inside coordinate space of
     dimension m*n, with T vectorized row-major (T[r][s] at index r*n+s).
+    When every matrix is rational the system is written on their int
+    rows.
     """
     pairs = list(pairs)
     if not pairs:
@@ -441,11 +463,15 @@ def solve_sylvester_homogeneous(pairs) -> Subspace:
             raise DahaError("left matrices must be square of equal size")
         if not b.is_square() or b.rows != m:
             raise DahaError("right matrices must be square of equal size")
-    zero = _field_of_rows(row for a, b in pairs for row in a.entries + b.entries).zero
+    rational = all(x._ints is not None for pair in pairs for x in pair)
+    zero = 0 if rational else QQ_Q.zero
     rows = []
     for a, b in pairs:
-        ae = a.entries
-        be = b.entries
+        if rational:  # T*(A/a) = (B/b)*T iff T*(b*A) = (a*B)*T
+            ae = [[b._den * x for x in row] for row in a._ints]
+            be = [[a._den * x for x in row] for row in b._ints]
+        else:
+            ae, be = a.entries, b.entries
         for r in range(m):
             for c in range(n):
                 row = [zero] * (m * n)
@@ -455,7 +481,7 @@ def solve_sylvester_homogeneous(pairs) -> Subspace:
                     if be[r][u]:
                         row[u * n + c] = row[u * n + c] - be[r][u]
                 rows.append(row)
-    return kernel(Matrix(rows))
+    return kernel(_int_matrix(rows, 1) if rational else _field_matrix(rows))
 
 
 def span_closure(gens) -> int:
@@ -466,17 +492,18 @@ def span_closure(gens) -> int:
     enlarge the echelonized span, until stable.  The result is at most
     n**2.
 
-    When every entry is a Fraction the closure runs on Python ints and
-    is still exact over the rationals.  Each generator is scaled by the
-    lcm of its denominators; a nonzero scalar multiple of a generator
-    generates the same unital algebra, and every word becomes a nonzero
-    multiple of the corresponding rational word, so the spans agree.
-    A candidate is reduced by the fraction-free step
-    ``v <- (b[p]/g)*v - (v[p]/g)*b`` with ``g = gcd(b[p], v[p])`` and
-    then divided by the gcd of its entries: both are invertible
-    rational row operations, so membership in the span and the rank
-    are those of elimination over the rationals.  Other scalars (RatFun)
-    take the field loop, which divides by the pivot.
+    When every generator is rational the closure runs on their int
+    rows, each the generator scaled by its common denominator, and is
+    still exact over the rationals: a nonzero scalar multiple of a
+    generator generates the same unital algebra, and every word becomes
+    a nonzero multiple of the corresponding rational word, so the spans
+    agree.  Words are flat row-major int lists.  A candidate is reduced
+    by the fraction-free step ``v <- (b[p]/g)*v - (v[p]/g)*b`` with
+    ``g = gcd(b[p], v[p])`` and then divided by the gcd of its entries:
+    both are invertible rational row operations, so membership in the
+    span and the rank are those of elimination over the rationals.
+    Other scalars (RatFun) take the field loop, which divides by the
+    pivot.
     """
     gens = list(gens)
     if not gens:
@@ -485,14 +512,9 @@ def span_closure(gens) -> int:
     for g in gens:
         if not g.is_square() or g.rows != n:
             raise DahaError("generators must be square of equal size")
-    if _field_of_rows(row for g in gens for row in g.entries) is QQ:
-        words = [_integer_rows(g.entries) for g in gens]
-        ident = [[int(i == j) for j in range(n)] for i in range(n)]
-
-        def insert(basis, word):
-            return _int_insert(basis, [e for row in word for e in row])
-
-        return _closure(words, ident, _int_product, insert, n * n)
+    if all(g._ints is not None for g in gens):
+        ident = [int(i == j) for i in range(n) for j in range(n)]
+        return _closure([g._ints for g in gens], ident, _int_product, _int_insert, n * n)
     return _closure(gens, Matrix.identity(n, one=QQ_Q.one), mul, _field_insert, n * n)
 
 
@@ -560,32 +582,14 @@ def _cancel(v, b, p):
 
 
 def _primitive(v):
-    """A nonzero int vector divided by the gcd of its entries."""
+    """An int vector divided by the gcd of its entries."""
     g = gcd(*v)
     return [x // g for x in v] if g > 1 else v
 
 
-def _int_row(row):
-    """A row of Fractions (or ints) scaled by the lcm of its
-    denominators: (int row, lcm)."""
-    dens = [e.denominator for e in row]
-    den = lcm(*dens)
-    if den == 1:
-        return [e.numerator for e in row], den
-    return [e.numerator * (den // d) for e, d in zip(row, dens)], den
-
-
-def _integer_rows(entries):
-    """Rows of Fractions scaled by the lcm of their denominators to ints."""
-    den = lcm(*(e.denominator for row in entries for e in row))
-    return [[e.numerator * (den // e.denominator) for e in row] for row in entries]
-
-
-def _int_product(a, b):
-    """The integer matrix a*b divided by the gcd of its entries."""
-    cols = list(zip(*b))
-    out = [[sum(map(mul, row, col)) for col in cols] for row in a]
-    g = gcd(*(x for row in out for x in row))
-    if g > 1:
-        out = [[x // g for x in row] for row in out]
-    return out
+def _int_product(a, w):
+    """The int matrix a times the flat row-major word w, flat and
+    divided by the gcd of its entries."""
+    n = len(a)
+    cols = [w[j::n] for j in range(n)]
+    return _primitive([sum(map(mul, row, col)) for row in a for col in cols])

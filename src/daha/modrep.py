@@ -98,7 +98,7 @@ class ModuleRep:
         return self.tinv[1] * self.tinv[0]
 
     def identity_matrix(self) -> Matrix:
-        return Matrix.identity(self.dim, one=self.t[0].entries[0][0] ** 0)
+        return Matrix.identity(self.dim, one=self.t[0].entry(0, 0) ** 0)
 
     def to_json(self) -> dict:
         return {
@@ -349,7 +349,7 @@ def w_basis_check(m: ModuleRep) -> Report:
         ws.append((ident - op.scale(coef)).apply(ws[-1]))
 
     items = []
-    basis_ok = rank(Matrix.from_columns(ws)) == m.dim
+    basis_ok = rank(Matrix(ws)) == m.dim
     items.append(CheckItem("w vectors form a basis", basis_ok))
 
     for i in range(d + 1):

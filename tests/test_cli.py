@@ -339,3 +339,72 @@ def test_non_object_module_file_is_an_input_error(tmp_path, capsys):
     mod.write_text("[1, 2]")
     assert run("classify", "--in", str(mod)) == EXIT_IO
     assert "missing field" in capsys.readouterr().err
+
+
+# `daha verify` reports, kept byte for byte: a valid twisted module and a
+# d=3 even module whose t1 entry (0, 0) was changed from 2/3 to 7/3.
+# They lock the "scalar ..." and "difference Matrix[...]" strings.
+@pytest.mark.parametrize(
+    "module,golden,code",
+    [
+        ("rational_even_d5_tw3.json", "rational_even_d5_tw3_verify.json", EXIT_OK),
+        ("rational_even_d3_corrupt.json", "rational_even_d3_corrupt_verify.json", EXIT_VERIFY),
+    ],
+)
+def test_verify_golden(tmp_path, module, golden, code):
+    out = tmp_path / "verify.json"
+    assert run("verify", "--in", str(DATA / module), "--out", str(out)) == code
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+def test_commands_refuse_modules_that_fail_the_relations(tmp_path):
+    bad = str(DATA / "rational_even_d3_corrupt.json")
+    good = tmp_path / "good.json"
+    run("construct", "--parity", "even", "--d", "3", "--k", "1/4,2/3,3,5/7", "--q", "2",
+        "--out", str(good))
+    out = tmp_path / "out.json"
+    for command in ("irreducible", "classify"):
+        assert run(command, "--in", bad, "--out", str(out)) == EXIT_VERIFY
+        data = json.loads(out.read_text())
+        assert data["verdict"] == "invalid" and not data["relations"]["ok"], command
+    for a, b in ((bad, str(good)), (str(good), bad)):
+        assert run("intertwiner", "--a", a, "--b", b, "--out", str(out)) == EXIT_VERIFY
+        data = json.loads(out.read_text())
+        assert data["verdict"] == "invalid" and not data["relations"]["ok"]
+    assert run("irreducible", "--in", str(good), "--out", str(out)) == EXIT_OK
+    assert json.loads(out.read_text())["agrees"] is True
+
+
+def test_back_to_back_main_calls_behave_like_fresh_ones(tmp_path, capsys, monkeypatch):
+    """main shares one parser across calls; a usage error or --help in
+    between leaves later calls unchanged."""
+    monkeypatch.setenv("COLUMNS", "80")
+    mod, first, second = tmp_path / "mod.json", tmp_path / "c1.json", tmp_path / "c2.json"
+    assert run("construct", "--parity", "even", "--q", "2", "--k", "1/2,1,3,1",
+               "--d", "1", "--out", str(mod)) == EXIT_OK
+    assert run("classify", "--in", str(mod), "--out", str(first)) == EXIT_OK
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as usage:
+        run("classify", "--bogus")
+    assert usage.value.code == 2
+    usage_err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as helped:
+        run("--help")
+    assert helped.value.code == 0
+    help_out = capsys.readouterr().out
+    assert run("classify", "--in", str(mod), "--out", str(second)) == EXIT_OK
+    assert second.read_bytes() == first.read_bytes()
+
+    src = os.path.dirname(os.path.dirname(daha.__file__))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+
+    def fresh(*argv):
+        return subprocess.run([sys.executable, "-m", "daha", *argv],
+                              capture_output=True, text=True, env=env)
+
+    proc = fresh("classify", "--in", str(mod))
+    assert proc.returncode == EXIT_OK and proc.stdout.encode() == first.read_bytes()
+    proc = fresh("classify", "--bogus")
+    assert proc.returncode == 2 and proc.stderr == usage_err
+    proc = fresh("--help")
+    assert proc.returncode == 0 and proc.stdout == help_out

@@ -50,8 +50,9 @@ def test_rref_examples():
     red, rk = rref(Matrix([[1, 1], [1, 1]]))
     assert red == Matrix([[1, 1], [0, 0]]) and rk == 1
 
-    red, rk = rref(Matrix.zeros(2, 2))
-    assert red == Matrix.zeros(2, 2) and rk == 0
+    zero = Matrix([[0, 0], [0, 0]])
+    red, rk = rref(zero)
+    assert red == zero and rk == 0
 
 
 def test_kernel_examples():
@@ -60,7 +61,7 @@ def test_kernel_examples():
     assert k.basis[0] == (1, -1)
 
     assert kernel(Matrix.identity(3)).dim == 0
-    assert kernel(Matrix.zeros(2, 2)).dim == 2
+    assert kernel(Matrix([[0, 0], [0, 0]])).dim == 2
 
 
 def test_rank_nullity():
@@ -157,14 +158,107 @@ def test_span_closure_permutation_invariant(p_even_d1):
 def test_subspace_contains():
     s = Subspace.from_vectors(3, [[1, 0, 1], [0, 1, 1]])
     assert s.dim == 2
-    assert s.contains([1, 1, 2])
-    assert not s.contains([0, 0, 1])
+    assert rank(Matrix(list(s.basis) + [[1, 1, 2]])) == 2
+    assert rank(Matrix(list(s.basis) + [[0, 0, 1]])) == 3
 
 
 def test_matrix_json_round_trip():
     m = Matrix([[Fraction(1, 2), Q], [0, 1]])
     again = Matrix.from_json(m.to_json())
     assert again == m
+
+
+# -- the integer form of rational matrices against the field loop -----------
+
+BIG = 10 ** 40 + 7
+
+
+def field_copy(m):
+    """The same Fraction entries held as scalars, so that every operation
+    on it takes the field loop: the reference for the integer form."""
+    return linalg._field_matrix(m.entries)
+
+
+def agree(got, want):
+    """An integer-form result equals the field loop's result entry by
+    entry, prints like it, and equals (with the same hash) the matrix
+    rebuilt from those Fractions, which is in canonical form."""
+    rebuilt = Matrix(want.entries)
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+    assert repr(got) == repr(want) and got.to_json() == want.to_json()
+    assert got.scalar_value() == want.scalar_value()
+    assert got.entries == want.entries
+    assert all(type(e) is Fraction for row in got.entries for e in row)
+
+
+def int_form_grid():
+    """Seeded (a, a2, b) triples, a and a2 of one shape and b
+    multipliable by a: 1x1, non-square products, zero matrices,
+    negative entries and denominators near 10^40."""
+    rng = random.Random("int-form")
+
+    def rand(rows, cols, dens, height=9):
+        return Matrix(
+            [
+                [Fraction(rng.randint(-height, height), rng.choice(dens)) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+        )
+
+    grid = []
+    for r, k, c in [(1, 1, 1), (1, 3, 2), (3, 1, 3), (2, 3, 4), (4, 2, 1), (3, 3, 3), (5, 5, 5)]:
+        for dens in ((1,), (2,), (1, 2, 3, 4, 6), (BIG, BIG - 2, 3)):
+            grid.append((rand(r, k, dens), rand(r, k, dens), rand(k, c, dens)))
+        zero_a, zero_b = Matrix([[0] * k] * r), Matrix([[0] * c] * k)
+        grid.append((zero_a, rand(r, k, (1, 7)), zero_b))
+        grid.append((rand(r, k, (BIG,)), zero_a, rand(k, c, (2, BIG))))
+    for n, s in [(1, Fraction(-3, 7)), (3, Fraction(5, BIG)), (4, Fraction(-BIG, 6))]:
+        scalar = Matrix.identity(n).scale(s)
+        nudged = [list(row) for row in scalar.entries]
+        nudged[-1][0] += Fraction(1, BIG)
+        grid.append((scalar, Matrix(nudged), Matrix.identity(n).scale(2)))
+    return grid
+
+
+SCALES = (0, -1, 3, Fraction(-7, 2), Fraction(1, BIG), Fraction(-BIG, 3))
+
+
+def test_int_form_matches_field_loop():
+    grid = int_form_grid()
+    assert any(a.scalar_value() not in (None, 0) for a, _, _ in grid)
+    for a, a2, b in grid:
+        fa, fa2, fb = field_copy(a), field_copy(a2), field_copy(b)
+        agree(a * b, fa * fb)
+        agree(a + a2, fa + fa2)
+        agree(a - a2, fa - fa2)
+        agree(-a, -fa)
+        for s in SCALES:
+            agree(a.scale(s), fa.scale(s))
+        assert (a == a2) == (fa == fa2) == (a.entries == a2.entries)
+        assert a + a2 - a2 == a and (a - a) * b == Matrix([[0] * b.cols] * a.rows)
+        assert a.scale(Fraction(-BIG, 3)).scale(Fraction(-3, BIG)) == a
+        if a.is_square():
+            ident = Matrix.identity(a.rows)
+            assert a * ident == ident * a == a
+            assert (a * a) * a == a * (a * a)
+            agree((a + ident) * (a - ident), (fa + field_copy(ident)) * (fa - field_copy(ident)))
+
+
+def test_mixed_operands_give_ratfun_results():
+    for a, a2, b in int_form_grid()[:12]:
+        rb = lift(b).scale(Q) + Matrix.identity(b.rows, one=Q ** 0) * lift(b)
+        ra = lift(a2).scale(Q + 1)
+        results = {
+            "a*rb": (a * rb, lift(a) * rb),
+            "ra*b": (ra * b, ra * lift(b)),
+            "a+ra": (a + ra, lift(a) + ra),
+            "a-ra": (a - ra, lift(a) - ra),
+            "ra-a": (ra - a, ra - lift(a)),
+            "a.scale(q)": (a.scale(Q), lift(a).scale(Q)),
+        }
+        for name, (got, want) in results.items():
+            assert all(isinstance(e, RatFun) for row in got.entries for e in row), name
+            assert got == want and repr(got) == repr(want), name
 
 
 # -- span_closure: the integer path against independent references ----------
@@ -221,9 +315,9 @@ def test_integer_closure_edge_cases():
     assert span_closure(one_by_one) == field_closure(one_by_one) == 1
     assert span_closure([Matrix([[0]])]) == 1
     assert span_closure([Matrix.identity(4)]) == 1
-    assert span_closure([Matrix.zeros(3, 3)]) == 1
+    assert span_closure([Matrix([[0] * 3] * 3)]) == 1
     diag = Matrix([[1, 0], [0, 2]])
-    assert span_closure([Matrix.zeros(2, 2), diag]) == 2
+    assert span_closure([Matrix([[0, 0], [0, 0]]), diag]) == 2
     rotation = Matrix([[0, -1], [1, 0]])  # generates a copy of Q(i)
     assert span_closure([rotation]) == field_closure([rotation]) == 2
     negatives = [
@@ -324,9 +418,9 @@ def field_loop(monkeypatch):
     def context():
         with monkeypatch.context() as patch:
             patch.setattr(
-                linalg, "_rref_rows", lambda rows: _field_rref_rows(rows) if rows else ([], [])
+                linalg, "_rref_rows", lambda m: _field_rref_rows([list(r) for r in m.entries])
             )
-            patch.setattr(linalg, "_int_det", _field_det)
+            patch.setattr(linalg, "_int_det", lambda m: _field_det(m.entries))
             yield
 
     return context
@@ -375,8 +469,7 @@ def test_integer_elimination_matches_field_loop(field_loop):
     assert any(r["rank"] < min(m.shape) for m, r in zip(grid, expected))
     assert any(r.get("inverse") for r in expected)
     for m, want in zip(grid, expected):
-        rows = [list(r) for r in m.entries]
-        assert _rref_rows([list(r) for r in rows]) == _field_rref_rows(rows), m
+        assert _rref_rows(m) == _field_rref_rows([list(r) for r in m.entries]), m
         assert results(m) == want, m
 
 
