@@ -48,8 +48,6 @@ from .params import (
     eval_sequence,
     orbit_act,
     orbit_members,
-    theta,
-    theta_coincidence,
     violations,
 )
 from .modrep import (
@@ -84,7 +82,6 @@ from .analysis import (
     l_matrix_E,
     l_matrix_O,
     l_matrix_routes,
-    simultaneous_eigenvector,
     twist,
 )
 

@@ -7,16 +7,21 @@ generated by the four generator matrices has full dimension n**2 iff
 the module is absolutely irreducible).  The classification recovers
 the twist from the determinant fingerprint, the parameters from the
 central character, and certifies the answer with an explicit
-invertible intertwiner -- nothing is trusted without a certificate.
+invertible intertwiner, read off eigenbases of X where X has a simple
+spectrum -- nothing is trusted without a certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from math import prod
+from operator import mul
 
 from .errors import DahaError, ClassificationError, ParameterError, TranscriptionError
-from .linalg import Matrix, det, kernel, solve_sylvester_homogeneous, span_closure
-from .modrep import ModuleRep, central_character, make_E, make_O, verify_relations
+from .linalg import Matrix, det, inverse, kernel_line, solve_sylvester_homogeneous, span_closure
+from .modrep import ModuleRep, _Inverses, central_character, make_E, make_O, verify_relations
 from .params import (
     PARITY_EVEN,
     PARITY_ODD,
@@ -28,7 +33,7 @@ from .params import (
     seq_rho,
     violations,
 )
-from .scalar import scalar_pow, scalar_sqrt
+from .scalar import QQ_Q, RatFun, scalar_pow, scalar_sqrt
 
 ROUTE_OPERATOR = "operator"
 ROUTE_RECURRENCE = "recurrence"
@@ -226,20 +231,6 @@ def l_matrix_E(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
     raise DahaError(f"unknown route {route!r}")
 
 
-def l_diagonal_E(p: ParamQuadruple, i: int):
-    """Closed product form of the i-th diagonal entry for the even family."""
-    q, (k0, k1, k2, k3), d = p.q, p.k, p.d
-    fi = _floor_half(i)
-    val = scalar_pow(q, fi * (d - 2 * fi - 1))
-    for h in range(1, d - i + 1):
-        val = val * seq_phi(q, k0, k1, k2, k3, h)
-    for h in range(1, _ceil_half(i) + 1):
-        val = val * seq_rho(q, k0, k1, k2, k3, 2 * h - 1)
-    for h in range(1, fi + 1):
-        val = val * seq_rho(q, k0, k1, k2, k3, 2 * (fi - h + 1))
-    return val
-
-
 def l_matrix_O(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
     """The lower-triangular coefficient matrix of the odd family.
 
@@ -369,28 +360,6 @@ def _l_operator_O(p: ParamQuadruple) -> Matrix:
     return _l_operator(module, r_factors, s_factors_for)
 
 
-def l_diagonal_O(p: ParamQuadruple, i: int):
-    """Closed product form of the i-th diagonal entry for the odd family."""
-    q, (k0, k1, k2, k3), d = p.q, p.k, p.d
-    ci, fi = _ceil_half(i), _floor_half(i)
-    base = -(k1 * k1 * k2 * k2) * scalar_pow(q, d + fi)
-    val = scalar_pow(base, ci) if ci else q ** 0
-    for h in range(1, fi + 1):
-        val = val / (1 - scalar_pow(q, 2 * h))
-    for h in range(1, i + 1):
-        val = val * seq_rho(q, k0, k1, k2, k3, h)
-    for h in range(1, d - i + 1):
-        val = val * seq_psi(q, k0, k1, k2, k3, d - h + 1)
-    if i % 2:
-        val = val * (-(k0 * k0) * scalar_pow(q, i + 1))
-        for h in range(1, (i - 1) // 2 + 1):
-            val = val * (1 - scalar_pow(q, 2 * h - i - 1))
-    else:
-        for h in range(1, i // 2 + 1):
-            val = val * (q - scalar_pow(q, 2 * h - i - 1))
-    return val
-
-
 def l_matrix_routes(p: ParamQuadruple):
     """Compute every route available for p and require entrywise
     agreement; disagreement is an internal error."""
@@ -431,10 +400,12 @@ def _shift(m: ModuleRep, e) -> ModuleRep:
     e = int(e) % 4
     if e == 0:
         return m
+    t = tuple(m.t[(i + e) % 4] for i in range(4))
+    lazy = isinstance(m.tinv, _Inverses)
     return ModuleRep(
         dim=m.dim,
-        t=tuple(m.t[(i + e) % 4] for i in range(4)),
-        tinv=tuple(m.tinv[(i + e) % 4] for i in range(4)),
+        t=t,
+        tinv=_Inverses(t) if lazy else tuple(m.tinv[(i + e) % 4] for i in range(4)),
         params=m.params,
         twist=(m.twist + e) % 4,
         label=f"{m.label}^twist{e}",
@@ -532,27 +503,48 @@ def classify(m: ModuleRep) -> ClassificationResult:
     report = verify_relations(m)
     if not report.ok:
         raise ParameterError("module fails the defining relations")
-    if not burnside_irreducible(m):
+    result = _classify_verified(m)
+    if not isinstance(result, ClassificationResult):
         raise ParameterError("module is reducible; classification needs irreducibility")
-    return _classify_irreducible(m)
+    return result
 
 
-def _classify_irreducible(m: ModuleRep) -> ClassificationResult:
-    """:func:`classify` for a module already known to satisfy the
-    relations and to be irreducible.  Its twists, and those of the
-    reference module :func:`make_E` builds, need no relation check (see
-    :func:`_shift`)."""
+def _classify_verified(m: ModuleRep):
+    """:func:`classify` for a module known to satisfy the relations: the
+    result, or the closure dimension when m is reducible.  The eigenbasis
+    route of :func:`_spectral_intertwiner` goes first; when it cannot
+    decide, the closure and the intertwining equations do."""
+    try:
+        eps, params, reference = _recover(m)
+    except ClassificationError:
+        certificate = None
+    else:
+        certificate = _spectral_intertwiner(m, reference, eps)
+    if certificate is None:
+        closure = span_closure(m.t)
+        if closure != m.dim * m.dim:
+            return closure
+        eps, params, reference = _recover(m)
+        certificate = find_intertwiner(m, reference)
+        if certificate is None or certificate is INDETERMINATE:
+            raise ClassificationError("no invertible intertwiner certifies the result")
+    return ClassificationResult(TwistElement(eps), params, params.parity, certificate)
+
+
+def _recover(m: ModuleRep):
+    """The twist, the canonical parameters and the reference module that
+    :func:`classify` names for m, read off its determinant fingerprint
+    and central character, which needs no irreducibility.  The twists
+    of the reference need no relation check (see :func:`_shift`)."""
     q = m.params.q
     d = m.dim - 1
+    fp = det_fingerprint(m)
 
     if m.dim % 2 == 0:
         target = scalar_pow(q, -d - 1)
-        fp = det_fingerprint(m)
         positions = [i for i, v in enumerate(fp) if v == target]
         if len(positions) != 1:
-            raise ClassificationError(
-                "determinant fingerprint does not determine a unique twist"
-            )
+            raise ClassificationError("determinant fingerprint does not determine a unique twist")
         eps = (-positions[0]) % 4
         base = _shift(m, (4 - eps) % 4)
         c = central_character(base)
@@ -563,58 +555,108 @@ def _classify_irreducible(m: ModuleRep) -> ClassificationResult:
         for i in (1, 2, 3):
             root = _unit_quadratic_root(c[i])
             if root is None:
-                raise ClassificationError(
-                    f"no field root recovers k{i} from the central character"
-                )
+                raise ClassificationError(f"no field root recovers k{i} from the central character")
             ks.append(root)
-        try:
-            recovered = ParamQuadruple(q, *ks, d=d, parity=PARITY_EVEN)
-        except ParameterError as exc:
-            raise ClassificationError(str(exc)) from exc
-        canonical = canonical_orbit_rep(recovered)
-        reference = _shift(make_E(canonical), eps)
-        certificate = find_intertwiner(m, reference)
-        if certificate is None or certificate is INDETERMINATE:
-            raise ClassificationError("no invertible intertwiner certifies the result")
-        return ClassificationResult(TwistElement(eps), canonical, PARITY_EVEN, certificate)
+        canonical = canonical_orbit_rep(_quadruple(q, ks, d, PARITY_EVEN))
+        return eps, canonical, _shift(make_E(canonical), eps)
+    recovered = _quadruple(q, fp, d, PARITY_ODD)
+    return 0, recovered, make_O(recovered)
 
-    fp = det_fingerprint(m)
+
+def _quadruple(q, ks, d: int, parity: str) -> ParamQuadruple:
     try:
-        recovered = ParamQuadruple(q, *fp, d=d, parity=PARITY_ODD)
+        return ParamQuadruple(q, *ks, d=d, parity=parity)
     except ParameterError as exc:
         raise ClassificationError(str(exc)) from exc
-    reference = make_O(recovered)
-    certificate = find_intertwiner(m, reference)
-    if certificate is None or certificate is INDETERMINATE:
-        raise ClassificationError("no invertible intertwiner certifies the result")
-    return ClassificationResult(TwistElement(0), recovered, PARITY_ODD, certificate)
 
 
-# ---------------------------------------------------------------------------
-# simultaneous eigenvectors
-# ---------------------------------------------------------------------------
+def _rows(m: Matrix):
+    """m as (int rows, denominator), or as (scalar rows, 1) over Q(q)."""
+    return (m._entries, 1) if m._ints is None else (m._ints, m._den)
 
-def simultaneous_eigenvector(m: ModuleRep, pair):
-    """A common eigenvector of generators i and j, if one exists for
-    eigenvalue candidates read from the central character."""
-    i, j = pair
-    c = central_character(m)
-    ident = m.identity_matrix()
 
-    def candidates(ci):
-        root = _unit_quadratic_root(ci)
-        if root is None:
-            return []
-        other = ci - root
-        return [root] if other == root else [root, other]
+def _matmul(a, b):
+    """The product of two matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
-    for lam in candidates(c[i]):
-        for mu in candidates(c[j]):
-            stacked = Matrix(
-                list((m.t[i] - ident.scale(lam)).entries)
-                + list((m.t[j] - ident.scale(mu)).entries)
-            )
-            common = kernel(stacked)
-            if common.dim:
-                return common.basis[0]
-    return None
+
+def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
+    """A proof from eigenbases that a is irreducible and isomorphic to b:
+    the invertible T with T t_k^(a) = t_k^(b) T, scaled to a leading 1
+    (row-major), or None when this route cannot decide.
+
+    The diagonal of b's W = t_{(3-eps)%4} t_{(-eps)%4} (on a classify
+    reference, the triangular X of an untwisted module) must be n
+    distinct simple eigenvalues in a and in b, with eigenbases P_a, P_b.
+    There the generators are A_k = P_a^-1 t_k^(a) P_a and B_k likewise,
+    and i -> j is an edge when some A_k[j][i] != 0.  An intertwiner keeps
+    eigenvalues, so it is P_b diag(c) P_a^-1 with c_j A_k[j][i] =
+    B_k[j][i] c_i; from c_0 = 1 the edges fix c, and every equation is
+    checked exactly.  Sound whatever the file's metadata says:
+
+    * n eigenvectors for n distinct eigenvalues are independent;
+    * a submodule is W-invariant, hence spanned by the eigenvectors it
+      contains, a vertex set no edge leaves: in a strongly connected
+      graph none or all, so a is irreducible;
+    * the eigenvectors are rational, so this holds over the algebraic
+      closure too, as Burnside's n**2 does;
+    * by Schur's lemma the intertwiners a -> b are then one line, and T
+      is the reduced kernel vector :func:`find_intertwiner` returns.
+    """
+    n = a.dim
+    if b.dim != n:
+        return None
+    i3, i0 = (3 - eps) % 4, -eps % 4
+    w_b = b.t[i3] * b.t[i0]
+    thetas = [w_b.entry(i, i) for i in range(n)]
+    if len(set(thetas)) != n:
+        return None
+    ident = Matrix.identity(n, one=thetas[0] ** 0)
+    pairs, bases = [], []
+    for module, w in ((a, a.t[i3] * a.t[i0]), (b, w_b)):
+        columns = [kernel_line(w - ident.scale(theta)) for theta in thetas]
+        if None in columns:
+            return None
+        p = Matrix(list(zip(*columns)))
+        p_inv = inverse(p)
+        (pr, pd), (ir, idn) = _rows(p), _rows(p_inv)
+        pairs.append([(_matmul(ir, _matmul(r, pr)), idn * d * pd) for r, d in map(_rows, module.t)])
+        bases.append((p, p_inv))
+    pairs = list(zip(*pairs))
+
+    # c_j = num[j]/den[j] along the edges from vertex 0, and the vertices
+    # that reach 0; the graph is strongly connected iff both are all, and
+    # then the checked equations make every c_j nonzero
+    num, den, back = [1] + [None] * (n - 1), [1] * n, [True] + [False] * (n - 1)
+    todo = [(0, True), (0, False)]
+    while todo:
+        v, forward = todo.pop()
+        for ((ar, ad), (br, bd)), u in product(pairs, range(n)):
+            if forward and num[u] is None and ar[u][v]:
+                num[u], den[u] = num[v] * br[u][v] * ad, den[v] * ar[u][v] * bd
+                todo.append((u, True))
+            elif not (forward or back[u]) and ar[v][u]:
+                back[u] = True
+                todo.append((u, False))
+    if None in num or not all(back):
+        return None
+    for ((ar, ad), (br, bd)), j, i in product(pairs, range(n), range(n)):
+        if num[j] * ar[j][i] * bd * den[i] != br[j][i] * num[i] * ad * den[j]:
+            return None
+
+    # T = P_b diag(c) P_a^-1, up to the factor prod(den)
+    c = [x * prod(den[:j] + den[j + 1:]) for j, x in enumerate(num)]
+    (_, pa_inv), (p_b, _) = bases
+    t = Matrix([[x * cj for x, cj in zip(row, c)] for row in _rows(p_b)[0]]) * pa_inv
+    rows, t_den = _rows(t)
+    lead = Fraction(t_den) / next(e for row in rows for e in row if e)
+    mats = a.t + b.t
+    if all(x._ints is not None for x in mats):
+        return t.scale(lead)
+    if all(x._ints is None and all(isinstance(e, RatFun) for r in x._entries for e in r)
+           for x in mats):
+        return t.scale(lead * QQ_Q.one)
+    # a bare Fraction entry can survive the equations' elimination; their
+    # kernel vector is T again, with the scalar types they leave
+    return find_intertwiner(a, b)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .analysis import (
     INDETERMINATE,
-    _classify_irreducible,
+    _classify_verified,
     burnside_irreducible,
     criterion_E,
     criterion_O,
@@ -158,21 +158,27 @@ def cmd_verify(args) -> int:
             rep = ladder_check(module, which)
             sections[f"ladder_{which}"] = rep.to_json()
             ok = ok and rep.ok
-        p = module.params
-        expected_c = tuple(k + 1 / k for k in p.k)
-        if p.parity == PARITY_EVEN:
-            one = p.q ** 0
-            expected_fp = (scalar_pow(p.q, -p.d - 1), one, one, one)
-        else:
-            expected_fp = p.k
-        matches = character is not None and character == expected_c
-        matches_fp = det_fingerprint(module) == expected_fp
+        matches, matches_fp = _matches_params(module, character)
         sections["character_matches_parameters"] = matches
         sections["fingerprint_matches_family"] = matches_fp
         ok = ok and matches and matches_fp
     sections["ok"] = ok
     _dump(sections, args.out)
     return EXIT_OK if ok else EXIT_VERIFY
+
+
+def _matches_params(module, character):
+    """Whether an untwisted module's central character is (k_i + 1/k_i)
+    and its determinant fingerprint is its family's, for the file's
+    params; a character of None matches nothing."""
+    p = module.params
+    if p.parity == PARITY_EVEN:
+        one = p.q ** 0
+        expected_fp = (scalar_pow(p.q, -p.d - 1), one, one, one)
+    else:
+        expected_fp = p.k
+    matches = character is not None and character == tuple(k + 1 / k for k in p.k)
+    return matches, det_fingerprint(module) == expected_fp
 
 
 def _verified(module, out_path) -> bool:
@@ -188,6 +194,14 @@ def cmd_irreducible(args) -> int:
     module = _load_module(args.infile)
     if not _verified(module, args.out):
         return EXIT_VERIFY
+    # the criterion speaks for the file's params only if the matrices
+    # belong to them
+    untwisted = module.twist == 0
+    if untwisted and not all(_matches_params(module, central_character(module))):
+        raise ParameterError(
+            "the module's central character or determinant fingerprint does "
+            "not match its params; see `daha verify`"
+        )
     closure = span_closure(module.t)
     burnside = closure == module.dim * module.dim
     out = {
@@ -197,7 +211,7 @@ def cmd_irreducible(args) -> int:
         "criterion": None,
         "agrees": None,
     }
-    if module.twist == 0:
+    if untwisted:
         p = module.params
         crit = criterion_E(p) if p.parity == PARITY_EVEN else criterion_O(p)
         out["criterion"] = crit
@@ -212,12 +226,11 @@ def cmd_classify(args) -> int:
     module = _load_module(args.infile)
     if not _verified(module, args.out):
         return EXIT_VERIFY
-    closure = span_closure(module.t)
-    if closure != module.dim * module.dim:
-        _dump({"verdict": "reducible", "closure_dim": closure}, args.out)
-        return EXIT_OK
-    result = _classify_irreducible(module)
-    _dump({"verdict": "classified", **result.to_json()}, args.out)
+    result = _classify_verified(module)
+    if isinstance(result, int):
+        _dump({"verdict": "reducible", "closure_dim": result}, args.out)
+    else:
+        _dump({"verdict": "classified", **result.to_json()}, args.out)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import DahaError, InputError, SingularMatrixError
@@ -200,11 +200,14 @@ class Matrix:
         return m
 
 
+_SLOT_SETTERS = tuple(getattr(Matrix, name).__set__ for name in Matrix.__slots__)
+
+
 def _fill(m: Matrix, ints, den, entries) -> Matrix:
     """Set the slots of m from one of its two forms."""
     rows = entries if ints is None else ints
-    for name, value in zip(Matrix.__slots__, (len(rows), len(rows[0]), ints, den, entries)):
-        object.__setattr__(m, name, value)
+    for setter, value in zip(_SLOT_SETTERS, (len(rows), len(rows[0]), ints, den, entries)):
+        setter(m, value)
     return m
 
 
@@ -268,6 +271,17 @@ def _rref_rows(m: Matrix):
     """
     if m._ints is None:
         return _field_rref_rows([list(r) for r in m._entries])
+    reduced, pivots = _int_rref(m)
+    zero = Fraction(0)
+    return [
+        [Fraction(x, row[p]) if x else zero for x in row]
+        for row, p in zip(reduced, pivots)
+    ], pivots
+
+
+def _int_rref(m: Matrix):
+    """:func:`_rref_rows` of a rational m before the division by the
+    pivots: primitive int rows, each a multiple of a reduced row."""
     basis = {}  # pivot column -> primitive int row
     for row in m._ints:
         _int_insert(basis, row)
@@ -280,11 +294,7 @@ def _rref_rows(m: Matrix):
         for i in range(k):
             if reduced[i][p]:
                 reduced[i] = _primitive(_cancel(reduced[i], b, p))
-    zero = Fraction(0)
-    return [
-        [Fraction(x, row[p]) if x else zero for x in row]
-        for row, p in zip(reduced, pivots)
-    ], pivots
+    return reduced, pivots
 
 
 def _field_rref_rows(rows):
@@ -342,6 +352,26 @@ def kernel(m: Matrix) -> Subspace:
             v[pc] = -row[fc]
         vectors.append(v)
     return Subspace.from_vectors(m.cols, vectors)
+
+
+def kernel_line(m: Matrix):
+    """A vector spanning the kernel of m when that kernel is a line, else
+    None; from :func:`_int_rref` for a rational m, so without Fractions.
+    With pivots h_r and free column f it is v_f = prod(h) and
+    v_{p_r} = -row_r[f] * prod(h_s, s != r)."""
+    if m._ints is None:
+        reduced, pivots = _field_rref_rows([list(r) for r in m._entries])
+    else:
+        reduced, pivots = _int_rref(m)
+    if len(pivots) != m.cols - 1:
+        return None
+    free = next(c for c, p in enumerate(pivots + [m.cols]) if c != p)
+    heads = [row[p] for row, p in zip(reduced, pivots)]
+    v = [0] * m.cols
+    v[free] = prod(heads)
+    for r, (row, p) in enumerate(zip(reduced, pivots)):
+        v[p] = -row[free] * prod(heads[:r] + heads[r + 1:])
+    return v
 
 
 def det(m: Matrix):

@@ -21,6 +21,7 @@ inversion rather than from formulas of their own.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import DahaError, InputError, ParameterError, TranscriptionError
@@ -73,10 +74,39 @@ class Report:
 # finite-dimensional modules
 # ---------------------------------------------------------------------------
 
+class _Inverses(Sequence):
+    """The inverses of a tuple of matrices, each computed on first read;
+    it compares, hashes and concatenates like the tuple of them."""
+
+    def __init__(self, mats):
+        self._mats = mats
+        self._known = [None] * len(mats)
+
+    def __getitem__(self, i):
+        inv = self._known[i]
+        if inv is None:
+            inv = self._known[i] = inverse(self._mats[i])
+        return inv
+
+    def __len__(self):
+        return len(self._mats)
+
+    def __eq__(self, other):
+        return isinstance(other, (tuple, _Inverses)) and tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __radd__(self, other):
+        return other + tuple(self)
+
+
 @dataclass(frozen=True)
 class ModuleRep:
     """A finite-dimensional module: four generator matrices, their
-    inverses, the parameters used to build it, and a twist counter."""
+    inverses, the parameters used to build it, and a twist counter.
+    A constructed module holds its inverses as :class:`_Inverses`, so a
+    caller that reads only the generators never inverts them."""
 
     dim: int
     t: tuple
@@ -153,7 +183,7 @@ def _truncate(p: ParamQuadruple, family: str) -> ModuleRep:
     """
     dim = p.d + 1
     t = tuple(_ladder_block(gen, dim, dim, p) for gen in range(4))
-    tinv = tuple(inverse(m) for m in t)
+    tinv = _Inverses(t)
     ks = ",".join(scalar_to_str(x) for x in p.k)
     label = f"{family}[q={scalar_to_str(p.q)}; k={ks}; d={p.d}]"
     return ModuleRep(dim=dim, t=t, tinv=tinv, params=p, twist=0, label=label)

@@ -8,11 +8,9 @@ module exists for arbitrary nonzero parameters, which is what parity
 "free" is for.
 
 This module also houses the scalar coefficient sequences that drive
-every ladder computation, the spectral sequence used in the
-simultaneous-eigenvector argument, the atomic irreducibility
-conditions that cut out the classification parameter sets, and the
-two group actions on parameters (sign flips on k1,k2,k3 and the cyclic
-twist).
+every ladder computation, the atomic irreducibility conditions that
+cut out the classification parameter sets, and the two group actions
+on parameters (sign flips on k1,k2,k3 and the cyclic twist).
 """
 
 from __future__ import annotations
@@ -211,39 +209,6 @@ def eval_sequence(kind: str, p: ParamQuadruple, i: int):
                 f"specialized {kind}_{i} disagrees with the general form"
             )
     return value
-
-
-# ---------------------------------------------------------------------------
-# spectral sequence
-# ---------------------------------------------------------------------------
-
-def theta(q, mu, i: int):
-    """mu*q^i for even i, mu^{-1}*q^{-i-1} for odd i."""
-    mu = as_scalar(mu)
-    if not mu:
-        raise ParameterError("mu must be nonzero")
-    if i % 2 == 0:
-        return mu * scalar_pow(q, i)
-    return (1 / mu) * scalar_pow(q, -i - 1)
-
-
-def theta_coincidence(q, mu, i: int, j: int) -> bool:
-    """Whether theta_i equals theta_j.
-
-    Decided through the parity characterization (same parity: q^i = q^j;
-    opposite parity: mu^2 = q^{-i-j-1}) and cross-checked against the
-    direct comparison.
-    """
-    mu = as_scalar(mu)
-    if not mu:
-        raise ParameterError("mu must be nonzero")
-    if (i - j) % 2 == 0:
-        result = scalar_pow(q, i) == scalar_pow(q, j)
-    else:
-        result = mu * mu == scalar_pow(q, -i - j - 1)
-    if result != (theta(q, mu, i) == theta(q, mu, j)):
-        raise TranscriptionError("theta coincidence characterization failed")
-    return result
 
 
 # ---------------------------------------------------------------------------

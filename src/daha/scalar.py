@@ -506,10 +506,6 @@ class RationalField:
     def default_q() -> Fraction:
         return Fraction(2)
 
-    @staticmethod
-    def from_int(n: int) -> Fraction:
-        return Fraction(n)
-
 
 class RatFunField:
     """Rational functions in the formal variable q."""
@@ -521,10 +517,6 @@ class RatFunField:
     @staticmethod
     def default_q() -> RatFun:
         return RatFun.variable()
-
-    @staticmethod
-    def from_int(n: int) -> RatFun:
-        return _const(Fraction(n))
 
 
 QQ = RationalField()

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from daha.analysis import (
     INDETERMINATE,
+    _recover,
+    _spectral_intertwiner,
     burnside_irreducible,
     classify,
     criterion_E,
@@ -12,15 +16,12 @@ from daha.analysis import (
     det_fingerprint,
     find_intertwiner,
     is_intertwiner,
-    l_diagonal_E,
-    l_diagonal_O,
     l_matrix_O,
     l_matrix_routes,
-    simultaneous_eigenvector,
     twist,
 )
-from daha.errors import ParameterError
-from daha.linalg import Matrix
+from daha.errors import ClassificationError, ParameterError
+from daha.linalg import Matrix, det
 from daha.modrep import ModuleRep, central_character, make_E, make_O, verify_relations
 from daha.params import ParamQuadruple, canonical_orbit_rep
 from daha.sampling import adversarial_even, adversarial_odd, sample_even, sample_odd
@@ -71,7 +72,6 @@ def test_l_matrix_d1(p_even_d1):
     expected = Matrix([[F(-4, 3), 0], [0, F(-4, 3)]])
     for lm in routes.values():
         assert lm.entries == expected
-    assert l_diagonal_E(p_even_d1, 0) == F(-4, 3)
 
 
 def test_l_matrix_d0():
@@ -90,7 +90,7 @@ def test_l_matrix_route_agreement_random():
         n = d + 1
         assert all(not ref.entries[i][j] for i in range(n) for j in range(i + 1, n))
         for i in range(n):
-            assert ref.entries[i][i] == l_diagonal_E(p, i)
+            assert ref.entries[i][i] == routes["closed"].entries.entry(i, i)
         assert (
             all(ref.entries[i][i] for i in range(n)) == criterion_E(p)
         )
@@ -102,7 +102,7 @@ def test_l_matrix_route_agreement_random():
         assert all(not ref.entries[i][j] for i in range(n) for j in range(i + 1, n))
         if criterion_O(p):
             for i in range(n):
-                assert ref.entries[i][i] == l_diagonal_O(p, i)
+                assert ref.entries[i][i] == routes["closed"].entries.entry(i, i)
 
 
 def test_l_matrix_d6():
@@ -112,7 +112,7 @@ def test_l_matrix_d6():
     ref = routes["operator"].entries
     assert all(not ref.entries[i][j] for i in range(7) for j in range(i + 1, 7))
     if criterion_O(p):
-        assert all(ref.entries[i][i] == l_diagonal_O(p, i) for i in range(7))
+        assert all(ref.entries[i][i] == routes["closed"].entries.entry(i, i) for i in range(7))
 
 
 def test_l_matrix_adversarial_diagonal():
@@ -297,30 +297,157 @@ def test_classify_rejects_reducible(p_even_d1_reducible):
         classify(make_E(p_even_d1_reducible))
 
 
-def test_simultaneous_eigenvector(p_even_d1, p_odd_d0):
-    module = make_E(p_even_d1)
-    vec = simultaneous_eigenvector(module, (3, 0))
-    assert vec == (1, 0)  # the first basis vector direction
-    assert simultaneous_eigenvector(make_O(p_odd_d0), (1, 2)) is not None
-
-    rng = random.Random("simeig")
-    for d, sampler, make in ((3, sample_even, make_E), (2, sample_odd, make_O)):
-        p = sampler(rng, d)
-        module = make(p)
-        if burnside_irreducible(module):
-            assert (
-                simultaneous_eigenvector(module, (3, 0)) is not None
-                or simultaneous_eigenvector(module, (1, 2)) is not None
-            )
-            assert (
-                simultaneous_eigenvector(module, (0, 1)) is not None
-                or simultaneous_eigenvector(module, (2, 3)) is not None
-            )
-
-
 def test_ratfun_classification_certificate_is_ratfun():
     rng = random.Random("ratfun-certificate")
     for p in (sample_even(rng, 1, field=QQ_Q), sample_odd(rng, 2, field=QQ_Q)):
         result = classify(make_E(p) if p.parity == "even" else make_O(p))
         entries = [e for row in result.certificate.entries for e in row]
         assert all(isinstance(e, RatFun) for e in entries), result.certificate
+
+
+# ---------------------------------------------------------------------------
+# the eigenbasis route of classify
+# ---------------------------------------------------------------------------
+
+def _both_routes(m: ModuleRep):
+    """The certificates onto m's classify reference from the eigenbases
+    and from the intertwining equations."""
+    eps, _, reference = _recover(m)
+    return _spectral_intertwiner(m, reference, eps), find_intertwiner(m, reference)
+
+
+def _spectral(m: ModuleRep):
+    """The eigenbasis certificate of classify, or None."""
+    try:
+        eps, _, reference = _recover(m)
+    except ClassificationError:
+        return None
+    return _spectral_intertwiner(m, reference, eps)
+
+
+@pytest.mark.parametrize("family", ["even", "odd"])
+def test_spectral_intertwiner_matches_the_equations(family, conjugate):
+    """Against references that are isomorphic, that share the X-diagonal
+    without being isomorphic, and that do not share it, the eigenbasis
+    intertwiner is the equations' kernel vector or None with them."""
+    rng = random.Random(f"spectral-references:{family}")
+    seen = {"found": 0, "none": 0}
+    for d in ((1, 3, 5) if family == "even" else (2, 4)):
+        sampler, make = (sample_even, make_E) if family == "even" else (sample_odd, make_O)
+        p = sampler(rng, d)
+        while not (criterion_E(p) if family == "even" else criterion_O(p)):
+            p = sampler(rng, d)
+        a = make(p)
+        k0, k1, k2, k3 = p.k
+        if family == "even":
+            others = [
+                make_E(p.with_k(k1=1 / k1)),  # isomorphic
+                make_E(p.with_k(k2=k2 + 1)),  # same X-diagonal, other module
+                make_E(p.with_k(k3=k3 + 1)),  # other X-diagonal
+                twist(a, 2),
+            ]
+        else:
+            others = [make_O(p), twist(make_O(ParamQuadruple(2, k1, k2, k3, k0, d=d, parity="odd")), 1),
+                      make_O(ParamQuadruple(2, k0, k1 * 2, k2 / 2, k3, d=d, parity="odd"))]
+        for b in others:
+            for a_in in (a, conjugate(a, rng)):
+                got, want = _spectral_intertwiner(a_in, b), find_intertwiner(a_in, b)
+                assert got == want
+                seen["none" if want is None else "found"] += 1
+    assert seen["found"] >= 2 and seen["none"] >= 2
+
+
+def test_spectral_intertwiner_refuses_a_reference_on_the_same_spectrum():
+    # same k0 and k3, so X has the same diagonal, but k1 differs: the
+    # graph is strongly connected and only the edge equations fail
+    a = make_E(ParamQuadruple(2, F(1, 4), F(2, 3), 3, F(5, 7), d=3, parity="even"))
+    b = make_E(a.params.with_k(k1=F(3, 5)))
+    x_diagonal = lambda m: [(m.t[3] * m.t[0]).entry(i, i) for i in range(4)]
+    assert x_diagonal(a) == x_diagonal(b)
+    assert _spectral_intertwiner(a, a) is not None
+    assert _spectral_intertwiner(a, b) is None
+    assert find_intertwiner(a, b) is None
+
+
+def test_spectral_intertwiner_refuses_missing_eigenvalues():
+    a = make_E(ParamQuadruple(2, F(1, 4), F(2, 3), 3, F(5, 7), d=3, parity="even"))
+    b = make_E(a.params.with_k(k3=F(3, 5)))
+    assert _spectral_intertwiner(a, b) is None
+    assert _spectral_intertwiner(b, a) is None
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        ParamQuadruple(2, F(-1, 2), F(9, 13), F(16, 15), -1, d=1, parity="even"),
+        ParamQuadruple(2, F(7, 9), F(1, 7), F(-7, 2), F(-9, 28), d=2, parity="odd"),
+    ],
+    ids=["even-d1", "odd-d2"],
+)
+def test_repeated_x_diagonal_falls_back(p):
+    module = make_E(p) if p.parity == "even" else make_O(p)
+    x = module.t[3] * module.t[0]
+    diagonal = [x.entry(i, i) for i in range(module.dim)]
+    assert len(set(diagonal)) < len(diagonal)
+    assert burnside_irreducible(module)
+    spectral, equations = _both_routes(module)
+    assert spectral is None and classify(module).certificate == equations
+
+
+def test_spectral_route_refuses_reducible_modules(conjugate):
+    rng = random.Random("spectral-reducible")
+    for d in (1, 3, 5):
+        for _ in range(3):
+            module = twist(make_E(adversarial_even(rng, d)), rng.randrange(4))
+            assert not burnside_irreducible(module)
+            assert _spectral(module) is None
+            assert _spectral(conjugate(module, rng)) is None
+    for d in (2, 4):
+        for _ in range(3):
+            module = make_O(adversarial_odd(rng, d))
+            assert not burnside_irreducible(module)
+            assert _spectral(module) is None
+
+
+def test_spectral_route_over_the_rational_functions():
+    """All-RatFun modules take the route with RatFun certificates; a bare
+    Fraction entry keeps the equations' certificate, types included."""
+    rng = random.Random("spectral-ratfun")
+    for p in (sample_even(rng, 1, field=QQ_Q), sample_even(rng, 3, field=QQ_Q),
+              sample_odd(rng, 0, field=QQ_Q), sample_odd(rng, 2, field=QQ_Q)):
+        lifted = ParamQuadruple(p.q, *(k * QQ_Q.one for k in p.k), d=p.d, parity=p.parity)
+        for params in (p, lifted):
+            module = make_E(params) if params.parity == "even" else make_O(params)
+            for e in range(4):
+                got, want = _both_routes(twist(module, e))
+                assert got is not None and got.to_json() == want.to_json()
+
+
+# the even family's k1..k3 and the odd family's k0..k2, at q = 2
+_SMALL = st.fractions(min_value=-16, max_value=16, max_denominator=16).filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0, 1, 2, 3, 4]), st.booleans(), _SMALL, _SMALL, _SMALL,
+       st.integers(0, 3))
+def test_classify_round_trips_on_both_families(d, sign, x, y, z, e):
+    if d % 2:
+        p = ParamQuadruple(2, (1 if sign else -1) * F(1, 2 ** ((d + 1) // 2)), x, y, z,
+                           d=d, parity="even")
+        assume(criterion_E(p))
+        module = make_E(p)
+        want_params = canonical_orbit_rep(p)
+    else:
+        p = ParamQuadruple(2, x, y, z, F(1, 2 ** (d + 1)) / (x * y * z), d=d, parity="odd")
+        assume(criterion_O(p))
+        module = make_O(p)
+        k = p.k
+        want_params = ParamQuadruple(2, *(k[(i + e) % 4] for i in range(4)), d=d, parity="odd")
+    result = classify(twist(module, e))
+    assert result.params == want_params
+    assert result.twist.value == (e if d % 2 else 0)
+    reference = make_E(want_params) if d % 2 else make_O(want_params)
+    assert det(result.certificate)
+    assert is_intertwiner(result.certificate, twist(module, e), twist(reference, e if d % 2 else 0))
+    spectral, equations = _both_routes(twist(module, e))
+    assert equations == result.certificate and spectral in (None, equations)

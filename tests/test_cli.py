@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import daha
 import daha.analysis
 import daha.cli
+from daha.analysis import criterion_E, criterion_O, twist
 from daha.cli import (
     EXIT_CONSTRAINT,
     EXIT_IO,
@@ -16,7 +18,10 @@ from daha.cli import (
     EXIT_VERIFY,
     main,
 )
-from daha.modrep import verify_relations
+from daha.modrep import make_E, make_O, verify_relations
+from daha.params import ParamQuadruple
+from daha.sampling import adversarial_even, adversarial_odd, sample_even, sample_odd
+from daha.scalar import QQ_Q
 
 
 DATA = Path(__file__).parent / "data"
@@ -197,7 +202,8 @@ def test_classify_runs_each_check_once(tmp_path, monkeypatch):
     out = tmp_path / "cls.json"
     assert run("classify", "--in", str(mod), "--out", str(out)) == EXIT_OK
     assert json.loads(out.read_text())["verdict"] == "classified"
-    assert calls == {"verify_relations": 1, "span_closure": 1}
+    # the eigenbasis route proves irreducibility without the closure
+    assert calls == {"verify_relations": 1, "span_closure": 0}
 
 
 def test_classify_twisted_even_checks_relations_once(tmp_path, monkeypatch):
@@ -408,3 +414,124 @@ def test_back_to_back_main_calls_behave_like_fresh_ones(tmp_path, capsys, monkey
     assert proc.returncode == 2 and proc.stderr == usage_err
     proc = fresh("--help")
     assert proc.returncode == 0 and proc.stdout == help_out
+
+
+# The classify goldens through the closure and the intertwining
+# equations alone; the tests above take the eigenbasis route.
+@pytest.mark.parametrize("module,golden", [
+    ("rational_even_d5_tw3.json", "rational_even_d5_tw3_classify.json"),
+    ("rational_odd_d4_conj.json", "rational_odd_d4_conj_classify.json"),
+    ("ratfun_even_d3.json", "ratfun_even_d3_classify.json"),
+])
+def test_classify_goldens_through_the_fallback(tmp_path, fallback, module, golden):
+    out = tmp_path / "cls.json"
+    assert daha.analysis._spectral_intertwiner(None, None) is None
+    assert run("classify", "--in", str(DATA / module), "--out", str(out)) == EXIT_OK
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+def test_classify_goldens_take_the_eigenbasis_route(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(daha.analysis, "span_closure", calls.append)
+    for module in ("rational_even_d5_tw3.json", "rational_odd_d4_conj.json", "ratfun_even_d3.json"):
+        assert run("classify", "--in", str(DATA / module), "--out", str(tmp_path / "c.json")) == EXIT_OK
+    assert calls == []
+
+
+def _differential_grid(conjugate):
+    """Irreducible modules of both families at d <= 5 with all twists,
+    some in a random basis, reducible ones from single violations, and
+    formal-q modules with and without bare Fraction entries."""
+    rng = random.Random("classify-differential")
+    modules = []
+    for d in range(6):
+        even = d % 2
+        sampler, make, crit = (
+            (sample_even, make_E, criterion_E) if even else (sample_odd, make_O, criterion_O)
+        )
+        p = sampler(rng, d)
+        while not crit(p):
+            p = sampler(rng, d)
+        module = make(p)
+        modules += [twist(module, e) for e in range(4)]
+        modules.append(conjugate(twist(module, rng.randrange(4)), rng))
+        if d:
+            bad = adversarial_even(rng, d) if even else adversarial_odd(rng, d)
+            modules.append(twist(make(bad), rng.randrange(4)))
+        if d < 3:
+            p = sampler(rng, d, QQ_Q)
+            lifted = ParamQuadruple(p.q, *(k * QQ_Q.one for k in p.k), d=d, parity=p.parity)
+            modules += [twist(make(p), 1), twist(make(lifted), 3)]
+    return modules
+
+
+def test_classify_json_is_the_same_through_both_routes(tmp_path, monkeypatch, conjugate):
+    modules = _differential_grid(conjugate)
+    paths = []
+    for i, module in enumerate(modules):
+        path = tmp_path / f"m{i}.json"
+        path.write_text(json.dumps(module.to_json()))
+        paths.append(path)
+
+    def outputs():
+        got = []
+        for path in paths:
+            out = tmp_path / "out.json"
+            code = run("classify", "--in", str(path), "--out", str(out))
+            got.append((code, out.read_bytes()))
+        return got
+
+    spectral = outputs()
+    monkeypatch.setattr(daha.analysis, "_spectral_intertwiner", lambda *args: None)
+    assert outputs() == spectral
+    verdicts = [json.loads(text)["verdict"] for _, text in spectral]
+    assert verdicts.count("reducible") == 5 and verdicts.count("classified") == len(modules) - 5
+
+
+@pytest.mark.parametrize("parity,d,k", [
+    ("even", "1", "-1/2,9/13,16/15,-1"),
+    ("odd", "2", "7/9,1/7,-7/2,-9/28"),
+])
+def test_repeated_x_diagonal_classifies_through_the_fallback(tmp_path, monkeypatch, parity, d, k):
+    """X has a repeated diagonal entry here, so the closure and the
+    intertwining equations decide, once each."""
+    mod = tmp_path / "mod.json"
+    run("construct", "--parity", parity, "--q", "2", f"--k={k}", "--d", d, "--out", str(mod))
+    calls = {"span_closure": 0, "solve_sylvester_homogeneous": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        for module in (daha.cli, daha.analysis):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    out, forced = tmp_path / "cls.json", tmp_path / "forced.json"
+    assert run("classify", "--in", str(mod), "--out", str(out)) == EXIT_OK
+    assert json.loads(out.read_text())["verdict"] == "classified"
+    assert calls == {"span_closure": 1, "solve_sylvester_homogeneous": 1}
+    monkeypatch.setattr(daha.analysis, "_spectral_intertwiner", lambda *args: None)
+    assert run("classify", "--in", str(mod), "--out", str(forced)) == EXIT_OK
+    assert forced.read_bytes() == out.read_bytes()
+
+
+def test_irreducible_refuses_params_that_do_not_fit_the_matrices(tmp_path, capsys):
+    mod = tmp_path / "mod.json"
+    run("construct", "--parity", "even", "--d", "3", "--k", "1/4,2/3,3,5/7", "--q", "2",
+        "--out", str(mod))
+    data = json.loads(mod.read_text())
+    data["params"]["k"][3] = "4"  # the matrices still satisfy the relations
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("irreducible", "--in", str(bad)) == EXIT_CONSTRAINT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not match its params" in captured.err
+    assert run("verify", "--in", str(bad)) == EXIT_VERIFY
+    # a twisted module is not compared with the criterion, so it passes
+    tw = tmp_path / "tw.json"
+    run("twist", "--in", str(bad), "--e", "1", "--out", str(tw))
+    assert run("irreducible", "--in", str(tw)) == EXIT_OK

@@ -261,3 +261,39 @@ def test_symbolic_module(p_even_d1):
     mo = make_O(po)
     assert verify_relations(mo).ok
     assert raising_product_annihilates(mo)
+
+
+def test_constructed_inverses_are_computed_on_first_read(monkeypatch, p_even_d1):
+    """A constructed module inverts a generator only when its inverse is
+    read, and still compares, serialises and twists like one built with
+    the tuple of inverses."""
+    import daha.analysis
+    import daha.modrep
+
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(daha.modrep, "inverse", counting)
+    for module in (make_E(p_even_d1), make_O(ParamQuadruple(2, 1, 1, 3, F(1, 24), d=2, parity="odd"))):
+        calls.clear()
+        twisted = daha.analysis.twist(module, 0)
+        daha.analysis.burnside_irreducible(module)
+        assert calls == []
+        shifted = daha.analysis._shift(module, 1)
+        assert calls == []
+        eager = ModuleRep(
+            dim=module.dim, t=module.t, tinv=tuple(inverse(m) for m in module.t),
+            params=module.params, twist=0, label=module.label,
+        )
+        assert module == eager and eager == module and hash(module) == hash(eager)
+        assert module.to_json() == eager.to_json()
+        assert len(calls) == 4
+        assert module.tinv[1] is module.tinv[1] and len(calls) == 4
+        assert module.t + module.tinv == module.t + eager.tinv
+        assert shifted.tinv == tuple(eager.tinv[(i + 1) % 4] for i in range(4))
+        assert len(calls) == 8
+        assert twisted is module
+        assert verify_relations(shifted).ok

@@ -14,8 +14,6 @@ from daha.params import (
     seq_phi,
     seq_psi,
     seq_rho,
-    theta,
-    theta_coincidence,
     violations,
 )
 from daha.analysis import criterion_E, criterion_O
@@ -67,32 +65,6 @@ def test_specialized_forms_cross_checked(p_odd_d2):
     for i in range(-3, 8):
         eval_sequence("rho", p_odd_d2, i)
         eval_sequence("psi", p_odd_d2, i)
-
-
-def test_theta_examples():
-    assert theta(2, 1, 0) == 1
-    assert theta(2, 1, 1) == Fraction(1, 4)
-    assert theta(2, 1, 2) == 4
-    with pytest.raises(ParameterError):
-        theta(2, 0, 1)
-
-
-def test_theta_coincidence_examples():
-    assert not theta_coincidence(2, 1, 0, 2)
-    assert theta_coincidence(2, Fraction(5, 7), 5, 5)
-    assert not theta_coincidence(2, 1, 0, 1)
-    # opposite parity coincidence when mu^2 = q^{-i-j-1}
-    assert theta_coincidence(2, Fraction(1, 4), 1, 2)
-
-
-def test_theta_coincidence_brute_agreement():
-    rng = random.Random("theta")
-    for _ in range(50):
-        mu = Fraction(rng.randint(1, 12), rng.randint(1, 12)) * rng.choice((1, -1))
-        thetas = {i: theta(2, mu, i) for i in range(-20, 21)}
-        for i in range(-20, 21):
-            for j in range(-20, 21):
-                assert theta_coincidence(2, mu, i, j) == (thetas[i] == thetas[j])
 
 
 # Membership in the classification parameter sets EP and OP is the
