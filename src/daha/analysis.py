@@ -516,15 +516,16 @@ def _classify_verified(m: ModuleRep):
     decide, the closure and the intertwining equations do."""
     try:
         eps, params, reference = _recover(m)
-    except ClassificationError:
-        certificate = None
+    except ClassificationError as exc:
+        failure, certificate = exc, None
     else:
-        certificate = _spectral_intertwiner(m, reference, eps)
+        failure, certificate = None, _spectral_intertwiner(m, reference, eps)
     if certificate is None:
         closure = span_closure(m.t)
         if closure != m.dim * m.dim:
             return closure
-        eps, params, reference = _recover(m)
+        if failure is not None:
+            raise failure
         certificate = find_intertwiner(m, reference)
         if certificate is None or certificate is INDETERMINATE:
             raise ClassificationError("no invertible intertwiner certifies the result")

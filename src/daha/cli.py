@@ -49,6 +49,7 @@ from .params import (
     PARITY_ODD,
     ParamQuadruple,
     canonical_orbit_rep,
+    family_invariants,
     orbit_members,
 )
 from .scalar import (
@@ -72,7 +73,7 @@ _MONOMIAL = re.compile(
 )
 
 
-def _parse_scalar_token(tok: str, field):
+def _parse_scalar_token(tok: str):
     """One scalar: a rational, a RatFun in pipe form, or a +-(c)q^n shorthand."""
     tok = tok.strip()
     if "|" in tok:
@@ -87,24 +88,24 @@ def _parse_scalar_token(tok: str, field):
     return Fraction(tok)
 
 
-def _parse_k(text: str, field):
+def _parse_k(text: str):
     sep = ";" if ";" in text else ","
     parts = [t for t in text.split(sep) if t.strip()]
     if len(parts) != 4:
         raise ParameterError(f"--k needs four values, got {len(parts)}")
-    return [_parse_scalar_token(t, field) for t in parts]
+    return [_parse_scalar_token(t) for t in parts]
 
 
 def _parse_q(args, field):
     if args.q is None:
         return field.default_q()
-    return _parse_scalar_token(args.q, field)
+    return _parse_scalar_token(args.q)
 
 
 def _params_from_args(args) -> ParamQuadruple:
     field = field_by_name(args.backend)
     q = _parse_q(args, field)
-    ks = _parse_k(args.k, field)
+    ks = _parse_k(args.k)
     return ParamQuadruple(q, *ks, d=args.d, parity=args.parity)
 
 
@@ -171,13 +172,8 @@ def _matches_params(module, character):
     """Whether an untwisted module's central character is (k_i + 1/k_i)
     and its determinant fingerprint is its family's, for the file's
     params; a character of None matches nothing."""
-    p = module.params
-    if p.parity == PARITY_EVEN:
-        one = p.q ** 0
-        expected_fp = (scalar_pow(p.q, -p.d - 1), one, one, one)
-    else:
-        expected_fp = p.k
-    matches = character is not None and character == tuple(k + 1 / k for k in p.k)
+    expected_c, expected_fp = family_invariants(module.params)
+    matches = character is not None and character == expected_c
     return matches, det_fingerprint(module) == expected_fp
 
 

@@ -7,10 +7,12 @@ requires d even with k0*k1*k2*k3 = q**(-d-1).  The universal ladder
 module exists for arbitrary nonzero parameters, which is what parity
 "free" is for.
 
-This module also houses the scalar coefficient sequences that drive
-every ladder computation, the atomic irreducibility conditions that
-cut out the classification parameter sets, and the two group actions
-on parameters (sign flips on k1,k2,k3 and the cyclic twist).
+This module also houses the central character and determinant
+fingerprint that each family's module carries, the scalar coefficient
+sequences that drive every ladder computation, the atomic
+irreducibility conditions that cut out the classification parameter
+sets, and the two group actions on parameters (sign flips on k1,k2,k3
+and the cyclic twist).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from .errors import DahaError, InputError, ParameterError, TranscriptionError
 from .scalar import (
     as_scalar,
-    field_of,
     json_field,
     scalar_from_json,
     scalar_pow,
@@ -76,10 +77,6 @@ class ParamQuadruple:
     def k(self) -> tuple:
         return (self.k0, self.k1, self.k2, self.k3)
 
-    @property
-    def field(self):
-        return field_of(self.q)
-
     def with_k(self, k0=None, k1=None, k2=None, k3=None) -> "ParamQuadruple":
         ks = [k0, k1, k2, k3]
         new = [old if repl is None else repl for old, repl in zip(self.k, ks)]
@@ -106,6 +103,17 @@ class ParamQuadruple:
         )
 
 
+def family_invariants(p: ParamQuadruple):
+    """The central character and the determinant fingerprint of the
+    family's module at p: (k_i + 1/k_i), and (q^{-d-1}, 1, 1, 1) for the
+    even family or (k0, k1, k2, k3) for the odd one."""
+    character = tuple(k + 1 / k for k in p.k)
+    if p.parity == PARITY_EVEN:
+        one = p.q ** 0
+        return character, (scalar_pow(p.q, -p.d - 1), one, one, one)
+    return character, p.k
+
+
 @dataclass(frozen=True)
 class TwistElement:
     """A residue mod 4; composition of cyclic generator shifts."""
@@ -123,10 +131,6 @@ class TwistElement:
 
     def __int__(self) -> int:
         return self.value
-
-    @classmethod
-    def identity(cls) -> "TwistElement":
-        return cls(0)
 
     @classmethod
     def all(cls):

@@ -41,16 +41,12 @@ def rational_pool():
 _POOL = tuple(rational_pool())
 
 
-def _default_q(field) -> object:
-    return field.default_q()
-
-
 def sample_even(rng: random.Random, d: int, field=QQ, q=None) -> ParamQuadruple:
     """A valid even-family quadruple: k0 = +-q^{-(d+1)/2}, rest from the pool."""
     if d % 2 == 0:
         raise DahaError("even family needs odd d")
     if q is None:
-        q = _default_q(field)
+        q = field.default_q()
     k0 = rng.choice((1, -1)) * scalar_pow(q, -(d + 1) // 2)
     k1, k2, k3 = (rng.choice(_POOL) for _ in range(3))
     return ParamQuadruple(q, k0, k1, k2, k3, d=d, parity=PARITY_EVEN)
@@ -61,7 +57,7 @@ def sample_odd(rng: random.Random, d: int, field=QQ, q=None) -> ParamQuadruple:
     if d % 2:
         raise DahaError("odd family needs even d")
     if q is None:
-        q = _default_q(field)
+        q = field.default_q()
     k0, k1, k2 = (rng.choice(_POOL) for _ in range(3))
     k3 = scalar_pow(q, -d - 1) / (k0 * k1 * k2)
     return ParamQuadruple(q, k0, k1, k2, k3, d=d, parity=PARITY_ODD)
@@ -127,6 +123,6 @@ def sample_free(rng: random.Random, field=QQ, q=None) -> ParamQuadruple:
     """Arbitrary nonzero parameters with no parity constraint, for the
     universal ladder module."""
     if q is None:
-        q = _default_q(field)
+        q = field.default_q()
     ks = [rng.choice(_POOL) for _ in range(4)]
     return ParamQuadruple(q, *ks, d=0, parity="free")

@@ -532,10 +532,6 @@ def field_by_name(name: str):
         raise DahaError(f"unknown scalar backend {name!r}") from None
 
 
-def field_of(x) -> object:
-    return QQ_Q if isinstance(x, RatFun) else QQ
-
-
 # ---------------------------------------------------------------------------
 # shared operations
 # ---------------------------------------------------------------------------

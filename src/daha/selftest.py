@@ -43,7 +43,13 @@ from .modrep import (
     verma_ladder_check,
     w_basis_check,
 )
-from .params import PARITY_EVEN, PARITY_ODD, ParamQuadruple, canonical_orbit_rep
+from .params import (
+    PARITY_EVEN,
+    PARITY_ODD,
+    ParamQuadruple,
+    canonical_orbit_rep,
+    family_invariants,
+)
 from .sampling import adversarial_even, adversarial_odd, sample_even, sample_odd, sample_free
 from .scalar import QQ, QQ_Q, scalar_pow
 
@@ -191,16 +197,11 @@ def _character_sweep(params_list):
     failures = []
     for p in params_list:
         module = _construct(p)
-        expected_c = tuple(k + 1 / k for k in p.k)
+        expected_c, expected_fp = family_invariants(p)
         got_c = central_character(module)
         checks += 1
         if got_c != expected_c:
             failures.append(f"{module.label}: central character {got_c}")
-        if p.parity == PARITY_EVEN:
-            one = p.q ** 0
-            expected_fp = (scalar_pow(p.q, -p.d - 1), one, one, one)
-        else:
-            expected_fp = p.k
         got_fp = det_fingerprint(module)
         checks += 1
         if got_fp != expected_fp:

@@ -394,6 +394,33 @@ def test_repeated_x_diagonal_falls_back(p):
     assert spectral is None and classify(module).certificate == equations
 
 
+def test_classify_recovers_once_on_the_fallback(monkeypatch):
+    """The closure fallback reuses the first recovery, or raises its
+    error once the closure proves irreducibility."""
+    import daha.analysis
+
+    module = make_E(ParamQuadruple(2, F(-1, 2), F(9, 13), F(16, 15), -1, d=1, parity="even"))
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return _recover(m)
+
+    monkeypatch.setattr(daha.analysis, "_recover", counting)
+    assert classify(module).certificate == find_intertwiner(module, _recover(module)[2])
+    assert calls == [module]
+
+    def failing(m):
+        calls.append(m)
+        raise ClassificationError("first recovery")
+
+    calls.clear()
+    monkeypatch.setattr(daha.analysis, "_recover", failing)
+    with pytest.raises(ClassificationError, match="first recovery"):
+        classify(module)
+    assert calls == [module]
+
+
 def test_spectral_route_refuses_reducible_modules(conjugate):
     rng = random.Random("spectral-reducible")
     for d in (1, 3, 5):

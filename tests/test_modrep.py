@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from daha.errors import ParameterError, TranscriptionError
-from daha.linalg import Matrix, inverse
+from daha.linalg import Matrix, inverse, solve_right
 from daha.modrep import (
     LaurentPoly,
     _ladder_block,
@@ -26,7 +26,7 @@ from daha.modrep import (
 )
 from daha.params import ParamQuadruple
 from daha.sampling import sample_even, sample_free, sample_odd
-from daha.scalar import QQ_Q, RatFun
+from daha.scalar import QQ, QQ_Q, RatFun
 
 F = Fraction
 
@@ -175,6 +175,46 @@ def test_verma_inverse_generators(p_even_d1):
         forward = verma_apply(gen, v, p)
         back = verma_apply(f"t{gen}inv", forward, p)
         assert back == v
+
+
+def _banded_inverse(gen, v, p):
+    """The reference for an inverse generator: solve the banded system
+    t*w = v on the index window [0, max index + 6] of the ladder basis."""
+    width = (v.items[-1][0] if v.items else 0) + 6
+    rhs = [p.q * 0] * (width + 2)
+    for i, c in v.items:
+        rhs[i] = c
+    sol = solve_right(_ladder_block(gen, width + 2, width + 1, p), rhs)
+    assert sol is not None
+    return SparseVec.from_dict(dict(enumerate(sol)))
+
+
+# each inverse word as the inverse generators it applies, rightmost first
+_INVERSE_WORDS = {
+    "t0inv": (0,), "t1inv": (1,), "t2inv": (2,), "t3inv": (3,),
+    "Xinv": (3, 0), "Yinv": (0, 1),
+}
+
+
+def test_verma_inverse_matches_the_banded_solve():
+    rng = random.Random("vermainverse")
+    params = []
+    for field in (QQ, QQ_Q):
+        params += [sample_even(rng, 3, field=field), sample_odd(rng, 2, field=field),
+                   sample_free(rng, field=field)]
+    for p in params:
+        one = p.q ** 0
+        vectors = [SparseVec.unit(i, one) for i in (0, 1, 14, 15)]
+        vectors.append(SparseVec.from_dict(
+            {i: one * F(rng.randint(-5, 5), rng.randint(1, 4)) for i in rng.sample(range(16), 4)}
+            | {15: p.q}
+        ))
+        for v in vectors:
+            for word, gens in _INVERSE_WORDS.items():
+                expected = v
+                for gen in gens:
+                    expected = _banded_inverse(gen, expected, p)
+                assert verma_apply(word, v, p) == expected, (word, v)
 
 
 def test_verma_ladder(p_even_d1, p_odd_d2):
