@@ -282,13 +282,13 @@ def _rref_rows(m: Matrix):
 def _int_rref(m: Matrix):
     """:func:`_rref_rows` of a rational m before the division by the
     pivots: primitive int rows, each a multiple of a reduced row."""
-    basis = {}  # pivot column -> primitive int row
+    basis = {}  # pivot column -> [primitive int row, its support]
     for row in m._ints:
         _int_insert(basis, row)
         if len(basis) == m.cols:
             break
     pivots = sorted(basis)
-    reduced = [basis[p] for p in pivots]
+    reduced = [basis[p][0] for p in pivots]
     for k in range(len(pivots) - 1, 0, -1):
         p, b = pivots[k], reduced[k]
         for i in range(k):
@@ -519,21 +519,23 @@ def span_closure(gens) -> int:
 
     Seeds with the identity and repeatedly left-multiplies each newly
     inserted word by every generator, inserting only products that
-    enlarge the echelonized span, until stable.  The result is at most
-    n**2.
+    enlarge the echelonized span, until stable or until the span is all
+    n**2 matrices (see :func:`_closure` for what it skips and why that
+    is sound).
 
     When every generator is rational the closure runs on their int
     rows, each the generator scaled by its common denominator, and is
     still exact over the rationals: a nonzero scalar multiple of a
     generator generates the same unital algebra, and every word becomes
     a nonzero multiple of the corresponding rational word, so the spans
-    agree.  Words are flat row-major int lists.  A candidate is reduced
-    by the fraction-free step ``v <- (b[p]/g)*v - (v[p]/g)*b`` with
+    agree.  Words are flat row-major int lists, and each generator
+    multiplies by its nonzero entries only.  A candidate is reduced by
+    the fraction-free step ``v <- (b[p]/g)*v - (v[p]/g)*b`` with
     ``g = gcd(b[p], v[p])`` and then divided by the gcd of its entries:
     both are invertible rational row operations, so membership in the
-    span and the rank are those of elimination over the rationals.
-    Other scalars (RatFun) take the field loop, which divides by the
-    pivot.
+    span and the rank are those of elimination over the rationals (see
+    :func:`_int_insert` for the in-place unit step).  Other scalars
+    (RatFun) take the field loop, which divides by the pivot.
     """
     gens = list(gens)
     if not gens:
@@ -544,27 +546,53 @@ def span_closure(gens) -> int:
             raise DahaError("generators must be square of equal size")
     if all(g._ints is not None for g in gens):
         ident = [int(i == j) for i in range(n) for j in range(n)]
-        return _closure([g._ints for g in gens], ident, _int_product, _int_insert, n * n)
+        sparse = [[[(k * n, x) for k, x in enumerate(row) if x] for row in g._ints] for g in gens]
+        return _closure(sparse, ident, _int_product, _int_insert, n * n)
     return _closure(gens, Matrix.identity(n, one=QQ_Q.one), mul, _field_insert, n * n)
 
 
 def _closure(gens, ident, product, insert, cap) -> int:
-    """Close the span of ident under left multiplication by gens."""
-    basis = {}  # leading index -> flat basis vector
+    """Close the span of ident under left multiplication by gens.
+
+    Soundness.  Let S be the span of the inserted words (ident and every
+    product that enlarged the basis).  S holds ident and lies in the
+    algebra, so S is the algebra as soon as g*w is in S for every
+    generator g and inserted word w.  Each inserted word is multiplied
+    by every generator once, and a product whose insertion fails is in
+    S already.  The one product not formed is g*w where w = g*w' was
+    made by g itself, and only when g**2 lies in span(I, g): then
+    g*w = g**2*w' = a*w' + b*w, and w' and w are both inserted words.
+    The condition is tested exactly on the generator, by inserting I, g
+    and g**2 into an empty basis, once per generator and only when such
+    a product first comes up; a generator with no quadratic relation
+    never has a product skipped.  Independent vectors among n**2
+    coordinates number at most cap = n**2, and a span of that dimension
+    is every matrix, so the closure stops as soon as the basis reaches
+    it.
+    """
+    basis = {}  # leading index -> what insert stores for that row
     insert(basis, ident)
-    frontier = [ident]
-    while frontier:
-        if len(basis) > cap:
-            raise DahaError("span closure exceeded its dimension cap")
+    quadratic = [None] * len(gens)  # gens[i]**2 in span(I, gens[i]), once asked
+    frontier = [(ident, None)]  # (word, index of the generator that made it)
+    while frontier and len(basis) < cap:
         new = []
-        for w in frontier:
-            for g in gens:
+        for w, last in frontier:
+            for i, g in enumerate(gens):
+                if i == last:
+                    if quadratic[i] is None:
+                        gi = product(g, ident)
+                        small = {}
+                        insert(small, ident)
+                        insert(small, gi)
+                        quadratic[i] = not insert(small, product(g, gi))
+                    if quadratic[i]:
+                        continue
                 cand = product(g, w)
                 if insert(basis, cand):
-                    new.append(cand)
+                    if len(basis) == cap:
+                        return cap
+                    new.append((cand, i))
         frontier = new
-        if len(basis) == cap:
-            break
     return len(basis)
 
 
@@ -587,9 +615,26 @@ def _field_insert(basis, mat: Matrix) -> bool:
 def _int_insert(basis, v) -> bool:
     """Fraction-free reduction of a flat int vector against primitive rows.
 
-    Only the leading entry is eliminated, while a basis row has its
-    pivot there; each step clears it and keeps the entries before it
-    zero, so the scan resumes where it stopped."""
+    ``basis`` maps a pivot column p to ``[b, support]``: a primitive row
+    b whose first nonzero entry is b[p], and the (column, entry) pairs
+    of its nonzeros after p, listed when b is first used (None until
+    then; most rows of a small rref never are).  Only the leading entry
+    of v is eliminated, while a basis row has its pivot there, by the
+    step ``v <- s*v - c*b`` with ``s = b[p]/g``, ``c = v[p]/g`` and
+    ``g = gcd(b[p], v[p])``; it clears v[p] and keeps the entries before
+    it zero, so the scan resumes where it stopped.  b is zero outside p
+    and its support, so ``- c*b`` touches only those entries, in place
+    on a copy of the input.  A unit step (s = +-1, the common case)
+    scales nothing: v is held as ``sign * u``, and
+    ``u <- u - sign*s*c*b``, ``sign <- sign*s`` is the same step, since
+    s*(sign*u) - c*b = (sign*s)*(u - sign*s*c*b) when s*s = 1.  Any
+    other step multiplies u by s*sign first and resets sign to 1.  The
+    stored row is ``sign * u`` divided by the gcd of its entries: the
+    row the step-by-step recurrence gives, sign included, so
+    :func:`_int_rref` and :func:`kernel_line` see the same rows.
+    """
+    v = list(v)
+    sign = 1  # the reduced vector is sign * v
     lead = 0
     size = len(v)
     while True:
@@ -597,11 +642,31 @@ def _int_insert(basis, v) -> bool:
             lead += 1
         if lead == size:
             return False
-        b = basis.get(lead)
-        if b is None:
-            basis[lead] = _primitive(v)
+        entry = basis.get(lead)
+        if entry is None:
+            g = gcd(*v)
+            if g > 1 or sign < 0:
+                g *= sign
+                v = [x // g for x in v]
+            basis[lead] = [v, None]
             return True
-        v = _cancel(v, b, lead)
+        b, support = entry
+        if support is None:
+            support = entry[1] = [(j, b[j]) for j in range(lead + 1, size) if b[j]]
+        bp, x = b[lead], sign * v[lead]
+        g = gcd(bp, x)
+        s, c = bp // g, x // g
+        if s == 1 or s == -1:
+            f = sign * s * c
+            sign *= s
+        else:
+            f = c
+            s *= sign
+            v = [s * a for a in v]
+            sign = 1
+        for j, y in support:
+            v[j] -= f * y
+        v[lead] = 0
 
 
 def _cancel(v, b, p):
@@ -618,8 +683,19 @@ def _primitive(v):
 
 
 def _int_product(a, w):
-    """The int matrix a times the flat row-major word w, flat and
-    divided by the gcd of its entries."""
+    """The n x n int matrix a times the flat row-major word w, flat and
+    divided by the gcd of its entries.  Row i of a is given as the pairs
+    (k*n, a[i][k]) of its nonzero entries, so row i of the product sums
+    a[i][k] times the row w[k*n:k*n+n] of the word over them only."""
     n = len(a)
-    cols = [w[j::n] for j in range(n)]
-    return _primitive([sum(map(mul, row, col)) for row in a for col in cols])
+    out = []
+    for terms in a:
+        if not terms:
+            out += [0] * n
+            continue
+        k, x = terms[0]
+        acc = [x * y for y in w[k:k + n]]
+        for k, x in terms[1:]:
+            acc = [s + x * y for s, y in zip(acc, w[k:k + n])]
+        out += acc
+    return _primitive(out)

@@ -1,7 +1,9 @@
+import json
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from operator import mul
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -18,14 +20,13 @@ from daha.linalg import (
     solve_right,
     solve_sylvester_homogeneous,
     span_closure,
-    _closure,
     _field_det,
-    _field_insert,
     _field_rref_rows,
+    _int_insert,
     _rref_rows,
 )
 from daha.analysis import _shift, criterion_E, criterion_O
-from daha.modrep import make_E, make_O
+from daha.modrep import ModuleRep, make_E, make_O
 from daha.params import canonical_orbit_rep
 from daha.sampling import adversarial_even, adversarial_odd, sample_params
 from daha.scalar import RatFun
@@ -294,10 +295,45 @@ def test_integer_closure_matches_field_loop():
     assert verdicts == {True, False}
 
 
+def plain_insert(basis, v):
+    """Reduce the int vector v against basis (pivot -> row) by whole-row
+    steps ``b[p]*v - v[p]*b``, dividing out the content before each, and
+    store it at its leading index when it does not vanish."""
+    while any(v):
+        c = gcd(*v)
+        v = [x // c for x in v]
+        p = next(i for i, x in enumerate(v) if x)
+        if p not in basis:
+            basis[p] = v
+            return True
+        b = basis[p]
+        v = [b[p] * x - v[p] * y for x, y in zip(v, b)]
+    return False
+
+
+def plain_closure(gens):
+    """The algebra's dimension by the textbook loop, sharing no code with
+    span_closure: every new word times every generator, no skipped
+    products and no early stop."""
+    mats = []
+    for g in gens:
+        den = lcm(*(e.denominator for row in g.entries for e in row))
+        mats.append([[int(e * den) for e in row] for row in g.entries])
+    n = len(mats[0])
+    basis = {}
+    frontier = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    plain_insert(basis, [x for row in frontier[0] for x in row])
+    while frontier:
+        words = [[[sum(a * b for a, b in zip(row, col)) for col in zip(*w)] for row in g]
+                 for w in frontier for g in mats]
+        frontier = [w for w in words if plain_insert(basis, [x for row in w for x in row])]
+    return len(basis)
+
+
 @pytest.mark.parametrize("family,d", [("odd", 6), ("even", 7)])
 def test_integer_closure_matches_field_loop_large(family, d):
     # The RatFun-lifted field loop takes minutes here, so the reference
-    # is the same field loop run directly on the Fraction generators.
+    # is the plain closure on the Fraction generators.
     rng = random.Random(f"int-closure-{d}")
     crit = criterion_E if family == "even" else criterion_O
     p = sample_params(rng, family, d)
@@ -305,7 +341,7 @@ def test_integer_closure_matches_field_loop_large(family, d):
         p = sample_params(rng, family, d)
     gens = module_gens(p)
     n = d + 1
-    reference = _closure(gens, Matrix.identity(n), mul, _field_insert, n * n)
+    reference = plain_closure(gens)
     assert span_closure(gens) == reference == n * n
 
 
@@ -331,6 +367,87 @@ def test_integer_closure_edge_cases():
         Matrix([[F(big, big + 2), 0], [F(-1, big - 1), F(5, 2)]]),
     ]
     assert span_closure(huge) == field_closure(huge) == 4
+
+
+def test_closure_matches_plain_closure_on_a_grid(conjugate):
+    # Both families at d <= 5, adversarial reducible samples, rational
+    # conjugates and a module whose relations fail.
+    rng = random.Random("plain-closure")
+    modules = []
+    for d in range(6):
+        family = "odd" if d % 2 == 0 else "even"
+        samples = [sample_params(rng, family, d), sample_params(rng, family, d)]
+        if family == "even":
+            samples.append(adversarial_even(rng, d))
+        elif d >= 2:
+            samples.append(adversarial_odd(rng, d))
+        for p in samples:
+            m = make_E(p) if family == "even" else make_O(p)
+            modules.append(m)
+            if d <= 3:
+                modules.append(conjugate(m, rng))
+    corrupt = Path(__file__).parent / "data" / "rational_even_d3_corrupt.json"
+    modules.append(ModuleRep.from_json(json.loads(corrupt.read_text())))
+    verdicts = set()
+    for m in modules:
+        dim = span_closure(m.t)
+        assert dim == plain_closure(m.t), m.label
+        verdicts.add(dim == m.dim * m.dim)
+    assert verdicts == {True, False}
+
+
+def test_closure_pruning_needs_the_quadratic_relation():
+    # A generator with no quadratic relation gets no skipped products.
+    assert span_closure([Matrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])]) == 3
+    shift = Matrix([[int(j == i + 1) for j in range(4)] for i in range(4)])
+    assert span_closure([shift]) == 4
+    assert span_closure([shift.scale(Fraction(-2, 3)), Matrix.identity(4)]) == 4
+    # A quadratic swap with a non-quadratic diagonal: M_2 + M_1.
+    swap = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    diag = Matrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    assert span_closure([swap, diag]) == span_closure([diag, swap]) == 5
+    cube = Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])  # x**3 = 1, not quadratic
+    assert span_closure([cube]) == 3
+    assert span_closure([swap, cube]) == plain_closure([swap, cube]) == 5  # S_3 on Q^3
+    # Scalar and zero generators, alone and with others, and 1 x 1 input.
+    assert span_closure([Matrix.identity(3).scale(5)]) == 1
+    assert span_closure([Matrix.identity(2).scale(-1), Matrix([[1, 1], [0, 1]])]) == 2
+    assert span_closure([Matrix([[0] * 4] * 4), shift.scale(0)]) == 1
+    assert span_closure([Matrix([[0] * 4] * 4), shift]) == 4
+    assert span_closure([Matrix([[x]]) for x in (Fraction(2), Fraction(0), Fraction(-1, 3))]) == 1
+    lifted = [lift(diag), lift(swap)]
+    assert span_closure(lifted) == 5
+    assert span_closure([lift(shift)]) == 4
+
+
+def test_int_insert_unit_steps_follow_the_recurrence():
+    # The pivot -1 of column 0 divides every lead there: unit steps of
+    # row scale s = -1, which store -v - c*b, not v + c*b.  The last row
+    # also takes a unit step at pivot -9 and a scaled one at column 2.
+    basis = {}
+    for row in [(-1, 2, 3, 0, 5), (2, 5, 7, 1, 0), (3, -6, 0, 0, 1), (1, 7, 0, 2, 2)]:
+        assert _int_insert(basis, row)
+    assert {p: row for p, (row, _) in basis.items()} == {
+        0: [-1, 2, 3, 0, 5],
+        1: [0, -9, -13, -1, -10],
+        2: [0, 0, -9, 0, -16],
+        3: [0, 0, 0, -9, -133],
+    }
+    assert not _int_insert(basis, (0, 9, 13, 1, 10))
+    assert [p for p, (_, support) in basis.items() if support is not None] == [0, 1, 2]
+    for pivot, (row, support) in basis.items():
+        assert support in (None, [(j, x) for j, x in enumerate(row) if x and j > pivot])
+    # Random rows with many unit pivots of both signs give the rows,
+    # signs included, of whole-row elimination.
+    rng = random.Random("unit-steps")
+    for _ in range(300):
+        size = rng.randint(1, 7)
+        rows = [[rng.choice((-2, -1, -1, 0, 0, 0, 1, 1, 3)) for _ in range(size)]
+                for _ in range(rng.randint(1, 8))]
+        got, want = {}, {}
+        for row in rows:
+            assert _int_insert(got, tuple(row)) == plain_insert(want, list(row))
+        assert {p: row for p, (row, _) in got.items()} == want
 
 
 def test_integer_closure_invariant_under_scaling(p_even_d1_reducible, p_odd_d2):
