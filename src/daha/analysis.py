@@ -20,7 +20,15 @@ from math import prod
 from operator import mul
 
 from .errors import DahaError, ClassificationError, ParameterError, TranscriptionError
-from .linalg import Matrix, det, inverse, kernel_line, solve_sylvester_homogeneous, span_closure
+from .linalg import (
+    Matrix,
+    _int_matrix,
+    det,
+    inverse,
+    kernel_line,
+    solve_sylvester_homogeneous,
+    span_closure,
+)
 from .modrep import ModuleRep, _Inverses, central_character, make_E, make_O, verify_relations
 from .params import (
     PARITY_EVEN,
@@ -582,6 +590,29 @@ def _matmul(a, b):
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
+def _eigenbasis(w: Matrix, thetas, rational: bool):
+    """The matrix whose column i spans the kernel of w - thetas[i] I, or
+    None when one of these kernels is not a line.  Rational input stays
+    on int rows: with theta = tn/td and w = W/den, td*W - tn*den*I is
+    den*td*(w - theta I), a positive multiple, so :func:`kernel_line`
+    returns the same vector (a positive row scale leaves the primitive
+    rows of its elimination unchanged)."""
+    if not rational:
+        ident = Matrix.identity(w.rows, one=thetas[0] ** 0)
+        columns = [kernel_line(w - ident.scale(theta)) for theta in thetas]
+        return None if None in columns else Matrix(list(zip(*columns)))
+    columns = []
+    for theta in thetas:
+        rows = [[theta.denominator * x for x in row] for row in w._ints]
+        for i, row in enumerate(rows):
+            row[i] -= theta.numerator * w._den
+        column = kernel_line(_int_matrix(rows, 1))
+        if column is None:
+            return None
+        columns.append(column)
+    return _int_matrix(list(zip(*columns)), 1)
+
+
 def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
     """A proof from eigenbases that a is irreducible and isomorphic to b:
     the invertible T with T t_k^(a) = t_k^(b) T, scaled to a leading 1
@@ -613,13 +644,13 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
     thetas = [w_b.entry(i, i) for i in range(n)]
     if len(set(thetas)) != n:
         return None
-    ident = Matrix.identity(n, one=thetas[0] ** 0)
+    mats = a.t + b.t
+    rational = all(x._ints is not None for x in mats)
     pairs, bases = [], []
     for module, w in ((a, a.t[i3] * a.t[i0]), (b, w_b)):
-        columns = [kernel_line(w - ident.scale(theta)) for theta in thetas]
-        if None in columns:
+        p = _eigenbasis(w, thetas, rational)
+        if p is None:
             return None
-        p = Matrix(list(zip(*columns)))
         p_inv = inverse(p)
         (pr, pd), (ir, idn) = _rows(p), _rows(p_inv)
         pairs.append([(_matmul(ir, _matmul(r, pr)), idn * d * pd) for r, d in map(_rows, module.t)])
@@ -649,11 +680,11 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
     # T = P_b diag(c) P_a^-1, up to the factor prod(den)
     c = [x * prod(den[:j] + den[j + 1:]) for j, x in enumerate(num)]
     (_, pa_inv), (p_b, _) = bases
-    t = Matrix([[x * cj for x, cj in zip(row, c)] for row in _rows(p_b)[0]]) * pa_inv
+    pc = [[x * cj for x, cj in zip(row, c)] for row in _rows(p_b)[0]]
+    t = (_int_matrix(pc, p_b._den) if rational else Matrix(pc)) * pa_inv
     rows, t_den = _rows(t)
     lead = Fraction(t_den) / next(e for row in rows for e in row if e)
-    mats = a.t + b.t
-    if all(x._ints is not None for x in mats):
+    if rational:
         return t.scale(lead)
     if all(x._ints is None and all(isinstance(e, RatFun) for r in x._entries for e in r)
            for x in mats):

@@ -18,7 +18,6 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .analysis import (
     INDETERMINATE,
@@ -68,24 +67,22 @@ EXIT_VERIFY = 5
 EXIT_CLASSIFY = 6
 EXIT_INTERNAL = 7
 
-_MONOMIAL = re.compile(
-    r"^(?P<sign>-)?(?:(?P<coef>\d+(?:/\d+)?)\*?)?q(?:\^(?P<exp>-?\d+))?$"
-)
+_MONOMIAL = re.compile(r"(?P<sign>-)?(?:(?P<coef>[0-9/]+)\*?)?q(?:\^(?P<exp>-?[0-9]+))?")
 
 
 def _parse_scalar_token(tok: str):
-    """One scalar: a rational, a RatFun in pipe form, or a +-(c)q^n shorthand."""
+    """One scalar: a rational, a RatFun in pipe form, or a +-(c)q^n
+    shorthand whose coefficient c is a rational without sign; rationals
+    follow the grammar of :func:`daha.scalar.scalar_from_str`."""
     tok = tok.strip()
-    if "|" in tok:
-        return scalar_from_str(tok)
-    m = _MONOMIAL.match(tok)
+    m = _MONOMIAL.fullmatch(tok)
     if m:
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        coef = scalar_from_str(m.group("coef")) if m.group("coef") else 1
         if m.group("sign"):
             coef = -coef
         exp = int(m.group("exp")) if m.group("exp") else 1
         return coef * scalar_pow(RatFun.variable(), exp)
-    return Fraction(tok)
+    return scalar_from_str(tok)
 
 
 def _parse_k(text: str):

@@ -18,7 +18,16 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import DahaError, InputError, SingularMatrixError
-from .scalar import QQ, QQ_Q, RatFun, as_scalar, json_field, scalar_from_json, scalar_to_str
+from .scalar import (
+    QQ,
+    QQ_Q,
+    RatFun,
+    _rational_parts,
+    as_scalar,
+    json_field,
+    scalar_from_json,
+    scalar_to_str,
+)
 
 
 class Matrix:
@@ -175,9 +184,13 @@ class Matrix:
         return c if ints is None else Fraction(c, self._den)
 
     def _strings(self) -> list:
-        """The entries as exact strings, without caching Fractions."""
-        rows = self._entries or [[Fraction(x, self._den) for x in r] for r in self._ints]
-        return [[scalar_to_str(e) for e in row] for row in rows]
+        """The entries as exact strings, read off the int rows of a
+        rational matrix: x/den prints as (x/g)/(den/g) with g =
+        gcd(x, den), without "/1"."""
+        if self._ints is None:
+            return [[scalar_to_str(e) for e in row] for row in self._entries]
+        den = self._den
+        return [[_ratio_str(x, den) for x in row] for row in self._ints]
 
     def __repr__(self):
         body = "; ".join(" ".join(row) for row in self._strings())
@@ -190,11 +203,22 @@ class Matrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "Matrix":
+        """A matrix from its JSON form.  With no ``|`` entry the strings
+        are read as rationals straight into int rows over the lcm of
+        their denominators; otherwise each is parsed as a scalar."""
         entries = json_field(data, "entries", list)
         widths = {len(row) if isinstance(row, list) else 0 for row in entries}
         if len(widths) != 1 or 0 in widths:
             raise InputError("matrix entries must be nonempty lists of equal length")
-        m = cls([[scalar_from_json(e) for e in row] for row in entries])
+        if all(isinstance(e, str) and "|" not in e for row in entries for e in row):
+            try:
+                parts = [[_rational_parts(e) for e in row] for row in entries]
+            except ValueError as exc:
+                raise InputError(str(exc)) from None
+            den = lcm(*(d for row in parts for _, d in row))
+            m = _int_matrix([[x * (den // d) for x, d in row] for row in parts], den)
+        else:
+            m = cls([[scalar_from_json(e) for e in row] for row in entries])
         if m.rows != json_field(data, "rows", int) or m.cols != json_field(data, "cols", int):
             raise InputError("matrix JSON shape mismatch")
         return m
@@ -220,6 +244,12 @@ def _int_matrix(rows, den) -> Matrix:
             rows = [[x // g for x in row] for row in rows]
             den //= g
     return _fill(object.__new__(Matrix), tuple(map(tuple, rows)), den, None)
+
+
+def _ratio_str(x: int, den: int) -> str:
+    """x/den in lowest terms as an exact string, without "/1"."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 def _field_matrix(rows) -> Matrix:
@@ -440,20 +470,29 @@ def inverse(m: Matrix) -> Matrix:
     """Exact inverse; raises SingularMatrixError when det is zero.
 
     A rational m = A/den is inverted by reducing [A | den*I], whose
-    reduced row echelon form is [I | m^-1]."""
+    reduced row echelon form is [I | m^-1].  :func:`_int_rref` gives
+    row i of it as [h_i e_i | y_i] for a nonzero head h_i, so row i of
+    m^-1 is y_i/h_i, and m^-1 is read off as int rows over the lcm of
+    the |h_i|, each head's sign kept."""
     if not m.is_square():
         raise DahaError("inverse of a non-square matrix")
     n = m.rows
-    rational = m._ints is not None
-    one, zero = (m._den, 0) if rational else (QQ_Q.one, QQ_Q.zero)
-    rows = [
-        row + tuple(one if i == j else zero for j in range(n))
-        for i, row in enumerate(m._ints if rational else m._entries)
-    ]
-    reduced, pivots = _rref_rows(_int_matrix(rows, 1) if rational else _field_matrix(rows))
-    if len(pivots) < n or pivots[:n] != list(range(n)):
+    if m._ints is None:
+        rows = [
+            list(row) + [QQ_Q.one if i == j else QQ_Q.zero for j in range(n)]
+            for i, row in enumerate(m._entries)
+        ]
+        reduced, pivots = _field_rref_rows(rows)
+    else:
+        rows = [row + (0,) * i + (m._den,) + (0,) * (n - 1 - i) for i, row in enumerate(m._ints)]
+        reduced, pivots = _int_rref(_int_matrix(rows, 1))
+    if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return Matrix([row[n:] for row in reduced[:n]])
+    if m._ints is None:
+        return Matrix([row[n:] for row in reduced])
+    heads = [row[i] for i, row in enumerate(reduced)]
+    den = lcm(*heads)
+    return _int_matrix([[x * (den // h) for x in row[n:]] for row, h in zip(reduced, heads)], den)
 
 
 def solve_right(m: Matrix, rhs):

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import DahaError, InputError, ParameterError, TranscriptionError
-from .linalg import Matrix, inverse, rank
+from .linalg import Matrix, _int_matrix, inverse, rank
 from .params import (
     PARITY_EVEN,
     PARITY_ODD,
@@ -35,7 +36,7 @@ from .params import (
     seq_phi,
     seq_rho,
 )
-from .scalar import as_scalar, json_field, scalar_pow, scalar_to_str
+from .scalar import RatFun, as_scalar, json_field, scalar_pow, scalar_to_str
 
 GEN_NAMES = ("t0", "t1", "t2", "t3")
 
@@ -513,10 +514,19 @@ def _verma_column(gen: int, j: int, p: ParamQuadruple) -> dict:
 
 def _ladder_block(gen: int, rows: int, cols: int, p: ParamQuadruple) -> Matrix:
     """The top-left rows x cols block of generator gen on the basis
-    m_0, m_1, ...: column j holds the coordinates of gen applied to m_j."""
-    zero = p.q * 0
+    m_0, m_1, ...: column j holds the coordinates of gen applied to m_j.
+    Rational params put the nonzero entries straight into int rows over
+    the lcm of their denominators."""
     columns = [_verma_column(gen, j, p) for j in range(cols)]
-    return Matrix([[col.get(i, zero) for col in columns] for i in range(rows)])
+    if any(isinstance(x, RatFun) for x in (p.q, *p.k)):
+        zero = p.q * 0
+        return Matrix([[col.get(i, zero) for col in columns] for i in range(rows)])
+    entries = [(i, j, x) for j, col in enumerate(columns) for i, x in col.items() if i < rows and x]
+    den = lcm(*(x.denominator for _, _, x in entries))
+    ints = [[0] * cols for _ in range(rows)]
+    for i, j, x in entries:
+        ints[i][j] = x.numerator * (den // x.denominator)
+    return _int_matrix(ints, den)
 
 
 def _verma_forward(gen: int, v: SparseVec, p: ParamQuadruple) -> SparseVec:

@@ -21,6 +21,7 @@ freely between threads.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -604,18 +605,43 @@ def scalar_to_str(x) -> str:
     return fraction_to_str(x)
 
 
+_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _rational_parts(s: str) -> tuple:
+    """The numerator and positive denominator ints of a rational string,
+    not reduced.  After ``strip()`` the string must match
+    ``-?[0-9]+(/[0-9]+)?`` (ASCII digits only: no exponent, decimal
+    point, ``+``, ``_`` or spaces inside); otherwise, on a zero
+    denominator, or past Python's limit on int string conversion, this
+    raises ValueError.  Every scalar parser reads rationals here."""
+    m = _RATIONAL.fullmatch(s.strip())
+    if m is None:
+        raise ValueError(f"not a rational scalar: {s!r}")
+    sign, num, den = m.groups()
+    den = int(den) if den else 1
+    if not den:
+        raise ValueError(f"zero denominator in scalar {s.strip()!r}")
+    return -int(num) if sign else int(num), den
+
+
 def scalar_from_str(s: str) -> Scalar:
-    """Parse a scalar string; a zero denominator raises ValueError."""
+    """Parse a scalar string: a rational in the grammar of
+    :func:`_rational_parts`, or ``num | den`` with comma-separated
+    rational coefficients.  Malformed text and a zero denominator raise
+    ValueError."""
     s = s.strip()
-    try:
-        if "|" in s:
-            num_s, den_s = s.split("|")
-            num = tuple(Fraction(c.strip()) for c in num_s.strip().split(",")) if num_s.strip() else ()
-            den = tuple(Fraction(c.strip()) for c in den_s.strip().split(","))
+    if "|" in s:
+        if s.count("|") != 1:
+            raise ValueError(f"not a scalar: {s!r}")
+        num_s, den_s = s.split("|")
+        num = tuple(Fraction(*_rational_parts(c)) for c in num_s.split(",")) if num_s.strip() else ()
+        den = tuple(Fraction(*_rational_parts(c)) for c in den_s.split(","))
+        try:
             return RatFun(num, den)
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in scalar {s!r}") from None
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {s!r}") from None
+    return Fraction(*_rational_parts(s))
 
 
 def scalar_from_json(value) -> Scalar:

@@ -230,13 +230,27 @@ def test_classify_twisted_even_checks_relations_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["verify", "classify", "irreducible"])
 def test_zero_denominator_is_an_input_error(tmp_path, capsys, command, entry):
     mod = tmp_path / "mod.json"
-    run("construct", "--parity", "even", "--backend", "ratfun",
-        "--k", "q^-1,2,3,5", "--d", "1", "--out", str(mod))
-    data = json.loads(mod.read_text())
-    data["t"][1]["entries"][0][1] = entry
-    mod.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert run(command, "--in", str(mod)) == EXIT_IO
+    for backend, k in (("ratfun", "q^-1,2,3,5"), ("rational", "1/2,2,3,5")):
+        run("construct", "--parity", "even", "--backend", backend,
+            "--k", k, "--d", "1", "--out", str(mod))
+        data = json.loads(mod.read_text())
+        data["t"][1]["entries"][0][1] = entry
+        mod.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(command, "--in", str(mod)) == EXIT_IO, backend
+        assert "zero denominator" in capsys.readouterr().err, backend
+
+
+@pytest.mark.parametrize("flag,token", [
+    ("--q", "1/0"), ("--k", "1/2,1,3,1/0"), ("--k", "1/2,1,3,2/0q^2"), ("--k", "1/2,1,3,-1/0q"),
+])
+@pytest.mark.parametrize("command", ["construct", "lmatrix", "orbit"])
+def test_zero_denominator_token_is_an_input_error(capsys, command, flag, token):
+    args = {"--q": "2", "--k": "1/2,1,3,1", "--d": "1", flag: token}
+    argv = [command, *(x for pair in args.items() for x in pair)]
+    if command != "orbit":
+        argv += ["--parity", "even"]
+    assert run(*argv) == EXIT_IO
     assert "zero denominator" in capsys.readouterr().err
 
 

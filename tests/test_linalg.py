@@ -29,7 +29,7 @@ from daha.analysis import _shift, criterion_E, criterion_O
 from daha.modrep import ModuleRep, make_E, make_O
 from daha.params import canonical_orbit_rep
 from daha.sampling import adversarial_even, adversarial_odd, sample_params
-from daha.scalar import RatFun
+from daha.scalar import RatFun, scalar_to_str
 
 Q = RatFun.variable()
 
@@ -538,9 +538,23 @@ def field_loop(monkeypatch):
                 linalg, "_rref_rows", lambda m: _field_rref_rows([list(r) for r in m.entries])
             )
             patch.setattr(linalg, "_int_det", lambda m: _field_det(m.entries))
+            # inverse reads its rows off _int_rref: hand it the field
+            # loop's reduced rows, each scaled to ints over a positive head
+            patch.setattr(linalg, "_int_rref", field_int_rref)
             yield
 
     return context
+
+
+def field_int_rref(m):
+    """The field loop's reduced rows of m, each times the lcm of its
+    denominators: int rows in the form _int_rref returns."""
+    reduced, pivots = _field_rref_rows([list(r) for r in m.entries])
+    scaled = []
+    for row in reduced:
+        den = lcm(*(x.denominator for x in row))
+        scaled.append([int(x * den) for x in row])
+    return scaled, pivots
 
 
 def results(m):
@@ -636,3 +650,60 @@ def test_integer_elimination_matches_sympy():
         ]
         if m.is_square():
             assert det(m) == fraction(sm.det())
+
+
+# -- inverse and printing on int rows, against Fractions ---------------------
+
+def test_inverse_matches_the_field_loop():
+    """inverse reads y_i/h_i off _int_rref's rows [h_i e_i | y_i]; the
+    canonical pair must be the one the field loop's [I | m^-1] gives,
+    also where a head h_i is negative, and singular input raises."""
+    rng = random.Random("int-inverse")
+    grid = [Matrix([[0]]), Matrix([[-1, 2], [2, -4]])]
+    for n in range(1, 9):
+        for dens in ((1,), (1, 2, 3, 5), (BIG, 3)):
+            for _ in range(3):
+                grid.append(rand_matrix(rng, n, height=3).scale(Fraction(1, rng.choice(dens))))
+            if n > 1:
+                rows = [list(row) for row in rand_matrix(rng, n).entries]
+                rows[-1] = [Fraction(-3, 2) * x for x in rows[0]]
+                grid.append(Matrix(rows))
+    negative_heads = singular = 0
+    for m in grid:
+        n = m.rows
+        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+               for i, row in enumerate(m.entries)]
+        reduced, pivots = _field_rref_rows(aug)
+        if pivots[:n] != list(range(n)):
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                inverse(m)
+            continue
+        ints = [row + (0,) * i + (m._den,) + (0,) * (n - 1 - i) for i, row in enumerate(m._ints)]
+        heads = [row[i] for i, row in enumerate(linalg._int_rref(linalg._int_matrix(ints, 1))[0])]
+        negative_heads += sum(h < 0 for h in heads)
+        want = Matrix([row[n:] for row in reduced])
+        got = inverse(m)
+        assert (got._ints, got._den) == (want._ints, want._den), m
+        assert got * m == Matrix.identity(n)
+    assert negative_heads and singular >= 8
+
+
+def test_strings_read_the_int_rows():
+    triples = int_form_grid()
+    grid = [m for triple in triples for m in triple] + [a * b for a, _, b in triples]
+    grid.append(Matrix([[Fraction(1, 2), Fraction(1, 3)]]))
+    assert any(m._den > 1 and any(gcd(x, m._den) > 1 for row in m._ints for x in row) for m in grid)
+    for m in grid:
+        want = [[scalar_to_str(Fraction(x, m._den)) for x in row] for row in m._ints]
+        assert m._strings() == want
+        assert m.to_json()["entries"] == want
+        assert repr(m) == "Matrix[" + "; ".join(" ".join(row) for row in want) + "]"
+
+
+def test_from_json_reads_unreduced_rationals_canonically():
+    data = {"rows": 2, "cols": 2, "entries": [["2/4", "-12/8"], ["007", " -0 "]]}
+    m = Matrix.from_json(data)
+    want = Matrix([[Fraction(1, 2), Fraction(-3, 2)], [7, 0]])
+    assert (m._ints, m._den) == (want._ints, want._den) == (((1, -3), (14, 0)), 2)
+    assert m.to_json()["entries"] == [["1/2", "-3/2"], ["7", "0"]]

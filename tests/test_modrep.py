@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from daha.errors import ParameterError, TranscriptionError
+from daha.errors import DahaError, InputError, ParameterError, TranscriptionError
 from daha.linalg import Matrix, inverse, solve_right
 from daha.modrep import (
     LaurentPoly,
     _ladder_block,
     ModuleRep,
     SparseVec,
+    _verma_column,
     central_character,
     commutation_check,
     ladder_check,
@@ -25,8 +28,15 @@ from daha.modrep import (
     w_basis_check,
 )
 from daha.params import ParamQuadruple
-from daha.sampling import sample_even, sample_free, sample_odd
-from daha.scalar import QQ, QQ_Q, RatFun
+from daha.sampling import (
+    adversarial_even,
+    adversarial_odd,
+    sample_even,
+    sample_free,
+    sample_odd,
+    sample_params,
+)
+from daha.scalar import QQ, QQ_Q, RatFun, scalar_from_json
 
 F = Fraction
 
@@ -337,3 +347,127 @@ def test_constructed_inverses_are_computed_on_first_read(monkeypatch, p_even_d1)
         assert len(calls) == 8
         assert twisted is module
         assert verify_relations(shifted).ok
+
+
+# -- ladder blocks on int rows ------------------------------------------------
+
+def scalar_block(gen, rows, cols, p):
+    """The block built from Matrix(...) on the same _verma_column dicts:
+    the reference for the int rows of rational params."""
+    columns = [_verma_column(gen, j, p) for j in range(cols)]
+    return Matrix([[col.get(i, p.q * 0) for col in columns] for i in range(rows)])
+
+
+def test_ladder_block_int_rows_match_the_scalar_build():
+    rng = random.Random("ladder-int")
+    grid = []
+    for d in range(8):
+        parity = "odd" if d % 2 == 0 else "even"
+        grid += [sample_params(rng, parity, d) for _ in range(3)]
+        if d % 2:
+            grid.append(adversarial_even(rng, d))
+        elif d >= 2:
+            grid.append(adversarial_odd(rng, d))
+    grid.append(ParamQuadruple(F(-5, 3), F(7, 2), F(-2, 9), 11, F(3, 13), d=3, parity="free"))
+    for p in grid:
+        for gen in range(4):
+            for rows, cols in ((p.d + 1, p.d + 1), (p.d + 2, p.d + 1), (p.d + 1, p.d + 2)):
+                got = _ladder_block(gen, rows, cols, p)
+                want = scalar_block(gen, rows, cols, p)
+                assert got._ints is not None
+                assert (got._ints, got._den) == (want._ints, want._den), (p, gen)
+
+
+def test_formal_q_ladder_blocks_stay_field_matrices():
+    """Formal-q blocks keep Matrix(...): a block with a RatFun entry is a
+    field matrix, and a rational k keeps its Fraction (a block of them
+    alone, such as t1 at d = 1, is rational as before)."""
+    rng = random.Random("ladder-formal")
+    field_blocks = 0
+    for d in range(5):
+        p = sample_params(rng, "odd" if d % 2 == 0 else "even", d, field=QQ_Q)
+        for gen in range(4):
+            got = _ladder_block(gen, d + 1, d + 1, p)
+            want = scalar_block(gen, d + 1, d + 1, p)
+            assert got == want and (got._ints is None) == (want._ints is None)
+            assert [list(map(type, row)) for row in got.entries] == [
+                list(map(type, row)) for row in want.entries
+            ]
+            field_blocks += got._ints is None
+    assert field_blocks >= 12
+
+
+# -- the scalar grammar of module and parameter files ------------------------
+
+ACCEPTED = {"2/4": F(1, 2), "-12/8": F(-3, 2), "-0": F(0), "007": F(7), " 3 ": F(3)}
+REFUSED = ["1e5", "1.5", "+3", "1_0", "\u0663", "\u00b2", "3/-4", "1 / 2", "", "7" * 5000]
+
+
+def _even_d1_file(backend):
+    """An even d = 1 module file; its params' k3 and the entry t1[0][1]
+    are free to change without breaking the loader's shape checks."""
+    q = RatFun.variable() if backend == "ratfun" else 2
+    k0 = q ** -1 if backend == "ratfun" else F(1, 2)
+    return make_E(ParamQuadruple(q, k0, 2, 3, 5, d=1, parity="even")).to_json()
+
+
+def _load_with(text, where):
+    """Load a module file holding text as a rational module entry, as a
+    RatFun coefficient or as the params scalar k3."""
+    if where == "entry":
+        data = _even_d1_file("rational")
+        data["t"][1]["entries"][0][1] = text
+    elif where == "coefficient":
+        data = _even_d1_file("ratfun")
+        data["t"][1]["entries"][0][1] = f"{text},1 | 1"
+    else:
+        data = _even_d1_file("rational")
+        data["params"]["k"][3] = text
+    return ModuleRep.from_json(data)
+
+
+@pytest.mark.parametrize("where", ["entry", "coefficient", "params"])
+@pytest.mark.parametrize("text", sorted(ACCEPTED))
+def test_scalar_grammar_accepts(text, where):
+    value = ACCEPTED[text]
+    if where == "params" and not value:
+        with pytest.raises(ParameterError, match="k3 must be nonzero"):
+            _load_with(text, where)
+        return
+    m = _load_with(text, where)
+    if where == "entry":
+        assert m.t[1].entry(0, 1) == value and m.t[1] == Matrix(m.t[1].entries)
+    elif where == "coefficient":
+        assert m.t[1].entry(0, 1) == RatFun((value, 1))
+    else:
+        assert m.params.k3 == value
+
+
+@pytest.mark.parametrize("where", ["entry", "coefficient", "params"])
+@pytest.mark.parametrize("text", REFUSED, ids=lambda t: repr(t)[:12])
+def test_scalar_grammar_refuses(text, where):
+    with pytest.raises(InputError):
+        _load_with(text, where)
+
+
+_LOADER_TEXT = st.text(alphabet="0123456789/-|,.e ", max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LOADER_TEXT, _LOADER_TEXT, _LOADER_TEXT)
+def test_loaders_raise_only_package_errors(entry, q, k):
+    """Short strings from the scalar alphabet, as a matrix entry, the
+    params' q and a k, reach the loaders as DahaError or not at all."""
+    data = _even_d1_file("rational")
+    data["t"][2]["entries"][1][0] = entry
+    data["params"]["q"], data["params"]["k"][2] = q, k
+    for load, part in (
+        (Matrix.from_json, data["t"][2]),
+        (ParamQuadruple.from_json, data["params"]),
+        (ModuleRep.from_json, data),
+        (scalar_from_json, entry),
+    ):
+        try:
+            load(part)
+        except DahaError:
+            pass
