@@ -590,29 +590,6 @@ def _matmul(a, b):
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _eigenbasis(w: Matrix, thetas, rational: bool):
-    """The matrix whose column i spans the kernel of w - thetas[i] I, or
-    None when one of these kernels is not a line.  Rational input stays
-    on int rows: with theta = tn/td and w = W/den, td*W - tn*den*I is
-    den*td*(w - theta I), a positive multiple, so :func:`kernel_line`
-    returns the same vector (a positive row scale leaves the primitive
-    rows of its elimination unchanged)."""
-    if not rational:
-        ident = Matrix.identity(w.rows, one=thetas[0] ** 0)
-        columns = [kernel_line(w - ident.scale(theta)) for theta in thetas]
-        return None if None in columns else Matrix(list(zip(*columns)))
-    columns = []
-    for theta in thetas:
-        rows = [[theta.denominator * x for x in row] for row in w._ints]
-        for i, row in enumerate(rows):
-            row[i] -= theta.numerator * w._den
-        column = kernel_line(_int_matrix(rows, 1))
-        if column is None:
-            return None
-        columns.append(column)
-    return _int_matrix(list(zip(*columns)), 1)
-
-
 def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
     """A proof from eigenbases that a is irreducible and isomorphic to b:
     the invertible T with T t_k^(a) = t_k^(b) T, scaled to a leading 1
@@ -644,13 +621,16 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
     thetas = [w_b.entry(i, i) for i in range(n)]
     if len(set(thetas)) != n:
         return None
+    ident = Matrix.identity(n, one=thetas[0] ** 0)
     mats = a.t + b.t
     rational = all(x._ints is not None for x in mats)
     pairs, bases = [], []
     for module, w in ((a, a.t[i3] * a.t[i0]), (b, w_b)):
-        p = _eigenbasis(w, thetas, rational)
-        if p is None:
+        columns = [kernel_line(w - ident.scale(theta)) for theta in thetas]
+        if None in columns:
             return None
+        # kernel_line gives int columns on rational input
+        p = _int_matrix(list(zip(*columns)), 1) if rational else Matrix(list(zip(*columns)))
         p_inv = inverse(p)
         (pr, pd), (ir, idn) = _rows(p), _rows(p_inv)
         pairs.append([(_matmul(ir, _matmul(r, pr)), idn * d * pd) for r, d in map(_rows, module.t)])

@@ -54,9 +54,8 @@ class Matrix:
         if any(RatFun in set(map(type, row)) for row in rows):
             _fill(self, None, None, rows)
         else:
-            den = lcm(*(e.denominator for row in rows for e in row))
-            ints = tuple(tuple(e.numerator * (den // e.denominator) for e in row) for row in rows)
-            _fill(self, ints, den, None)
+            pairs = [[(e.numerator, e.denominator) for e in row] for row in rows]
+            _fill(self, *_over_lcm(pairs), None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -215,8 +214,7 @@ class Matrix:
                 parts = [[_rational_parts(e) for e in row] for row in entries]
             except ValueError as exc:
                 raise InputError(str(exc)) from None
-            den = lcm(*(d for row in parts for _, d in row))
-            m = _int_matrix([[x * (den // d) for x, d in row] for row in parts], den)
+            m = _int_matrix(*_over_lcm(parts))
         else:
             m = cls([[scalar_from_json(e) for e in row] for row in entries])
         if m.rows != json_field(data, "rows", int) or m.cols != json_field(data, "cols", int):
@@ -233,6 +231,15 @@ def _fill(m: Matrix, ints, den, entries) -> Matrix:
     for setter, value in zip(_SLOT_SETTERS, (len(rows), len(rows[0]), ints, den, entries)):
         setter(m, value)
     return m
+
+
+def _over_lcm(rows) -> tuple:
+    """Rows of (numerator, positive denominator) int pairs as int rows
+    over the lcm of the denominators, and that lcm: the one rule that
+    turns rationals into int rows.  Reduced pairs give the canonical
+    form (see :meth:`Matrix.__mul__`); others need :func:`_int_matrix`."""
+    den = lcm(*(d for row in rows for _, d in row))
+    return tuple(tuple(x * (den // d) for x, d in row) for row in rows), den
 
 
 def _int_matrix(rows, den) -> Matrix:

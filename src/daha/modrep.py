@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import lcm
 
 from .errors import DahaError, InputError, ParameterError, TranscriptionError
-from .linalg import Matrix, _int_matrix, inverse, rank
+from .linalg import Matrix, _int_matrix, _over_lcm, inverse, rank
 from .params import (
     PARITY_EVEN,
     PARITY_ODD,
@@ -521,12 +520,11 @@ def _ladder_block(gen: int, rows: int, cols: int, p: ParamQuadruple) -> Matrix:
     if any(isinstance(x, RatFun) for x in (p.q, *p.k)):
         zero = p.q * 0
         return Matrix([[col.get(i, zero) for col in columns] for i in range(rows)])
-    entries = [(i, j, x) for j, col in enumerate(columns) for i, x in col.items() if i < rows and x]
-    den = lcm(*(x.denominator for _, _, x in entries))
-    ints = [[0] * cols for _ in range(rows)]
-    for i, j, x in entries:
-        ints[i][j] = x.numerator * (den // x.denominator)
-    return _int_matrix(ints, den)
+    pairs = [
+        [(x.numerator, x.denominator) if (x := col.get(i)) else (0, 1) for col in columns]
+        for i in range(rows)
+    ]
+    return _int_matrix(*_over_lcm(pairs))
 
 
 def _verma_forward(gen: int, v: SparseVec, p: ParamQuadruple) -> SparseVec:

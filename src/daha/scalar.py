@@ -632,8 +632,6 @@ def scalar_from_str(s: str) -> Scalar:
     ValueError."""
     s = s.strip()
     if "|" in s:
-        if s.count("|") != 1:
-            raise ValueError(f"not a scalar: {s!r}")
         num_s, den_s = s.split("|")
         num = tuple(Fraction(*_rational_parts(c)) for c in num_s.split(",")) if num_s.strip() else ()
         den = tuple(Fraction(*_rational_parts(c)) for c in den_s.split(","))

@@ -538,23 +538,19 @@ def field_loop(monkeypatch):
                 linalg, "_rref_rows", lambda m: _field_rref_rows([list(r) for r in m.entries])
             )
             patch.setattr(linalg, "_int_det", lambda m: _field_det(m.entries))
-            # inverse reads its rows off _int_rref: hand it the field
-            # loop's reduced rows, each scaled to ints over a positive head
-            patch.setattr(linalg, "_int_rref", field_int_rref)
+            # inverse reads its rows off _int_rref, not _rref_rows
+            patch.setattr(linalg, "inverse", field_inverse)
             yield
 
     return context
 
 
-def field_int_rref(m):
-    """The field loop's reduced rows of m, each times the lcm of its
-    denominators: int rows in the form _int_rref returns."""
-    reduced, pivots = _field_rref_rows([list(r) for r in m.entries])
-    scaled = []
-    for row in reduced:
-        den = lcm(*(x.denominator for x in row))
-        scaled.append([int(x * den) for x in row])
-    return scaled, pivots
+def field_inverse(m):
+    """m^-1 read off the field loop's [I | m^-1] from [m | I]."""
+    n = m.rows
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.entries)]
+    reduced, _ = _field_rref_rows(rows)
+    return Matrix([row[n:] for row in reduced])
 
 
 def results(m):
@@ -562,7 +558,7 @@ def results(m):
     out["solve_right"] = solve_right(m, range(1, m.rows + 1))
     if m.is_square():
         out["det"] = det(m)
-        out["inverse"] = inverse(m) if out["det"] else None
+        out["inverse"] = linalg.inverse(m) if out["det"] else None
     return out
 
 

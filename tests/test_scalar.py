@@ -165,11 +165,6 @@ def test_scalar_from_str_zero_denominator():
             scalar_from_str(text)
 
 
-def test_scalar_from_str_refuses_a_second_bar():
-    with pytest.raises(ValueError, match="not a scalar"):
-        scalar_from_str("1 | 2 | 3")
-
-
 def test_ratfun_matches_sympy_cancel():
     """Canonical num/den against sympy.cancel on seeded random rational
     functions, with shared factors and sums over equal denominators."""
