@@ -1,0 +1,310 @@
+"""Laurent polynomials in z over Q or over Q(q), on integer polynomials.
+
+A :class:`LaurentPoly` holds int polynomials in q over one int
+polynomial denominator in a canonical form, so ``==`` compares ints and
+a rational coefficient is the degree-0 case.  The arithmetic runs on
+raw pairs (terms, den): terms maps a z exponent to a nonzero int
+polynomial in q (ascending degree, no trailing zeros, as in
+:mod:`daha.scalar`) and den is a nonzero int polynomial in q, held as a
+tuple; the value is sum_e terms[e] / den * z^e.  Raw pairs need not be
+reduced, and no function changes a raw pair it is given; only
+:func:`_laurent` puts one into canonical form, so a computation that
+chains several steps canonicalises its result once.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from .errors import DahaError, TranscriptionError
+from .scalar import RatFun, _padd, _parts, _pexquo, _pgcd, _pmul, as_scalar, scalar_to_str
+
+
+def _pair_mul(x: tuple, y: tuple) -> tuple:
+    """x*y for nonzero (num, den) scalar pairs, without their common
+    power of q."""
+    num, den = _pmul(x[0], y[0]), _pmul(x[1], y[1])
+    v = min(_qval(num), _qval(den))
+    return tuple(num[v:]), tuple(den[v:])
+
+
+def _times(terms: dict, c) -> dict:
+    """Every coefficient times the nonzero int polynomial c."""
+    if c == (1,):
+        return terms
+    return {e: _pmul(c, x) for e, x in terms.items()}
+
+
+def _cofactors(a: tuple, b: tuple) -> tuple:
+    """(fa, fb) with a*fa == b*fb, a common multiple of a and b whose
+    content and polynomial part are their lcms."""
+    g = _pgcd(a, b)
+    c = math.gcd(math.gcd(*a), math.gcd(*b))
+    return (tuple(_pexquo([x // c for x in b], g)),
+            tuple(_pexquo([x // c for x in a], g)))
+
+
+def _accumulate(out: dict, e: int, c) -> None:
+    """out[e] += c, dropping the term if it cancels."""
+    if e in out:
+        s = _padd(out[e], c)
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    else:
+        out[e] = c
+
+
+def _raw_add(a: tuple, b: tuple) -> tuple:
+    (at, ad), (bt, bd) = a, b
+    if not bt:
+        return a
+    if not at:
+        return b
+    if ad != bd:
+        fa, fb = _cofactors(ad, bd)
+        at, bt, ad = _times(at, fa), _times(bt, fb), tuple(_pmul(ad, fa))
+    out = dict(at)
+    for e, c in bt.items():
+        _accumulate(out, e, c)
+    return out, ad
+
+
+def _raw_scale(a: tuple, x: tuple) -> tuple:
+    """a times the scalar pair x."""
+    if not x[0]:
+        return {}, (1,)
+    return _times(a[0], x[0]), tuple(_pmul(a[1], x[1]))
+
+
+def _raw_mul(a: tuple, b: tuple) -> tuple:
+    """a*b; a's coefficients lead in each int product, which skips their
+    zeros, so a short or monomial factor belongs in a."""
+    out = {}
+    for e1, c1 in a[0].items():
+        for e2, c2 in b[0].items():
+            _accumulate(out, e1 + e2, _pmul(c1, c2))
+    return out, tuple(_pmul(a[1], b[1]))
+
+
+def _raw_q2_over_z(a: tuple, s: tuple) -> tuple:
+    """f(s/z) for the scalar pair s = q^2, over one denominator: the
+    coefficient at -e is f_e s^e, and s^e = sn^(e+lo) sd^(hi-e) over
+    sn^lo sd^hi with lo, hi the largest powers of 1/s and s needed."""
+    terms, den = a
+    if not terms:
+        return a
+    sn, sd = s
+    lo, hi = max(0, -min(terms)), max(0, max(terms))
+    pn, pd = [(1,)], [(1,)]
+    for _ in range(lo + hi):
+        pn.append(_pmul(sn, pn[-1]))
+        pd.append(_pmul(sd, pd[-1]))
+    out = {-e: _pmul(pd[hi - e], _pmul(pn[e + lo], c)) for e, c in terms.items()}
+    return out, tuple(_pmul(den, _pmul(pn[lo], pd[hi])))
+
+
+def _raw_div(a: tuple, b: tuple) -> tuple:
+    """a/b by long division from the top z exponent; a nonzero
+    remainder raises TranscriptionError.
+
+    A divisor whose top coefficient is 1 or -1 (z^2 - q^2 and z^2 - 1
+    for formal or integer q) divides with ring operations alone.  Any
+    other divisor takes pseudo-division by its top coefficient l: after
+    s steps, l^s a = Q b + R, and a/b = Q / l^s when R = 0.
+    """
+    (at, ad), (bt, bd) = a, b
+    if not bt:
+        raise DahaError("division by the zero Laurent polynomial")
+    if not at:
+        return a
+    btop = max(bt)
+    lead = tuple(bt[btop])
+    rest = [(e - btop, tuple(-x for x in c)) for e, c in bt.items() if e != btop]
+    unit = lead in ((1,), (-1,))
+    r = dict(at)
+    quo = {}
+    scale = (1,)
+    for k in range(max(at) - btop, min(at) - min(bt) - 1, -1):
+        c = r.pop(k + btop, None)
+        if c is None:
+            continue
+        if not unit:
+            r, quo = _times(r, lead), _times(quo, lead)
+            scale = tuple(_pmul(scale, lead))
+        elif lead[0] < 0:
+            c = [-x for x in c]
+        quo[k] = c
+        for e, x in rest:
+            _accumulate(r, k + btop + e, _pmul(c, x))
+    if r:
+        raise TranscriptionError("non-cancelling Laurent division")
+    return _times(quo, bd), tuple(_pmul(ad, scale))
+
+
+def _qval(c) -> int:
+    """The power of q dividing a nonzero int polynomial."""
+    i = 0
+    while not c[i]:
+        i += 1
+    return i
+
+
+def _laurent(raw: tuple, formal: bool) -> "LaurentPoly":
+    """The canonical LaurentPoly of a raw pair: strip the common power
+    of q, divide by the polynomial gcd when den has two or more terms,
+    then by the integer content, with den's leading coefficient > 0."""
+    terms, den = raw
+    items = sorted(terms.items())
+    if not items:
+        return _make_laurent((), (1,), formal)
+    v = min(_qval(den), *(_qval(c) for _, c in items))
+    if v:
+        den = den[v:]
+        items = [(e, c[v:]) for e, c in items]
+    if len(den) - _qval(den) > 1:
+        g = den
+        for _, c in items:
+            g = _pgcd(g, c)
+            if len(g) == 1:
+                break
+        if len(g) > 1:
+            den = _pexquo(den, g)
+            items = [(e, _pexquo(c, g)) for e, c in items]
+    g = math.gcd(*den, *(x for _, c in items for x in c))
+    if den[-1] < 0:
+        g = -g
+    if g != 1:
+        den = [x // g for x in den]
+        items = [(e, [x // g for x in c]) for e, c in items]
+    return _make_laurent(tuple((e, tuple(c)) for e, c in items), tuple(den), formal)
+
+
+def _make_laurent(terms: tuple, den: tuple, formal: bool) -> "LaurentPoly":
+    out = object.__new__(LaurentPoly)
+    _set_terms(out, terms)
+    _set_den(out, den)
+    _set_formal(out, formal)
+    return out
+
+
+def _exponent(e) -> int:
+    if not isinstance(e, int) or isinstance(e, bool):
+        raise DahaError(f"a Laurent exponent must be an int, got {e!r}")
+    return e
+
+
+class LaurentPoly:
+    """A Laurent polynomial in z over Q or Q(q), held as int polynomials
+    in q over one int polynomial denominator: sum_e N_e(q)/D(q) z^e.
+
+    Canonical form: the N_e are nonzero; D and all N_e have no common
+    factor of positive degree in Q[q]; the gcd of all their integer
+    coefficients is 1; the leading coefficient of D is positive.  The
+    form is unique.  If N/D and N'/D' are both canonical for one value,
+    then D*N'_e = D'*N_e for every e.  Each power p^m of an irreducible
+    p dividing D fails to divide some N_e, so p^m divides D'; hence D
+    divides D', likewise D' divides D, and D' = c*D, N'_e = c*N_e for a
+    rational c.  The content condition forces |c| = 1 and the sign
+    condition c = 1.  So ``==`` compares tuples of ints.  A rational
+    coefficient is the degree-0 case: D is a positive int and each N_e
+    an int.
+
+    Exact division is long division in z from the top exponent.  The
+    divisors of :func:`daha.modrep.poly_apply`, 1 - q^2 z^-2 and
+    1 - z^2, are z^-2 times z^2 - q^2 and -(z^2 - 1), whose top
+    coefficients are 1 and -1 when q is formal or an integer; each step
+    then subtracts an int polynomial multiple of the divisor and stays
+    in Z[q][z].  Other
+    divisors take pseudo-division by their top coefficient l, which
+    gives l^s a = Q b + R.  Quotient and remainder in Q(q)[z] are
+    unique, so R = 0 exactly when b divides a, and a nonzero remainder
+    raises TranscriptionError: a transcribed operator that fails to
+    preserve the polynomial module cannot return a polynomial.
+
+    ``terms`` gives sorted (exponent, coefficient) pairs with each
+    coefficient in the field of the inputs: a RatFun once any input
+    scalar was one, a Fraction otherwise.
+    """
+
+    __slots__ = ("_terms", "_den", "_formal")
+
+    def __init__(self, terms=()):
+        raw = ({}, (1,))
+        formal = False
+        for e, c in terms.items() if isinstance(terms, dict) else terms:
+            e, c = _exponent(e), as_scalar(c)
+            formal = formal or isinstance(c, RatFun)
+            n, d = _parts(c)
+            raw = _raw_add(raw, ({e: n} if n else {}, d))
+        canon = _laurent(raw, formal)
+        _set_terms(self, canon._terms)
+        _set_den(self, canon._den)
+        _set_formal(self, formal)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LaurentPoly is immutable")
+
+    @classmethod
+    def zero(cls) -> "LaurentPoly":
+        return cls(())
+
+    @property
+    def terms(self) -> tuple:
+        if self._formal:
+            return tuple((e, RatFun(c, self._den)) for e, c in self._terms)
+        den = self._den[0]
+        return tuple((e, Fraction(c[0], den)) for e, c in self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def _raw(self) -> tuple:
+        return dict(self._terms), self._den
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return _laurent(_raw_add(self._raw(), other._raw()), self._formal or other._formal)
+
+    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self + other.scale(-1)
+
+    def scale(self, c) -> "LaurentPoly":
+        c = as_scalar(c)
+        return _laurent(_raw_scale(self._raw(), _parts(c)), self._formal or isinstance(c, RatFun))
+
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return _laurent(_raw_mul(self._raw(), other._raw()), self._formal or other._formal)
+
+    def shift(self, n: int) -> "LaurentPoly":
+        """Multiply by z**n."""
+        n = _exponent(n)
+        return _make_laurent(
+            tuple((e + n, c) for e, c in self._terms), self._den, self._formal
+        )
+
+    def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
+        """Exact division in the Laurent ring; a nonzero remainder is an
+        internal error (it would mean a transcribed operator fails to
+        preserve the polynomial module)."""
+        return _laurent(_raw_div(self._raw(), other._raw()), self._formal or other._formal)
+
+    def __eq__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self._terms == other._terms and self._den == other._den
+
+    def __hash__(self):
+        return hash((self._terms, self._den))
+
+    def __repr__(self):
+        if not self._terms:
+            return "LaurentPoly(0)"
+        body = " + ".join(f"({scalar_to_str(c)})*z^{e}" for e, c in self.terms)
+        return f"LaurentPoly({body})"
+
+
+_set_terms = LaurentPoly._terms.__set__
+_set_den = LaurentPoly._den.__set__
+_set_formal = LaurentPoly._formal.__set__

@@ -23,6 +23,7 @@ t_i + t_i^{-1} = k_i + 1/k_i, re-checking t_i w = v on each result.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -35,7 +36,17 @@ from .params import (
     seq_phi,
     seq_rho,
 )
-from .scalar import RatFun, as_scalar, json_field, scalar_pow, scalar_to_str
+from .laurent import (
+    LaurentPoly,
+    _laurent,
+    _pair_mul,
+    _raw_add,
+    _raw_div,
+    _raw_mul,
+    _raw_q2_over_z,
+    _raw_scale,
+)
+from .scalar import RatFun, _parts, as_scalar, json_field, scalar_pow, scalar_to_str
 
 GEN_NAMES = ("t0", "t1", "t2", "t3")
 
@@ -511,13 +522,18 @@ def _verma_column(gen: int, j: int, p: ParamQuadruple) -> dict:
     raise DahaError(f"unknown generator {gen!r}")
 
 
+def _is_formal(p: ParamQuadruple) -> bool:
+    """True iff p has a scalar in Q(q)."""
+    return any(isinstance(x, RatFun) for x in (p.q, *p.k))
+
+
 def _ladder_block(gen: int, rows: int, cols: int, p: ParamQuadruple) -> Matrix:
     """The top-left rows x cols block of generator gen on the basis
     m_0, m_1, ...: column j holds the coordinates of gen applied to m_j.
     Rational params put the nonzero entries straight into int rows over
     the lcm of their denominators."""
     columns = [_verma_column(gen, j, p) for j in range(cols)]
-    if any(isinstance(x, RatFun) for x in (p.q, *p.k)):
+    if _is_formal(p):
         zero = p.q * 0
         return Matrix([[col.get(i, zero) for col in columns] for i in range(rows)])
     pairs = [
@@ -606,171 +622,75 @@ def verma_ladder_check(p: ParamQuadruple, max_index: int = 12) -> Report:
 # Laurent polynomial realization
 # ---------------------------------------------------------------------------
 
-class LaurentPoly:
-    """A Laurent polynomial in z: sorted (exponent, coefficient) pairs
-    with distinct exponents and nonzero coefficients."""
+@functools.lru_cache(maxsize=4)
+def _laurent_params(p: ParamQuadruple) -> tuple:
+    """What the Laurent realization needs of p, built once per params:
+    each generator t_i as (a, b, den, s) with t_i f = (a f + b g) / den,
+    where g = f(s/z) for s = q^2 (t0, t1) and g = f(1/z) for s = None
+    (t2, t3); then k0 k1 q and q^2 as (num, den) scalar pairs.
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        acc = {}
-        for e, c in dict(terms).items() if isinstance(terms, dict) else terms:
-            c = as_scalar(c)
-            if c:
-                e = int(e)
-                acc[e] = acc[e] + c if e in acc else c
-        object.__setattr__(
-            self, "terms", tuple(sorted((e, c) for e, c in acc.items() if c))
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls(())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def min_exp(self) -> int:
-        if not self.terms:
-            raise DahaError("zero polynomial has no minimal exponent")
-        return self.terms[0][0]
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc[e] + c if e in acc else c
-        return LaurentPoly(acc)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "LaurentPoly":
-        if not c:
-            return LaurentPoly(())
-        return LaurentPoly(tuple((e, x * c) for e, x in self.terms))
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        acc = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e, c = e1 + e2, c1 * c2
-                acc[e] = acc[e] + c if e in acc else c
-        return LaurentPoly(acc)
-
-    def shift(self, n: int) -> "LaurentPoly":
-        """Multiply by z**n."""
-        return LaurentPoly(tuple((e + n, c) for e, c in self.terms))
-
-    def substitute_inverse(self) -> "LaurentPoly":
-        """f(z) -> f(1/z)."""
-        return LaurentPoly(tuple((-e, c) for e, c in self.terms))
-
-    def substitute_q2_inverse(self, q) -> "LaurentPoly":
-        """f(z) -> f(q**2 / z)."""
-        return LaurentPoly(
-            tuple((-e, c * scalar_pow(q, 2 * e)) for e, c in self.terms)
-        )
-
-    def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division in the Laurent ring; a nonzero remainder is an
-        internal error (it would mean a transcribed operator fails to
-        preserve the polynomial module)."""
-        if other.is_zero():
-            raise DahaError("division by the zero Laurent polynomial")
-        if self.is_zero():
-            return LaurentPoly(())
-        n_shift = self.min_exp()
-        d_shift = other.min_exp()
-        num = self.shift(-n_shift)
-        den = other.shift(-d_shift)
-        zero = num.terms[0][1] * 0
-        nn = [zero] * (num.terms[-1][0] + 1)
-        for e, c in num.terms:
-            nn[e] = c
-        dd = [zero] * (den.terms[-1][0] + 1)
-        for e, c in den.terms:
-            dd[e] = c
-        quot = [zero] * max(len(nn) - len(dd) + 1, 1)
-        lead = dd[-1]
-        while nn and len(nn) >= len(dd):
-            k = len(nn) - len(dd)
-            c = nn[-1] / lead
-            quot[k] = c
-            for i in range(len(dd)):
-                nn[k + i] = nn[k + i] - c * dd[i]
-            nn.pop()
-            while nn and not nn[-1]:
-                nn.pop()
-        if any(x for x in nn):
-            raise TranscriptionError("non-cancelling Laurent division")
-        return LaurentPoly(
-            tuple((i + n_shift - d_shift, c) for i, c in enumerate(quot) if c)
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "LaurentPoly(0)"
-        body = " + ".join(f"({scalar_to_str(c)})*z^{e}" for e, c in self.terms)
-        return f"LaurentPoly({body})"
-
-    def to_pairs(self):
-        return [[e, scalar_to_str(c)] for e, c in self.terms]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "LaurentPoly":
-        from .scalar import scalar_from_str
-
-        return cls(tuple((int(e), scalar_from_str(c)) for e, c in pairs))
+    With c_i = k_i + 1/k_i, t0 is k0 g + a (f - g) / den and t3 is
+    k3 g + a (f - g) / den, so their b is k den - a; t1 and t2 are
+    (a f + b g) / den as they stand.  The entries are immutable, since
+    every call with these params shares them; the calls of one check
+    share one params, so a few cached entries serve them all.
+    """
+    q, (k0, k1, k2, k3) = p.q, p.k
+    c0, c1 = k0 + 1 / k0, k1 + 1 / k1
+    c2, c3 = k2 + 1 / k2, k3 + 1 / k3
+    q2 = q * q
+    den_q = LaurentPoly({0: 1, -2: -q2})
+    den_1 = LaurentPoly({0: 1, 2: -1})
+    generators = (
+        (LaurentPoly({0: c0, -1: -c1 * q}),
+         LaurentPoly({0: -1 / k0, -1: c1 * q, -2: -k0 * q2}), den_q, _parts(q2)),
+        (LaurentPoly({0: c1, -1: -c0 * q}),
+         LaurentPoly({-1: q / k0, -2: -c1 * q2, -3: k0 * q2 * q}), den_q, _parts(q2)),
+        (LaurentPoly({0: c2, 1: -c3}),
+         LaurentPoly({0: -c2, 1: k3, -1: 1 / k3}), den_1, None),
+        (LaurentPoly({0: c3, 1: -c2}),
+         LaurentPoly({0: -1 / k3, 1: c2, 2: -k3}), den_1, None),
+    )
+    return generators, _parts(k0 * k1 * q), _parts(q2)
 
 
 def poly_apply(gen: int, f: LaurentPoly, p: ParamQuadruple) -> LaurentPoly:
     """Apply one generator to a Laurent polynomial.
 
-    Each generator is a substitution-and-divided-difference operator;
-    the divided differences are carried out as one exact division, so a
-    transcription mistake surfaces as a non-cancelling division instead
-    of a silent wrong answer.
+    Each generator is a substitution-and-divided-difference operator
+    (a f + b g) / den from :func:`_laurent_params`; the divided
+    difference is carried out as one exact division, so a transcription
+    mistake surfaces as a non-cancelling division instead of a silent
+    wrong answer.  Only the result is put into canonical form.
     """
-    q, (k0, k1, k2, k3) = p.q, p.k
-    one = q ** 0
-    c0, c1 = k0 + 1 / k0, k1 + 1 / k1
-    c2, c3 = k2 + 1 / k2, k3 + 1 / k3
-    if gen == 0:
-        g = f.substitute_q2_inverse(q)
-        bracket = LaurentPoly(((0, c0), (-1, -c1 * q)))
-        den = LaurentPoly(((0, one), (-2, -q * q)))
-        return g.scale(k0) + (bracket * (f - g)).exact_div(den)
-    if gen == 1:
-        g = f.substitute_q2_inverse(q)
-        a = LaurentPoly(((0, c1), (-1, -c0 * q)))
-        b = LaurentPoly(
-            ((-2, -q * q * c1), (-3, k0 * q ** 3), (-1, q / k0))
-        )
-        den = LaurentPoly(((0, one), (-2, -q * q)))
-        return (a * f + b * g).exact_div(den)
-    if gen == 2:
-        g = f.substitute_inverse()
-        a = LaurentPoly(((0, c2), (1, -c3)))
-        b = LaurentPoly(((1, k3), (-1, 1 / k3), (0, -c2)))
-        den = LaurentPoly(((0, one), (2, -one)))
-        return (a * f + b * g).exact_div(den)
-    if gen == 3:
-        g = f.substitute_inverse()
-        bracket = LaurentPoly(((0, c3), (1, -c2)))
-        den = LaurentPoly(((0, one), (2, -one)))
-        return g.scale(k3) + (bracket * (f - g)).exact_div(den)
-    raise DahaError(f"unknown generator {gen!r}")
+    if gen not in (0, 1, 2, 3):
+        raise DahaError(f"unknown generator {gen!r}")
+    a, b, den, s = _laurent_params(p)[0][gen]
+    f_raw = f._raw()
+    if s is None:
+        g = ({-e: c for e, c in f_raw[0].items()}, f_raw[1])
+    else:
+        g = _raw_q2_over_z(f_raw, s)
+    out = _raw_add(_raw_mul(a._raw(), f_raw), _raw_mul(b._raw(), g))
+    return _laurent(_raw_div(out, den._raw()), f._formal or _is_formal(p))
+
+
+def _basis_images(top: int, p: ParamQuadruple) -> list:
+    """Raw images of m_0 .. m_top: the image of m_(h+1) is that of m_h
+    times 1 - k0 k1 q^(2 ceil(h/2) + (-1)^h) z^((-1)^(h+1)), whose q
+    exponent is 2 floor(h/2) + 1, so the coefficient starts at k0 k1 q
+    and gains a factor q^2 after each odd h."""
+    _, coef, q2 = _laurent_params(p)
+    image = ({0: (1,)}, (1,))
+    images = [image]
+    for h in range(top):
+        n, d = coef
+        z_exp = 1 if h % 2 else -1
+        image = _raw_mul(({0: d, z_exp: [-x for x in n]}, d), image)
+        images.append(image)
+        if h % 2:
+            coef = _pair_mul(coef, q2)
+    return images
 
 
 def verma_basis_image(i: int, p: ParamQuadruple) -> LaurentPoly:
@@ -778,19 +698,17 @@ def verma_basis_image(i: int, p: ParamQuadruple) -> LaurentPoly:
     a product of i binomial factors alternating between z^{-1} and z."""
     if i < 0:
         raise DahaError("basis index must be nonnegative")
-    q, k0, k1 = p.q, p.k0, p.k1
-    one = q ** 0
-    out = LaurentPoly(((0, one),))
-    for h in range(i):
-        coef = k0 * k1 * scalar_pow(q, 2 * ((h + 1) // 2)) * scalar_pow(q, (-1) ** h)
-        z_exp = (-1) ** (h - 1)
-        out = out * LaurentPoly(((0, one), (z_exp, -coef)))
-    return out
+    return _laurent(_basis_images(i, p)[-1], _is_formal(p))
 
 
 def sparse_to_poly(v: SparseVec, p: ParamQuadruple) -> LaurentPoly:
-    """Push a finitely supported ladder vector through the basis image map."""
-    out = LaurentPoly.zero()
+    """Push a finitely supported ladder vector through the basis image
+    map; the images are built once, each from the one before."""
+    formal = _is_formal(p) or any(isinstance(c, RatFun) for _, c in v.items)
+    if not v.items:
+        return _laurent(({}, (1,)), formal)
+    images = _basis_images(v.items[-1][0], p)
+    out = ({}, (1,))
     for i, c in v.items:
-        out = out + verma_basis_image(i, p).scale(c)
-    return out
+        out = _raw_add(out, _raw_scale(images[i], _parts(c)))
+    return _laurent(out, formal)

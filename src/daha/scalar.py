@@ -380,7 +380,7 @@ class RatFun:
     def __hash__(self):
         if self.is_constant():
             return hash(self.as_fraction())
-        return hash((self.num, self.den))
+        return hash((self._n, self._d))
 
     def __bool__(self):
         return bool(self._n)

@@ -294,11 +294,6 @@ def test_module_json_round_trip(p_even_d1, p_odd_d2):
         assert again == module
 
 
-def test_laurent_pairs_round_trip(p_even_d1):
-    f = verma_basis_image(3, p_even_d1)
-    assert LaurentPoly.from_pairs(f.to_pairs()) == f
-
-
 def test_symbolic_module(p_even_d1):
     rng = random.Random("symmod")
     p = sample_even(rng, 1, field=QQ_Q)
