@@ -33,7 +33,6 @@ from .linalg import (
     inverse,
     kernel,
     rank,
-    rref,
     solve_sylvester_homogeneous,
     span_closure,
 )
@@ -43,9 +42,7 @@ from .params import (
     PARITY_ODD,
     ParamQuadruple,
     SignTriple,
-    TwistElement,
     canonical_orbit_rep,
-    eval_sequence,
     orbit_act,
     orbit_members,
     violations,

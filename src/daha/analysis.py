@@ -34,10 +34,7 @@ from .params import (
     PARITY_EVEN,
     PARITY_ODD,
     ParamQuadruple,
-    TwistElement,
     canonical_orbit_rep,
-    seq_phi,
-    seq_psi,
     seq_rho,
     violations,
 )
@@ -161,7 +158,7 @@ def l_matrix_E(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
     q, (k0, k1, k2, k3), d = p.q, p.k, p.d
     one = q ** 0
     zero = q * 0
-    phi = lambda h: seq_phi(q, k0, k1, k2, k3, h)
+    phi = lambda h: seq_rho(q, k0, 1 / k1, k2, k3, h)
     rho = lambda h: seq_rho(q, k0, k1, k2, k3, h)
 
     if route == ROUTE_OPERATOR:
@@ -253,7 +250,7 @@ def l_matrix_O(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
     one = q ** 0
     zero = q * 0
     rho = lambda h: seq_rho(q, k0, k1, k2, k3, h)
-    psi = lambda h: seq_psi(q, k0, k1, k2, k3, h)
+    psi = lambda h: seq_rho(q, k1, k2, k3, k0, h)
     criterion_holds = criterion_O(p)
 
     if route == ROUTE_OPERATOR:
@@ -474,14 +471,14 @@ def is_intertwiner(T: Matrix, a: ModuleRep, b: ModuleRep) -> bool:
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    twist: TwistElement
+    twist: int
     params: ParamQuadruple
     parity: str
     certificate: Matrix
 
     def to_json(self) -> dict:
         return {
-            "twist": self.twist.value,
+            "twist": self.twist,
             "params": self.params.to_json(),
             "parity": self.parity,
             "certificate": self.certificate.to_json(),
@@ -537,7 +534,7 @@ def _classify_verified(m: ModuleRep):
         certificate = find_intertwiner(m, reference)
         if certificate is None or certificate is INDETERMINATE:
             raise ClassificationError("no invertible intertwiner certifies the result")
-    return ClassificationResult(TwistElement(eps), params, params.parity, certificate)
+    return ClassificationResult(eps, params, params.parity, certificate)
 
 
 def _recover(m: ModuleRep):

@@ -22,6 +22,7 @@ import sys
 from .analysis import (
     INDETERMINATE,
     _classify_verified,
+    _shift,
     burnside_irreducible,
     criterion_E,
     criterion_O,
@@ -30,7 +31,6 @@ from .analysis import (
     l_matrix_E,
     l_matrix_O,
     l_matrix_routes,
-    twist,
 )
 from .errors import ClassificationError, DahaError, InputError, ParameterError
 from .linalg import span_closure
@@ -244,7 +244,9 @@ def cmd_intertwiner(args) -> int:
 
 def cmd_twist(args) -> int:
     module = _load_module(args.infile)
-    _dump(twist(module, args.e).to_json(), args.out)
+    if not _verified(module, args.out):
+        return EXIT_VERIFY
+    _dump(_shift(module, args.e).to_json(), args.out)
     return EXIT_OK
 
 

@@ -258,9 +258,6 @@ class LaurentPoly:
         den = self._den[0]
         return tuple((e, Fraction(c[0], den)) for e, c in self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def _raw(self) -> tuple:
         return dict(self._terms), self._den
 
@@ -276,13 +273,6 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         return _laurent(_raw_mul(self._raw(), other._raw()), self._formal or other._formal)
-
-    def shift(self, n: int) -> "LaurentPoly":
-        """Multiply by z**n."""
-        n = _exponent(n)
-        return _make_laurent(
-            tuple((e + n, c) for e, c in self._terms), self._den, self._formal
-        )
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division in the Laurent ring; a nonzero remainder is an

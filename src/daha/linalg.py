@@ -363,14 +363,6 @@ def _field_rref_rows(rows):
     return rows[:r], pivots
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form and rank."""
-    reduced, pivots = _rref_rows(m)
-    zero = m.entry(0, 0) * 0
-    reduced += [[zero] * m.cols for _ in range(m.rows - len(reduced))]
-    return Matrix(reduced), len(pivots)
-
-
 def rank(m: Matrix) -> int:
     return len(_rref_rows(m)[1])
 

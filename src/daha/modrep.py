@@ -33,7 +33,6 @@ from .params import (
     PARITY_EVEN,
     PARITY_ODD,
     ParamQuadruple,
-    seq_phi,
     seq_rho,
 )
 from .laurent import (
@@ -402,7 +401,7 @@ def w_basis_check(m: ModuleRep) -> Report:
         if i == 0:
             expect = tuple(zero for _ in range(m.dim))
         else:
-            phi = seq_phi(p.q, *p.k, i)
+            phi = seq_rho(p.q, p.k0, 1 / p.k1, p.k2, p.k3, i)
             expect = tuple(phi * c for c in ws[i - 1])
         items.append(
             CheckItem(
@@ -448,9 +447,6 @@ class SparseVec:
     @classmethod
     def zero(cls) -> "SparseVec":
         return cls(())
-
-    def is_zero(self) -> bool:
-        return not self.items
 
     def scale(self, c) -> "SparseVec":
         if not c:

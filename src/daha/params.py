@@ -9,10 +9,10 @@ module exists for arbitrary nonzero parameters, which is what parity
 
 This module also houses the central character and determinant
 fingerprint that each family's module carries, the scalar coefficient
-sequences that drive every ladder computation, the atomic
+sequence that drives every ladder computation, the atomic
 irreducibility conditions that cut out the classification parameter
-sets, and the two group actions on parameters (sign flips on k1,k2,k3
-and the cyclic twist).
+sets, and the sign-flip action on k1, k2, k3 with its canonical orbit
+representative.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DahaError, InputError, ParameterError, TranscriptionError
+from .errors import InputError, ParameterError
 from .scalar import (
     as_scalar,
     json_field,
@@ -115,29 +115,6 @@ def family_invariants(p: ParamQuadruple):
 
 
 @dataclass(frozen=True)
-class TwistElement:
-    """A residue mod 4; composition of cyclic generator shifts."""
-
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % 4)
-
-    def __add__(self, other: "TwistElement") -> "TwistElement":
-        return TwistElement(self.value + other.value)
-
-    def __neg__(self) -> "TwistElement":
-        return TwistElement(-self.value)
-
-    def __int__(self) -> int:
-        return self.value
-
-    @classmethod
-    def all(cls):
-        return tuple(cls(v) for v in range(4))
-
-
-@dataclass(frozen=True)
 class SignTriple:
     """An element of {+1, -1}^3 acting on (k1, k2, k3) by inversion."""
 
@@ -149,13 +126,6 @@ class SignTriple:
             raise ParameterError(f"not a sign triple: {signs!r}")
         object.__setattr__(self, "signs", signs)
 
-    def __mul__(self, other: "SignTriple") -> "SignTriple":
-        return SignTriple(tuple(a * b for a, b in zip(self.signs, other.signs)))
-
-    @classmethod
-    def identity(cls) -> "SignTriple":
-        return cls((1, 1, 1))
-
     @classmethod
     def all(cls):
         return tuple(cls(s) for s in itertools.product((1, -1), repeat=3))
@@ -164,55 +134,19 @@ class SignTriple:
 # ---------------------------------------------------------------------------
 # coefficient sequences
 #
-# Each is a two-case formula indexed by any integer i; the even-index
-# case is a q-Pochhammer-style factor pair, the odd-index case pairs a
-# product of three parameters against k2 (or k3) and its inverse.  The
-# kinds differ only by which parameter is inverted or cycled.
+# One two-case formula indexed by any integer i: the even-index case is
+# a q-Pochhammer-style factor pair, the odd-index case pairs a product
+# of three parameters against k2 and its inverse.  The other sequences
+# of the ladder computations are this one at substituted parameters:
+# phi(k0, k1, k2, k3) = rho(k0, 1/k1, k2, k3) and
+# psi(k0, k1, k2, k3) = rho(k1, k2, k3, k0).
 # ---------------------------------------------------------------------------
-
-def seq_phi(q, k0, k1, k2, k3, i: int):
-    if i % 2 == 0:
-        return (1 - scalar_pow(q, i)) * (1 - k0 * k0 * scalar_pow(q, i))
-    a = k0 * k3 * scalar_pow(q, i) / k1
-    return (a - k2) * (a - 1 / k2)
-
 
 def seq_rho(q, k0, k1, k2, k3, i: int):
     if i % 2 == 0:
         return (1 - scalar_pow(q, i)) * (1 - k0 * k0 * scalar_pow(q, i))
     a = k0 * k1 * k3 * scalar_pow(q, i)
     return (a - k2) * (a - 1 / k2)
-
-
-def seq_psi(q, k0, k1, k2, k3, i: int):
-    if i % 2 == 0:
-        return (1 - scalar_pow(q, i)) * (1 - k1 * k1 * scalar_pow(q, i))
-    a = k0 * k1 * k2 * scalar_pow(q, i)
-    return (a - k3) * (a - 1 / k3)
-
-
-_SEQ_FUNCS = {"phi": seq_phi, "rho": seq_rho, "psi": seq_psi}
-
-
-def eval_sequence(kind: str, p: ParamQuadruple, i: int):
-    """Evaluate one of the coefficient sequences at index i.
-
-    For the odd family the constraint collapses the odd-index cases of
-    rho and psi to simpler two-factor forms; both are computed and
-    cross-checked, so a transcription slip in either surfaces at once.
-    """
-    if kind not in _SEQ_FUNCS:
-        raise DahaError(f"unknown sequence kind {kind!r}")
-    value = _SEQ_FUNCS[kind](p.q, p.k0, p.k1, p.k2, p.k3, i)
-    if p.parity == PARITY_ODD and i % 2 and kind in ("rho", "psi"):
-        u = scalar_pow(p.q, i - p.d - 1)
-        kk = p.k2 if kind == "rho" else p.k3
-        specialized = (u - 1) * (u / (kk * kk) - 1)
-        if specialized != value:
-            raise TranscriptionError(
-                f"specialized {kind}_{i} disagrees with the general form"
-            )
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +206,10 @@ def orbit_members(p: ParamQuadruple):
 def canonical_orbit_rep(p: ParamQuadruple) -> ParamQuadruple:
     """Deterministic orbit representative: of the 8 sign-flipped
     members, the one whose (k1, k2, k3) string encoding is
-    lexicographically least.  Idempotent and orbit-invariant."""
-    def key(member):
-        return tuple(scalar_to_str(x) for x in (member.k1, member.k2, member.k3))
-
-    return min(orbit_members(p), key=key)
+    lexicographically least.  The i-th string depends on the i-th flip
+    alone, so that member takes each k_i or 1/k_i, whichever string is
+    least; a tie means k_i = 1/k_i.  Idempotent and orbit-invariant."""
+    if p.parity != PARITY_EVEN:
+        raise ParameterError("the sign action is defined on the even family")
+    k1, k2, k3 = (min(k, 1 / k, key=scalar_to_str) for k in (p.k1, p.k2, p.k3))
+    return p.with_k(k1=k1, k2=k2, k3=k3)

@@ -43,8 +43,6 @@ _POOL = tuple(rational_pool())
 
 def sample_even(rng: random.Random, d: int, field=QQ, q=None) -> ParamQuadruple:
     """A valid even-family quadruple: k0 = +-q^{-(d+1)/2}, rest from the pool."""
-    if d % 2 == 0:
-        raise DahaError("even family needs odd d")
     if q is None:
         q = field.default_q()
     k0 = rng.choice((1, -1)) * scalar_pow(q, -(d + 1) // 2)
@@ -54,8 +52,6 @@ def sample_even(rng: random.Random, d: int, field=QQ, q=None) -> ParamQuadruple:
 
 def sample_odd(rng: random.Random, d: int, field=QQ, q=None) -> ParamQuadruple:
     """A valid odd-family quadruple: k0,k1,k2 from the pool, k3 repaired."""
-    if d % 2:
-        raise DahaError("odd family needs even d")
     if q is None:
         q = field.default_q()
     k0, k1, k2 = (rng.choice(_POOL) for _ in range(3))

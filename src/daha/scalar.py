@@ -266,10 +266,6 @@ class RatFun:
         """The generator q itself."""
         return _raw((0, 1), (1,))
 
-    @classmethod
-    def from_fraction(cls, x) -> "RatFun":
-        return _const(Fraction(x))
-
     # -- structure ----------------------------------------------------
 
     @property
@@ -291,16 +287,6 @@ class RatFun:
         if not self.is_constant():
             raise DahaError(f"non-constant rational function: {self}")
         return Fraction(self._n[0], self._d[0]) if self._n else Fraction(0)
-
-    def eval_at(self, x) -> Fraction:
-        """Evaluate at a rational point; the denominator must not vanish."""
-        x = Fraction(x)
-        p, r = x.numerator, x.denominator
-        top = max(len(self._n), len(self._d)) - 1
-        d = _heval(self._d, p, r, top)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {x}")
-        return Fraction(_heval(self._n, p, r, top), d)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -408,10 +394,6 @@ def _raw(num: tuple, den: tuple) -> RatFun:
     return r
 
 
-def _const(x: Fraction) -> RatFun:
-    return _raw((x.numerator,), (x.denominator,)) if x else _ZERO
-
-
 _ZERO = _raw((), (1,))
 _ONE = _raw((1,), (1,))
 
@@ -482,16 +464,6 @@ def _add(a, b, c, d) -> RatFun:
     return _canonical(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
 
 
-def _heval(cs, p: int, r: int, top: int) -> int:
-    """r**top * cs(p/r) for a polynomial of degree at most top."""
-    acc = 0
-    rp = 1
-    for c in reversed(cs):
-        acc = acc * p + c * rp
-        rp *= r
-    return acc * r ** (top + 1 - len(cs)) if cs else 0
-
-
 # ---------------------------------------------------------------------------
 # field descriptors
 # ---------------------------------------------------------------------------
@@ -557,14 +529,6 @@ def validate_q(q) -> bool:
             return True
         q = q.as_fraction()
     return q not in (0, 1, -1)
-
-
-def scalar_eval_at(x, point) -> Fraction:
-    """Evaluation homomorphism into the rationals (identity on rationals)."""
-    x = as_scalar(x)
-    if isinstance(x, RatFun):
-        return x.eval_at(point)
-    return x
 
 
 def scalar_sqrt(x):

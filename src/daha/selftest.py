@@ -379,14 +379,14 @@ def criterion_6(seed, grid):
         for e in range(4):
             result = classify(twist(module, e))
             checks += 1
-            if result.twist.value != e or result.params != canonical:
+            if result.twist != e or result.params != canonical:
                 failures.append(f"even {p.to_json()} twist {e}: got {result.to_json()}")
 
     rng = _rng(seed, "c6o")
     for p in _irreducible_params(rng, PARITY_ODD, count, (0, 2, 2, 4)):
         result = classify(make_O(p))
         checks += 1
-        if result.params != p or result.twist.value != 0:
+        if result.params != p or result.twist != 0:
             failures.append(f"odd {p.to_json()}: got {result.to_json()}")
     return checks, failures
 

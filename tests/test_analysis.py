@@ -269,7 +269,7 @@ def test_classify_even_round_trip():
         canonical = canonical_orbit_rep(p)
         for e in range(4):
             result = classify(twist(module, e))
-            assert result.twist.value == e
+            assert result.twist == e
             assert result.params == canonical
             assert result.parity == "even"
             assert is_intertwiner(
@@ -280,7 +280,7 @@ def test_classify_even_round_trip():
 def test_classify_odd_round_trip(p_odd_d2):
     result = classify(make_O(p_odd_d2))
     assert result.params == p_odd_d2
-    assert result.twist.value == 0
+    assert result.twist == 0
 
 
 def test_classify_twisted_odd_recovers_cycled(p_odd_d2):
@@ -472,7 +472,7 @@ def test_classify_round_trips_on_both_families(d, sign, x, y, z, e):
         want_params = ParamQuadruple(2, *(k[(i + e) % 4] for i in range(4)), d=d, parity="odd")
     result = classify(twist(module, e))
     assert result.params == want_params
-    assert result.twist.value == (e if d % 2 else 0)
+    assert result.twist == (e if d % 2 else 0)
     reference = make_E(want_params) if d % 2 else make_O(want_params)
     assert det(result.certificate)
     assert is_intertwiner(result.certificate, twist(module, e), twist(reference, e if d % 2 else 0))

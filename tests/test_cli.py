@@ -395,6 +395,29 @@ def test_commands_refuse_modules_that_fail_the_relations(tmp_path):
     assert json.loads(out.read_text())["agrees"] is True
 
 
+@pytest.mark.parametrize("e", range(4))
+def test_twist_refuses_a_module_that_fails_the_relations(tmp_path, capsys, e):
+    """Like classify, twist writes the "invalid" verdict and exits 5, also
+    for e = 0, where it would otherwise copy the file."""
+    bad = str(DATA / "rational_even_d3_corrupt.json")
+    out, classified = tmp_path / "out.json", tmp_path / "classify.json"
+    assert run("twist", "--in", bad, "--e", str(e), "--out", str(out)) == EXIT_VERIFY
+    assert capsys.readouterr().err == ""
+    data = json.loads(out.read_text())
+    assert data["verdict"] == "invalid" and not data["relations"]["ok"]
+    assert run("classify", "--in", bad, "--out", str(classified)) == EXIT_VERIFY
+    assert out.read_bytes() == classified.read_bytes()
+
+
+@pytest.mark.parametrize("parity,d", [("even", 2), ("odd", 3), ("even", -1), ("odd", -2)])
+def test_sweep_rejects_a_d_of_the_wrong_parity(tmp_path, capsys, parity, d):
+    out = tmp_path / "sweep.json"
+    argv = ("sweep", "--parity", parity, "--d", str(d), "--grid", "2", "--out", str(out))
+    assert run(*argv) == EXIT_CONSTRAINT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_back_to_back_main_calls_behave_like_fresh_ones(tmp_path, capsys, monkeypatch):
     """main shares one parser across calls; a usage error or --help in
     between leaves later calls unchanged."""

@@ -202,7 +202,7 @@ def test_poly_apply_matches_the_reference_off_the_images(p):
     rng = random.Random("laurent-random")
     pool = [F(0), F(1), F(-2), F(3, 5), p.q]
     if isinstance(p.q, RatFun):
-        pool = [RatFun.from_fraction(0), RatFun((1, -1), (2, 0, 1)), *(p.q * x for x in pool)]
+        pool = [RatFun((0,)), RatFun((1, -1), (2, 0, 1)), *(p.q * x for x in pool)]
     for _ in range(6):
         terms = {rng.randint(-4, 4): rng.choice(pool) for _ in range(4)}
         f, ref = LaurentPoly(terms), RefLaurent(terms)
@@ -214,7 +214,7 @@ def test_poly_apply_matches_the_reference_off_the_images(p):
 def test_laurent_ring_operations_match_the_reference():
     rng = random.Random("laurent-ring")
     q = RatFun.variable()
-    pool = [RatFun.from_fraction(x) for x in (1, F(-7, 3), 5)] + [q, RatFun((2, 1), (-1, 3))]
+    pool = [RatFun((x,)) for x in (1, F(-7, 3), 5)] + [q, RatFun((2, 1), (-1, 3))]
     for _ in range(30):
         ta = {rng.randint(-3, 3): rng.choice(pool) for _ in range(3)}
         tb = {rng.randint(-3, 3): rng.choice(pool) for _ in range(3)}
@@ -240,7 +240,7 @@ def test_equal_values_have_one_form():
     f = LaurentPoly({-1: r, 2: r * q})
     assert f == LaurentPoly({-1: 1, 2: q}).scale(r)
     assert f.scale(1 / r) == LaurentPoly({-1: 1, 2: q})
-    assert (f - f).is_zero() and (f - f) == LaurentPoly.zero()
+    assert not (f - f).terms and (f - f) == LaurentPoly.zero()
 
 
 def test_pseudo_division_by_a_non_monic_divisor():
@@ -258,5 +258,3 @@ def test_pseudo_division_by_a_non_monic_divisor():
 def test_laurent_exponent_must_be_an_int(bad):
     with pytest.raises(DahaError):
         LaurentPoly({bad: 1})
-    with pytest.raises(DahaError):
-        LaurentPoly({0: 1}).shift(bad)

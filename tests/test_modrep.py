@@ -249,7 +249,7 @@ def test_poly_y_multiplication():
             {rng.randint(-5, 5): F(rng.randint(-9, 9)) for _ in range(4)}
         )
         lhs = poly_apply(0, poly_apply(1, f, p), p)
-        assert lhs == f.shift(1).scale(1 / p.q)
+        assert lhs == (f * LaurentPoly({1: 1})).scale(1 / p.q)  # z f / q
 
 
 def test_verma_basis_image(p_even_d1):

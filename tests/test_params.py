@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,18 +8,15 @@ from daha.errors import ParameterError
 from daha.params import (
     ParamQuadruple,
     SignTriple,
-    TwistElement,
     canonical_orbit_rep,
-    eval_sequence,
     orbit_act,
-    seq_phi,
-    seq_psi,
+    orbit_members,
     seq_rho,
     violations,
 )
 from daha.analysis import criterion_E, criterion_O
 from daha.sampling import adversarial_even, adversarial_odd, sample_even, sample_odd
-from daha.scalar import QQ_Q, scalar_pow
+from daha.scalar import QQ, QQ_Q, RatFun, scalar_pow, scalar_to_str
 
 
 def test_quadruple_validation():
@@ -36,35 +34,61 @@ def test_quadruple_validation():
     ParamQuadruple(2, 5, 7, 11, 13, d=0, parity="free")
 
 
+def seq_phi(q, k0, k1, k2, k3, i):
+    """phi written out: the reference for rho at (k0, 1/k1, k2, k3)."""
+    if i % 2 == 0:
+        return (1 - scalar_pow(q, i)) * (1 - k0 * k0 * scalar_pow(q, i))
+    a = k0 * k3 * scalar_pow(q, i) / k1
+    return (a - k2) * (a - 1 / k2)
+
+
+def seq_psi(q, k0, k1, k2, k3, i):
+    """psi written out: the reference for rho at (k1, k2, k3, k0)."""
+    if i % 2 == 0:
+        return (1 - scalar_pow(q, i)) * (1 - k1 * k1 * scalar_pow(q, i))
+    a = k0 * k1 * k2 * scalar_pow(q, i)
+    return (a - k3) * (a - 1 / k3)
+
+
 def test_sequence_examples(p_even_d1):
-    assert eval_sequence("rho", p_even_d1, 0) == 0
-    assert eval_sequence("rho", p_even_d1, 1) == Fraction(-4, 3)
-    assert eval_sequence("phi", p_even_d1, 2) == 0
+    q, (k0, k1, k2, k3) = p_even_d1.q, p_even_d1.k
+    assert seq_rho(q, k0, k1, k2, k3, 0) == 0
+    assert seq_rho(q, k0, k1, k2, k3, 1) == Fraction(-4, 3)
+    assert seq_rho(q, k0, 1 / k1, k2, k3, 2) == 0  # phi_2
 
 
 def test_sequence_truncation_vanishing():
     rng = random.Random("trunc")
     for d in (1, 3, 5):
         p = sample_even(rng, d)
-        assert eval_sequence("rho", p, d + 1) == 0
+        assert seq_rho(p.q, *p.k, d + 1) == 0
 
 
 def test_sequences_are_parameter_substitutions():
     rng = random.Random("substitute")
+    q_formal = RatFun.variable()
     for _ in range(20):
-        q = Fraction(rng.randint(2, 5))
         ks = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
-        i = rng.randint(-6, 6)
-        k0, k1, k2, k3 = ks
-        assert seq_phi(q, k0, k1, k2, k3, i) == seq_rho(q, k0, 1 / k1, k2, k3, i)
-        assert seq_psi(q, k0, k1, k2, k3, i) == seq_rho(q, k1, k2, k3, k0, i)
+        rational = (Fraction(rng.randint(2, 5)), *ks)
+        formal = (q_formal, *(k * scalar_pow(q_formal, rng.randint(-2, 2)) for k in ks))
+        for q, k0, k1, k2, k3 in (rational, formal):
+            for i in range(-6, 13):
+                assert seq_phi(q, k0, k1, k2, k3, i) == seq_rho(q, k0, 1 / k1, k2, k3, i)
+                assert seq_psi(q, k0, k1, k2, k3, i) == seq_rho(q, k1, k2, k3, k0, i)
 
 
 def test_specialized_forms_cross_checked(p_odd_d2):
-    # eval_sequence recomputes the collapsed odd-family forms internally
-    for i in range(-3, 8):
-        eval_sequence("rho", p_odd_d2, i)
-        eval_sequence("psi", p_odd_d2, i)
+    """On the odd family, k0 k1 k2 k3 = q^{-d-1} collapses the odd-index
+    rho and psi to (u - 1)(u / k^2 - 1) with u = q^{i-d-1} and k = k2
+    (rho) or k3 (psi)."""
+    rng = random.Random("specialized")
+    cases = [p_odd_d2] + [sample_odd(rng, d, field) for field in (QQ, QQ_Q) for d in (0, 2, 4)]
+    for p in cases:
+        q, (k0, k1, k2, k3) = p.q, p.k
+        for i in range(-3, 8, 2):
+            u = scalar_pow(q, i - p.d - 1)
+            assert seq_rho(q, k0, k1, k2, k3, i) == (u - 1) * (u / (k2 * k2) - 1)
+            assert seq_rho(q, k1, k2, k3, k0, i) == (u - 1) * (u / (k3 * k3) - 1)
 
 
 # Membership in the classification parameter sets EP and OP is the
@@ -113,31 +137,21 @@ def test_violations_single_for_adversarial_and_empty_iff_criterion():
 
 
 def test_orbit_action(p_even_d1):
-    assert orbit_act(p_even_d1, SignTriple.identity()) == p_even_d1
+    assert orbit_act(p_even_d1, SignTriple((1, 1, 1))) == p_even_d1
     flipped = orbit_act(p_even_d1, SignTriple((1, -1, 1)))
     assert flipped.k2 == Fraction(1, 3)
     s = SignTriple((-1, 1, -1))
     assert orbit_act(orbit_act(p_even_d1, s), s) == p_even_d1
 
 
-def test_group_laws():
+def test_group_laws(p_even_d1):
+    """The sign flips act as the group {+1, -1}^3: flipping by a and then
+    by b is flipping by their product, so each flip undoes itself."""
     triples = SignTriple.all()
-    assert len(triples) == 8
-    e = SignTriple.identity()
-    for a in triples:
-        assert a * e == a
-        assert a * a == e
-        for b in triples:
-            assert a * b == b * a
-            for c in triples:
-                assert (a * b) * c == a * (b * c)
-    twists = TwistElement.all()
-    assert len(twists) == 4
-    for a in twists:
-        assert (a + (-a)).value == 0
-        for b in twists:
-            for c in twists:
-                assert ((a + b) + c).value == (a + (b + c)).value
+    assert len(set(triples)) == 8
+    for a, b in itertools.product(triples, repeat=2):
+        ab = SignTriple(tuple(x * y for x, y in zip(a.signs, b.signs)))
+        assert orbit_act(orbit_act(p_even_d1, a), b) == orbit_act(p_even_d1, ab)
 
 
 def test_canonical_orbit_rep(p_even_d1):
@@ -150,6 +164,35 @@ def test_canonical_orbit_rep(p_even_d1):
     for s in SignTriple.all():
         assert canonical_orbit_rep(orbit_act(p_even_d1, s)) == canon
     assert canonical_orbit_rep(canon) == canon
+
+
+def _least_of_eight(p):
+    """The rule canonical_orbit_rep states, by brute force: the orbit
+    member whose (k1, k2, k3) strings are lexicographically least."""
+    return min(
+        orbit_members(p), key=lambda m: tuple(scalar_to_str(x) for x in (m.k1, m.k2, m.k3))
+    )
+
+
+def test_canonical_orbit_rep_is_the_least_of_eight_members(p_odd_d2):
+    rng = random.Random("orbit-rule")
+    cases = [
+        sample_even(rng, d, field) for field in (QQ, QQ_Q) for d in (1, 3, 5, 7) for _ in range(12)
+    ]
+    # k = +1 and -1 are their own inverses, so flips tie there; one
+    # sample of each backend and d
+    for p in cases[::12]:
+        for ks in itertools.product((1, -1, p.k2), repeat=3):
+            cases.append(p.with_k(k1=ks[0], k2=ks[1], k3=ks[2]))
+    # k's that are rational functions of q, on both signs of their leading terms
+    q = RatFun.variable()
+    pool = (q, 1 / q, -scalar_pow(q, 2), (q + 1) / (q - 1), Fraction(-2, 3) * q, 1 / (q + 2))
+    base = sample_even(rng, 1, QQ_Q)
+    cases += [base.with_k(k1=a, k2=b, k3=c) for a, b, c in itertools.product(pool, repeat=3)]
+    for p in cases:
+        assert canonical_orbit_rep(p) == _least_of_eight(p), p.to_json()
+    with pytest.raises(ParameterError):
+        canonical_orbit_rep(p_odd_d2)
 
 
 def test_symbolic_quadruples():
