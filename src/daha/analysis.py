@@ -38,7 +38,7 @@ from .params import (
     seq_rho,
     violations,
 )
-from .scalar import QQ_Q, RatFun, scalar_pow, scalar_sqrt
+from .scalar import scalar_pow, scalar_sqrt
 
 ROUTE_OPERATOR = "operator"
 ROUTE_RECURRENCE = "recurrence"
@@ -135,10 +135,10 @@ def _l_operator(module: ModuleRep, r_factors, s_factors_for) -> Matrix:
     return Matrix(rows)
 
 
-def _l_matrix_from_recurrence(d: int, seed_col0, rec, zero) -> Matrix:
+def _l_matrix_from_recurrence(d: int, seed_col0, rec) -> Matrix:
     """Fill the (d+1) x (d+1) matrix from column-0 seeds and the
     two-case recurrence; entries above the diagonal must come out zero."""
-    L = [[zero for _ in range(d + 1)] for _ in range(d + 1)]
+    L = [[0] * (d + 1) for _ in range(d + 1)]
     for i in range(d + 1):
         L[i][0] = seed_col0(i)
     for j in range(1, d + 1):
@@ -157,7 +157,6 @@ def l_matrix_E(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
         raise ParameterError("l_matrix_E needs an even-family quadruple")
     q, (k0, k1, k2, k3), d = p.q, p.k, p.d
     one = q ** 0
-    zero = q * 0
     phi = lambda h: seq_rho(q, k0, 1 / k1, k2, k3, h)
     rho = lambda h: seq_rho(q, k0, k1, k2, k3, h)
 
@@ -202,7 +201,7 @@ def l_matrix_E(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
                 )
             return (1 - scalar_pow(q, j - i - 1)) * L[i][j - 1] + L[i - 1][j] - L[i - 1][j - 1]
 
-        return LMatrix(d, _l_matrix_from_recurrence(d, seed, rec, zero), route)
+        return LMatrix(d, _l_matrix_from_recurrence(d, seed, rec), route)
 
     if route == ROUTE_CLOSED:
         rows = []
@@ -210,7 +209,7 @@ def l_matrix_E(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
             row = []
             for j in range(d + 1):
                 if i < j:
-                    row.append(zero)
+                    row.append(0)
                     continue
                 fi, fj = _floor_half(i), _floor_half(j)
                 val = scalar_pow(q, fj * (d - 4 * fi + 2 * fj - 1))
@@ -248,7 +247,6 @@ def l_matrix_O(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
         raise ParameterError("l_matrix_O needs an odd-family quadruple")
     q, (k0, k1, k2, k3), d = p.q, p.k, p.d
     one = q ** 0
-    zero = q * 0
     rho = lambda h: seq_rho(q, k0, k1, k2, k3, h)
     psi = lambda h: seq_rho(q, k1, k2, k3, k0, h)
     criterion_holds = criterion_O(p)
@@ -285,7 +283,7 @@ def l_matrix_O(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
                 + L[i][j - 1]
             )
 
-        return LMatrix(d, _l_matrix_from_recurrence(d, seed, rec, zero), route)
+        return LMatrix(d, _l_matrix_from_recurrence(d, seed, rec), route)
 
     if route == ROUTE_CLOSED:
         if not criterion_holds:
@@ -298,7 +296,7 @@ def l_matrix_O(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
             row = []
             for j in range(d + 1):
                 if i < j:
-                    row.append(zero)
+                    row.append(0)
                     continue
                 cj, fj = _ceil_half(j), _floor_half(j)
                 base = -(k1 * k1 * k2 * k2) * scalar_pow(q, d + i - cj)
@@ -605,10 +603,11 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
     * a submodule is W-invariant, hence spanned by the eigenvectors it
       contains, a vertex set no edge leaves: in a strongly connected
       graph none or all, so a is irreducible;
-    * the eigenvectors are rational, so this holds over the algebraic
-      closure too, as Burnside's n**2 does;
+    * the eigenvectors lie in the base field, so this holds over the
+      algebraic closure too, as Burnside's n**2 does;
     * by Schur's lemma the intertwiners a -> b are then one line, and T
-      is the reduced kernel vector :func:`find_intertwiner` returns.
+      is the reduced kernel vector :func:`find_intertwiner` returns, in
+      the one field of the matrices (see :class:`~daha.linalg.Matrix`).
     """
     n = a.dim
     if b.dim != n:
@@ -619,8 +618,7 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
     if len(set(thetas)) != n:
         return None
     ident = Matrix.identity(n, one=thetas[0] ** 0)
-    mats = a.t + b.t
-    rational = all(x._ints is not None for x in mats)
+    rational = all(x._ints is not None for x in a.t + b.t)
     pairs, bases = [], []
     for module, w in ((a, a.t[i3] * a.t[i0]), (b, w_b)):
         columns = [kernel_line(w - ident.scale(theta)) for theta in thetas]
@@ -660,12 +658,4 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
     pc = [[x * cj for x, cj in zip(row, c)] for row in _rows(p_b)[0]]
     t = (_int_matrix(pc, p_b._den) if rational else Matrix(pc)) * pa_inv
     rows, t_den = _rows(t)
-    lead = Fraction(t_den) / next(e for row in rows for e in row if e)
-    if rational:
-        return t.scale(lead)
-    if all(x._ints is None and all(isinstance(e, RatFun) for r in x._entries for e in r)
-           for x in mats):
-        return t.scale(lead * QQ_Q.one)
-    # a bare Fraction entry can survive the equations' elimination; their
-    # kernel vector is T again, with the scalar types they leave
-    return find_intertwiner(a, b)
+    return t.scale(Fraction(t_den) / next(e for row in rows for e in row if e))

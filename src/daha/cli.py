@@ -323,12 +323,14 @@ def cmd_selftest(args) -> int:
 def _add_param_args(sub, with_parity=True):
     if with_parity:
         sub.add_argument("--parity", choices=(PARITY_EVEN, PARITY_ODD), required=True)
-    sub.add_argument("--q", help="q as an exact string (default: 2, or formal q for --backend ratfun)")
+    sub.add_argument("--q", help="q as an exact string (default: 2, or formal q for --backend "
+                     "ratfun); a value starting with '-' needs the form --q=-1/2")
     sub.add_argument(
         "--k",
         required=True,
         help="four comma-separated scalars; each a rational like 1/2, "
-        "a power like q^-2 or -q^-2, or a 'num | den' coefficient list",
+        "a power like q^-2 or -q^-2, or a 'num | den' coefficient list; "
+        "a value starting with '-' needs the form --k=-1/2,1,-1,1",
     )
     sub.add_argument("--d", type=int, required=True)
     sub.add_argument("--backend", choices=("rational", "ratfun"), default="rational")

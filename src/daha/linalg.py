@@ -24,6 +24,7 @@ from .scalar import (
     RatFun,
     _rational_parts,
     as_scalar,
+    as_scalars,
     json_field,
     scalar_from_json,
     scalar_to_str,
@@ -36,22 +37,24 @@ class Matrix:
     A rational matrix is held as int rows ``_ints`` over a positive
     denominator ``_den``, with no common factor (canonical, see
     :meth:`__mul__`); its Fraction :attr:`entries` are built on first
-    read.  A matrix with a RatFun entry keeps its scalars (``_ints`` is
-    None) and takes the field loops, as does every operation with such
-    an operand; their results again hold a RatFun, so a matrix learns
-    its field once, at construction.
+    read.  A matrix with a RatFun entry has every entry lifted into Q(q)
+    (:func:`~daha.scalar.as_scalars`), keeps them (``_ints`` is None)
+    and takes the field loops, as does every operation with such an
+    operand; so a matrix learns its one field once, at construction.
     """
 
     __slots__ = ("rows", "cols", "_ints", "_den", "_entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(as_scalar(e) for e in row) for row in entries)
+        rows = [tuple(row) for row in entries]
         if not rows or not rows[0]:
             raise DahaError("empty matrix")
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise DahaError("ragged matrix rows")
-        if any(RatFun in set(map(type, row)) for row in rows):
+        flat = as_scalars(chain.from_iterable(rows))
+        rows = tuple(flat[i:i + ncols] for i in range(0, len(flat), ncols))
+        if isinstance(flat[0], RatFun):
             _fill(self, None, None, rows)
         else:
             pairs = [[(e.numerator, e.denominator) for e in row] for row in rows]
@@ -64,8 +67,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, one=Fraction(1)) -> "Matrix":
-        zero = one - one
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls([[one if i == j else 0 for j in range(n)] for i in range(n)])
 
     # -- arithmetic ---------------------------------------------------
 
@@ -101,7 +103,7 @@ class Matrix:
         if self._ints is not None and not isinstance(c, RatFun):
             num, den = c.numerator, self._den * c.denominator
             return _int_matrix([[num * x for x in row] for row in self._ints], den)
-        return _field_matrix([[c * e for e in row] for row in self.entries])
+        return _field_matrix([[e * c for e in row] for row in self.entries])
 
     def __add__(self, other, sign=1):
         """self + sign * other, for sign 1 or -1."""
@@ -204,7 +206,7 @@ class Matrix:
     def from_json(cls, data: dict) -> "Matrix":
         """A matrix from its JSON form.  With no ``|`` entry the strings
         are read as rationals straight into int rows over the lcm of
-        their denominators; otherwise each is parsed as a scalar."""
+        their denominators; otherwise all are parsed and lifted to Q(q)."""
         entries = json_field(data, "entries", list)
         widths = {len(row) if isinstance(row, list) else 0 for row in entries}
         if len(widths) != 1 or 0 in widths:
@@ -260,7 +262,7 @@ def _ratio_str(x: int, den: int) -> str:
 
 
 def _field_matrix(rows) -> Matrix:
-    """A matrix from rows of scalars known to hold a RatFun entry."""
+    """A matrix from rows of scalars that are all RatFuns."""
     return _fill(object.__new__(Matrix), None, None, tuple(map(tuple, rows)))
 
 
@@ -397,7 +399,7 @@ def kernel_line(m: Matrix):
     free = next(c for c, p in enumerate(pivots + [m.cols]) if c != p)
     heads = [row[p] for row, p in zip(reduced, pivots)]
     v = [0] * m.cols
-    v[free] = prod(heads)
+    v[free] = prod(heads, start=QQ_Q.one if m._ints is None else 1)
     for r, (row, p) in enumerate(zip(reduced, pivots)):
         v[p] = -row[free] * prod(heads[:r] + heads[r + 1:])
     return v
@@ -497,14 +499,14 @@ def inverse(m: Matrix) -> Matrix:
 def solve_right(m: Matrix, rhs):
     """The unique solution x of m x = rhs, or None when none/ambiguous.
 
-    Used for applying inverse operators given in banded form; callers
-    re-check the residual themselves.
+    No program code calls it; it stays because the benchmark's tracer
+    wraps it by name (see ``tests/test_trace_targets.py``).
     """
-    rhs = [as_scalar(x) for x in rhs]
+    rhs = list(rhs)
     if len(rhs) != m.rows:
         raise DahaError("right-hand side length mismatch")
     rows = [list(row) + [b] for row, b in zip(m.entries, rhs)]
-    reduced, pivots = _rref_rows(Matrix(rows) if m._ints is not None else _field_matrix(rows))
+    reduced, pivots = _rref_rows(Matrix(rows))
     if m.cols in pivots:
         return None  # inconsistent
     if len(pivots) != m.cols:
@@ -532,7 +534,6 @@ def solve_sylvester_homogeneous(pairs) -> Subspace:
         if not b.is_square() or b.rows != m:
             raise DahaError("right matrices must be square of equal size")
     rational = all(x._ints is not None for pair in pairs for x in pair)
-    zero = 0 if rational else QQ_Q.zero
     rows = []
     for a, b in pairs:
         if rational:  # T*(A/a) = (B/b)*T iff T*(b*A) = (a*B)*T
@@ -542,14 +543,14 @@ def solve_sylvester_homogeneous(pairs) -> Subspace:
             ae, be = a.entries, b.entries
         for r in range(m):
             for c in range(n):
-                row = [zero] * (m * n)
+                row = [0] * (m * n)
                 for s in range(n):
                     row[r * n + s] = ae[s][c]
                 for u in range(m):
                     if be[r][u]:
                         row[u * n + c] = row[u * n + c] - be[r][u]
                 rows.append(row)
-    return kernel(_int_matrix(rows, 1) if rational else _field_matrix(rows))
+    return kernel(_int_matrix(rows, 1) if rational else Matrix(rows))
 
 
 def span_closure(gens) -> int:

@@ -170,6 +170,9 @@ class ModuleRep:
             if len(listed) != 4:
                 raise InputError(f"{key!r} needs four matrices, got {len(listed)}")
             mats[key] = tuple(Matrix.from_json(m) for m in listed)
+            if isinstance(params.q, RatFun):  # older files print constants bare
+                one = params.q ** 0
+                mats[key] = tuple(m if m._ints is None else m.scale(one) for m in mats[key])
             if any(m.shape != (dim, dim) for m in mats[key]):
                 raise InputError(f"{key!r} has a matrix that is not {dim} x {dim}")
         return cls(
@@ -518,20 +521,14 @@ def _verma_column(gen: int, j: int, p: ParamQuadruple) -> dict:
     raise DahaError(f"unknown generator {gen!r}")
 
 
-def _is_formal(p: ParamQuadruple) -> bool:
-    """True iff p has a scalar in Q(q)."""
-    return any(isinstance(x, RatFun) for x in (p.q, *p.k))
-
-
 def _ladder_block(gen: int, rows: int, cols: int, p: ParamQuadruple) -> Matrix:
     """The top-left rows x cols block of generator gen on the basis
     m_0, m_1, ...: column j holds the coordinates of gen applied to m_j.
     Rational params put the nonzero entries straight into int rows over
     the lcm of their denominators."""
     columns = [_verma_column(gen, j, p) for j in range(cols)]
-    if _is_formal(p):
-        zero = p.q * 0
-        return Matrix([[col.get(i, zero) for col in columns] for i in range(rows)])
+    if isinstance(p.q, RatFun):
+        return Matrix([[col.get(i, 0) for col in columns] for i in range(rows)])
     pairs = [
         [(x.numerator, x.denominator) if (x := col.get(i)) else (0, 1) for col in columns]
         for i in range(rows)
@@ -668,7 +665,7 @@ def poly_apply(gen: int, f: LaurentPoly, p: ParamQuadruple) -> LaurentPoly:
     else:
         g = _raw_q2_over_z(f_raw, s)
     out = _raw_add(_raw_mul(a._raw(), f_raw), _raw_mul(b._raw(), g))
-    return _laurent(_raw_div(out, den._raw()), f._formal or _is_formal(p))
+    return _laurent(_raw_div(out, den._raw()), f._formal or isinstance(p.q, RatFun))
 
 
 def _basis_images(top: int, p: ParamQuadruple) -> list:
@@ -694,13 +691,13 @@ def verma_basis_image(i: int, p: ParamQuadruple) -> LaurentPoly:
     a product of i binomial factors alternating between z^{-1} and z."""
     if i < 0:
         raise DahaError("basis index must be nonnegative")
-    return _laurent(_basis_images(i, p)[-1], _is_formal(p))
+    return _laurent(_basis_images(i, p)[-1], isinstance(p.q, RatFun))
 
 
 def sparse_to_poly(v: SparseVec, p: ParamQuadruple) -> LaurentPoly:
     """Push a finitely supported ladder vector through the basis image
     map; the images are built once, each from the one before."""
-    formal = _is_formal(p) or any(isinstance(c, RatFun) for _, c in v.items)
+    formal = isinstance(p.q, RatFun) or any(isinstance(c, RatFun) for _, c in v.items)
     if not v.items:
         return _laurent(({}, (1,)), formal)
     images = _basis_images(v.items[-1][0], p)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, ParameterError
 from .scalar import (
-    as_scalar,
+    as_scalars,
     json_field,
     scalar_from_json,
     scalar_pow,
@@ -39,6 +39,7 @@ PARITY_FREE = "free"  # no constraint; only the universal module applies
 class ParamQuadruple:
     """Validated parameters (q, k0, k1, k2, k3, d, parity).
 
+    The five scalars share one field (:func:`~daha.scalar.as_scalars`).
     Construction eagerly checks the parity constraint tying k0 (even
     family) or the product of all four k's (odd family) to q**(-d-1);
     every downstream formula silently assumes it.
@@ -53,8 +54,8 @@ class ParamQuadruple:
     parity: str
 
     def __post_init__(self):
-        for name in ("q", "k0", "k1", "k2", "k3"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
+        for name, value in zip(("q", "k0", "k1", "k2", "k3"), as_scalars((self.q, *self.k))):
+            object.__setattr__(self, name, value)
         if not validate_q(self.q):
             raise ParameterError(f"q = {scalar_to_str(self.q)} is zero or a root of unity")
         for name in ("k0", "k1", "k2", "k3"):

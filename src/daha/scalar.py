@@ -41,6 +41,15 @@ def as_scalar(x) -> Scalar:
     raise TypeError(f"not a scalar: {x!r}")
 
 
+def as_scalars(values) -> tuple:
+    """:func:`as_scalar` of each value, all lifted into Q(q) when any is a
+    RatFun: the one rule that puts a group of scalars into one field."""
+    out = tuple(map(as_scalar, values))
+    if any(type(x) is RatFun for x in out):
+        return tuple(x if type(x) is RatFun else _raw(*_parts(x)) for x in out)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # dense univariate integer polynomials: sequences of int, ascending
 # degree, no trailing zeros, zero polynomial = ()

@@ -57,3 +57,22 @@ def conjugate():
         )
 
     return conjugated
+
+
+@pytest.fixture
+def old_format():
+    """m -> m's JSON as formal modules were once written: every constant
+    rational function ("3 | 1", "0 | 1") printed as a bare rational, so
+    that one file mixes the two forms and a matrix of constants, such as
+    a generator of odd d = 0, has no pipe entry at all."""
+
+    def bare(x):
+        if isinstance(x, dict):
+            return {key: bare(value) for key, value in x.items()}
+        if isinstance(x, list):
+            return [bare(value) for value in x]
+        if isinstance(x, str) and x.endswith(" | 1") and "," not in x:
+            return x[: -len(" | 1")]
+        return x
+
+    return lambda m: bare(m.to_json())

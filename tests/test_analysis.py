@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import daha.linalg
 from daha.analysis import (
     INDETERMINATE,
     _recover,
@@ -21,7 +22,7 @@ from daha.analysis import (
     twist,
 )
 from daha.errors import ClassificationError, ParameterError
-from daha.linalg import Matrix, det
+from daha.linalg import Matrix, det, kernel, solve_sylvester_homogeneous
 from daha.modrep import ModuleRep, central_character, make_E, make_O, verify_relations
 from daha.params import ParamQuadruple, canonical_orbit_rep
 from daha.sampling import adversarial_even, adversarial_odd, sample_even, sample_odd
@@ -436,18 +437,62 @@ def test_spectral_route_refuses_reducible_modules(conjugate):
             assert _spectral(module) is None
 
 
-def test_spectral_route_over_the_rational_functions():
-    """All-RatFun modules take the route with RatFun certificates; a bare
-    Fraction entry keeps the equations' certificate, types included."""
+def test_spectral_route_over_the_rational_functions(old_format):
+    """Formal modules take the route with the equations' certificate, also
+    when read from a file that prints their constants as bare rationals."""
     rng = random.Random("spectral-ratfun")
     for p in (sample_even(rng, 1, field=QQ_Q), sample_even(rng, 3, field=QQ_Q),
               sample_odd(rng, 0, field=QQ_Q), sample_odd(rng, 2, field=QQ_Q)):
-        lifted = ParamQuadruple(p.q, *(k * QQ_Q.one for k in p.k), d=p.d, parity=p.parity)
-        for params in (p, lifted):
-            module = make_E(params) if params.parity == "even" else make_O(params)
+        built = make_E(p) if p.parity == "even" else make_O(p)
+        for module in (built, ModuleRep.from_json(old_format(built))):
             for e in range(4):
                 got, want = _both_routes(twist(module, e))
                 assert got is not None and got.to_json() == want.to_json()
+
+
+def _in_q_of_q(m: Matrix) -> bool:
+    return m._ints is None and all(isinstance(e, RatFun) for row in m.entries for e in row)
+
+
+def test_formal_values_hold_ratfuns_only(monkeypatch):
+    """Formal params lift their rational k's into Q(q), and so every
+    matrix, kernel basis and certificate built from them holds RatFuns
+    only, also where a rational operand meets a formal one."""
+    field_matrix = daha.linalg._field_matrix
+
+    def checked(rows):
+        m = field_matrix(rows)
+        assert _in_q_of_q(m)
+        return m
+
+    monkeypatch.setattr(daha.linalg, "_field_matrix", checked)
+    rng = random.Random("one-field")
+    for sampler, d in ((sample_even, 1), (sample_even, 3), (sample_odd, 0), (sample_odd, 2)):
+        p = sampler(rng, d, field=QQ_Q)
+        crit = criterion_E if p.parity == "even" else criterion_O
+        while not crit(p):
+            p = sampler(rng, d, field=QQ_Q)
+        assert all(isinstance(x, RatFun) for x in (p.q, *p.k))
+        module = make_E(p) if p.parity == "even" else make_O(p)
+        n = module.dim
+        for e in range(4):
+            m = twist(module, e)
+            theta = m.x_matrix().entry(0, 0)
+            mats = [*m.t, *m.tinv, m.x_matrix(), m.xinv_matrix(), m.y_matrix(),
+                    m.t[0] * m.t[1] * m.t[2] * m.t[3], m.t[1] + m.tinv[1],
+                    m.t[2] - m.tinv[2], m.t[3].scale(F(-2, 3)),
+                    Matrix.identity(n) * m.t[0], m.t[1] + Matrix.identity(n),
+                    Matrix.identity(n).scale(theta)]
+            assert all(map(_in_q_of_q, mats))
+            spaces = [
+                kernel(m.x_matrix() - Matrix.identity(n).scale(theta)),
+                solve_sylvester_homogeneous(zip(m.t, module.t)),
+                solve_sylvester_homogeneous([(Matrix.identity(n), m.t[0])]),
+            ]
+            assert all(isinstance(x, RatFun) for s in spaces for v in s.basis for x in v)
+            result = classify(m)
+            assert all(isinstance(x, RatFun) for x in (result.params.q, *result.params.k))
+            assert _in_q_of_q(result.certificate)
 
 
 # the even family's k1..k3 and the odd family's k0..k2, at q = 2

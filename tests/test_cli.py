@@ -18,10 +18,9 @@ from daha.cli import (
     EXIT_VERIFY,
     main,
 )
-from daha.modrep import make_E, make_O, verify_relations
-from daha.params import ParamQuadruple
+from daha.modrep import ModuleRep, make_E, make_O, verify_relations
 from daha.sampling import adversarial_even, adversarial_odd, sample_even, sample_odd
-from daha.scalar import QQ_Q
+from daha.scalar import QQ_Q, RatFun
 
 
 DATA = Path(__file__).parent / "data"
@@ -286,6 +285,81 @@ def test_ratfun_classify_golden(tmp_path):
     assert out.read_bytes() == (DATA / "ratfun_even_d3_classify.json").read_bytes()
 
 
+def test_formal_certificates_print_every_entry_in_pipe_form(tmp_path):
+    """Rational k's of formal params are lifted into Q(q), so no
+    certificate entry of their module prints as a bare rational."""
+    mod, cls, itw = tmp_path / "m.json", tmp_path / "cls.json", tmp_path / "itw.json"
+    assert run("construct", "--parity", "even", "--backend", "ratfun", "--d", "1",
+               "--k=-q^-1,-1,8/15,-14/15", "--out", str(mod)) == EXIT_OK
+    assert json.loads(mod.read_text())["params"]["k"] == ["-1 | 0,1", "-1 | 1", "8/15 | 1",
+                                                          "-14/15 | 1"]
+    assert run("classify", "--in", str(mod), "--out", str(cls)) == EXIT_OK
+    assert run("intertwiner", "--a", str(mod), "--b", str(mod), "--out", str(itw)) == EXIT_OK
+    for matrix in (json.loads(cls.read_text())["certificate"],
+                   json.loads(itw.read_text())["matrix"]):
+        assert matrix["entries"] == [["1 | 1", "0 | 1"], ["0 | 1", "1 | 1"]]
+
+
+def test_formal_classify_needs_no_intertwining_equations(tmp_path, monkeypatch, old_format):
+    """The eigenbasis route certifies a formal module on its own, in pipe
+    form or in the old form alike, with the bytes the intertwining
+    equations give."""
+    old = tmp_path / "old.json"
+    module = daha.cli._load_module(str(DATA / "ratfun_odd_d2.json"))
+    old.write_text(json.dumps(old_format(module)))
+    calls = []
+    equations = daha.analysis.find_intertwiner
+    monkeypatch.setattr(daha.analysis, "find_intertwiner",
+                        lambda a, b: calls.append(a) or equations(a, b))
+    outputs = []
+    for path in (DATA / "ratfun_odd_d2.json", old):
+        out = tmp_path / "cls.json"
+        assert run("classify", "--in", str(path), "--out", str(out)) == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert calls == []
+    monkeypatch.setattr(daha.analysis, "_spectral_intertwiner", lambda *args: None)
+    forced = tmp_path / "forced.json"
+    assert run("classify", "--in", str(old), "--out", str(forced)) == EXIT_OK
+    assert len(calls) == 1 and outputs == [forced.read_bytes()] * 2
+
+
+def test_old_format_formal_files_read_like_the_pipe_form(tmp_path, old_format):
+    """A formal module file that prints its constants as bare rationals
+    loads into the matrices of the pipe-form file, all in Q(q), and
+    verify, classify and intertwiner print the same bytes for both."""
+    rng = random.Random("old-format")
+    for sampler, make, d in ((sample_odd, make_O, 0), (sample_even, make_E, 1),
+                             (sample_odd, make_O, 2), (sample_even, make_E, 3)):
+        module = twist(make(sampler(rng, d, QQ_Q)), rng.randrange(4) if d % 2 else 0)
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        new.write_text(json.dumps(module.to_json()))
+        old.write_text(json.dumps(old_format(module)))
+        if d == 0:  # a constant k makes a 1 x 1 generator with no pipe entry
+            assert any("|" not in json.dumps(m) for m in old_format(module)["t"])
+        loaded = ModuleRep.from_json(json.loads(old.read_text()))
+        assert loaded.params == module.params and loaded.to_json() == module.to_json()
+        assert all(m._ints is None and all(isinstance(e, RatFun) for row in m.entries for e in row)
+                   for m in loaded.t + loaded.tinv)
+        for argv in (("verify", "--in"), ("classify", "--in"),
+                     ("intertwiner", "--b", str(new), "--a")):
+            outputs = []
+            for path in (new, old):
+                out = tmp_path / "out.json"
+                code = run(*argv, str(path), "--out", str(out))
+                outputs.append((code, out.read_bytes()))
+            assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
+
+
+def test_param_values_that_start_with_a_minus_sign_take_the_equals_form(tmp_path):
+    mod = tmp_path / "m.json"
+    assert run("construct", "--parity", "even", "--d", "1", "--q", "2",
+               "--k=-1/2,1,-1,1", "--out", str(mod)) == EXIT_OK
+    assert json.loads(mod.read_text())["params"]["k"] == ["-1/2", "1", "-1", "1"]
+    assert run("construct", "--parity", "even", "--d", "1", "--q=-1/2",
+               "--k", "2,1,3,1", "--out", str(mod)) == EXIT_OK
+    assert json.loads(mod.read_text())["params"]["q"] == "-1/2"
+
+
 # Rational classify/intertwiner output, kept byte for byte: a twisted
 # even d=5 module and an odd d=4 module in a conjugated basis.
 def test_rational_even_classify_intertwiner_golden(tmp_path):
@@ -475,12 +549,13 @@ def test_classify_goldens_take_the_eigenbasis_route(tmp_path, monkeypatch):
     assert calls == []
 
 
-def _differential_grid(conjugate):
-    """Irreducible modules of both families at d <= 5 with all twists,
-    some in a random basis, reducible ones from single violations, and
-    formal-q modules with and without bare Fraction entries."""
+def _differential_grid(conjugate, old_format):
+    """The JSON of irreducible modules of both families at d <= 5 with all
+    twists, some in a random basis, reducible ones from single
+    violations, and formal-q modules in pipe form and in the old form
+    that prints constants as bare rationals."""
     rng = random.Random("classify-differential")
-    modules = []
+    modules, docs = [], []
     for d in range(6):
         even = d % 2
         sampler, make, crit = (
@@ -497,17 +572,18 @@ def _differential_grid(conjugate):
             modules.append(twist(make(bad), rng.randrange(4)))
         if d < 3:
             p = sampler(rng, d, QQ_Q)
-            lifted = ParamQuadruple(p.q, *(k * QQ_Q.one for k in p.k), d=d, parity=p.parity)
-            modules += [twist(make(p), 1), twist(make(lifted), 3)]
-    return modules
+            modules.append(twist(make(p), 1))
+            docs.append(old_format(twist(make(p), 3)))
+    return [m.to_json() for m in modules] + docs
 
 
-def test_classify_json_is_the_same_through_both_routes(tmp_path, monkeypatch, conjugate):
-    modules = _differential_grid(conjugate)
+def test_classify_json_is_the_same_through_both_routes(tmp_path, monkeypatch, conjugate,
+                                                        old_format):
+    docs = _differential_grid(conjugate, old_format)
     paths = []
-    for i, module in enumerate(modules):
+    for i, doc in enumerate(docs):
         path = tmp_path / f"m{i}.json"
-        path.write_text(json.dumps(module.to_json()))
+        path.write_text(json.dumps(doc))
         paths.append(path)
 
     def outputs():
@@ -522,7 +598,7 @@ def test_classify_json_is_the_same_through_both_routes(tmp_path, monkeypatch, co
     monkeypatch.setattr(daha.analysis, "_spectral_intertwiner", lambda *args: None)
     assert outputs() == spectral
     verdicts = [json.loads(text)["verdict"] for _, text in spectral]
-    assert verdicts.count("reducible") == 5 and verdicts.count("classified") == len(modules) - 5
+    assert verdicts.count("reducible") == 5 and verdicts.count("classified") == len(docs) - 5
 
 
 @pytest.mark.parametrize("parity,d,k", [

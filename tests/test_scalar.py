@@ -10,6 +10,7 @@ from daha.scalar import (
     QQ,
     QQ_Q,
     RatFun,
+    as_scalars,
     scalar_from_str,
     scalar_pow,
     scalar_sqrt,
@@ -246,3 +247,16 @@ def test_ratfun_from_fraction_property(x):
     assert f == x and x == f
     assert hash(f) == hash(x)
     assert f.as_fraction() == x
+
+
+@given(st.lists(fractions | st.integers(-50, 50), min_size=1, max_size=5))
+def test_as_scalars_lifts_a_group_with_a_ratfun(xs):
+    """A group of rationals stays rational; with a RatFun beside it, each
+    rational is lifted into the canonical form of RatFun((x,))."""
+    assert as_scalars(xs) == tuple(map(Fraction, xs))
+    assert all(type(x) is Fraction for x in as_scalars(xs))
+    lifted = as_scalars([*xs, Q])
+    assert lifted[-1] is Q
+    for x, f in zip(xs, lifted):
+        want = RatFun((Fraction(x),))
+        assert type(f) is RatFun and (f._n, f._d) == (want._n, want._d)
