@@ -29,7 +29,15 @@ from .linalg import (
     solve_sylvester_homogeneous,
     span_closure,
 )
-from .modrep import ModuleRep, _Inverses, central_character, make_E, make_O, verify_relations
+from .modrep import (
+    ModuleRep,
+    _Inverses,
+    _ladder_factor,
+    central_character,
+    make_E,
+    make_O,
+    verify_relations,
+)
 from .params import (
     PARITY_EVEN,
     PARITY_ODD,
@@ -114,21 +122,16 @@ def _floor_half(i: int) -> int:
     return i // 2
 
 
-def _prod(factors, one):
-    out = one
-    for f in factors:
-        out = out * f
-    return out
-
-
-def _l_operator(module: ModuleRep, r_factors, s_factors_for) -> Matrix:
+def _l_operator(module: ModuleRep, r_factors, s_factors) -> Matrix:
     """Read L off the module: L[i][j] is the 0-coordinate of R*S_i
-    applied to basis vector j; all other coordinates must vanish."""
+    applied to basis vector j, where R is the product of r_factors and
+    S_i that of the first d - i s_factors; all other coordinates must
+    vanish."""
     ident = module.identity_matrix()
-    r_mat = _prod(r_factors, ident)
+    r_mat = prod(r_factors, start=ident)
     rows = []
     for i in range(module.dim):
-        rs = r_mat * _prod(s_factors_for(i), ident)
+        rs = r_mat * prod(s_factors[:module.dim - 1 - i], start=ident)
         if any(any(row) for row in rs.entries[1:]):
             raise TranscriptionError("lowering product did not land in the base line")
         rows.append(rs.entries[0])
@@ -162,25 +165,12 @@ def l_matrix_E(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
 
     if route == ROUTE_OPERATOR:
         module = make_E(p)
-        x, xi = module.x_matrix(), module.xinv_matrix()
-        y, yi = module.y_matrix(), module.yinv_matrix()
-        ident = module.identity_matrix()
-        r_factors = [
-            ident
-            - (x if h % 2 else xi).scale(k0 * k3 * scalar_pow(q, 2 * _ceil_half(h)))
-            for h in range(1, d + 1)
-        ]
-
-        def s_factors_for(i):
-            return [
-                ident
-                - (yi if h % 2 else y).scale(
-                    (k0 / k1) * scalar_pow(q, 2 * _ceil_half(h - 1))
-                )
-                for h in range(1, d - i + 1)
-            ]
-
-        return LMatrix(d, _l_operator(module, r_factors, s_factors_for), route)
+        xs = module.x_matrix(), module.xinv_matrix()
+        ys = module.y_matrix(), module.yinv_matrix()
+        # S_i's factors are the w-raising factors of w_basis_check
+        r_factors = [_ladder_factor(*xs, k0 * k3, q, h) for h in range(1, d + 1)]
+        s_factors = [_ladder_factor(*ys, k0 / k1, q, h) for h in range(d)]
+        return LMatrix(d, _l_operator(module, r_factors, s_factors), route)
 
     if route == ROUTE_RECURRENCE:
         def seed(i):
@@ -338,29 +328,15 @@ def l_matrix_O(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
 
 
 def _l_operator_O(p: ParamQuadruple) -> Matrix:
+    """The operator route of the odd family: the ladder factors at 1/q,
+    with the roles of X and X^-1 (and of Y and Y^-1) exchanged."""
     q, (k0, k1, k2, k3), d = p.q, p.k, p.d
     module = make_O(p)
-    x, xi = module.x_matrix(), module.xinv_matrix()
-    y, yi = module.y_matrix(), module.yinv_matrix()
-    ident = module.identity_matrix()
-    r_factors = [
-        ident
-        - (xi if h % 2 else x).scale(
-            scalar_pow(q, -2 * _ceil_half(h)) / (k0 * k3)
-        )
-        for h in range(1, d + 1)
-    ]
-
-    def s_factors_for(i):
-        return [
-            ident
-            - (yi if h % 2 else y).scale(
-                scalar_pow(q, 1 - 2 * _ceil_half(h)) / (k2 * k3)
-            )
-            for h in range(1, d - i + 1)
-        ]
-
-    return _l_operator(module, r_factors, s_factors_for)
+    xs = module.xinv_matrix(), module.x_matrix()
+    ys = module.yinv_matrix(), module.y_matrix()
+    r_factors = [_ladder_factor(*xs, 1 / (k0 * k3), 1 / q, h) for h in range(1, d + 1)]
+    s_factors = [_ladder_factor(*ys, q / (k2 * k3), 1 / q, h) for h in range(1, d + 1)]
+    return _l_operator(module, r_factors, s_factors)
 
 
 def l_matrix_routes(p: ParamQuadruple):

@@ -15,9 +15,12 @@ Three realizations are built here:
 Matrices act on column coordinate vectors: the j-th column of a
 generator matrix is the coordinate vector of the generator applied to
 the j-th basis vector.  The generator columns are written once, in
-:func:`_verma_column`.  Inverse generators have no formulas of their
-own: a finite module's inverse matrices come from exact inversion, and
-the ladder module applies t_i^{-1} from the relation
+:func:`_verma_column`, and the ladder factor 1 - c q^(2 ceil(i/2))
+Op^(+-1) that every ladder check and the operator routes of the
+L-matrices multiply is written once, in :func:`_ladder_factor` (its
+scalar in :func:`_ladder_coef`).  Inverse generators have no formulas
+of their own: a finite module's inverse matrices come from exact
+inversion, and the ladder module applies t_i^{-1} from the relation
 t_i + t_i^{-1} = k_i + 1/k_i, re-checking t_i w = v on each result.
 """
 
@@ -169,10 +172,7 @@ class ModuleRep:
             listed = json_field(data, key, list)
             if len(listed) != 4:
                 raise InputError(f"{key!r} needs four matrices, got {len(listed)}")
-            mats[key] = tuple(Matrix.from_json(m) for m in listed)
-            if isinstance(params.q, RatFun):  # older files print constants bare
-                one = params.q ** 0
-                mats[key] = tuple(m if m._ints is None else m.scale(one) for m in mats[key])
+            mats[key] = tuple(_in_field(Matrix.from_json(m), params.q) for m in listed)
             if any(m.shape != (dim, dim) for m in mats[key]):
                 raise InputError(f"{key!r} has a matrix that is not {dim} x {dim}")
         return cls(
@@ -183,6 +183,20 @@ class ModuleRep:
             twist=twist,
             label=json_field(data, "label", str) if "label" in data else "",
         )
+
+
+def _in_field(m: Matrix, q) -> Matrix:
+    """m over the field of q: a rational matrix is lifted into Q(q) when q
+    is formal (older files print constants bare), and a matrix over Q(q)
+    is lowered to its rationals when q is rational; InputError when such
+    a matrix has an entry that depends on q."""
+    if isinstance(q, RatFun):
+        return m if m._ints is None else m.scale(q ** 0)
+    if m._ints is not None:
+        return m
+    if not all(e.is_constant() for row in m.entries for e in row):
+        raise InputError("a matrix entry depends on q, but the params' q is rational")
+    return Matrix([[e.as_fraction() for e in row] for row in m.entries])
 
 
 def _truncate(p: ParamQuadruple, family: str) -> ModuleRep:
@@ -279,46 +293,44 @@ def central_character(m: ModuleRep):
     return tuple(out)
 
 
-def _unit_vector(dim: int, i: int, one, zero):
-    return tuple(one if j == i else zero for j in range(dim))
+def _ladder_coef(base, q, i: int):
+    """base * q^(2 ceil(i/2)), the scalar of the i-th ladder factor."""
+    return base * scalar_pow(q, 2 * ((i + 1) // 2))
+
+
+def _ladder_factor(fwd: Matrix, bwd: Matrix, base, q, i: int) -> Matrix:
+    """The i-th ladder factor 1 - base q^(2 ceil(i/2)) Op, where Op is
+    fwd for odd i and bwd for even i.
+
+    With (X, X^-1, k0 k3) it maps m_i to rho_i m_(i-1) (m_0 to 0), and
+    with (Y, Y^-1, k0 k1) it maps m_i to m_(i+1) (m_d to 0).  Every
+    ladder check and the operator routes of the L-matrices build their
+    factors here.
+    """
+    op = fwd if i % 2 else bwd
+    return Matrix.identity(op.rows, one=q ** 0) - op.scale(_ladder_coef(base, q, i))
 
 
 def ladder_check(m: ModuleRep, which: str) -> Report:
     """Check the lowering (X = t3*t0) or raising (Y = t0*t1) ladder
     identities on every basis column of an untwisted module."""
     p = m.params
-    d = m.dim - 1
-    one = p.q ** 0
-    zero = p.q * 0
     if which == "X":
-        fwd, bwd = m.x_matrix(), m.xinv_matrix()
-        coef_base = p.k0 * p.k3
+        ops, base = (m.x_matrix(), m.xinv_matrix()), p.k0 * p.k3
     elif which == "Y":
-        fwd, bwd = m.y_matrix(), m.yinv_matrix()
-        coef_base = p.k0 * p.k1
+        ops, base = (m.y_matrix(), m.yinv_matrix()), p.k0 * p.k1
     else:
         raise DahaError("which must be 'X' or 'Y'")
-    ident = m.identity_matrix()
     items = []
-    for i in range(d + 1):
-        # X^{(-1)^{i-1}}: the inverse for even i, the element itself for odd i
-        op = fwd if i % 2 else bwd
-        coef = coef_base * scalar_pow(p.q, 2 * ((i + 1) // 2))
-        lhs = (ident - op.scale(coef)).apply(_unit_vector(m.dim, i, one, zero))
-        if which == "X":
-            if i == 0:
-                expect = tuple(zero for _ in range(m.dim))
-            else:
-                rho = seq_rho(p.q, *p.k, i)
-                expect = tuple(
-                    rho if j == i - 1 else zero for j in range(m.dim)
-                )
-        else:
-            if i == d:
-                expect = tuple(zero for _ in range(m.dim))
-            else:
-                expect = _unit_vector(m.dim, i + 1, one, zero)
-        ok = all(a == b for a, b in zip(lhs, expect))
+    for i in range(m.dim):
+        # column i of the factor is its image of m_i
+        lhs = [row[i] for row in _ladder_factor(*ops, base, p.q, i).entries]
+        expect = [0] * m.dim
+        if which == "X" and i > 0:
+            expect[i - 1] = seq_rho(p.q, *p.k, i)
+        elif which == "Y" and i < m.dim - 1:
+            expect[i + 1] = 1
+        ok = lhs == expect
         items.append(
             CheckItem(
                 f"{which}-ladder@{i}",
@@ -361,17 +373,11 @@ def raising_product_annihilates(m: ModuleRep) -> bool:
     """Apply the full (d+1)-factor raising product to the first basis
     vector; the result must vanish on both module families."""
     p = m.params
-    d = m.dim - 1
-    one = p.q ** 0
-    zero = p.q * 0
-    y, yi = m.y_matrix(), m.yinv_matrix()
-    ident = m.identity_matrix()
-    v = _unit_vector(m.dim, 0, one, zero)
-    for i in range(d + 1):
-        op = y if i % 2 else yi
-        coef = p.k0 * p.k1 * scalar_pow(p.q, 2 * ((i + 1) // 2))
-        v = (ident - op.scale(coef)).apply(v)
-    return all(not x for x in v)
+    ys = m.y_matrix(), m.yinv_matrix()
+    v = [1] + [0] * (m.dim - 1)
+    for i in range(m.dim):
+        v = _ladder_factor(*ys, p.k0 * p.k1, p.q, i).apply(v)
+    return not any(v)
 
 
 def w_basis_check(m: ModuleRep) -> Report:
@@ -380,50 +386,24 @@ def w_basis_check(m: ModuleRep) -> Report:
     basis and satisfies the lowering ladder with phi coefficients."""
     p = m.params
     d = m.dim - 1
-    one = p.q ** 0
-    zero = p.q * 0
-    y, yi = m.y_matrix(), m.yinv_matrix()
-    x, xi = m.x_matrix(), m.xinv_matrix()
-    ident = m.identity_matrix()
-    coef_y = p.k0 / p.k1
+    xs = m.x_matrix(), m.xinv_matrix()
+    ys = m.y_matrix(), m.yinv_matrix()
+    # w_(i+1) is the i-th raising factor applied to w_i; the last one,
+    # applied to w_d, must vanish
+    ws = [(1,) + (0,) * d]
+    for i in range(m.dim):
+        ws.append(_ladder_factor(*ys, p.k0 / p.k1, p.q, i).apply(ws[-1]))
 
-    ws = [_unit_vector(m.dim, 0, one, zero)]
-    for h in range(d):
-        op = y if h % 2 else yi
-        coef = coef_y * scalar_pow(p.q, 2 * ((h + 1) // 2))
-        ws.append((ident - op.scale(coef)).apply(ws[-1]))
-
-    items = []
-    basis_ok = rank(Matrix(ws)) == m.dim
-    items.append(CheckItem("w vectors form a basis", basis_ok))
-
+    items = [CheckItem("w vectors form a basis", rank(Matrix(ws[:-1])) == m.dim)]
     for i in range(d + 1):
-        op = x if i % 2 else xi
-        coef = p.k0 * p.k3 * scalar_pow(p.q, 2 * ((i + 1) // 2))
-        lhs = (ident - op.scale(coef)).apply(ws[i])
+        lhs = _ladder_factor(*xs, p.k0 * p.k3, p.q, i).apply(ws[i])
         if i == 0:
-            expect = tuple(zero for _ in range(m.dim))
+            ok = not any(lhs)
         else:
             phi = seq_rho(p.q, p.k0, 1 / p.k1, p.k2, p.k3, i)
-            expect = tuple(phi * c for c in ws[i - 1])
-        items.append(
-            CheckItem(
-                f"w-lowering@{i}",
-                all(a == b for a, b in zip(lhs, expect)),
-            )
-        )
-        opy = y if i % 2 else yi
-        coefy = coef_y * scalar_pow(p.q, 2 * ((i + 1) // 2))
-        lhs = (ident - opy.scale(coefy)).apply(ws[i])
-        expect = (
-            tuple(zero for _ in range(m.dim)) if i == d else tuple(ws[i + 1])
-        )
-        items.append(
-            CheckItem(
-                f"w-raising@{i}",
-                all(a == b for a, b in zip(lhs, expect)),
-            )
-        )
+            ok = lhs == tuple(phi * c for c in ws[i - 1])
+        items.append(CheckItem(f"w-lowering@{i}", ok))
+        items.append(CheckItem(f"w-raising@{i}", i < d or not any(ws[-1])))
     return Report(tuple(items))
 
 
@@ -592,21 +572,20 @@ def verma_ladder_check(p: ParamQuadruple, max_index: int = 12) -> Report:
     """The lowering/raising ladder identities on the infinite module,
     checked on basis vectors m_0 .. m_max_index."""
     one = p.q ** 0
+    k0k3, k0k1 = p.k0 * p.k3, p.k0 * p.k1
     items = []
     for i in range(max_index + 1):
         mi = SparseVec.unit(i, one)
-        coef = p.k0 * p.k3 * scalar_pow(p.q, 2 * ((i + 1) // 2))
         shifted = verma_apply("X" if i % 2 else "Xinv", mi, p)
-        lhs = mi - shifted.scale(coef)
+        lhs = mi - shifted.scale(_ladder_coef(k0k3, p.q, i))
         if i == 0:
             expect = SparseVec.zero()
         else:
             expect = SparseVec.unit(i - 1, one).scale(seq_rho(p.q, *p.k, i))
         items.append(CheckItem(f"verma-X@{i}", lhs == expect))
 
-        coef = p.k0 * p.k1 * scalar_pow(p.q, 2 * ((i + 1) // 2))
         shifted = verma_apply("Y" if i % 2 else "Yinv", mi, p)
-        lhs = mi - shifted.scale(coef)
+        lhs = mi - shifted.scale(_ladder_coef(k0k1, p.q, i))
         items.append(CheckItem(f"verma-Y@{i}", lhs == SparseVec.unit(i + 1, one)))
     return Report(tuple(items))
 

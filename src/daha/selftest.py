@@ -111,7 +111,7 @@ def _count(grid, default: int) -> int:
     return default if grid is None else max(int(grid), 0)
 
 
-def _fixed_params(parity: str, max_d: int = 99, field=QQ):
+def _fixed_params(parity: str, max_d: int, field=QQ):
     fixed = FIXED_EVEN if parity == PARITY_EVEN else FIXED_ODD
     q = field.default_q()
     out = []
@@ -148,9 +148,9 @@ def _construct(p: ParamQuadruple):
 
 def _criterion(index: int, name: str):
     def wrap(fn):
-        def run(seed=0, grid=None, **kw) -> CriterionResult:
+        def run(seed=0, grid=None) -> CriterionResult:
             start = time.monotonic()
-            checks, failures = fn(seed, grid, **kw)
+            checks, failures = fn(seed, grid)
             return CriterionResult(
                 index=index,
                 name=name,
@@ -181,10 +181,10 @@ def _relation_sweep(params_list):
 
 
 @_criterion(1, "defining relations on random valid quadruples")
-def criterion_1(seed, grid, field=QQ):
+def criterion_1(seed, grid):
     count = _count(grid, 100)
-    even = _grid_params(_rng(seed, "c1e"), PARITY_EVEN, count, EVEN_DS, field)
-    odd = _grid_params(_rng(seed, "c1o"), PARITY_ODD, count, ODD_DS, field)
+    even = _grid_params(_rng(seed, "c1e"), PARITY_EVEN, count, EVEN_DS)
+    odd = _grid_params(_rng(seed, "c1o"), PARITY_ODD, count, ODD_DS)
     c1, f1 = _relation_sweep(even)
     c2, f2 = _relation_sweep(odd)
     return c1 + c2, f1 + f2
@@ -210,10 +210,10 @@ def _character_sweep(params_list):
 
 
 @_criterion(2, "central characters and determinant fingerprints")
-def criterion_2(seed, grid, field=QQ):
+def criterion_2(seed, grid):
     count = _count(grid, 100)
-    even = _grid_params(_rng(seed, "c2e"), PARITY_EVEN, count, EVEN_DS, field)
-    odd = _grid_params(_rng(seed, "c2o"), PARITY_ODD, count, ODD_DS, field)
+    even = _grid_params(_rng(seed, "c2e"), PARITY_EVEN, count, EVEN_DS)
+    odd = _grid_params(_rng(seed, "c2o"), PARITY_ODD, count, ODD_DS)
     c1, f1 = _character_sweep(even)
     c2, f2 = _character_sweep(odd)
     return c1 + c2, f1 + f2
@@ -443,17 +443,12 @@ def _infinite_suite(params_list, max_ladder=12, max_poly=10):
 
 
 @_criterion(7, "infinite-module ladders, operator identities, polynomial realization")
-def criterion_7(seed, grid, field=QQ, max_d=99, sets_per_parity=None):
-    count = _count(grid, 4) if sets_per_parity is None else sets_per_parity
-    rng_e = _rng(seed, "c7e")
-    rng_o = _rng(seed, "c7o")
-    even_ds = tuple(d for d in EVEN_DS if d <= max_d)
-    odd_ds = tuple(d for d in ODD_DS if d <= max_d)
-    params = _grid_params(rng_e, PARITY_EVEN, count, even_ds, field)
-    params += _grid_params(rng_o, PARITY_ODD, count, odd_ds, field)
-    if field is QQ:
-        rng_f = _rng(seed, "c7f")
-        params += [sample_free(rng_f) for _ in range(max(count // 2, 1))]
+def criterion_7(seed, grid):
+    count = _count(grid, 4)
+    params = _grid_params(_rng(seed, "c7e"), PARITY_EVEN, count, EVEN_DS)
+    params += _grid_params(_rng(seed, "c7o"), PARITY_ODD, count, ODD_DS)
+    rng_f = _rng(seed, "c7f")
+    params += [sample_free(rng_f) for _ in range(max(count // 2, 1))]
     return _infinite_suite(params)
 
 

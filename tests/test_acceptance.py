@@ -19,8 +19,8 @@ from daha.selftest import (
 SEED = "acceptance"
 
 
-def _run(criterion, **kw):
-    result = criterion(seed=SEED, grid=None, **kw)
+def _run(criterion):
+    result = criterion(seed=SEED, grid=None)
     print(result.line())
     assert result.passed, result.detail
     return result

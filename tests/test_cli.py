@@ -411,6 +411,7 @@ MALFORMED = {
     "entry_not_a_string": _set_in(("t", 1, "entries", 0, 0), 1),
     "ragged_rows": _set_in(("tinv", 2, "entries", 1), ["1"]),
     "twist_out_of_range": _set_in(("twist",), 4),
+    "entry_in_q_under_rational_params": _set_in(("t", 1, "entries", 0, 0), "0,1 | 1"),
 }
 
 
@@ -435,20 +436,41 @@ def test_non_object_module_file_is_an_input_error(tmp_path, capsys):
     assert "missing field" in capsys.readouterr().err
 
 
-# `daha verify` reports, kept byte for byte: a valid twisted module and a
-# d=3 even module whose t1 entry (0, 0) was changed from 2/3 to 7/3.
-# They lock the "scalar ..." and "difference Matrix[...]" strings.
+# `daha verify` reports, kept byte for byte: a valid twisted module, a
+# d=3 even module whose t1 entry (0, 0) was changed from 2/3 to 7/3, a
+# valid untwisted formal module, and an untwisted rational module in a
+# conjugated basis, on which the ladder identities fail.  They lock the
+# "scalar ...", "difference Matrix[...]" and ladder "got [...]" strings.
 @pytest.mark.parametrize(
     "module,golden,code",
     [
         ("rational_even_d5_tw3.json", "rational_even_d5_tw3_verify.json", EXIT_OK),
         ("rational_even_d3_corrupt.json", "rational_even_d3_corrupt_verify.json", EXIT_VERIFY),
+        ("ratfun_even_d3.json", "ratfun_even_d3_verify.json", EXIT_OK),
+        ("rational_odd_d4_conj.json", "rational_odd_d4_conj_verify.json", EXIT_VERIFY),
     ],
 )
 def test_verify_golden(tmp_path, module, golden, code):
     out = tmp_path / "verify.json"
     assert run("verify", "--in", str(DATA / module), "--out", str(out)) == code
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_rational_module_with_a_constant_pipe_entry_reads_as_rational(tmp_path, command):
+    # t1 entry (0, 0) of this module is 2/3; the edited copy writes it "2/3 | 1"
+    plain, edited = tmp_path / "plain.json", tmp_path / "edited.json"
+    assert run("construct", "--parity", "even", "--q", "2", "--k", "1/4,2/3,3,5/7",
+               "--d", "3", "--out", str(plain)) == EXIT_OK
+    data = json.loads(plain.read_text())
+    assert data["t"][1]["entries"][0][0] == "2/3"
+    data["t"][1]["entries"][0][0] = "2/3 | 1"
+    edited.write_text(json.dumps(data))
+    for path in (plain, edited):
+        out = tmp_path / f"{path.stem}.{command}.json"
+        assert run(command, "--in", str(path), "--out", str(out)) == EXIT_OK
+    assert (tmp_path / f"edited.{command}.json").read_bytes() == \
+        (tmp_path / f"plain.{command}.json").read_bytes()
 
 
 def test_commands_refuse_modules_that_fail_the_relations(tmp_path):

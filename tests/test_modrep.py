@@ -12,6 +12,7 @@ from daha.modrep import (
     _ladder_block,
     ModuleRep,
     SparseVec,
+    _Inverses,
     _verma_column,
     central_character,
     commutation_check,
@@ -165,6 +166,69 @@ def test_w_basis():
     rng = random.Random("wbasis")
     for d in (1, 3, 5):
         assert w_basis_check(make_E(sample_even(rng, d))).ok
+
+
+# -- the ladder checks report a wrong generator ------------------------------
+
+def _with_entry(module, gen, i, j):
+    """module with 1 added to entry (i, j) of t_gen; the inverses follow."""
+    rows = [list(row) for row in module.t[gen].entries]
+    rows[i][j] += 1
+    t = tuple(Matrix(rows) if g == gen else x for g, x in enumerate(module.t))
+    return ModuleRep(dim=module.dim, t=t, tinv=_Inverses(t), params=module.params,
+                     twist=0, label="perturbed")
+
+
+LADDER_MODULES = [
+    ParamQuadruple(2, F(1, 4), F(2, 3), 3, F(5, 7), d=3, parity="even"),
+    ParamQuadruple(2, 1, 1, 3, F(1, 24), d=2, parity="odd"),
+]
+
+
+@pytest.mark.parametrize("p", LADDER_MODULES, ids=["even-d3", "odd-d2"])
+def test_ladder_checks_report_a_wrong_generator(p):
+    module = make_E(p) if p.parity == "even" else make_O(p)
+    assert raising_product_annihilates(module)
+    # t3 enters X = t3*t0 but not Y = t0*t1, and t1 the other way round
+    wrong_x = _with_entry(module, 3, 0, 0)
+    assert [item.name for item in ladder_check(wrong_x, "X").failed()] == ["X-ladder@0"]
+    assert ladder_check(wrong_x, "Y").ok
+    assert raising_product_annihilates(wrong_x)
+    wrong_y = _with_entry(module, 1, 0, 0)
+    assert ladder_check(wrong_y, "X").ok
+    assert [item.name for item in ladder_check(wrong_y, "Y").failed()] == ["Y-ladder@0"]
+    assert ladder_check(wrong_y, "Y").failed()[0].detail.startswith("got [")
+    assert not raising_product_annihilates(wrong_y)
+
+
+def test_w_basis_check_reports_a_wrong_generator():
+    module = make_E(LADDER_MODULES[0])
+    assert w_basis_check(module).ok
+    failed = {item.name for item in w_basis_check(_with_entry(module, 3, 0, 0)).failed()}
+    assert failed == {f"w-lowering@{i}" for i in range(4)}
+    failed = {item.name for item in w_basis_check(_with_entry(module, 1, 0, 0)).failed()}
+    assert "w-raising@3" in failed and "w vectors form a basis" not in failed
+
+
+def test_verma_ladder_check_reports_a_wrong_action(monkeypatch, p_even_d1):
+    import daha.modrep
+
+    assert verma_ladder_check(p_even_d1, 4).ok
+    monkeypatch.setattr(daha.modrep, "seq_rho", lambda *args: F(7))
+    failed = {item.name for item in verma_ladder_check(p_even_d1, 4).failed()}
+    assert failed == {f"verma-X@{i}" for i in range(1, 5)}
+    monkeypatch.undo()
+
+    # Y and Y^-1 with a stray m_(i+3) term
+    apply = daha.modrep.verma_apply
+
+    def wrong_y(gen, v, p):
+        out = apply(gen, v, p)
+        return out + SparseVec.unit(v.items[0][0] + 3) if gen in ("Y", "Yinv") else out
+
+    monkeypatch.setattr(daha.modrep, "verma_apply", wrong_y)
+    failed = {item.name for item in verma_ladder_check(p_even_d1, 4).failed()}
+    assert failed == {f"verma-Y@{i}" for i in range(5)}
 
 
 def test_verma_apply_examples(p_even_d1):
