@@ -552,7 +552,7 @@ def _quadruple(q, ks, d: int, parity: str) -> ParamQuadruple:
 
 def _rows(m: Matrix):
     """m as (int rows, denominator), or as (scalar rows, 1) over Q(q)."""
-    return (m._entries, 1) if m._ints is None else (m._ints, m._den)
+    return (m.entries, 1) if m._ints is None else (m._ints, m._den)
 
 
 def _matmul(a, b):

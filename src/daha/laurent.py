@@ -8,14 +8,19 @@ polynomial in q (ascending degree, no trailing zeros, as in
 :mod:`daha.scalar`) and den is a nonzero int polynomial in q, held as a
 tuple; the value is sum_e terms[e] / den * z^e.  Raw pairs need not be
 reduced, and no function changes a raw pair it is given; only
-:func:`_laurent` puts one into canonical form, so a computation that
-chains several steps canonicalises its result once.
+:func:`_canonical_polys` puts values over one denominator into
+canonical form, so a computation that chains several steps
+canonicalises its result once.  The sums and scalings key terms by
+anything hashable: :mod:`daha.modrep` keys its ladder vectors by basis
+index, and :class:`daha.linalg.Matrix` holds Q(q) matrices in the same
+canonical form.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .errors import DahaError, TranscriptionError
 from .scalar import RatFun, _padd, _parts, _pexquo, _pgcd, _pmul, as_scalar, scalar_to_str
@@ -31,8 +36,9 @@ def _pair_mul(x: tuple, y: tuple) -> tuple:
 
 def _times(terms: dict, c) -> dict:
     """Every coefficient times the nonzero int polynomial c."""
-    if c == (1,):
-        return terms
+    if len(c) == 1:
+        k = c[0]
+        return terms if k == 1 else {e: [k * y for y in x] for e, x in terms.items()}
     return {e: _pmul(c, x) for e, x in terms.items()}
 
 
@@ -70,6 +76,21 @@ def _raw_add(a: tuple, b: tuple) -> tuple:
     for e, c in bt.items():
         _accumulate(out, e, c)
     return out, ad
+
+
+def _raw_from_pairs(pairs) -> tuple:
+    """The raw pair of the sum of (key, (num, den)) scalar pairs: the
+    sum of the 1/den over one denominator, keyed by den, holds each
+    den's cofactor, and each num is multiplied by its own once."""
+    cofactors, den = {}, (1,)
+    for d in dict.fromkeys(d for _, (n, d) in pairs if n):
+        cofactors, den = _raw_add((cofactors, den), ({d: (1,)}, d))
+    one = len(cofactors) == 1  # one denominator: its cofactor is 1
+    out = {}
+    for key, (n, d) in pairs:
+        if n:
+            _accumulate(out, key, n if one else _pmul(cofactors[d], n))
+    return out, den
 
 
 def _raw_scale(a: tuple, x: tuple) -> tuple:
@@ -152,42 +173,48 @@ def _qval(c) -> int:
     return i
 
 
-def _laurent(raw: tuple, formal: bool) -> "LaurentPoly":
-    """The canonical LaurentPoly of a raw pair: strip the common power
-    of q, divide by the polynomial gcd when den has two or more terms,
-    then by the integer content, with den's leading coefficient > 0."""
-    terms, den = raw
-    items = sorted(terms.items())
-    if not items:
-        return _make_laurent((), (1,), formal)
-    v = min(_qval(den), *(_qval(c) for _, c in items))
-    if v:
+def _canonical_polys(polys, den) -> tuple:
+    """The canonical form of the int polynomials polys over den, () for
+    zero: strip the common power of q, divide by the polynomial gcd when
+    den has two or more terms, then by the integer content, with den's
+    leading coefficient > 0.  Returns (tuple of polynomials, den); every
+    Q(q) value held over one denominator is put into canonical form here
+    (see :class:`LaurentPoly` for why the form is unique)."""
+    nonzero = [c for c in polys if c]
+    if not nonzero:
+        return tuple(() for _ in polys), (1,)
+    if not den[0] and not any(c[0] for c in nonzero):
+        v = min(_qval(den), *map(_qval, nonzero))
         den = den[v:]
-        items = [(e, c[v:]) for e, c in items]
-    if len(den) - _qval(den) > 1:
+        polys = [c[v:] for c in polys]
+    if len(den) > 1 and len(den) - _qval(den) > 1:
         g = den
-        for _, c in items:
-            g = _pgcd(g, c)
-            if len(g) == 1:
-                break
+        for c in polys:
+            if c:
+                g = _pgcd(g, c)
+                if len(g) == 1:
+                    break
         if len(g) > 1:
             den = _pexquo(den, g)
-            items = [(e, _pexquo(c, g)) for e, c in items]
-    g = math.gcd(*den, *(x for _, c in items for x in c))
+            polys = [_pexquo(c, g) if c else c for c in polys]
+    g = math.gcd(*den)
+    if g != 1:
+        g = math.gcd(g, *chain.from_iterable(polys))
     if den[-1] < 0:
         g = -g
     if g != 1:
         den = [x // g for x in den]
-        items = [(e, [x // g for x in c]) for e, c in items]
-    return _make_laurent(tuple((e, tuple(c)) for e, c in items), tuple(den), formal)
+        polys = [[x // g for x in c] for c in polys]
+    return tuple(map(tuple, polys)), tuple(den)
 
 
-def _make_laurent(terms: tuple, den: tuple, formal: bool) -> "LaurentPoly":
-    out = object.__new__(LaurentPoly)
-    _set_terms(out, terms)
-    _set_den(out, den)
-    _set_formal(out, formal)
-    return out
+def _canonical_terms(raw: tuple) -> tuple:
+    """The raw pair (terms, den) in canonical form, as sorted (key,
+    polynomial) pairs and den."""
+    terms, den = raw
+    keys = sorted(terms)
+    polys, den = _canonical_polys([terms[e] for e in keys], den)
+    return tuple(zip(keys, polys)), den
 
 
 def _exponent(e) -> int:
@@ -196,7 +223,79 @@ def _exponent(e) -> int:
     return e
 
 
-class LaurentPoly:
+class _OneDenominator:
+    """Coefficients keyed by an exponent or an index, held as int
+    polynomials in q over one int polynomial denominator in canonical
+    form (see :class:`LaurentPoly`), so ``==`` compares tuples of ints;
+    the common part of :class:`LaurentPoly` and
+    :class:`daha.modrep.SparseVec`.  Each coefficient reads in the field
+    of the inputs: a RatFun once any input scalar was one, a Fraction
+    otherwise."""
+
+    __slots__ = ("_terms", "_den", "_formal")
+
+    def __init__(self, terms=()):
+        pairs = [(self._key(e), as_scalar(c))
+                 for e, c in (terms.items() if isinstance(terms, dict) else terms)]
+        formal = any(isinstance(c, RatFun) for _, c in pairs)
+        _fill(self, _raw_from_pairs([(e, _parts(c)) for e, c in pairs]), formal)
+
+    @staticmethod
+    def _key(e):
+        return e
+
+    @classmethod
+    def _of(cls, raw: tuple, formal: bool):
+        """The canonical value of a raw pair."""
+        return _fill(object.__new__(cls), raw, formal)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def _coefficients(self) -> tuple:
+        """Sorted (key, coefficient) pairs."""
+        if self._formal:
+            return tuple((e, RatFun(c, self._den)) for e, c in self._terms)
+        den = self._den[0]
+        return tuple((e, Fraction(c[0], den)) for e, c in self._terms)
+
+    def _raw(self) -> tuple:
+        return dict(self._terms), self._den
+
+    def __add__(self, other):
+        return self._of(_raw_add(self._raw(), other._raw()), self._formal or other._formal)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = as_scalar(c)
+        return self._of(_raw_scale(self._raw(), _parts(c)), self._formal or isinstance(c, RatFun))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms and self._den == other._den
+
+    def __hash__(self):
+        return hash((self._terms, self._den))
+
+
+_SETTERS = tuple(getattr(_OneDenominator, name).__set__ for name in _OneDenominator.__slots__)
+
+
+def _fill(out: _OneDenominator, raw: tuple, formal: bool) -> _OneDenominator:
+    """Set the slots of out from the canonical form of a raw pair."""
+    for setter, value in zip(_SETTERS, (*_canonical_terms(raw), formal)):
+        setter(out, value)
+    return out
+
+
+class LaurentPoly(_OneDenominator):
     """A Laurent polynomial in z over Q or Q(q), held as int polynomials
     in q over one int polynomial denominator: sum_e N_e(q)/D(q) z^e.
 
@@ -229,72 +328,24 @@ class LaurentPoly:
     scalar was one, a Fraction otherwise.
     """
 
-    __slots__ = ("_terms", "_den", "_formal")
-
-    def __init__(self, terms=()):
-        raw = ({}, (1,))
-        formal = False
-        for e, c in terms.items() if isinstance(terms, dict) else terms:
-            e, c = _exponent(e), as_scalar(c)
-            formal = formal or isinstance(c, RatFun)
-            n, d = _parts(c)
-            raw = _raw_add(raw, ({e: n} if n else {}, d))
-        canon = _laurent(raw, formal)
-        _set_terms(self, canon._terms)
-        _set_den(self, canon._den)
-        _set_formal(self, formal)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls(())
+    __slots__ = ()
+    _key = staticmethod(_exponent)
 
     @property
     def terms(self) -> tuple:
-        if self._formal:
-            return tuple((e, RatFun(c, self._den)) for e, c in self._terms)
-        den = self._den[0]
-        return tuple((e, Fraction(c[0], den)) for e, c in self._terms)
-
-    def _raw(self) -> tuple:
-        return dict(self._terms), self._den
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return _laurent(_raw_add(self._raw(), other._raw()), self._formal or other._formal)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "LaurentPoly":
-        c = as_scalar(c)
-        return _laurent(_raw_scale(self._raw(), _parts(c)), self._formal or isinstance(c, RatFun))
+        return self._coefficients()
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return _laurent(_raw_mul(self._raw(), other._raw()), self._formal or other._formal)
+        return self._of(_raw_mul(self._raw(), other._raw()), self._formal or other._formal)
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division in the Laurent ring; a nonzero remainder is an
         internal error (it would mean a transcribed operator fails to
         preserve the polynomial module)."""
-        return _laurent(_raw_div(self._raw(), other._raw()), self._formal or other._formal)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._terms == other._terms and self._den == other._den
-
-    def __hash__(self):
-        return hash((self._terms, self._den))
+        return self._of(_raw_div(self._raw(), other._raw()), self._formal or other._formal)
 
     def __repr__(self):
         if not self._terms:
             return "LaurentPoly(0)"
         body = " + ".join(f"({scalar_to_str(c)})*z^{e}" for e, c in self.terms)
         return f"LaurentPoly({body})"
-
-
-_set_terms = LaurentPoly._terms.__set__
-_set_den = LaurentPoly._den.__set__
-_set_formal = LaurentPoly._formal.__set__

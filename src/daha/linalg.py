@@ -5,8 +5,13 @@ RatFun); a pivot is any nonzero entry, there are no tolerances
 anywhere.  A rational matrix is held as int rows over one common
 denominator, so its arithmetic, elimination, determinant and the span
 closure run fraction-free on Python ints, and results read as
-Fractions; RatFun input takes the field loops.  Matrices are immutable
-after construction, all functions are pure.
+Fractions.  A matrix over Q(q) is held as int polynomial rows over one
+int polynomial denominator, in the canonical form of
+:class:`~daha.laurent.LaurentPoly`, so its products, sums, scalings and
+comparisons run on int polynomials and normalise once per result; its
+elimination, determinant and inverse take the field loops over RatFun
+entries.  Matrices are immutable after construction, all functions are
+pure.
 """
 
 from __future__ import annotations
@@ -18,11 +23,18 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import DahaError, InputError, SingularMatrixError
+from .laurent import _canonical_polys, _cofactors, _raw_from_pairs
 from .scalar import (
     QQ,
     QQ_Q,
     RatFun,
+    _padd,
+    _parts,
+    _pmul,
     _rational_parts,
+    _raw,
+    _reduce,
+    _ZERO,
     as_scalar,
     as_scalars,
     json_field,
@@ -34,16 +46,29 @@ from .scalar import (
 class Matrix:
     """An immutable rows x cols matrix with exact scalar entries.
 
-    A rational matrix is held as int rows ``_ints`` over a positive
+    A rational matrix is held as int rows ``_ints`` over a positive int
     denominator ``_den``, with no common factor (canonical, see
-    :meth:`__mul__`); its Fraction :attr:`entries` are built on first
-    read.  A matrix with a RatFun entry has every entry lifted into Q(q)
-    (:func:`~daha.scalar.as_scalars`), keeps them (``_ints`` is None)
-    and takes the field loops, as does every operation with such an
-    operand; so a matrix learns its one field once, at construction.
+    :meth:`__mul__`).  A matrix with a RatFun entry has every entry
+    lifted into Q(q) (:func:`~daha.scalar.as_scalars`) and is held as
+    int polynomial rows ``_polys`` (ascending degree, () for zero) over
+    an int polynomial denominator ``_den``; ``_ints`` is None.  Its
+    canonical form is that of :class:`~daha.laurent.LaurentPoly`: the
+    entries N_ij and D have no common factor of positive degree in
+    Q[q], the gcd of all their int coefficients is 1, and D has a
+    positive leading coefficient.  The form is unique: if N/D and N'/D'
+    are canonical for one matrix, D N'_ij = D' N_ij for all i, j; each
+    power p^m of an irreducible p dividing D fails to divide some N_ij,
+    so p^m divides D', hence D | D' and likewise D' | D, so D' = c D and
+    N' = c N for a rational c, which the content and sign conditions
+    make 1.  So ``==`` compares tuples of ints on both forms, and a
+    rational matrix meets a Q(q) one as constant polynomials over (den,),
+    which is canonical.  The scalar :attr:`entries` (Fractions or
+    RatFuns) are built on first read; a matrix learns its one field
+    once, at construction, and an operation with a Q(q) operand gives a
+    Q(q) result.
     """
 
-    __slots__ = ("rows", "cols", "_ints", "_den", "_entries")
+    __slots__ = ("rows", "cols", "_ints", "_polys", "_den", "_entries")
 
     def __init__(self, entries):
         rows = [tuple(row) for row in entries]
@@ -55,10 +80,11 @@ class Matrix:
         flat = as_scalars(chain.from_iterable(rows))
         rows = tuple(flat[i:i + ncols] for i in range(0, len(flat), ncols))
         if isinstance(flat[0], RatFun):
-            _fill(self, None, None, rows)
+            _ratfun_matrix(rows, self)
         else:
             pairs = [[(e.numerator, e.denominator) for e in row] for row in rows]
-            _fill(self, *_over_lcm(pairs), None)
+            ints, den = _over_lcm(pairs)
+            _fill(self, ints, None, den, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -81,8 +107,10 @@ class Matrix:
         as D, and p divides neither that n nor D/e.  Any content-1 pair
         (rows', D') for the same matrix has D | D' and rows' =
         (D'/D)*rows, so D' = D.  Hence ``==`` on canonical (rows, den)
-        pairs is exact matrix equality.  Other operands take the field
-        loop, a sum of products per entry.
+        pairs is exact matrix equality.  Otherwise the int polynomial
+        rows multiply over the product of the denominators, each row of
+        the product summing its nonzero entries times the rows of
+        ``other``, and the result is put into canonical form once.
         """
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -93,17 +121,28 @@ class Matrix:
             cols = list(zip(*b))
             rows = [[sum(map(mul, row, col)) for col in cols] for row in a]
             return _int_matrix(rows, self._den * other._den)
-        bt = list(zip(*other.entries))
-        return _field_matrix(
-            [[sum(a * b for a, b in zip(arow, bcol)) for bcol in bt] for arow in self.entries]
-        )
+        (a, ad), (b, bd) = _poly_rows(self), _poly_rows(other)
+        support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+        out = []
+        for row in a:
+            acc = [()] * other.cols
+            for k, x in enumerate(row):
+                if x:
+                    for j, y in support[k]:
+                        acc[j] = _padd(acc[j], _pmul(x, y)) if acc[j] else _pmul(x, y)
+            out.append(acc)
+        return _poly_matrix(out, _pmul(ad, bd))
 
     def scale(self, c) -> "Matrix":
         c = as_scalar(c)
         if self._ints is not None and not isinstance(c, RatFun):
             num, den = c.numerator, self._den * c.denominator
             return _int_matrix([[num * x for x in row] for row in self._ints], den)
-        return _field_matrix([[e * c for e in row] for row in self.entries])
+        rows, den = _poly_rows(self)
+        cn, cd = _parts(c)
+        if not cn:
+            return _poly_matrix([[()] * self.cols] * self.rows, (1,))
+        return _poly_matrix(_times_rows(rows, cn), _pmul(den, cd))
 
     def __add__(self, other, sign=1):
         """self + sign * other, for sign 1 or -1."""
@@ -117,11 +156,15 @@ class Matrix:
             fa, fb = den // self._den, sign * (den // other._den)
             rows = [[fa * x + fb * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
             return _int_matrix(rows, den)
+        (a, ad), (b, bd) = _poly_rows(self), _poly_rows(other)
+        fa, fb = ((1,), (1,)) if ad == bd else _cofactors(ad, bd)
         if sign < 0:
-            other = other.scale(-1)
-        return _field_matrix(
-            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+            fb = [-x for x in fb]
+        rows = [
+            [_padd(x, y) for x, y in zip(ra, rb)]
+            for ra, rb in zip(_times_rows(a, fa), _times_rows(b, fb))
+        ]
+        return _poly_matrix(rows, _pmul(ad, fa))
 
     def __sub__(self, other):
         return self.__add__(other, -1)
@@ -136,7 +179,7 @@ class Matrix:
             return False
         if self._ints is not None and other._ints is not None:
             return self._den == other._den and self._ints == other._ints
-        return all(a == b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb))
+        return _poly_rows(self) == _poly_rows(other)
 
     def __hash__(self):
         return hash((self.rows, self.cols))
@@ -145,18 +188,24 @@ class Matrix:
 
     @property
     def entries(self) -> tuple:
-        """The rows of scalars; built on first read for a rational matrix."""
+        """The rows of scalars, built on first read: Fractions of a
+        rational matrix, RatFuns of a Q(q) one."""
         rows = self._entries
         if rows is None:
             den = self._den
-            rows = tuple(tuple(Fraction(x, den) for x in row) for row in self._ints)
-            object.__setattr__(self, "_entries", rows)
+            if self._ints is None:
+                rows = tuple(tuple(_ratfun(x, den) for x in row) for row in self._polys)
+            else:
+                rows = tuple(tuple(Fraction(x, den) for x in row) for row in self._ints)
+            _set_entries(self, rows)
         return rows
 
     def entry(self, i: int, j: int):
         """Entry (i, j), without building the others."""
-        if self._ints is None:
+        if self._entries is not None:
             return self._entries[i][j]
+        if self._ints is None:
+            return _ratfun(self._polys[i][j], self._den)
         return Fraction(self._ints[i][j], self._den)
 
     @property
@@ -178,18 +227,18 @@ class Matrix:
         if not self.is_square():
             return None
         ints = self._ints
-        rows = self._entries if ints is None else ints
+        rows = self._polys if ints is None else ints
         c = rows[0][0]
         if any(e != c if i == j else e for i, row in enumerate(rows) for j, e in enumerate(row)):
             return None
-        return c if ints is None else Fraction(c, self._den)
+        return _ratfun(c, self._den) if ints is None else Fraction(c, self._den)
 
     def _strings(self) -> list:
         """The entries as exact strings, read off the int rows of a
         rational matrix: x/den prints as (x/g)/(den/g) with g =
         gcd(x, den), without "/1"."""
         if self._ints is None:
-            return [[scalar_to_str(e) for e in row] for row in self._entries]
+            return [[scalar_to_str(e) for e in row] for row in self.entries]
         den = self._den
         return [[_ratio_str(x, den) for x in row] for row in self._ints]
 
@@ -224,14 +273,20 @@ class Matrix:
         return m
 
 
-_SLOT_SETTERS = tuple(getattr(Matrix, name).__set__ for name in Matrix.__slots__)
+_set_rows, _set_cols, _set_ints, _set_polys, _set_den, _set_entries = (
+    getattr(Matrix, name).__set__ for name in Matrix.__slots__
+)
 
 
-def _fill(m: Matrix, ints, den, entries) -> Matrix:
-    """Set the slots of m from one of its two forms."""
-    rows = entries if ints is None else ints
-    for setter, value in zip(_SLOT_SETTERS, (len(rows), len(rows[0]), ints, den, entries)):
-        setter(m, value)
+def _fill(m: Matrix, ints, polys, den, entries) -> Matrix:
+    """Set the slots of m from its int or its polynomial rows."""
+    rows = polys if ints is None else ints
+    _set_rows(m, len(rows))
+    _set_cols(m, len(rows[0]))
+    _set_ints(m, ints)
+    _set_polys(m, polys)
+    _set_den(m, den)
+    _set_entries(m, entries)
     return m
 
 
@@ -252,7 +307,7 @@ def _int_matrix(rows, den) -> Matrix:
         if g > 1:
             rows = [[x // g for x in row] for row in rows]
             den //= g
-    return _fill(object.__new__(Matrix), tuple(map(tuple, rows)), den, None)
+    return _fill(object.__new__(Matrix), tuple(map(tuple, rows)), None, den, None)
 
 
 def _ratio_str(x: int, den: int) -> str:
@@ -261,9 +316,47 @@ def _ratio_str(x: int, den: int) -> str:
     return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
-def _field_matrix(rows) -> Matrix:
-    """A matrix from rows of scalars that are all RatFuns."""
-    return _fill(object.__new__(Matrix), None, None, tuple(map(tuple, rows)))
+def _poly_matrix(rows, den, out=None, entries=None) -> Matrix:
+    """The Q(q) matrix rows/den (rows of int polynomials, () for zero,
+    over a nonzero int polynomial den) in canonical form, filled into
+    out when given, and with its RatFun entries when the caller has
+    them; every Q(q) matrix is made here."""
+    cols = len(rows[0])
+    flat, den = _canonical_polys([x for row in rows for x in row], den)
+    polys = tuple(flat[i:i + cols] for i in range(0, len(flat), cols))
+    if entries is not None:
+        entries = tuple(map(tuple, entries))
+    return _fill(object.__new__(Matrix) if out is None else out, None, polys, den, entries)
+
+
+def _ratfun_matrix(rows, out=None) -> Matrix:
+    """The Q(q) matrix of rows of RatFuns, which it keeps as its
+    entries: the RatFuns summed over one denominator."""
+    cols = len(rows[0])
+    flat = [x for row in rows for x in row]
+    terms, den = _raw_from_pairs([(k, (x._n, x._d)) for k, x in enumerate(flat)])
+    polys = [terms.get(k, ()) for k in range(len(flat))]
+    return _poly_matrix([polys[i:i + cols] for i in range(0, len(flat), cols)], den, out, rows)
+
+
+def _poly_rows(m: Matrix) -> tuple:
+    """m as (int polynomial rows, polynomial denominator): a rational
+    matrix's canonical int rows are constants over (den,), canonical too."""
+    if m._ints is None:
+        return m._polys, m._den
+    return tuple(tuple((x,) if x else () for x in row) for row in m._ints), (m._den,)
+
+
+def _times_rows(rows, c):
+    """Every entry of the polynomial rows times the nonzero polynomial c."""
+    if c == (1,):
+        return rows
+    return [[_pmul(c, x) if x else () for x in row] for row in rows]
+
+
+def _ratfun(x, den) -> RatFun:
+    """The RatFun x/den of a polynomial entry over its denominator."""
+    return _raw(*_reduce(x, den)) if x else _ZERO
 
 
 @dataclass(frozen=True)
@@ -309,7 +402,7 @@ def _rref_rows(m: Matrix):
     scalars (RatFun) take the field loop, which divides by the pivot.
     """
     if m._ints is None:
-        return _field_rref_rows([list(r) for r in m._entries])
+        return _field_rref_rows([list(r) for r in m.entries])
     reduced, pivots = _int_rref(m)
     zero = Fraction(0)
     return [
@@ -353,11 +446,11 @@ def _field_rref_rows(rows):
         pv = rows[r][c]
         if pv != 1:
             inv = 1 / pv
-            rows[r] = [e * inv for e in rows[r]]
+            rows[r] = [e * inv if e else e for e in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -391,7 +484,7 @@ def kernel_line(m: Matrix):
     With pivots h_r and free column f it is v_f = prod(h) and
     v_{p_r} = -row_r[f] * prod(h_s, s != r)."""
     if m._ints is None:
-        reduced, pivots = _field_rref_rows([list(r) for r in m._entries])
+        reduced, pivots = _field_rref_rows([list(r) for r in m.entries])
     else:
         reduced, pivots = _int_rref(m)
     if len(pivots) != m.cols - 1:
@@ -442,7 +535,7 @@ def _field_det(entries):
         for i in range(c + 1, n):
             if rows[i][c]:
                 f = rows[i][c] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[c])]
     return acc if sign > 0 else -acc
 
 
@@ -481,7 +574,7 @@ def inverse(m: Matrix) -> Matrix:
     if m._ints is None:
         rows = [
             list(row) + [QQ_Q.one if i == j else QQ_Q.zero for j in range(n)]
-            for i, row in enumerate(m._entries)
+            for i, row in enumerate(m.entries)
         ]
         reduced, pivots = _field_rref_rows(rows)
     else:
@@ -490,7 +583,7 @@ def inverse(m: Matrix) -> Matrix:
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     if m._ints is None:
-        return Matrix([row[n:] for row in reduced])
+        return _ratfun_matrix([row[n:] for row in reduced])
     heads = [row[i] for i, row in enumerate(reduced)]
     den = lcm(*heads)
     return _int_matrix([[x * (den // h) for x in row[n:]] for row, h in zip(reduced, heads)], den)

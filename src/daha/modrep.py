@@ -15,13 +15,16 @@ Three realizations are built here:
 Matrices act on column coordinate vectors: the j-th column of a
 generator matrix is the coordinate vector of the generator applied to
 the j-th basis vector.  The generator columns are written once, in
-:func:`_verma_column`, and the ladder factor 1 - c q^(2 ceil(i/2))
-Op^(+-1) that every ladder check and the operator routes of the
-L-matrices multiply is written once, in :func:`_ladder_factor` (its
-scalar in :func:`_ladder_coef`).  Inverse generators have no formulas
-of their own: a finite module's inverse matrices come from exact
-inversion, and the ladder module applies t_i^{-1} from the relation
-t_i + t_i^{-1} = k_i + 1/k_i, re-checking t_i w = v on each result.
+:func:`_verma_column`; the column table :func:`_verma_columns` keeps
+each column that the ladder module and the formal-q blocks read, as
+int polynomials over one denominator, once per params.  The ladder
+factor 1 - c q^(2 ceil(i/2)) Op^(+-1) that every ladder check and the
+operator routes of the L-matrices multiply is written once, in
+:func:`_ladder_factor` (its scalar in :func:`_ladder_coef`).  Inverse
+generators have no formulas of their own: a finite module's inverse
+matrices come from exact inversion, and the ladder module applies
+t_i^{-1} from the relation t_i + t_i^{-1} = k_i + 1/k_i, re-checking
+t_i w = v on each result.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import DahaError, InputError, ParameterError, TranscriptionError
-from .linalg import Matrix, _int_matrix, _over_lcm, inverse, rank
+from .linalg import Matrix, _int_matrix, _over_lcm, _poly_matrix, inverse, rank
 from .params import (
     PARITY_EVEN,
     PARITY_ODD,
@@ -40,15 +43,18 @@ from .params import (
 )
 from .laurent import (
     LaurentPoly,
-    _laurent,
+    _OneDenominator,
+    _canonical_terms,
     _pair_mul,
     _raw_add,
     _raw_div,
+    _raw_from_pairs,
     _raw_mul,
     _raw_q2_over_z,
     _raw_scale,
+    _times,
 )
-from .scalar import RatFun, _parts, as_scalar, json_field, scalar_pow, scalar_to_str
+from .scalar import RatFun, _parts, _pmul, json_field, scalar_pow, scalar_to_str
 
 GEN_NAMES = ("t0", "t1", "t2", "t3")
 
@@ -411,50 +417,29 @@ def w_basis_check(m: ModuleRep) -> Report:
 # the infinite-dimensional ladder module, applied lazily
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SparseVec:
-    """A finitely supported vector over the basis m_0, m_1, ...;
-    stored as sorted (index, coefficient) pairs with nonzero
-    coefficients and distinct indices."""
+class SparseVec(_OneDenominator):
+    """A finitely supported vector over the basis m_0, m_1, ..., held
+    like a :class:`~daha.laurent.LaurentPoly` with the basis index in
+    place of the z exponent, in the same canonical form.  ``items``
+    gives the sorted (index, coefficient) pairs, each coefficient a
+    RatFun once any input scalar was one and a Fraction otherwise."""
 
-    items: tuple
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, d: dict) -> "SparseVec":
-        return cls(tuple(sorted((i, as_scalar(c)) for i, c in d.items() if c)))
+        return cls(d)
 
     @classmethod
     def unit(cls, i: int, one=1) -> "SparseVec":
-        return cls(((i, as_scalar(one)),))
+        return cls.from_dict({i: one})
 
-    @classmethod
-    def zero(cls) -> "SparseVec":
-        return cls(())
-
-    def scale(self, c) -> "SparseVec":
-        if not c:
-            return SparseVec(())
-        return SparseVec(tuple((i, x * c) for i, x in self.items))
-
-    def __add__(self, other: "SparseVec") -> "SparseVec":
-        acc = dict(self.items)
-        for i, c in other.items:
-            acc[i] = acc[i] + c if i in acc else c
-        return SparseVec.from_dict(acc)
-
-    def __sub__(self, other: "SparseVec") -> "SparseVec":
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseVec):
-            return NotImplemented
-        return self.items == other.items
-
-    def __hash__(self):
-        return hash(self.items)
+    @property
+    def items(self) -> tuple:
+        return self._coefficients()
 
     def __repr__(self):
-        if not self.items:
+        if not self._terms:
             return "SparseVec(0)"
         body = " + ".join(f"({scalar_to_str(c)})*m{i}" for i, c in self.items)
         return f"SparseVec({body})"
@@ -501,14 +486,49 @@ def _verma_column(gen: int, j: int, p: ParamQuadruple) -> dict:
     raise DahaError(f"unknown generator {gen!r}")
 
 
+@functools.lru_cache(maxsize=4)
+def _verma_columns(p: ParamQuadruple) -> dict:
+    """The column table of p: (gen, j) -> the column of generator gen at
+    m_j as a raw pair keyed by basis index over one denominator, then
+    the :func:`_verma_column` scalars it was summed from, which the
+    formal blocks keep as their entries.  :func:`_column` fills it on
+    first use, so one check that applies a generator to m_j many times
+    builds the column once.  Callers never change the table's values."""
+    return {}
+
+
+def _column(gen: int, j: int, p: ParamQuadruple) -> tuple:
+    """Column (gen, j) of p's column table, computed on first use."""
+    table = _verma_columns(p)
+    col = table.get((gen, j))
+    if col is None:
+        column = _verma_column(gen, j, p)
+        raw = _raw_from_pairs([(i, _parts(c)) for i, c in column.items()])
+        col = table[(gen, j)] = (*raw, column)
+    return col
+
+
 def _ladder_block(gen: int, rows: int, cols: int, p: ParamQuadruple) -> Matrix:
     """The top-left rows x cols block of generator gen on the basis
     m_0, m_1, ...: column j holds the coordinates of gen applied to m_j.
     Rational params put the nonzero entries straight into int rows over
-    the lcm of their denominators."""
-    columns = [_verma_column(gen, j, p) for j in range(cols)]
+    the lcm of their denominators; formal params sum the columns of the
+    column table, keyed by their row-major place, over one denominator,
+    and keep the columns' scalars as the entries."""
     if isinstance(p.q, RatFun):
-        return Matrix([[col.get(i, 0) for col in columns] for i in range(rows)])
+        pairs = []
+        columns = []
+        for j in range(cols):
+            terms, den, column = _column(gen, j, p)
+            pairs += [(i * cols + j, (c, den)) for i, c in terms.items() if i < rows]
+            columns.append(column)
+        flat, den = _raw_from_pairs(pairs)
+        zero = p.q * 0
+        return _poly_matrix(
+            [[flat.get(i * cols + j, ()) for j in range(cols)] for i in range(rows)], den,
+            entries=[[col.get(i, zero) for col in columns] for i in range(rows)],
+        )
+    columns = [_verma_column(gen, j, p) for j in range(cols)]
     pairs = [
         [(x.numerator, x.denominator) if (x := col.get(i)) else (0, 1) for col in columns]
         for i in range(rows)
@@ -516,16 +536,20 @@ def _ladder_block(gen: int, rows: int, cols: int, p: ParamQuadruple) -> Matrix:
     return _int_matrix(*_over_lcm(pairs))
 
 
-def _verma_forward(gen: int, v: SparseVec, p: ParamQuadruple) -> SparseVec:
-    acc = {}
-    for j, c in v.items:
-        for i, e in _verma_column(gen, j, p).items():
-            ce = c * e
-            acc[i] = acc[i] + ce if i in acc else ce
-    return SparseVec.from_dict(acc)
+def _verma_forward(gen: int, raw: tuple, p: ParamQuadruple) -> tuple:
+    """Generator gen applied to the raw pair of a vector: its columns
+    times the coefficients, summed, over the vector's denominator."""
+    out = ({}, (1,))
+    for j, c in raw[0].items():
+        terms, den, _ = _column(gen, j, p)
+        out = _raw_add(out, (_times(terms, c), den))
+    return out[0], tuple(_pmul(out[1], raw[1]))
 
 
-def _verma_inverse(gen: int, v: SparseVec, p: ParamQuadruple) -> SparseVec:
+_MINUS = ((-1,), (1,))
+
+
+def _verma_inverse(gen: int, raw: tuple, p: ParamQuadruple) -> tuple:
     """Apply an inverse generator from the relation t + t^-1 = k + 1/k,
     that is w = (k + 1/k) v - t v, then re-check that t w = v.
 
@@ -533,11 +557,14 @@ def _verma_inverse(gen: int, v: SparseVec, p: ParamQuadruple) -> SparseVec:
     the ladder module, so t^-1 v is the only w with t w = v.  The check
     is the quadratic relation (t - k)(t - 1/k) v = 0, so a wrong scalar,
     or a generator column that breaks that relation, raises here
-    instead of returning a wrong vector.
+    instead of returning a wrong vector.  Both sides of the check are
+    compared in canonical form.
     """
     k = p.k[gen]
-    w = v.scale(k + 1 / k) - _verma_forward(gen, v, p)
-    if _verma_forward(gen, w, p) != v:
+    w = _raw_add(
+        _raw_scale(raw, _parts(k + 1 / k)), _raw_scale(_verma_forward(gen, raw, p), _MINUS)
+    )
+    if _canonical_terms(_verma_forward(gen, w, p)) != _canonical_terms(raw):
         raise TranscriptionError("inverse generator residual is nonzero")
     return w
 
@@ -547,25 +574,34 @@ def verma_apply(gen, v: SparseVec, p: ParamQuadruple) -> SparseVec:
     or one of "X", "Y", "Xinv", "Yinv" to a finitely supported vector.
 
     Valid for arbitrary nonzero parameters; no parity constraint is
-    assumed.
+    assumed.  The generators run on raw pairs with the columns of p's
+    column table, and only the result is put into canonical form.
     """
     if isinstance(gen, int):
         if gen not in (0, 1, 2, 3):
             raise DahaError(f"generator index out of range: {gen}")
-        return _verma_forward(gen, v, p)
-    if gen in ("t0", "t1", "t2", "t3"):
-        return _verma_forward(int(gen[1]), v, p)
-    if gen in ("t0inv", "t1inv", "t2inv", "t3inv"):
-        return _verma_inverse(int(gen[1]), v, p)
-    if gen == "X":
-        return _verma_forward(3, _verma_forward(0, v, p), p)
-    if gen == "Y":
-        return _verma_forward(0, _verma_forward(1, v, p), p)
-    if gen == "Xinv":
-        return _verma_inverse(0, _verma_inverse(3, v, p), p)
-    if gen == "Yinv":
-        return _verma_inverse(1, _verma_inverse(0, v, p), p)
-    raise DahaError(f"unknown generator {gen!r}")
+        word = ((_verma_forward, gen),)
+    elif gen in ("t0", "t1", "t2", "t3"):
+        word = ((_verma_forward, int(gen[1])),)
+    elif gen in ("t0inv", "t1inv", "t2inv", "t3inv"):
+        word = ((_verma_inverse, int(gen[1])),)
+    else:
+        word = _WORDS.get(gen)
+        if word is None:
+            raise DahaError(f"unknown generator {gen!r}")
+    raw = v._raw()
+    for step, i in word:
+        raw = step(i, raw, p)
+    return SparseVec._of(raw, v._formal or isinstance(p.q, RatFun))
+
+
+# each word as its steps, rightmost factor first
+_WORDS = {
+    "X": ((_verma_forward, 0), (_verma_forward, 3)),
+    "Y": ((_verma_forward, 1), (_verma_forward, 0)),
+    "Xinv": ((_verma_inverse, 3), (_verma_inverse, 0)),
+    "Yinv": ((_verma_inverse, 0), (_verma_inverse, 1)),
+}
 
 
 def verma_ladder_check(p: ParamQuadruple, max_index: int = 12) -> Report:
@@ -577,15 +613,12 @@ def verma_ladder_check(p: ParamQuadruple, max_index: int = 12) -> Report:
     for i in range(max_index + 1):
         mi = SparseVec.unit(i, one)
         shifted = verma_apply("X" if i % 2 else "Xinv", mi, p)
-        lhs = mi - shifted.scale(_ladder_coef(k0k3, p.q, i))
-        if i == 0:
-            expect = SparseVec.zero()
-        else:
-            expect = SparseVec.unit(i - 1, one).scale(seq_rho(p.q, *p.k, i))
+        lhs = mi + shifted.scale(-_ladder_coef(k0k3, p.q, i))
+        expect = SparseVec.from_dict({i - 1: seq_rho(p.q, *p.k, i)} if i else {})
         items.append(CheckItem(f"verma-X@{i}", lhs == expect))
 
         shifted = verma_apply("Y" if i % 2 else "Yinv", mi, p)
-        lhs = mi - shifted.scale(_ladder_coef(k0k1, p.q, i))
+        lhs = mi + shifted.scale(-_ladder_coef(k0k1, p.q, i))
         items.append(CheckItem(f"verma-Y@{i}", lhs == SparseVec.unit(i + 1, one)))
     return Report(tuple(items))
 
@@ -599,13 +632,15 @@ def _laurent_params(p: ParamQuadruple) -> tuple:
     """What the Laurent realization needs of p, built once per params:
     each generator t_i as (a, b, den, s) with t_i f = (a f + b g) / den,
     where g = f(s/z) for s = q^2 (t0, t1) and g = f(1/z) for s = None
-    (t2, t3); then k0 k1 q and q^2 as (num, den) scalar pairs.
+    (t2, t3); then k0 k1 q and q^2 as (num, den) scalar pairs; then the
+    list of raw basis images that :func:`_basis_images` extends.
 
     With c_i = k_i + 1/k_i, t0 is k0 g + a (f - g) / den and t3 is
     k3 g + a (f - g) / den, so their b is k den - a; t1 and t2 are
-    (a f + b g) / den as they stand.  The entries are immutable, since
-    every call with these params shares them; the calls of one check
-    share one params, so a few cached entries serve them all.
+    (a f + b g) / den as they stand.  The entries are immutable, apart
+    from the image list growing, since every call with these params
+    shares them; the calls of one check share one params, so a few
+    cached entries serve them all.
     """
     q, (k0, k1, k2, k3) = p.q, p.k
     c0, c1 = k0 + 1 / k0, k1 + 1 / k1
@@ -623,7 +658,7 @@ def _laurent_params(p: ParamQuadruple) -> tuple:
         (LaurentPoly({0: c3, 1: -c2}),
          LaurentPoly({0: -1 / k3, 1: c2, 2: -k3}), den_1, None),
     )
-    return generators, _parts(k0 * k1 * q), _parts(q2)
+    return generators, _parts(k0 * k1 * q), _parts(q2), [({0: (1,)}, (1,))]
 
 
 def poly_apply(gen: int, f: LaurentPoly, p: ParamQuadruple) -> LaurentPoly:
@@ -644,24 +679,20 @@ def poly_apply(gen: int, f: LaurentPoly, p: ParamQuadruple) -> LaurentPoly:
     else:
         g = _raw_q2_over_z(f_raw, s)
     out = _raw_add(_raw_mul(a._raw(), f_raw), _raw_mul(b._raw(), g))
-    return _laurent(_raw_div(out, den._raw()), f._formal or isinstance(p.q, RatFun))
+    return LaurentPoly._of(_raw_div(out, den._raw()), f._formal or isinstance(p.q, RatFun))
 
 
 def _basis_images(top: int, p: ParamQuadruple) -> list:
-    """Raw images of m_0 .. m_top: the image of m_(h+1) is that of m_h
-    times 1 - k0 k1 q^(2 ceil(h/2) + (-1)^h) z^((-1)^(h+1)), whose q
-    exponent is 2 floor(h/2) + 1, so the coefficient starts at k0 k1 q
-    and gains a factor q^2 after each odd h."""
-    _, coef, q2 = _laurent_params(p)
-    image = ({0: (1,)}, (1,))
-    images = [image]
-    for h in range(top):
-        n, d = coef
+    """Raw images of m_0 .. m_top at least, kept per params and extended
+    on demand: the image of m_(h+1) is that of m_h times
+    1 - k0 k1 q^(2 ceil(h/2) + (-1)^h) z^((-1)^(h+1)), whose q exponent
+    is 2 floor(h/2) + 1, so the coefficient is k0 k1 q times
+    (q^2)^floor(h/2).  Callers index the list and never change it."""
+    _, coef, q2, images = _laurent_params(p)
+    for h in range(len(images) - 1, top):
+        n, d = functools.reduce(_pair_mul, [q2] * (h // 2), coef)
         z_exp = 1 if h % 2 else -1
-        image = _raw_mul(({0: d, z_exp: [-x for x in n]}, d), image)
-        images.append(image)
-        if h % 2:
-            coef = _pair_mul(coef, q2)
+        images.append(_raw_mul(({0: d, z_exp: [-x for x in n]}, d), images[h]))
     return images
 
 
@@ -670,17 +701,18 @@ def verma_basis_image(i: int, p: ParamQuadruple) -> LaurentPoly:
     a product of i binomial factors alternating between z^{-1} and z."""
     if i < 0:
         raise DahaError("basis index must be nonnegative")
-    return _laurent(_basis_images(i, p)[-1], isinstance(p.q, RatFun))
+    return LaurentPoly._of(_basis_images(i, p)[i], isinstance(p.q, RatFun))
 
 
 def sparse_to_poly(v: SparseVec, p: ParamQuadruple) -> LaurentPoly:
     """Push a finitely supported ladder vector through the basis image
-    map; the images are built once, each from the one before."""
-    formal = isinstance(p.q, RatFun) or any(isinstance(c, RatFun) for _, c in v.items)
-    if not v.items:
-        return _laurent(({}, (1,)), formal)
-    images = _basis_images(v.items[-1][0], p)
+    map: the images times the coefficients' numerators, summed over the
+    vector's denominator."""
+    formal = isinstance(p.q, RatFun) or v._formal
+    if not v._terms:
+        return LaurentPoly._of(({}, (1,)), formal)
+    images = _basis_images(v._terms[-1][0], p)
     out = ({}, (1,))
-    for i, c in v.items:
-        out = _raw_add(out, _raw_scale(images[i], _parts(c)))
-    return _laurent(out, formal)
+    for i, c in v._terms:
+        out = _raw_add(out, _raw_scale(images[i], (c, (1,))))
+    return LaurentPoly._of((out[0], tuple(_pmul(out[1], v._den))), formal)

@@ -74,6 +74,16 @@ class ParamQuadruple:
         elif self.parity != PARITY_FREE:
             raise ParameterError(f"unknown parity {self.parity!r}")
 
+    def __hash__(self):
+        """The hash the dataclass would compute, computed once on first
+        use: a constant RatFun hashes through Fraction, and the
+        per-params caches of :mod:`daha.modrep` look params up often."""
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.q, *self.k, self.d, self.parity))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @property
     def k(self) -> tuple:
         return (self.k0, self.k1, self.k2, self.k3)

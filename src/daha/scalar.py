@@ -257,11 +257,7 @@ class RatFun:
         den = _ptrim(c.numerator * (scale // c.denominator) for c in den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            num, den = (), (1,)
-        else:
-            g = _pgcd(num, den)
-            num, den = _content_free(_pexquo(num, g), _pexquo(den, g))
+        num, den = _reduce(num, den)
         _set_n(self, num)
         _set_d(self, den)
 
@@ -426,6 +422,15 @@ def _content_free(num, den):
     if g == 1:
         return tuple(num), tuple(den)
     return tuple(c // g for c in num), tuple(c // g for c in den)
+
+
+def _reduce(num, den) -> tuple:
+    """The canonical (num, den) tuples of num/den for int polynomials
+    with den nonzero."""
+    if not num:
+        return (), (1,)
+    g = _pgcd(num, den)
+    return _content_free(_pexquo(num, g), _pexquo(den, g))
 
 
 def _canonical(num, den) -> RatFun:

@@ -458,14 +458,14 @@ def test_formal_values_hold_ratfuns_only(monkeypatch):
     """Formal params lift their rational k's into Q(q), and so every
     matrix, kernel basis and certificate built from them holds RatFuns
     only, also where a rational operand meets a formal one."""
-    field_matrix = daha.linalg._field_matrix
+    poly_matrix = daha.linalg._poly_matrix
 
-    def checked(rows):
-        m = field_matrix(rows)
+    def checked(rows, den, out=None, entries=None):
+        m = poly_matrix(rows, den, out, entries)
         assert _in_q_of_q(m)
         return m
 
-    monkeypatch.setattr(daha.linalg, "_field_matrix", checked)
+    monkeypatch.setattr(daha.linalg, "_poly_matrix", checked)
     rng = random.Random("one-field")
     for sampler, d in ((sample_even, 1), (sample_even, 3), (sample_odd, 0), (sample_odd, 2)):
         p = sampler(rng, d, field=QQ_Q)

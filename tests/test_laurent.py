@@ -258,3 +258,24 @@ def test_pseudo_division_by_a_non_monic_divisor():
 def test_laurent_exponent_must_be_an_int(bad):
     with pytest.raises(DahaError):
         LaurentPoly({bad: 1})
+
+
+@pytest.mark.parametrize("p", _grid()[::2])
+def test_basis_images_are_kept_per_params_and_extended_on_demand(p):
+    """The raw images live in the params' cache entry: a call for a
+    lower index reuses them, a call for a higher one extends the same
+    list, and every image still matches the reference whatever order
+    the indices come in."""
+    from daha.modrep import _basis_images, _laurent_params
+
+    _laurent_params.cache_clear()
+    images = _basis_images(3, p)
+    assert len(images) == 4
+    assert _basis_images(1, p) is images and len(images) == 4
+    assert _basis_images(7, p) is images and len(images) == 8
+    for i in (5, 0, 7, 2, 9):
+        _same(verma_basis_image(i, p), ref_verma_basis_image(i, p))
+    assert len(images) == 10
+    v = SparseVec.from_dict({1: p.q, 4: F(-2, 3)})
+    _same(sparse_to_poly(v, p), ref_sparse_to_poly(v, p))
+    assert len(images) == 10

@@ -25,10 +25,10 @@ from daha.linalg import (
     _rref_rows,
 )
 from daha.analysis import _shift, criterion_E, criterion_O
-from daha.modrep import ModuleRep, make_E, make_O
+from daha.modrep import ModuleRep, _ladder_block, make_E, make_O
 from daha.params import canonical_orbit_rep
 from daha.sampling import adversarial_even, adversarial_odd, sample_params
-from daha.scalar import RatFun, scalar_to_str
+from daha.scalar import QQ_Q, RatFun, _pgcd, as_scalar, scalar_to_str
 
 Q = RatFun.variable()
 
@@ -167,22 +167,76 @@ def test_matrix_json_round_trip():
 BIG = 10 ** 40 + 7
 
 
+class FieldRef:
+    """A matrix as rows of scalars (Fraction or RatFun) whose every
+    operation is the entrywise field loop, each scalar normalised after
+    each step: the reference for the int rows of a rational matrix and
+    the int polynomial rows of a Q(q) one."""
+
+    def __init__(self, entries):
+        self.entries = tuple(tuple(as_scalar(e) for e in row) for row in entries)
+        self.rows, self.cols = len(self.entries), len(self.entries[0])
+
+    def __mul__(self, other):
+        bt = list(zip(*other.entries))
+        return FieldRef(
+            [[sum(a * b for a, b in zip(arow, bcol)) for bcol in bt] for arow in self.entries]
+        )
+
+    def scale(self, c):
+        return FieldRef([[e * c for e in row] for row in self.entries])
+
+    def __add__(self, other):
+        return FieldRef(
+            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
+        )
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __eq__(self, other):
+        return self.entries == other.entries
+
+    def scalar_value(self):
+        if self.rows != self.cols:
+            return None
+        c = self.entries[0][0]
+        rows = self.entries
+        if any(e != c if i == j else e for i, row in enumerate(rows) for j, e in enumerate(row)):
+            return None
+        return c
+
+    def to_json(self):
+        strings = [[scalar_to_str(e) for e in row] for row in self.entries]
+        return {"rows": self.rows, "cols": self.cols, "entries": strings}
+
+    def __repr__(self):
+        return "Matrix[" + "; ".join(" ".join(row) for row in self.to_json()["entries"]) + "]"
+
+
 def field_copy(m):
-    """The same Fraction entries held as scalars, so that every operation
-    on it takes the field loop: the reference for the integer form."""
-    return linalg._field_matrix(m.entries)
+    """The same entries in the field-loop reference."""
+    return FieldRef(m.entries)
 
 
-def agree(got, want):
-    """An integer-form result equals the field loop's result entry by
-    entry, prints like it, and equals (with the same hash) the matrix
-    rebuilt from those Fractions, which is in canonical form."""
+def agree(got, want, kind=Fraction):
+    """A result in the int or polynomial form equals the field loop's
+    result entry by entry, in the field ``kind``, prints like it, and
+    equals (with the same hash) the matrix rebuilt from those scalars,
+    which is in canonical form."""
     rebuilt = Matrix(want.entries)
     assert got == rebuilt and hash(got) == hash(rebuilt)
     assert repr(got) == repr(want) and got.to_json() == want.to_json()
     assert got.scalar_value() == want.scalar_value()
+    assert type(got.scalar_value()) is type(want.scalar_value())
     assert got.entries == want.entries
-    assert all(type(e) is Fraction for row in got.entries for e in row)
+    assert all(type(e) is kind for row in got.entries for e in row)
+    assert [[got.entry(i, j) for j in range(got.cols)] for i in range(got.rows)] == [
+        list(row) for row in want.entries
+    ]
 
 
 def int_form_grid():
@@ -253,6 +307,109 @@ def test_mixed_operands_give_ratfun_results():
         for name, (got, want) in results.items():
             assert all(isinstance(e, RatFun) for row in got.entries for e in row), name
             assert got == want and repr(got) == repr(want), name
+
+
+# -- the polynomial rows of Q(q) matrices against the field loop -------------
+
+NM = (1 + Q) / (2 - Q)  # a k with non-monomial numerator and denominator
+
+
+def with_non_monomial_k1(p):
+    """p with k1 = (1+q)/(2-q); the odd family's k3 makes up for it."""
+    if p.parity == "even":
+        return p.with_k(k1=NM)
+    return p.with_k(k1=NM, k3=p.k3 * p.k1 / NM)
+
+
+def poly_form_grid():
+    """Seeded (a, a2, b) triples of Q(q) matrices, a and a2 of one shape
+    and b multipliable by a: generators, inverses and the scalar
+    t + t^-1 of formal modules of both families with d <= 5, with
+    sampled and with non-monomial k's, non-square ladder blocks, the
+    zero matrix and 1x1 matrices."""
+    rng = random.Random("poly-form")
+    grid = []
+    for d in range(6):
+        p = sample_params(rng, "odd" if d % 2 == 0 else "even", d, field=QQ_Q)
+        for params in (p, with_non_monomial_k1(p)):
+            module = make_module(params)
+            t, ti = module.t, module.tinv
+            g = rng.randrange(4)
+            grid.append((t[g], ti[g], t[(g + 1) % 4]))
+            grid.append((t[g] + ti[g], t[3] * t[0], ti[1]))
+            n = d + 1
+            tall, wide = _ladder_block(g, n + 1, n, params), _ladder_block(g, n, n + 1, params)
+            grid.append((tall, _ladder_block(3 - g, n + 1, n, params), wide))
+    zero = Matrix([[0] * 3] * 3).scale(Q ** 0)
+    square = next(t for t in grid if t[0].shape == t[2].shape == (3, 3))
+    grid.append((zero, square[0], square[1]))
+    grid.append((square[0], zero, zero))
+    for x, y, z in ((Q, NM, -Q ** -2), (NM, 1 / NM, Q * 0), (Q ** 0, Q ** 0, NM * NM)):
+        grid.append((Matrix([[x]]), Matrix([[y]]), Matrix([[z]])))
+    return grid
+
+
+def make_module(p):
+    return make_E(p) if p.parity == "even" else make_O(p)
+
+
+def assert_canonical(m):
+    """The polynomial rows are in the documented canonical form."""
+    flat = [x for row in m._polys for x in row]
+    assert m._ints is None and m._den[-1] > 0 and all(x == () or x[-1] for x in flat)
+    assert gcd(*m._den, *(c for x in flat for c in x)) == 1
+    common = m._den
+    for x in flat:
+        if x:
+            common = _pgcd(common, x)
+    assert common == (1,)
+
+
+def zero_like(m):
+    return Matrix([[0] * m.cols] * m.rows)
+
+
+FORMAL_SCALES = SCALES + (Q, NM, -Q ** -2, Q * 0)
+
+
+def test_polynomial_rows_match_the_field_loop():
+    grid = poly_form_grid()
+    assert sum(a.scalar_value() is not None for a, _, _ in grid) >= 12
+    assert any(sum(map(bool, a._den)) > 1 for a, _, _ in grid)  # a den that is no monomial
+    for a, a2, b in grid:
+        fa, fa2, fb = field_copy(a), field_copy(a2), field_copy(b)
+        for got, want in ((a * b, fa * fb), (a + a2, fa + fa2), (a - a2, fa - fa2), (-a, -fa)):
+            agree(got, want, RatFun)
+            assert_canonical(got)
+        for s in FORMAL_SCALES:
+            agree(a.scale(s), fa.scale(s), RatFun)
+        assert (a == a2) == (fa == fa2) and a == Matrix(a.entries)
+        assert (a == a.scale(2)) == (a == zero_like(a))
+        assert a + a2 - a2 == a and a.scale(NM).scale(1 / NM) == a
+        assert (a - a) * b == Matrix([[0] * b.cols] * a.rows)
+
+
+def test_mixed_rational_and_polynomial_rows_match_the_field_loop():
+    """A rational operand meets a Q(q) one as constants over one
+    denominator: the results are Q(q) matrices equal to the field
+    loop's, and a rational matrix lifted into Q(q) equals it."""
+    rng = random.Random("poly-mixed")
+
+    def rational_like(m):
+        return Matrix([[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, BIG)))
+                        for _ in range(m.cols)] for _ in range(m.rows)])
+
+    for a, _, b in poly_form_grid():
+        r, rb = rational_like(a), rational_like(b)
+        fa, fr, fb, frb = map(field_copy, (a, r, b, rb))
+        agree(a + r, fa + fr, RatFun)
+        agree(r - a, fr - fa, RatFun)
+        agree(r.scale(NM), fr.scale(NM), RatFun)
+        agree(r * b, fr * fb, RatFun)
+        agree(a * rb, fa * frb, RatFun)
+        lifted = r.scale(Q ** 0)
+        assert lifted._ints is None and lifted == r and r == lifted and hash(lifted) == hash(r)
+        assert (lifted == r.scale(Q)) == (r == zero_like(r))
 
 
 # -- span_closure: the integer path against independent references ----------

@@ -37,7 +37,7 @@ from daha.sampling import (
     sample_odd,
     sample_params,
 )
-from daha.scalar import QQ, QQ_Q, RatFun, scalar_from_json
+from daha.scalar import QQ, QQ_Q, RatFun, as_scalars, scalar_from_json
 
 F = Fraction
 
@@ -438,9 +438,9 @@ def test_ladder_block_int_rows_match_the_scalar_build():
 
 
 def test_formal_q_ladder_blocks_stay_field_matrices():
-    """Formal-q blocks keep Matrix(...): a block with a RatFun entry is a
-    field matrix, and a rational k keeps its Fraction (a block of them
-    alone, such as t1 at d = 1, is rational as before)."""
+    """Formal-q blocks, summed from the column table, equal the blocks
+    Matrix(...) builds from the same columns, entry types included: every
+    entry is a RatFun, since formal params lift their k's into Q(q)."""
     rng = random.Random("ladder-formal")
     field_blocks = 0
     for d in range(5):
@@ -530,3 +530,166 @@ def test_loaders_raise_only_package_errors(entry, q, k):
             load(part)
         except DahaError:
             pass
+
+
+# -- the ladder module on raw pairs against field arithmetic -----------------
+
+class RefVec:
+    """Sorted (index, coefficient) pairs with nonzero coefficients in one
+    field (:func:`~daha.scalar.as_scalars`), each normalised after each
+    operation: the reference for SparseVec."""
+
+    def __init__(self, coefs):
+        pairs = list(coefs.items() if isinstance(coefs, dict) else coefs)
+        acc = {}
+        for i, c in zip([i for i, _ in pairs], as_scalars(c for _, c in pairs)):
+            acc[i] = acc[i] + c if i in acc else c
+        self.items = tuple(sorted((i, c) for i, c in acc.items() if c))
+
+    def scale(self, c):
+        return RefVec(tuple((i, x * c) for i, x in self.items))
+
+    def __add__(self, other):
+        return RefVec(self.items + other.items)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+
+def ref_forward(gen, v, p):
+    return RefVec(tuple((i, c * e) for j, c in v.items for i, e in _verma_column(gen, j, p).items()))
+
+
+def ref_inverse(gen, v, p):
+    k = p.k[gen]
+    w = v.scale(k + 1 / k) - ref_forward(gen, v, p)
+    assert ref_forward(gen, w, p).items == v.items
+    return w
+
+
+# each word as (step, generator) pairs, rightmost factor first
+REF_WORDS = {
+    **{g: ((ref_forward, g),) for g in range(4)},
+    **{f"t{g}": ((ref_forward, g),) for g in range(4)},
+    **{f"t{g}inv": ((ref_inverse, g),) for g in range(4)},
+    "X": ((ref_forward, 0), (ref_forward, 3)),
+    "Y": ((ref_forward, 1), (ref_forward, 0)),
+    "Xinv": ((ref_inverse, 3), (ref_inverse, 0)),
+    "Yinv": ((ref_inverse, 0), (ref_inverse, 1)),
+}
+
+NM = RatFun((1, 1), (2, -1))  # (1+q)/(2-q)
+
+
+def _vec_params():
+    """Rational, formal and non-monomial params of all three parities."""
+    rng = random.Random("raw-vectors")
+    out = []
+    for field in (QQ, QQ_Q):
+        out += [sample_even(rng, 3, field=field), sample_odd(rng, 2, field=field),
+                sample_free(rng, field=field)]
+    even, odd = out[3], out[4]
+    out += [
+        even.with_k(k1=NM, k3=1 / NM),
+        odd.with_k(k1=NM, k3=odd.k3 * odd.k1 / NM),
+        ParamQuadruple(RatFun.variable(), NM, F(-3, 4), 1 / NM, RatFun((0, 1), (1, 1)),
+                       d=0, parity="free"),
+    ]
+    return out
+
+
+def _same_vec(got, want):
+    assert got.items == want.items
+    assert [type(c) for _, c in got.items] == [type(c) for _, c in want.items]
+
+
+def test_verma_apply_matches_the_field_reference():
+    rng = random.Random("raw-apply")
+    for p in _vec_params():
+        one = p.q ** 0
+        coefs = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)]
+        vectors = [{i: one} for i in range(7)] + [{i: 1} for i in (0, 3)]
+        vectors.append(dict(zip(rng.sample(range(7), 4), coefs)) | {5: p.q * one})
+        vectors.append({2: NM, 4: F(-1, 3)})
+        for coefs in vectors:
+            v, ref = SparseVec.from_dict(coefs), RefVec(coefs)
+            _same_vec(v, ref)
+            for word, steps in REF_WORDS.items():
+                want = ref
+                for step, gen in steps:
+                    want = step(gen, want, p)
+                _same_vec(verma_apply(word, v, p), want)
+            assert sparse_to_poly(v, p) == sum(
+                (verma_basis_image(i, p).scale(c) for i, c in v.items), LaurentPoly.zero()
+            )
+
+
+def test_sparse_vec_operations_match_the_field_reference():
+    rng = random.Random("raw-ops")
+    q = RatFun.variable()
+    pool = [F(1), F(-7, 3), F(5, 1 << 70), q, NM, 1 / NM, q ** -3, RatFun((0,))]
+    for _ in range(40):
+        da = {rng.randrange(6): rng.choice(pool) for _ in range(3)}
+        db = {rng.randrange(6): rng.choice(pool) for _ in range(3)}
+        a, b, ra, rb = SparseVec.from_dict(da), SparseVec.from_dict(db), RefVec(da), RefVec(db)
+        _same_vec(a + b, ra + rb)
+        _same_vec(a - b, ra - rb)
+        for c in (0, F(-2, 9), rng.choice(pool)):
+            _same_vec(a.scale(c), ra.scale(c))
+        assert ((a - b) == SparseVec.zero()) == (not (ra - rb).items)
+        assert a == SparseVec(ra.items) and hash(a) == hash(SparseVec(ra.items))
+    # a rational vector equals its lift into Q(q), with the same hash
+    v = SparseVec.from_dict({0: F(1, 2), 3: F(-3)})
+    lifted = v.scale(q ** 0)
+    assert lifted == v and hash(lifted) == hash(v)
+    assert [type(c) for _, c in lifted.items] == [RatFun, RatFun]
+    assert repr(v) == "SparseVec((1/2)*m0 + (-3)*m3)" and repr(SparseVec.zero()) == "SparseVec(0)"
+
+
+@pytest.fixture
+def fresh_columns():
+    """An empty column table before and after the test, so that neither a
+    column cached earlier nor one the test perturbs outlives it."""
+    import daha.modrep
+
+    daha.modrep._verma_columns.cache_clear()
+    yield
+    daha.modrep._verma_columns.cache_clear()
+
+
+@pytest.mark.parametrize("gen", range(4))
+def test_a_perturbed_column_fails_the_inverse_recheck(monkeypatch, fresh_columns, gen):
+    import daha.modrep
+
+    column = daha.modrep._verma_column
+
+    def perturbed(g, j, p):
+        col = column(g, j, p)
+        return {i: 2 * c if (g, i) == (gen, j) else c for i, c in col.items()}
+
+    for p in _vec_params()[::2]:
+        v = SparseVec.unit(2, p.q ** 0)
+        assert verma_apply(gen, verma_apply(f"t{gen}inv", v, p), p) == v
+        monkeypatch.setattr(daha.modrep, "_verma_column", perturbed)
+        daha.modrep._verma_columns.cache_clear()
+        with pytest.raises(TranscriptionError):
+            verma_apply(f"t{gen}inv", v, p)
+        monkeypatch.undo()
+        daha.modrep._verma_columns.cache_clear()
+
+
+def test_per_params_caches_stay_small():
+    """Every cache keyed by params holds at most four entries, so a
+    workload that cycles through more params reuses nothing across
+    them; their values are built within one check."""
+    import importlib
+    import inspect
+
+    cached = {}
+    for name in ("scalar", "linalg", "laurent", "params", "modrep", "analysis", "cli"):
+        module = importlib.import_module(f"daha.{name}")
+        for attr, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and "p" in inspect.signature(obj).parameters:
+                cached[f"{name}.{attr}"] = obj.cache_info().maxsize
+    assert {"modrep._laurent_params", "modrep._verma_columns"} <= set(cached)
+    assert all(size is not None and size <= 4 for size in cached.values()), cached

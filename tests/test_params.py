@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -211,3 +212,29 @@ def test_params_json_round_trip(p_even_d1):
     rng = random.Random("json")
     p = sample_even(rng, 3, field=QQ_Q)
     assert ParamQuadruple.from_json(p.to_json()) == p
+
+
+def test_hash_is_computed_once_and_matches_the_fields():
+    """ParamQuadruple keeps the hash the dataclass would compute, once
+    it is first asked for: equal params hash equally on both backends,
+    and repr, == and to_json see the seven fields only."""
+    rng = random.Random("params-hash")
+    q = RatFun.variable()
+    cases = [sample_even(rng, 3), sample_odd(rng, 2, field=QQ_Q),
+             sample_even(rng, 1, field=QQ_Q).with_k(k1=(1 + q) / (2 - q))]
+    for p in cases:
+        again = ParamQuadruple.from_json(p.to_json())
+        assert "_hash" not in vars(again)
+        assert hash(again) == hash((p.q, *p.k, p.d, p.parity)) == vars(again)["_hash"]
+        assert again == p and hash(again) == hash(p)
+        assert [f.name for f in dataclasses.fields(p)] == ["q", "k0", "k1", "k2", "k3", "d", "parity"]
+        assert repr(p) == (f"ParamQuadruple(q={p.q!r}, k0={p.k0!r}, k1={p.k1!r}, k2={p.k2!r}, "
+                           f"k3={p.k3!r}, d={p.d}, parity={p.parity!r})")
+    # a rational quadruple equals its lift into Q(q) and hashes the same
+    rational = ParamQuadruple(2, Fraction(1, 2), 1, 3, 1, d=1, parity="even")
+    lifted = ParamQuadruple(RatFun((2,)), Fraction(1, 2), 1, 3, 1, d=1, parity="even")
+    assert all(isinstance(x, RatFun) for x in (lifted.q, *lifted.k))
+    assert lifted == rational and hash(lifted) == hash(rational)
+    assert lifted.to_json() != rational.to_json()
+    assert rational.to_json() == {"q": "2", "k": ["1/2", "1", "3", "1"], "d": 1, "parity": "even"}
+    assert rational != rational.with_k(k2=5) and len({rational, lifted, rational.with_k(k2=5)}) == 2
