@@ -653,7 +653,9 @@ def span_closure(gens) -> int:
     inserted word by every generator, inserting only products that
     enlarge the echelonized span, until stable or until the span is all
     n**2 matrices (see :func:`_closure` for what it skips and why that
-    is sound).
+    is sound: products g*w where g made w and g**2 lies in span(I, g),
+    and every product with the last generator when the ordered product
+    of all of them is a nonzero scalar).
 
     When every generator is rational the closure runs on their int
     rows, each the generator scaled by its common denominator, and is
@@ -701,7 +703,23 @@ def _closure(gens, ident, product, insert, cap) -> int:
     coordinates number at most cap = n**2, and a span of that dimension
     is every matrix, so the closure stops as soon as the basis reaches
     it.
+
+    The last generator is dropped when the ordered product g1*...*gk is
+    a nonzero scalar l*I (t0*t1*t2*t3 = q**-1 on a module), tested
+    exactly: the product is stored into an empty basis, then the
+    identity is rejected.  Every g_i is then invertible, g_i**-1 is a
+    polynomial in g_i (Cayley-Hamilton), and gk = l*(g1*...*g(k-1))**-1
+    lies in the unital algebra of the others.  The test reads only the
+    generators, not params, so it holds on any input, a module whose
+    relations fail included.
     """
+    if len(gens) > 1 and cap > 1:
+        whole = ident
+        for g in reversed(gens):
+            whole = product(g, whole)
+        scalar = {}
+        if insert(scalar, whole) and not insert(scalar, ident):
+            gens = gens[:-1]
     basis = {}  # leading index -> what insert stores for that row
     insert(basis, ident)
     quadratic = [None] * len(gens)  # gens[i]**2 in span(I, gens[i]), once asked

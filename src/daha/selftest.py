@@ -168,11 +168,10 @@ def _criterion(index: int, name: str):
 
 # -- criterion 1: relation suite -------------------------------------------
 
-def _relation_sweep(params_list):
+def _relation_sweep(modules):
     checks = 0
     failures = []
-    for p in params_list:
-        module = _construct(p)
+    for module in modules:
         report = verify_relations(module)
         checks += len(report.items)
         if not report.ok:
@@ -185,19 +184,18 @@ def criterion_1(seed, grid):
     count = _count(grid, 100)
     even = _grid_params(_rng(seed, "c1e"), PARITY_EVEN, count, EVEN_DS)
     odd = _grid_params(_rng(seed, "c1o"), PARITY_ODD, count, ODD_DS)
-    c1, f1 = _relation_sweep(even)
-    c2, f2 = _relation_sweep(odd)
+    c1, f1 = _relation_sweep(map(_construct, even))
+    c2, f2 = _relation_sweep(map(_construct, odd))
     return c1 + c2, f1 + f2
 
 
 # -- criterion 2: central characters and determinant fingerprints ----------
 
-def _character_sweep(params_list):
+def _character_sweep(modules):
     checks = 0
     failures = []
-    for p in params_list:
-        module = _construct(p)
-        expected_c, expected_fp = family_invariants(p)
+    for module in modules:
+        expected_c, expected_fp = family_invariants(module.params)
         got_c = central_character(module)
         checks += 1
         if got_c != expected_c:
@@ -214,8 +212,8 @@ def criterion_2(seed, grid):
     count = _count(grid, 100)
     even = _grid_params(_rng(seed, "c2e"), PARITY_EVEN, count, EVEN_DS)
     odd = _grid_params(_rng(seed, "c2o"), PARITY_ODD, count, ODD_DS)
-    c1, f1 = _character_sweep(even)
-    c2, f2 = _character_sweep(odd)
+    c1, f1 = _character_sweep(map(_construct, even))
+    c2, f2 = _character_sweep(map(_construct, odd))
     return c1 + c2, f1 + f2
 
 
@@ -462,10 +460,11 @@ def criterion_8(seed, grid):
 
     even = _grid_params(_rng(seed, "c8e1"), PARITY_EVEN, count, (1, 3), QQ_Q)
     odd = _grid_params(_rng(seed, "c8o1"), PARITY_ODD, count, (0, 2), QQ_Q)
-    c, f = _relation_sweep(even + odd)
+    modules = [_construct(p) for p in even + odd]  # built once, inverses shared
+    c, f = _relation_sweep(modules)
     checks += c
     failures += f
-    c, f = _character_sweep(even + odd)
+    c, f = _character_sweep(modules)
     checks += c
     failures += f
 

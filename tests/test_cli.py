@@ -115,6 +115,15 @@ def test_irreducible_command(tmp_path, capsys):
     assert not data["irreducible"] and data["agrees"] is True
 
 
+@pytest.mark.parametrize("name,closure_dim", [("ratfun_even_d3", 16), ("ratfun_odd_d2", 9)])
+def test_irreducible_on_formal_files(name, closure_dim, capsys):
+    # The closure over Q(q) drops t3, since t0*t1*t2*t3 = q**-1.
+    assert run("irreducible", "--in", str(DATA / f"{name}.json")) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    assert data["closure_dim"] == closure_dim
+    assert data["irreducible"] and data["agrees"] is True
+
+
 def test_twist_and_intertwiner(tmp_path, capsys):
     mod = tmp_path / "mod.json"
     run("construct", "--parity", "even", "--q", "2", "--k", "1/2,1,3,1",

@@ -570,6 +570,64 @@ def test_closure_pruning_needs_the_quadratic_relation():
     assert span_closure([lift(shift)]) == 4
 
 
+def ordered_product(gens):
+    out = gens[0]
+    for g in gens[1:]:
+        out = out * g
+    return out
+
+
+def test_closure_with_a_scalar_product_matches_plain_closure():
+    # A and B generate the upper triangular matrices (dimension 6), and
+    # C = l*(AB)**-1 makes ABC = l*I; l = -2/3 makes the int branch's
+    # primitive product -I.  The other sets keep every generator: an
+    # order whose product is not scalar, a zero product (dropping e12
+    # would lose it) and single generators.
+    a = Matrix([[2, 1, 0], [0, -1, 3], [0, 0, 1]])
+    b = Matrix([[1, 0, 2], [0, 3, 0], [0, 0, -2]])
+    unit = [Matrix([[int((i, j) == ij) for j in range(3)] for i in range(3)])
+            for ij in ((0, 0), (1, 1), (0, 1))]
+    cases = []
+    for lam in (Fraction(1), Fraction(-2, 3)):
+        c = inverse(a * b).scale(lam)
+        cases += [([a, b, c], lam), ([a, c, b], None)]
+    scalar_gen = Matrix.identity(3).scale(Fraction(-2, 3))
+    cases += [(unit, Fraction(0)), ([a], None), ([scalar_gen], Fraction(-2, 3))]
+    for gens, scalar in cases:
+        assert ordered_product(gens).scalar_value() == scalar
+        want = plain_closure(gens)
+        assert span_closure(gens) == want
+        assert span_closure([lift(g) for g in gens]) == want
+    assert plain_closure(cases[0][0]) == 6 and plain_closure(unit) == 4
+
+
+def test_the_last_generator_is_dropped_on_a_module(monkeypatch):
+    # t0*t1*t2*t3 = q**-1, so once the closure has formed that product
+    # it never multiplies by t3 again, and the dimension is unchanged.
+    m = make_E(sample_params(random.Random("drop-last"), "even", 7))
+    real = linalg._int_product
+    calls = []
+
+    def spy(a, w):
+        calls.append(a)
+        return real(a, w)
+
+    monkeypatch.setattr(linalg, "_int_product", spy)
+    dim = span_closure(m.t)
+    monkeypatch.undo()
+    assert dim == plain_closure(m.t)
+    n = m.dim
+    ident = [int(i == j) for i in range(n) for j in range(n)]
+    rows = {id(a): a for a in calls}
+    assert len(rows) == 4
+    den = lcm(*(e.denominator for row in m.t[3].entries for e in row))
+    t3 = [int(e * den) for row in m.t[3].entries for e in row]
+    t3 = [x // gcd(*t3) for x in t3]
+    (last,) = [a for a in rows.values() if real(a, ident) == t3]
+    used = [i for i, a in enumerate(calls) if a is last]
+    assert len(used) == 1 and used[0] < 4 < len(calls)
+
+
 def test_int_insert_unit_steps_follow_the_recurrence():
     # The pivot -1 of column 0 divides every lead there: unit steps of
     # row scale s = -1, which store -v - c*b, not v + c*b.  The last row
