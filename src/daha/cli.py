@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import random
 import re
 import sys
 
@@ -24,8 +25,6 @@ from .analysis import (
     _classify_verified,
     _shift,
     burnside_irreducible,
-    criterion_E,
-    criterion_O,
     det_fingerprint,
     find_intertwiner,
     l_matrix_E,
@@ -36,11 +35,10 @@ from .errors import ClassificationError, DahaError, InputError, ParameterError
 from .linalg import span_closure
 from .modrep import (
     ModuleRep,
+    _construct,
     central_character,
     commutation_check,
     ladder_check,
-    make_E,
-    make_O,
     verify_relations,
 )
 from .params import (
@@ -50,7 +48,9 @@ from .params import (
     canonical_orbit_rep,
     family_invariants,
     orbit_members,
+    violations,
 )
+from .sampling import sample_params
 from .scalar import (
     RatFun,
     field_by_name,
@@ -125,8 +125,7 @@ def _load_module(path: str) -> ModuleRep:
 # ---------------------------------------------------------------------------
 
 def cmd_construct(args) -> int:
-    p = _params_from_args(args)
-    module = make_E(p) if p.parity == PARITY_EVEN else make_O(p)
+    module = _construct(_params_from_args(args))
     if args.label:
         module = dataclasses.replace(module, label=args.label)
     _dump(module.to_json(), args.out)
@@ -205,8 +204,7 @@ def cmd_irreducible(args) -> int:
         "agrees": None,
     }
     if untwisted:
-        p = module.params
-        crit = criterion_E(p) if p.parity == PARITY_EVEN else criterion_O(p)
+        crit = not violations(module.params)
         out["criterion"] = crit
         out["agrees"] = crit == burnside
     _dump(out, args.out)
@@ -278,19 +276,17 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import random
-
     field = field_by_name(args.backend)
-    from .sampling import sample_params
-
+    if args.grid < 1:
+        raise ParameterError(f"--grid must be at least 1, got {args.grid}")
     rng = random.Random(f"{args.seed}:sweep")
     records = []
     all_ok = True
     for n in range(args.grid):
         p = sample_params(rng, args.parity, args.d, field=field)
-        module = make_E(p) if args.parity == PARITY_EVEN else make_O(p)
+        module = _construct(p)
         relations = verify_relations(module).ok
-        crit = criterion_E(p) if args.parity == PARITY_EVEN else criterion_O(p)
+        crit = not violations(p)
         burnside = burnside_irreducible(module)
         agree = crit == burnside
         all_ok = all_ok and relations and agree

@@ -241,6 +241,11 @@ def make_O(p: ParamQuadruple) -> ModuleRep:
     return _truncate(p, "O")
 
 
+def _construct(p: ParamQuadruple) -> ModuleRep:
+    """p's module: :func:`make_E` or :func:`make_O` by its parity."""
+    return make_E(p) if p.parity == PARITY_EVEN else make_O(p)
+
+
 # ---------------------------------------------------------------------------
 # relation and ladder verification
 # ---------------------------------------------------------------------------

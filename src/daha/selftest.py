@@ -3,6 +3,7 @@
 Each criterion function runs one numbered acceptance criterion at a
 configurable grid size and reports what it checked; the pytest
 acceptance module and the command-line selftest both drive these.
+Criteria 1-6 check both families in one loop, the even samples first.
 Grid size semantics: None means the full mandated sample counts,
 0 means only the fixed structural samples, any other value replaces
 the per-parity random sample count.
@@ -17,8 +18,6 @@ from fractions import Fraction
 
 from .analysis import (
     burnside_irreducible,
-    criterion_E,
-    criterion_O,
     classify,
     det_fingerprint,
     find_intertwiner,
@@ -29,6 +28,7 @@ from .analysis import (
 )
 from .modrep import (
     SparseVec,
+    _construct,
     commutation_check,
     central_character,
     ladder_check,
@@ -49,12 +49,17 @@ from .params import (
     ParamQuadruple,
     canonical_orbit_rep,
     family_invariants,
+    violations,
 )
-from .sampling import adversarial_even, adversarial_odd, sample_even, sample_odd, sample_free
+from .sampling import adversarial_even, adversarial_odd, sample_free, sample_params
 from .scalar import QQ, QQ_Q, scalar_pow
 
 EVEN_DS = (1, 3, 5, 7)
 ODD_DS = (0, 2, 4, 6)
+
+# the top basis index of c7's and c8's ladder checks and polynomial realization
+_MAX_LADDER = 12
+_MAX_POLY = 10
 
 _F = Fraction
 
@@ -135,15 +140,9 @@ def _fixed_params(parity: str, max_d: int, field=QQ):
 def _grid_params(rng, parity: str, count: int, ds, field=QQ):
     """Fixed structural samples plus `count` random samples spread over ds."""
     out = _fixed_params(parity, max_d=max(ds), field=field)
-    sampler = sample_even if parity == PARITY_EVEN else sample_odd
     for n in range(count):
-        d = ds[n % len(ds)]
-        out.append(sampler(rng, d, field=field))
+        out.append(sample_params(rng, parity, ds[n % len(ds)], field=field))
     return out
-
-
-def _construct(p: ParamQuadruple):
-    return make_E(p) if p.parity == PARITY_EVEN else make_O(p)
 
 
 def _criterion(index: int, name: str):
@@ -184,9 +183,7 @@ def criterion_1(seed, grid):
     count = _count(grid, 100)
     even = _grid_params(_rng(seed, "c1e"), PARITY_EVEN, count, EVEN_DS)
     odd = _grid_params(_rng(seed, "c1o"), PARITY_ODD, count, ODD_DS)
-    c1, f1 = _relation_sweep(map(_construct, even))
-    c2, f2 = _relation_sweep(map(_construct, odd))
-    return c1 + c2, f1 + f2
+    return _relation_sweep(map(_construct, even + odd))
 
 
 # -- criterion 2: central characters and determinant fingerprints ----------
@@ -212,49 +209,46 @@ def criterion_2(seed, grid):
     count = _count(grid, 100)
     even = _grid_params(_rng(seed, "c2e"), PARITY_EVEN, count, EVEN_DS)
     odd = _grid_params(_rng(seed, "c2o"), PARITY_ODD, count, ODD_DS)
-    c1, f1 = _character_sweep(map(_construct, even))
-    c2, f2 = _character_sweep(map(_construct, odd))
-    return c1 + c2, f1 + f2
+    return _character_sweep(map(_construct, even + odd))
 
 
 # -- criterion 3: closed-form criteria against the Burnside oracle ---------
+
+def _adversarial_grid(seed, tag: str, count: int, n_adv: int):
+    """Grid samples at d <= 5, then n_adv samples that fail exactly one
+    atomic condition (odd ones at d >= 2, where the odd criterion is not
+    vacuous); even samples first."""
+    rng = _rng(seed, tag + "e")
+    even = _grid_params(rng, PARITY_EVEN, count, (1, 3, 5))
+    even += [adversarial_even(rng, (1, 3, 5)[n % 3]) for n in range(n_adv)]
+    rng = _rng(seed, tag + "o")
+    odd = _grid_params(rng, PARITY_ODD, count, (0, 2, 4))
+    odd += [adversarial_odd(rng, (2, 4)[n % 2]) for n in range(n_adv)]
+    return even + odd
+
 
 @_criterion(3, "irreducibility criteria match the Burnside oracle")
 def criterion_3(seed, grid):
     count = _count(grid, 200)
     n_adv = _count(grid if grid is None else max(grid // 10, 0), 20)
-    checks = 0
+    params = _adversarial_grid(seed, "c3", count, n_adv)
     failures = []
-
-    rng = _rng(seed, "c3e")
-    even = _grid_params(rng, PARITY_EVEN, count, (1, 3, 5))
-    even += [adversarial_even(rng, (1, 3, 5)[n % 3]) for n in range(n_adv)]
-    for p in even:
-        expected = criterion_E(p)
-        got = burnside_irreducible(make_E(p))
-        checks += 1
+    for p in params:
+        expected = not violations(p)
+        got = burnside_irreducible(_construct(p))
         if expected != got:
-            failures.append(f"even {p.to_json()} criterion={expected} oracle={got}")
-
-    rng = _rng(seed, "c3o")
-    odd = _grid_params(rng, PARITY_ODD, count, (0, 2, 4))
-    odd += [adversarial_odd(rng, (2, 4)[n % 2]) for n in range(n_adv)]
-    for p in odd:
-        expected = criterion_O(p)
-        got = burnside_irreducible(make_O(p))
-        checks += 1
-        if expected != got:
-            failures.append(f"odd {p.to_json()} criterion={expected} oracle={got}")
-    return checks, failures
+            failures.append(f"{p.parity} {p.to_json()} criterion={expected} oracle={got}")
+    return len(params), failures
 
 
 # -- criterion 4: triangular coefficient matrix routes ---------------------
 
-def _l_sweep(params_list):
+@_criterion(4, "coefficient matrix: three routes, triangularity, diagonal")
+def criterion_4(seed, grid):
+    count = _count(grid, 20)
     checks = 0
     failures = []
-    for p in params_list:
-        crit = criterion_E(p) if p.parity == PARITY_EVEN else criterion_O(p)
+    for p in _adversarial_grid(seed, "c4", count, max(count // 4, 1)):
         try:
             routes = l_matrix_routes(p)
         except Exception as exc:  # route disagreement is a failure, not a crash
@@ -270,6 +264,7 @@ def _l_sweep(params_list):
         if not upper_ok:
             failures.append(f"{p.to_json()}: nonzero entry above the diagonal")
         diag_nonzero = all(reference.entries[i][i] for i in range(n))
+        crit = not violations(p)
         checks += 1
         if diag_nonzero != crit:
             failures.append(
@@ -278,87 +273,60 @@ def _l_sweep(params_list):
     return checks, failures
 
 
-@_criterion(4, "coefficient matrix: three routes, triangularity, diagonal")
-def criterion_4(seed, grid):
-    count = _count(grid, 20)
-    n_adv = max(count // 4, 1)
-    rng = _rng(seed, "c4e")
-    even = _grid_params(rng, PARITY_EVEN, count, (1, 3, 5))
-    even += [adversarial_even(rng, (1, 3, 5)[n % 3]) for n in range(n_adv)]
-    rng = _rng(seed, "c4o")
-    odd = _grid_params(rng, PARITY_ODD, count, (0, 2, 4))
-    odd += [adversarial_odd(rng, (2, 4)[n % 2]) for n in range(n_adv)]
-    c1, f1 = _l_sweep(even)
-    c2, f2 = _l_sweep(odd)
-    return c1 + c2, f1 + f2
-
-
 # -- criterion 5: isomorphism theorems as computations ----------------------
 
-def _sample_irreducible(rng, parity, d):
-    sampler = sample_even if parity == PARITY_EVEN else sample_odd
-    crit = criterion_E if parity == PARITY_EVEN else criterion_O
-    for _ in range(200):
-        p = sampler(rng, d)
-        if crit(p):
-            return p
-    raise RuntimeError("could not sample an irreducible quadruple")
-
-
 def _irreducible_params(rng, parity, count, ds):
-    """Fixed irreducible quadruples plus `count` sampled irreducible ones."""
-    crit = criterion_E if parity == PARITY_EVEN else criterion_O
-    out = [p for p in _fixed_params(parity, max_d=max(ds)) if crit(p)]
+    """Fixed irreducible quadruples plus `count` sampled irreducible ones,
+    each the first irreducible one of at most 200 draws."""
+    out = [p for p in _fixed_params(parity, max_d=max(ds)) if not violations(p)]
     for n in range(count):
-        out.append(_sample_irreducible(rng, parity, ds[n % len(ds)]))
+        for _ in range(200):
+            p = sample_params(rng, parity, ds[n % len(ds)])
+            if not violations(p):
+                out.append(p)
+                break
+        else:
+            raise RuntimeError("could not sample an irreducible quadruple")
     return out
+
+
+def _isomorphic_variants(p):
+    """(module, failure text) for each module the isomorphism theorems
+    make isomorphic to p's: p with k1, k2 or k3 inverted (even family),
+    or p's parameters cycled by e and twisted back by e (odd family)."""
+    if p.parity == PARITY_EVEN:
+        yield make_E(p.with_k(k1=1 / p.k1)), "missing intertwiner"
+        yield make_E(p.with_k(k2=1 / p.k2)), "missing intertwiner"
+        yield make_E(p.with_k(k3=1 / p.k3)), "missing intertwiner"
+        return
+    k0, k1, k2, k3 = p.k
+    for e, cycled in ((3, (k1, k2, k3, k0)), (2, (k2, k3, k0, k1)), (1, (k3, k0, k1, k2))):
+        other = make_O(ParamQuadruple(p.q, *cycled, d=p.d, parity=PARITY_ODD))
+        yield twist(other, e), f"missing twist-{e} intertwiner"
 
 
 @_criterion(5, "isomorphism theorems realized by invertible intertwiners")
 def criterion_5(seed, grid):
     count = _count(grid, 20)
+    even = _irreducible_params(_rng(seed, "c5e"), PARITY_EVEN, count, (1, 3, 5))
+    odd = _irreducible_params(_rng(seed, "c5o"), PARITY_ODD, count, (0, 2, 4))
     checks = 0
     failures = []
-
-    rng = _rng(seed, "c5e")
-    for p in _irreducible_params(rng, PARITY_EVEN, count, (1, 3, 5)):
-        module = make_E(p)
-        for variant in (
-            p.with_k(k1=1 / p.k1),
-            p.with_k(k2=1 / p.k2),
-            p.with_k(k3=1 / p.k3),
-        ):
-            other = make_E(variant)
+    for p in even + odd:
+        module = _construct(p)
+        label = f"{p.parity} {p.to_json()}"
+        for other, missing in _isomorphic_variants(p):
             cert = find_intertwiner(module, other)
             checks += 1
             if cert is None or cert is INDETERMINATE or not is_intertwiner(cert, module, other):
-                failures.append(f"even {p.to_json()}: missing intertwiner")
-        negative = twist(module, 1)
-        checks += 1
-        if det_fingerprint(negative) == det_fingerprint(module):
-            failures.append(f"even {p.to_json()}: twisted fingerprint collision")
-        elif find_intertwiner(module, negative) is not None:
-            failures.append(f"even {p.to_json()}: intertwiner to a twisted module")
-
-    rng = _rng(seed, "c5o")
-    for p in _irreducible_params(rng, PARITY_ODD, count, (0, 2, 4)):
-        module = make_O(p)
-        k0, k1, k2, k3 = p.k
-        for e, cycled in ((3, (k1, k2, k3, k0)), (2, (k2, k3, k0, k1)), (1, (k3, k0, k1, k2))):
-            other = twist(
-                make_O(ParamQuadruple(p.q, *cycled, d=p.d, parity=PARITY_ODD)), e
-            )
-            cert = find_intertwiner(module, other)
-            checks += 1
-            if cert is None or cert is INDETERMINATE or not is_intertwiner(cert, module, other):
-                failures.append(f"odd {p.to_json()}: missing twist-{e} intertwiner")
-        if p.d >= 2:
+                failures.append(f"{label}: {missing}")
+        if p.d > 0:  # every even d; odd d >= 2
             negative = twist(module, 1)
             checks += 1
             if det_fingerprint(negative) == det_fingerprint(module):
-                failures.append(f"odd {p.to_json()}: twisted fingerprint collision")
+                failures.append(f"{label}: twisted fingerprint collision")
             elif find_intertwiner(module, negative) is not None:
-                failures.append(f"odd {p.to_json()}: intertwiner to a twisted module")
+                failures.append(f"{label}: intertwiner to a twisted module")
     return checks, failures
 
 
@@ -367,25 +335,22 @@ def criterion_5(seed, grid):
 @_criterion(6, "classification round trips")
 def criterion_6(seed, grid):
     count = _count(grid, 50)
+    even = _irreducible_params(_rng(seed, "c6e"), PARITY_EVEN, count, (1, 1, 3, 3, 5))
+    odd = _irreducible_params(_rng(seed, "c6o"), PARITY_ODD, count, (0, 2, 2, 4))
     checks = 0
     failures = []
-
-    rng = _rng(seed, "c6e")
-    for p in _irreducible_params(rng, PARITY_EVEN, count, (1, 1, 3, 3, 5)):
-        module = make_E(p)
-        canonical = canonical_orbit_rep(p)
-        for e in range(4):
+    for p in even + odd:
+        module = _construct(p)
+        if p.parity == PARITY_EVEN:
+            expected, twists = canonical_orbit_rep(p), range(4)
+        else:
+            expected, twists = p, (0,)
+        for e in twists:
             result = classify(twist(module, e))
             checks += 1
-            if result.twist != e or result.params != canonical:
-                failures.append(f"even {p.to_json()} twist {e}: got {result.to_json()}")
-
-    rng = _rng(seed, "c6o")
-    for p in _irreducible_params(rng, PARITY_ODD, count, (0, 2, 2, 4)):
-        result = classify(make_O(p))
-        checks += 1
-        if result.params != p or result.twist != 0:
-            failures.append(f"odd {p.to_json()}: got {result.to_json()}")
+            if result.twist != e or result.params != expected:
+                where = f" twist {e}" if p.parity == PARITY_EVEN else ""
+                failures.append(f"{p.parity} {p.to_json()}{where}: got {result.to_json()}")
     return checks, failures
 
 
@@ -404,17 +369,17 @@ def _poly_intertwining(p: ParamQuadruple, max_i: int):
     return failures
 
 
-def _infinite_suite(params_list, max_ladder=12, max_poly=10):
+def _infinite_suite(params_list):
     checks = 0
     failures = []
     for p in params_list:
-        ladder = verma_ladder_check(p, max_ladder)
+        ladder = verma_ladder_check(p, _MAX_LADDER)
         checks += len(ladder.items)
         if not ladder.ok:
             failures.append(f"{p.to_json()}: {ladder.failed()[0].name}")
 
-        poly_failures = _poly_intertwining(p, max_poly)
-        checks += 4 * (max_poly + 1)
+        poly_failures = _poly_intertwining(p, _MAX_POLY)
+        checks += 4 * (_MAX_POLY + 1)
         failures.extend(poly_failures)
 
         if p.parity in (PARITY_EVEN, PARITY_ODD):
@@ -489,7 +454,7 @@ CRITERIA = (
 )
 
 
-def run_all(seed=0, grid=None, backend="both", report=print):
+def run_all(seed=0, grid=None, backend="both"):
     """Run the acceptance criteria, printing one pass/fail line each."""
     results = []
     for crit in CRITERIA:
@@ -499,6 +464,5 @@ def run_all(seed=0, grid=None, backend="both", report=print):
             continue
         result = crit(seed=seed, grid=grid)
         results.append(result)
-        if report:
-            report(result.line())
+        print(result.line())
     return results

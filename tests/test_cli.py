@@ -523,6 +523,16 @@ def test_sweep_rejects_a_d_of_the_wrong_parity(tmp_path, capsys, parity, d):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_sweep_rejects_a_grid_below_one(tmp_path, capsys, grid):
+    """A sweep of no samples would report agreement over nothing."""
+    out = tmp_path / "sweep.json"
+    argv = ("sweep", "--parity", "even", "--d", "3", "--grid", grid, "--out", str(out))
+    assert run(*argv) == EXIT_CONSTRAINT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_back_to_back_main_calls_behave_like_fresh_ones(tmp_path, capsys, monkeypatch):
     """main shares one parser across calls; a usage error or --help in
     between leaves later calls unchanged."""
