@@ -23,6 +23,7 @@ from .errors import DahaError, ClassificationError, ParameterError, Transcriptio
 from .linalg import (
     Matrix,
     _int_matrix,
+    _poly_matrix,
     det,
     inverse,
     kernel_line,
@@ -597,11 +598,13 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
     rational = all(x._ints is not None for x in a.t + b.t)
     pairs, bases = [], []
     for module, w in ((a, a.t[i3] * a.t[i0]), (b, w_b)):
-        columns = [kernel_line(w - ident.scale(theta)) for theta in thetas]
+        shifted = [w - ident.scale(theta) for theta in thetas]
+        columns = [kernel_line(x) for x in shifted]
         if None in columns:
             return None
-        # kernel_line gives int columns on rational input
-        p = _int_matrix(list(zip(*columns)), 1) if rational else Matrix(list(zip(*columns)))
+        # kernel_line gives columns in its matrix's ring: ints or int polynomials
+        cols = list(zip(*columns))
+        p = _int_matrix(cols, 1) if shifted[0]._ints is not None else _poly_matrix(cols, (1,))
         p_inv = inverse(p)
         (pr, pd), (ir, idn) = _rows(p), _rows(p_inv)
         pairs.append([(_matmul(ir, _matmul(r, pr)), idn * d * pd) for r, d in map(_rows, module.t)])
@@ -633,5 +636,5 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
     (_, pa_inv), (p_b, _) = bases
     pc = [[x * cj for x, cj in zip(row, c)] for row in _rows(p_b)[0]]
     t = (_int_matrix(pc, p_b._den) if rational else Matrix(pc)) * pa_inv
-    rows, t_den = _rows(t)
-    return t.scale(Fraction(t_den) / next(e for row in rows for e in row if e))
+    lead = next(e for row in (t._ints or t._polys) for e in row if e)
+    return t.scale(Fraction(t._den, lead)) if t._ints else _poly_matrix(t._polys, lead)

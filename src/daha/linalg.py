@@ -3,15 +3,13 @@
 Everything here works with :mod:`daha.scalar` values (Fraction or
 RatFun); a pivot is any nonzero entry, there are no tolerances
 anywhere.  A rational matrix is held as int rows over one common
-denominator, so its arithmetic, elimination, determinant and the span
-closure run fraction-free on Python ints, and results read as
-Fractions.  A matrix over Q(q) is held as int polynomial rows over one
-int polynomial denominator, in the canonical form of
-:class:`~daha.laurent.LaurentPoly`, so its products, sums, scalings and
-comparisons run on int polynomials and normalise once per result; its
-elimination, determinant and inverse take the field loops over RatFun
-entries.  Matrices are immutable after construction, all functions are
-pure.
+denominator, a matrix over Q(q) as int polynomial rows over one int
+polynomial denominator in the canonical form of
+:class:`~daha.laurent.LaurentPoly`.  Products, sums, elimination, the
+determinant (Bareiss's), the inverse, the Sylvester solve and the span
+closure run fraction-free on those rows and normalise once per result;
+Fractions or RatFuns are made only for the scalars a routine returns.
+Matrices are immutable after construction, all functions are pure.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .errors import DahaError, InputError, SingularMatrixError
 from .laurent import _canonical_polys, _cofactors, _raw_from_pairs
@@ -30,7 +28,10 @@ from .scalar import (
     RatFun,
     _padd,
     _parts,
+    _pexquo,
+    _pgcd,
     _pmul,
+    _ppow,
     _rational_parts,
     _raw,
     _reduce,
@@ -63,9 +64,9 @@ class Matrix:
     make 1.  So ``==`` compares tuples of ints on both forms, and a
     rational matrix meets a Q(q) one as constant polynomials over (den,),
     which is canonical.  The scalar :attr:`entries` (Fractions or
-    RatFuns) are built on first read; a matrix learns its one field
-    once, at construction, and an operation with a Q(q) operand gives a
-    Q(q) result.
+    RatFuns) are a view built on first read, which no routine here
+    reads; a matrix learns its one field once, at construction, and an
+    operation with a Q(q) operand gives a Q(q) result.
     """
 
     __slots__ = ("rows", "cols", "_ints", "_polys", "_den", "_entries")
@@ -80,11 +81,12 @@ class Matrix:
         flat = as_scalars(chain.from_iterable(rows))
         rows = tuple(flat[i:i + ncols] for i in range(0, len(flat), ncols))
         if isinstance(flat[0], RatFun):
-            _ratfun_matrix(rows, self)
+            terms, den = _raw_from_pairs([(k, (x._n, x._d)) for k, x in enumerate(flat)])
+            polys = [terms.get(k, ()) for k in range(len(flat))]
+            _poly_matrix([polys[i:i + ncols] for i in range(0, len(flat), ncols)], den, self)
         else:
             pairs = [[(e.numerator, e.denominator) for e in row] for row in rows]
-            ints, den = _over_lcm(pairs)
-            _fill(self, ints, None, den, None)
+            _fill(self, *_over_lcm(pairs), polys=None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -278,7 +280,7 @@ _set_rows, _set_cols, _set_ints, _set_polys, _set_den, _set_entries = (
 )
 
 
-def _fill(m: Matrix, ints, polys, den, entries) -> Matrix:
+def _fill(m: Matrix, ints, den, polys) -> Matrix:
     """Set the slots of m from its int or its polynomial rows."""
     rows = polys if ints is None else ints
     _set_rows(m, len(rows))
@@ -286,7 +288,7 @@ def _fill(m: Matrix, ints, polys, den, entries) -> Matrix:
     _set_ints(m, ints)
     _set_polys(m, polys)
     _set_den(m, den)
-    _set_entries(m, entries)
+    _set_entries(m, None)
     return m
 
 
@@ -307,7 +309,7 @@ def _int_matrix(rows, den) -> Matrix:
         if g > 1:
             rows = [[x // g for x in row] for row in rows]
             den //= g
-    return _fill(object.__new__(Matrix), tuple(map(tuple, rows)), None, den, None)
+    return _fill(object.__new__(Matrix), tuple(map(tuple, rows)), den, None)
 
 
 def _ratio_str(x: int, den: int) -> str:
@@ -316,27 +318,14 @@ def _ratio_str(x: int, den: int) -> str:
     return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
-def _poly_matrix(rows, den, out=None, entries=None) -> Matrix:
+def _poly_matrix(rows, den, out=None) -> Matrix:
     """The Q(q) matrix rows/den (rows of int polynomials, () for zero,
     over a nonzero int polynomial den) in canonical form, filled into
-    out when given, and with its RatFun entries when the caller has
-    them; every Q(q) matrix is made here."""
+    out when given; every Q(q) matrix is made here."""
     cols = len(rows[0])
     flat, den = _canonical_polys([x for row in rows for x in row], den)
     polys = tuple(flat[i:i + cols] for i in range(0, len(flat), cols))
-    if entries is not None:
-        entries = tuple(map(tuple, entries))
-    return _fill(object.__new__(Matrix) if out is None else out, None, polys, den, entries)
-
-
-def _ratfun_matrix(rows, out=None) -> Matrix:
-    """The Q(q) matrix of rows of RatFuns, which it keeps as its
-    entries: the RatFuns summed over one denominator."""
-    cols = len(rows[0])
-    flat = [x for row in rows for x in row]
-    terms, den = _raw_from_pairs([(k, (x._n, x._d)) for k, x in enumerate(flat)])
-    polys = [terms.get(k, ()) for k in range(len(flat))]
-    return _poly_matrix([polys[i:i + cols] for i in range(0, len(flat), cols)], den, out, rows)
+    return _fill(object.__new__(Matrix) if out is None else out, None, den, polys)
 
 
 def _poly_rows(m: Matrix) -> tuple:
@@ -387,22 +376,15 @@ class Subspace:
 def _rref_rows(m: Matrix):
     """Reduced row echelon form of m's rows: (nonzero rows, pivot cols).
 
-    A rational matrix is eliminated fraction-free on its int rows (a
-    nonzero multiple of m, so the same row space) and the reduced rows
-    come back as Fractions.  Forward elimination inserts the rows one by
-    one with :func:`_int_insert`: a candidate is reduced at its leading
-    entry by ``v <- (b[p]/g)*v - (v[p]/g)*b`` with ``g = gcd(b[p], v[p])``
-    and stored divided by the gcd of its entries.  Back-elimination
-    clears each pivot column from the rows above it by the same step,
-    in decreasing pivot order, and divides out the content again; each
-    row is divided by its pivot only once, at the end.  Every step is
-    an invertible rational row operation, so the rows span the same
-    space throughout, and the reduced row echelon form of a space is
-    unique: the result is the one the field loop computes.  Other
-    scalars (RatFun) take the field loop, which divides by the pivot.
+    m's ring rows (a nonzero multiple of m, so the same row space) are
+    eliminated fraction-free by :func:`_int_rref` or :func:`_poly_rref`,
+    and each row is divided by its pivot once, at the end, into
+    Fractions or RatFuns.  The reduced row echelon form of a space is
+    unique, so it is the one elimination over the field gives.
     """
     if m._ints is None:
-        return _field_rref_rows([list(r) for r in m.entries])
+        reduced, pivots = _poly_rref(m._polys)
+        return [[_ratfun(x, row[p]) for x in row] for row, p in zip(reduced, pivots)], pivots
     reduced, pivots = _int_rref(m)
     zero = Fraction(0)
     return [
@@ -429,33 +411,48 @@ def _int_rref(m: Matrix):
     return reduced, pivots
 
 
-def _field_rref_rows(rows):
-    """In-place reduced row echelon form over any exact field."""
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            inv = 1 / pv
-            rows[r] = [e * inv if e else e for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+def _poly_rref(rows):
+    """:func:`_int_rref` of int polynomial rows, every pivot made equal:
+    the rows are inserted by :func:`_poly_insert`, each pivot column is
+    cleared from the rows above by the same gcd-cancelled step, keeping
+    primitive parts, and last each row is multiplied by D/h, h its pivot
+    and D the lcm of the pivots.  Each step is an invertible row
+    operation over Q(q), so the row space is kept, every pivot ends
+    equal to D and the reduced rows are the rows over D."""
+    basis = {}
+    for row in rows:
+        if _poly_insert(basis, row) and len(basis) == len(row):
             break
-    return rows[:r], pivots
+    pivots = sorted(basis)
+    reduced = [basis[p] for p in pivots]
+    for k in range(len(pivots) - 1, 0, -1):
+        p, b = pivots[k], reduced[k]
+        for i in range(k):
+            if reduced[i][p]:
+                v = _poly_cancel(reduced[i], b, p)
+                reduced[i] = _canonical_polys(v, v[pivots[i]])[0]
+    heads = [row[p] for row, p in zip(reduced, pivots)]
+    top = heads[0] if heads else (1,)
+    for h in heads[1:]:
+        top = _pmul(top, _cofactors(top, h)[0])
+    return [_times_rows([row], _pexquo(top, h))[0] for row, h in zip(reduced, heads)], pivots
+
+
+def _poly_cancel(v, b, p):
+    """``(b[p]/g)*v - (v[p]/g)*b``, zero at p, with g the primitive gcd of
+    b[p] and v[p], which divides both in Z[q] (Gauss's lemma)."""
+    g = _pgcd(b[p], v[p])
+    return _combine(_pexquo(b[p], g), v, _pexquo(v[p], g), b)
+
+
+def _combine(s, row, c, top):
+    """``s*row - c*top`` on int polynomial rows, () for zero, s nonzero."""
+    nc = [-x for x in c] if c else None
+    out = []
+    for a, b in zip(row, top):
+        x = _pmul(s, a) if a else ()
+        out.append(_padd(x, _pmul(nc, b)) if nc and b else x)
+    return out
 
 
 def rank(m: Matrix) -> int:
@@ -480,63 +477,45 @@ def kernel(m: Matrix) -> Subspace:
 
 def kernel_line(m: Matrix):
     """A vector spanning the kernel of m when that kernel is a line, else
-    None; from :func:`_int_rref` for a rational m, so without Fractions.
-    With pivots h_r and free column f it is v_f = prod(h) and
-    v_{p_r} = -row_r[f] * prod(h_s, s != r)."""
-    if m._ints is None:
-        reduced, pivots = _field_rref_rows([list(r) for r in m.entries])
-    else:
-        reduced, pivots = _int_rref(m)
+    None, in m's ring: ints from :func:`_int_rref`, int polynomials from
+    :func:`_poly_rref`.  With pivots h_r and free column f it is v_f =
+    prod(h) and v_{p_r} = -row_r[f] * prod(h_s, s != r), or that over
+    D**(r-1) when every h_r is D: v_f = D and v_{p_r} = -row_r[f]."""
+    formal = m._ints is None
+    reduced, pivots = _poly_rref(m._polys) if formal else _int_rref(m)
     if len(pivots) != m.cols - 1:
         return None
     free = next(c for c, p in enumerate(pivots + [m.cols]) if c != p)
     heads = [row[p] for row, p in zip(reduced, pivots)]
+    if formal:
+        v = [()] * m.cols
+        v[free] = heads[0] if heads else (1,)
+        for row, p in zip(reduced, pivots):
+            v[p] = [-x for x in row[free]]
+        return v
     v = [0] * m.cols
-    v[free] = prod(heads, start=QQ_Q.one if m._ints is None else 1)
+    v[free] = prod(heads)
     for r, (row, p) in enumerate(zip(reduced, pivots)):
         v[p] = -row[free] * prod(heads[:r] + heads[r + 1:])
     return v
 
 
 def det(m: Matrix):
-    """Exact determinant.
+    """Exact determinant, by Bareiss's fraction-free elimination (Math.
+    Comp. 22, 1968) on the int or int polynomial rows A of m = A/den.
 
-    Rational input: Bareiss's fraction-free elimination (Math. Comp. 22,
-    1968) runs on the int rows, where every division is exact; the
-    determinant is the last pivot divided by den**n.  Other scalars
-    (RatFun) take elimination with exact pivoting.
+    The step at pivot pv turns each row below into ``(pv*row -
+    row[k]*top) / prev``, prev the pivot before (1 at first).  By
+    Sylvester's identity, after k steps entry (i, j) is the minor of A on
+    rows 1..k, i and columns 1..k, j (rows as swapped), so every division
+    is exact in Z or Z[q] and the last pivot is det A; each swap flips
+    the sign, and det m is det A over den**n, a Fraction or a RatFun.
     """
     if not m.is_square():
         raise DahaError("determinant of a non-square matrix")
     if m._ints is not None:
         return _int_det(m)
-    return _field_det(m.entries)
-
-
-def _field_det(entries):
-    """Elimination with exact pivoting over any exact field."""
-    rows = [list(r) for r in entries]
-    n = len(rows)
-    sign = 1
-    acc = None
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return entries[0][0] * 0
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            sign = -sign
-        pv = rows[c][c]
-        acc = pv if acc is None else acc * pv
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / pv
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[c])]
-    return acc if sign > 0 else -acc
+    return _poly_det(m)
 
 
 def _int_det(m: Matrix):
@@ -560,30 +539,45 @@ def _int_det(m: Matrix):
     return Fraction(sign * rows[-1][-1], m._den ** n)
 
 
+def _poly_det(m: Matrix):
+    """:func:`_int_det` on the int polynomial rows of a Q(q) matrix, each
+    step dropping the pivot's row and column; a RatFun."""
+    rows, sign, prev = list(m._polys), 1, (1,)
+    while len(rows) > 1:
+        pr = next((i for i, row in enumerate(rows) if row[0]), None)
+        if pr is None:
+            return _ZERO
+        if pr:
+            rows[0], rows[pr], sign = rows[pr], rows[0], -sign
+        (pv, *top), rows = rows[0], rows[1:]
+        rows = [[_pexquo(x, prev) if x else () for x in _combine(pv, row[1:], row[0], top)]
+                for row in rows]
+        prev = pv
+    return _ratfun([sign * x for x in rows[0][0]], _ppow(m._den, m.rows))
+
+
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse; raises SingularMatrixError when det is zero.
 
-    A rational m = A/den is inverted by reducing [A | den*I], whose
-    reduced row echelon form is [I | m^-1].  :func:`_int_rref` gives
-    row i of it as [h_i e_i | y_i] for a nonzero head h_i, so row i of
-    m^-1 is y_i/h_i, and m^-1 is read off as int rows over the lcm of
-    the |h_i|, each head's sign kept."""
+    m = A/den is inverted by reducing [A | den*I], whose reduced row
+    echelon form is [I | m^-1].  :func:`_poly_rref` gives it as
+    D*[I | m^-1], D every row's pivot, so m^-1 is the right block over D.
+    :func:`_int_rref` gives row i as [h_i e_i | y_i], so row i of m^-1 is
+    y_i/h_i, read off over the lcm of the |h_i|, each head's sign kept."""
     if not m.is_square():
         raise DahaError("inverse of a non-square matrix")
-    n = m.rows
-    if m._ints is None:
-        rows = [
-            list(row) + [QQ_Q.one if i == j else QQ_Q.zero for j in range(n)]
-            for i, row in enumerate(m.entries)
-        ]
-        reduced, pivots = _field_rref_rows(rows)
-    else:
-        rows = [row + (0,) * i + (m._den,) + (0,) * (n - 1 - i) for i, row in enumerate(m._ints)]
-        reduced, pivots = _int_rref(_int_matrix(rows, 1))
+    n, den = m.rows, m._den
+    formal = m._ints is None
+    zero = () if formal else 0
+    rows = [
+        row + (zero,) * i + (den,) + (zero,) * (n - 1 - i)
+        for i, row in enumerate(m._polys if formal else m._ints)
+    ]
+    reduced, pivots = _poly_rref(rows) if formal else _int_rref(_int_matrix(rows, 1))
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    if m._ints is None:
-        return _ratfun_matrix([row[n:] for row in reduced])
+    if formal:
+        return _poly_matrix([row[n:] for row in reduced], reduced[0][0])
     heads = [row[i] for i, row in enumerate(reduced)]
     den = lcm(*heads)
     return _int_matrix([[x * (den // h) for x in row[n:]] for row, h in zip(reduced, heads)], den)
@@ -598,8 +592,10 @@ def solve_right(m: Matrix, rhs):
     rhs = list(rhs)
     if len(rhs) != m.rows:
         raise DahaError("right-hand side length mismatch")
-    rows = [list(row) + [b] for row, b in zip(m.entries, rhs)]
-    reduced, pivots = _rref_rows(Matrix(rows))
+    # [m | rhs] = m * [I | 0] + rhs * [0 ... 0 1], in the field of both
+    widen = Matrix([[int(i == j) for j in range(m.cols + 1)] for i in range(m.cols)])
+    last = Matrix([[0] * m.cols + [1]])
+    reduced, pivots = _rref_rows(m * widen + Matrix([[b] for b in rhs]) * last)
     if m.cols in pivots:
         return None  # inconsistent
     if len(pivots) != m.cols:
@@ -613,8 +609,8 @@ def solve_sylvester_homogeneous(pairs) -> Subspace:
     All A_i must be square of one size n and all B_i square of one size
     m; the result is the solution space inside coordinate space of
     dimension m*n, with T vectorized row-major (T[r][s] at index r*n+s).
-    When every matrix is rational the system is written on their int
-    rows.
+    The system is written on int rows, or int polynomial rows when any
+    matrix is over Q(q), as T*(A/a) = (B/b)*T iff T*(b*A) = (a*B)*T.
     """
     pairs = list(pairs)
     if not pairs:
@@ -627,23 +623,26 @@ def solve_sylvester_homogeneous(pairs) -> Subspace:
         if not b.is_square() or b.rows != m:
             raise DahaError("right matrices must be square of equal size")
     rational = all(x._ints is not None for pair in pairs for x in pair)
+    zero, plus = (0, add) if rational else ((), _padd)
     rows = []
     for a, b in pairs:
-        if rational:  # T*(A/a) = (B/b)*T iff T*(b*A) = (a*B)*T
+        if rational:
             ae = [[b._den * x for x in row] for row in a._ints]
-            be = [[a._den * x for x in row] for row in b._ints]
+            nbe = [[-a._den * x for x in row] for row in b._ints]
         else:
-            ae, be = a.entries, b.entries
+            (ar, ad), (br, bd) = _poly_rows(a), _poly_rows(b)
+            ae, nbe = _times_rows(ar, bd), _times_rows(br, [-x for x in ad])
+        # row (r, c): b*A[s][c] at T[r][s], -a*B[r][u] at T[u][c], both at T[r][c]
         for r in range(m):
             for c in range(n):
-                row = [0] * (m * n)
+                row = [zero] * (m * n)
+                for u in range(m):
+                    row[u * n + c] = nbe[r][u]
                 for s in range(n):
                     row[r * n + s] = ae[s][c]
-                for u in range(m):
-                    if be[r][u]:
-                        row[u * n + c] = row[u * n + c] - be[r][u]
+                row[r * n + c] = plus(ae[c][c], nbe[r][r])
                 rows.append(row)
-    return kernel(_int_matrix(rows, 1) if rational else Matrix(rows))
+    return kernel(_int_matrix(rows, 1) if rational else _poly_matrix(rows, (1,)))
 
 
 def span_closure(gens) -> int:
@@ -663,13 +662,13 @@ def span_closure(gens) -> int:
     generator generates the same unital algebra, and every word becomes
     a nonzero multiple of the corresponding rational word, so the spans
     agree.  Words are flat row-major int lists, and each generator
-    multiplies by its nonzero entries only.  A candidate is reduced by
-    the fraction-free step ``v <- (b[p]/g)*v - (v[p]/g)*b`` with
-    ``g = gcd(b[p], v[p])`` and then divided by the gcd of its entries:
-    both are invertible rational row operations, so membership in the
-    span and the rank are those of elimination over the rationals (see
-    :func:`_int_insert` for the in-place unit step).  Other scalars
-    (RatFun) take the field loop, which divides by the pivot.
+    multiplies by its nonzero entries only.  Q(q) words are matrices,
+    inserted as their flat int polynomial rows.  Either insert reduces a
+    candidate by the fraction-free step ``v <- (b[p]/g)*v - (v[p]/g)*b``
+    with g the gcd of b[p] and v[p] and stores it divided by the gcd of
+    its entries: invertible row operations over the field, so
+    membership in the span and the rank are those of elimination over
+    the field (see :func:`_int_insert` and :func:`_poly_insert`).
     """
     gens = list(gens)
     if not gens:
@@ -682,7 +681,8 @@ def span_closure(gens) -> int:
         ident = [int(i == j) for i in range(n) for j in range(n)]
         sparse = [[[(k * n, x) for k, x in enumerate(row) if x] for row in g._ints] for g in gens]
         return _closure(sparse, ident, _int_product, _int_insert, n * n)
-    return _closure(gens, Matrix.identity(n, one=QQ_Q.one), mul, _field_insert, n * n)
+    insert = lambda basis, w: _poly_insert(basis, [x for row in w._polys for x in row])
+    return _closure(gens, Matrix.identity(n, one=QQ_Q.one), mul, insert, n * n)
 
 
 def _closure(gens, ident, product, insert, cap) -> int:
@@ -744,22 +744,6 @@ def _closure(gens, ident, product, insert, cap) -> int:
                     new.append((cand, i))
         frontier = new
     return len(basis)
-
-
-def _field_insert(basis, mat: Matrix) -> bool:
-    """Reduce mat against basis by division; store it when independent."""
-    v = [e for row in mat.entries for e in row]
-    for p in sorted(basis):
-        if v[p]:
-            c = v[p]
-            bv = basis[p]
-            v = [a - c * b for a, b in zip(v, bv)]
-    for p, x in enumerate(v):
-        if x:
-            inv = 1 / x
-            basis[p] = tuple(e * inv for e in v)
-            return True
-    return False
 
 
 def _int_insert(basis, v) -> bool:
@@ -824,6 +808,23 @@ def _cancel(v, b, p):
     g = gcd(b[p], v[p])
     bp, c = b[p] // g, v[p] // g
     return [bp * x - c * y for x, y in zip(v, b)]
+
+
+def _poly_insert(basis, v) -> bool:
+    """:func:`_int_insert` on a flat vector of int polynomials: the
+    leading entry p of v is cleared by :func:`_poly_cancel` while a basis
+    row has its pivot there, and an independent v is stored at p as its
+    primitive part (divided by the gcd of its entries in Z[q], v[p] with
+    a positive leading coefficient)."""
+    p = 0
+    while True:
+        p = next((i for i in range(p, len(v)) if v[i]), None)
+        if p is None:
+            return False
+        if p not in basis:
+            basis[p] = _canonical_polys(v, v[p])[0]
+            return True
+        v = _poly_cancel(v, basis[p], p)
 
 
 def _primitive(v):

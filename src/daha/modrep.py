@@ -494,11 +494,10 @@ def _verma_column(gen: int, j: int, p: ParamQuadruple) -> dict:
 @functools.lru_cache(maxsize=4)
 def _verma_columns(p: ParamQuadruple) -> dict:
     """The column table of p: (gen, j) -> the column of generator gen at
-    m_j as a raw pair keyed by basis index over one denominator, then
-    the :func:`_verma_column` scalars it was summed from, which the
-    formal blocks keep as their entries.  :func:`_column` fills it on
-    first use, so one check that applies a generator to m_j many times
-    builds the column once.  Callers never change the table's values."""
+    m_j as a raw pair keyed by basis index over one denominator.
+    :func:`_column` fills it on first use, so one check that applies a
+    generator to m_j many times builds the column once.  Callers never
+    change the table's values."""
     return {}
 
 
@@ -508,8 +507,7 @@ def _column(gen: int, j: int, p: ParamQuadruple) -> tuple:
     col = table.get((gen, j))
     if col is None:
         column = _verma_column(gen, j, p)
-        raw = _raw_from_pairs([(i, _parts(c)) for i, c in column.items()])
-        col = table[(gen, j)] = (*raw, column)
+        col = table[(gen, j)] = _raw_from_pairs([(i, _parts(c)) for i, c in column.items()])
     return col
 
 
@@ -518,20 +516,15 @@ def _ladder_block(gen: int, rows: int, cols: int, p: ParamQuadruple) -> Matrix:
     m_0, m_1, ...: column j holds the coordinates of gen applied to m_j.
     Rational params put the nonzero entries straight into int rows over
     the lcm of their denominators; formal params sum the columns of the
-    column table, keyed by their row-major place, over one denominator,
-    and keep the columns' scalars as the entries."""
+    column table, keyed by their row-major place, over one denominator."""
     if isinstance(p.q, RatFun):
         pairs = []
-        columns = []
         for j in range(cols):
-            terms, den, column = _column(gen, j, p)
+            terms, den = _column(gen, j, p)
             pairs += [(i * cols + j, (c, den)) for i, c in terms.items() if i < rows]
-            columns.append(column)
         flat, den = _raw_from_pairs(pairs)
-        zero = p.q * 0
         return _poly_matrix(
-            [[flat.get(i * cols + j, ()) for j in range(cols)] for i in range(rows)], den,
-            entries=[[col.get(i, zero) for col in columns] for i in range(rows)],
+            [[flat.get(i * cols + j, ()) for j in range(cols)] for i in range(rows)], den
         )
     columns = [_verma_column(gen, j, p) for j in range(cols)]
     pairs = [
@@ -546,7 +539,7 @@ def _verma_forward(gen: int, raw: tuple, p: ParamQuadruple) -> tuple:
     times the coefficients, summed, over the vector's denominator."""
     out = ({}, (1,))
     for j, c in raw[0].items():
-        terms, den, _ = _column(gen, j, p)
+        terms, den = _column(gen, j, p)
         out = _raw_add(out, (_times(terms, c), den))
     return out[0], tuple(_pmul(out[1], raw[1]))
 

@@ -160,19 +160,18 @@ def _pgcd(a, b) -> tuple:
 
 
 def _pexquo(a, g) -> list:
-    """a / g for a primitive divisor g of a.
-
-    By Gauss's lemma the quotient of an integer polynomial by a
-    primitive factor has integer coefficients, so every step of the
-    long division divides exactly.
+    """a / g for a nonzero int polynomial g that divides a in Z[q]: a
+    primitive g that divides a over Q does (Gauss's lemma), and so does
+    every divisor in :func:`daha.linalg.det`.  The quotient is in Z[q],
+    so each step of the long division divides exactly by g's leading
+    coefficient; a divisor c*q^m shifts and divides by c.
     """
-    if len(g) == 1:
-        return list(a)
     m = 0
     while g[m] == 0:
         m += 1
     if m == len(g) - 1:
-        return list(a[m:])
+        c = g[m]
+        return list(a[m:]) if c == 1 else [x // c for x in a[m:]]
     dg = len(g) - 1
     lg = g[-1]
     r = list(a)

@@ -4,9 +4,9 @@ Each criterion function runs one numbered acceptance criterion at a
 configurable grid size and reports what it checked; the pytest
 acceptance module and the command-line selftest both drive these.
 Criteria 1-6 check both families in one loop, the even samples first.
-Grid size semantics: None means the full mandated sample counts,
-0 means only the fixed structural samples, any other value replaces
-the per-parity random sample count.
+Grid size semantics: None means the full mandated sample counts, 0
+only the fixed structural samples, a larger value replaces the
+per-parity random sample count, and a negative one raises ParameterError.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .analysis import (
     twist,
     INDETERMINATE,
 )
+from .errors import ParameterError
 from .modrep import (
     SparseVec,
     _construct,
@@ -113,7 +114,9 @@ def _rng(seed, tag: str) -> random.Random:
 
 
 def _count(grid, default: int) -> int:
-    return default if grid is None else max(int(grid), 0)
+    if grid is not None and grid < 0:
+        raise ParameterError(f"grid must be at least 0, got {grid}")
+    return default if grid is None else int(grid)
 
 
 def _fixed_params(parity: str, max_d: int, field=QQ):
@@ -230,7 +233,7 @@ def _adversarial_grid(seed, tag: str, count: int, n_adv: int):
 @_criterion(3, "irreducibility criteria match the Burnside oracle")
 def criterion_3(seed, grid):
     count = _count(grid, 200)
-    n_adv = _count(grid if grid is None else max(grid // 10, 0), 20)
+    n_adv = _count(grid if grid is None else grid // 10, 20)
     params = _adversarial_grid(seed, "c3", count, n_adv)
     failures = []
     for p in params:

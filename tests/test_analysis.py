@@ -460,8 +460,8 @@ def test_formal_values_hold_ratfuns_only(monkeypatch):
     only, also where a rational operand meets a formal one."""
     poly_matrix = daha.linalg._poly_matrix
 
-    def checked(rows, den, out=None, entries=None):
-        m = poly_matrix(rows, den, out, entries)
+    def checked(rows, den, out=None):
+        m = poly_matrix(rows, den, out)
         assert _in_q_of_q(m)
         return m
 

@@ -533,6 +533,18 @@ def test_sweep_rejects_a_grid_below_one(tmp_path, capsys, grid):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("backend", ["ratfun", "rational", "both"])
+def test_selftest_rejects_a_negative_grid(tmp_path, capsys, backend):
+    """A negative grid used to run as --grid 0 and report a pass."""
+    out = tmp_path / "selftest.json"
+    argv = ("selftest", "--grid", "-3", "--backend", backend, "--out", str(out))
+    assert run(*argv) == EXIT_CONSTRAINT
+    captured = capsys.readouterr()
+    assert captured.err == "error: grid must be at least 0, got -3\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_back_to_back_main_calls_behave_like_fresh_ones(tmp_path, capsys, monkeypatch):
     """main shares one parser across calls; a usage error or --help in
     between leaves later calls unchanged."""

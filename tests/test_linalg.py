@@ -3,6 +3,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -15,12 +16,11 @@ from daha.linalg import (
     det,
     inverse,
     kernel,
+    kernel_line,
     rank,
     solve_right,
     solve_sylvester_homogeneous,
     span_closure,
-    _field_det,
-    _field_rref_rows,
     _int_insert,
     _rref_rows,
 )
@@ -31,6 +31,79 @@ from daha.sampling import adversarial_even, adversarial_odd, sample_params
 from daha.scalar import QQ_Q, RatFun, _pgcd, as_scalar, scalar_to_str
 
 Q = RatFun.variable()
+
+
+# -- the field loops: elimination over any exact field, by division ---------
+
+def _field_rref_rows(rows):
+    """In-place reduced row echelon form over any exact field."""
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            inv = 1 / pv
+            rows[r] = [e * inv if e else e for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _field_det(entries):
+    """Elimination with exact pivoting over any exact field."""
+    rows = [list(r) for r in entries]
+    n = len(rows)
+    sign = 1
+    acc = None
+    for c in range(n):
+        pr = None
+        for i in range(c, n):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            return entries[0][0] * 0
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            sign = -sign
+        pv = rows[c][c]
+        acc = pv if acc is None else acc * pv
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] / pv
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[c])]
+    return acc if sign > 0 else -acc
+
+
+def _field_insert(basis, mat):
+    """Reduce mat against basis by division; store it when independent."""
+    v = [e for row in mat.entries for e in row]
+    for p in sorted(basis):
+        if v[p]:
+            c = v[p]
+            bv = basis[p]
+            v = [a - c * b for a, b in zip(v, bv)]
+    for p, x in enumerate(v):
+        if x:
+            inv = 1 / x
+            basis[p] = tuple(e * inv for e in v)
+            return True
+    return False
 
 
 def rand_matrix(rng, n, height=9):
@@ -415,12 +488,17 @@ def test_mixed_rational_and_polynomial_rows_match_the_field_loop():
 # -- span_closure: the integer path against independent references ----------
 
 def lift(m):
-    """The same matrix with RatFun entries, which takes the field loop."""
-    return Matrix([[RatFun((e,)) for e in row] for row in m.entries])
+    """The same matrix lifted into Q(q), which takes the int polynomial
+    rows of span_closure's Q(q) branch."""
+    return m.scale(Q ** 0)
 
 
 def field_closure(gens):
-    return span_closure([lift(g) for g in gens])
+    """span_closure's driver with the field loop's insert on the RatFun
+    entries of the lifted generators."""
+    gens = [lift(g) for g in gens]
+    n = gens[0].rows
+    return linalg._closure(gens, Matrix.identity(n, one=Q ** 0), mul, _field_insert, n * n)
 
 
 def module_gens(p):
@@ -428,6 +506,9 @@ def module_gens(p):
 
 
 def test_integer_closure_matches_field_loop():
+    # The int rows and the int polynomial rows of the same modules lifted
+    # into Q(q), irreducible and reducible, then formal modules with
+    # sampled and with non-monomial k's, against the field closure.
     rng = random.Random("int-closure")
     verdicts = set()
     for d in range(6):
@@ -440,9 +521,15 @@ def test_integer_closure_matches_field_loop():
         for p in samples:
             gens = module_gens(p)
             dim = span_closure(gens)
-            assert dim == field_closure(gens), p
+            assert dim == field_closure(gens) == span_closure([lift(g) for g in gens]), p
             verdicts.add(dim == (d + 1) ** 2)
     assert verdicts == {True, False}
+    for d in range(4):
+        p = sample_params(rng, "odd" if d % 2 == 0 else "even", d, field=QQ_Q)
+        for params in (p, with_non_monomial_k1(p)):
+            gens = module_gens(params)
+            assert gens[0]._ints is None
+            assert span_closure(gens) == field_closure(gens), params
 
 
 def plain_insert(basis, v):
@@ -482,8 +569,8 @@ def plain_closure(gens):
 
 @pytest.mark.parametrize("family,d", [("odd", 6), ("even", 7)])
 def test_integer_closure_matches_field_loop_large(family, d):
-    # The RatFun-lifted field loop takes minutes here, so the reference
-    # is the plain closure on the Fraction generators.
+    # The field closure on the lifted generators takes minutes here, so
+    # the reference is the plain closure on the Fraction generators.
     rng = random.Random(f"int-closure-{d}")
     crit = criterion_E if family == "even" else criterion_O
     p = sample_params(rng, family, d)
@@ -746,17 +833,22 @@ def field_loop(monkeypatch):
                 linalg, "_rref_rows", lambda m: _field_rref_rows([list(r) for r in m.entries])
             )
             patch.setattr(linalg, "_int_det", lambda m: _field_det(m.entries))
-            # inverse reads its rows off _int_rref, not _rref_rows
+            patch.setattr(linalg, "_poly_det", lambda m: _field_det(m.entries))
+            # inverse reads its rows off _int_rref or _poly_rref, not _rref_rows
             patch.setattr(linalg, "inverse", field_inverse)
             yield
 
     return context
 
 
+def field_one(m):
+    return Fraction(1) if m._ints is not None else Q ** 0
+
+
 def field_inverse(m):
     """m^-1 read off the field loop's [I | m^-1] from [m | I]."""
-    n = m.rows
-    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.entries)]
+    n, one = m.rows, field_one(m)
+    rows = [list(row) + [one * (i == j) for j in range(n)] for i, row in enumerate(m.entries)]
     reduced, _ = _field_rref_rows(rows)
     return Matrix([row[n:] for row in reduced])
 
@@ -834,6 +926,130 @@ def test_integer_sylvester_kernel_matches_field_loop(field_loop):
     assert {space.dim for space in expected} == {0, 1}
     for system, want in zip(systems, expected):
         assert solve_sylvester_homogeneous(system) == want
+
+
+def formal_elimination_grid():
+    """Seeded Q(q) matrices: every matrix of poly_form_grid (generators,
+    inverses and sums of formal modules with sampled and with
+    non-monomial k's, non-square ladder blocks, the zero matrix, 1x1
+    matrices) and the products of its triples, where a tall block times
+    a wide one is rank-deficient; random matrices of small rational
+    functions, rank-deficient products of them and copies with a zeroed
+    row; and zero leading entries that force row swaps."""
+    rng = random.Random("poly-elimination")
+    grid = []
+    for a, a2, b in poly_form_grid():
+        grid += [a, a2, b, a * b]
+    pool = (0, 0, 1, -2, Fraction(2, 3), Q, -Q, Q ** -1, NM, 1 / NM, Q * Q - 3, (Q + 1) / Q)
+
+    def rand(rows, cols):
+        return Matrix([[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]).scale(Q ** 0)
+
+    for rows, cols in [(1, 3), (3, 1), (2, 4), (4, 2), (3, 3), (4, 4), (5, 3), (5, 5)]:
+        full = rand(rows, cols)
+        k = rng.randint(1, min(rows, cols) - (rows == cols > 1))
+        grid += [full, rand(rows, k) * rand(k, cols)]
+        zeroed = [list(row) for row in full.entries]
+        zeroed[rng.randrange(rows)] = [0] * cols
+        grid.append(Matrix(zeroed).scale(Q ** 0))
+    grid += [Matrix([[0, Q], [NM, 1]]), Matrix([[0, 0, Q], [0, NM, 1], [Q, 1, 0]])]
+    return grid
+
+
+def test_polynomial_elimination_matches_the_field_loop(field_loop):
+    grid = formal_elimination_grid()
+    assert all(m._ints is None for m in grid)
+    with field_loop():
+        expected = [results(m) for m in grid]
+    assert sum(r["rank"] < min(m.shape) for m, r in zip(grid, expected)) >= 10
+    assert sum(r["kernel"].dim == 1 for r in expected) >= 5
+    assert any(r.get("inverse") for r in expected)
+    singular = [m for m, r in zip(grid, expected) if m.is_square() and not r["det"]]
+    assert len(singular) >= 5 and any(m.rows == 1 for m in singular)
+    for m, want in zip(grid, expected):
+        assert _rref_rows(m) == _field_rref_rows([list(r) for r in m.entries]), m
+        assert results(m) == want, m
+        line = kernel_line(m)
+        if want["kernel"].dim == 1:
+            reduced, _ = _field_rref_rows([[RatFun(x) for x in line]])
+            assert reduced == [list(want["kernel"].basis[0])], m
+        else:
+            assert line is None, m
+    for m in singular:
+        with pytest.raises(SingularMatrixError):
+            inverse(m)
+    # the first column's zero leading entry swaps rows: det flips sign
+    assert det(Matrix([[0, Q], [NM, 1]])) == -Q * NM
+    assert det(Matrix([[0, 0, Q], [0, NM, 1], [Q, 1, 0]])) == -Q * Q * NM
+
+
+def field_sylvester(pairs):
+    """The Sylvester solution space from a system written on the RatFun
+    entries; its kernel takes the field loop inside field_loop()."""
+    n, m = pairs[0][0].rows, pairs[0][1].rows
+    rows = []
+    for a, b in pairs:
+        ae, be = a.entries, b.entries
+        for r in range(m):
+            for c in range(n):
+                row = [0] * (m * n)
+                for s in range(n):
+                    row[r * n + s] = ae[s][c]
+                for u in range(m):
+                    row[u * n + c] = row[u * n + c] - be[r][u]
+                rows.append(row)
+    return kernel(Matrix(rows))
+
+
+def test_polynomial_sylvester_kernel_matches_field_loop(field_loop):
+    # Formal modules of both families with d <= 3 against themselves,
+    # a twist of themselves, the non-monomial k1 variant and a module
+    # with other params; the last system mixes in a rational module.
+    rng = random.Random("poly-sylvester")
+    systems = []
+    for d in range(4):
+        family = "odd" if d % 2 == 0 else "even"
+        p = sample_params(rng, family, d, field=QQ_Q)
+        a, b = make_module(p), make_module(with_non_monomial_k1(p))
+        other = make_module(sample_params(rng, family, d, field=QQ_Q))
+        for x, y in ((a, a), (b, b), (a, _shift(a, 1)), (a, b), (a, other)):
+            systems.append([(x.t[i], y.t[i]) for i in range(4)])
+    rational = make_E(sample_params(rng, "even", 1))
+    systems.append([(rational.t[i], lift(rational.t[i])) for i in range(4)])
+    with field_loop():
+        expected = [field_sylvester(system) for system in systems]
+    assert {space.dim for space in expected} == {0, 1}
+    for system, want in zip(systems, expected):
+        assert solve_sylvester_homogeneous(system) == want
+
+
+def test_formal_routines_read_no_entries(monkeypatch):
+    """The Q(q) routines run on the int polynomial rows alone: with the
+    RatFun views of every matrix patched to raise, each still answers."""
+    rng = random.Random("no-entries")
+    modules = []
+    for family, d, crit in (("even", 3, criterion_E), ("odd", 2, criterion_O)):
+        p = sample_params(rng, family, d, field=QQ_Q)
+        while not crit(p):
+            p = sample_params(rng, family, d, field=QQ_Q)
+        modules.append(make_module(p))
+    thetas = [(m.t[3] * m.t[0]).entry(0, 0) for m in modules]
+
+    def refuse(*args):
+        raise AssertionError("a Q(q) routine read the RatFun entries")
+
+    monkeypatch.setattr(Matrix, "entries", property(refuse))
+    monkeypatch.setattr(Matrix, "entry", refuse)
+    for m, theta in zip(modules, thetas):
+        n, t = m.dim, m.t
+        ident = Matrix.identity(n, one=Q ** 0)
+        assert all(inverse(g) * g == ident and det(g) for g in t)
+        shifted = t[3] * t[0] - ident.scale(theta)
+        (v,) = kernel(shifted).basis
+        assert shifted * Matrix([[x] for x in v]) == Matrix([[0]] * n)
+        assert kernel_line(shifted) is not None
+        assert span_closure(t) == n * n
+        assert solve_sylvester_homogeneous(zip(t, t)).dim == 1
 
 
 def test_integer_elimination_matches_sympy():
