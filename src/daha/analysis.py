@@ -14,16 +14,15 @@ spectrum -- nothing is trusted without a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import prod
-from operator import mul
 
 from .errors import DahaError, ClassificationError, ParameterError, TranscriptionError
 from .linalg import (
     Matrix,
     _int_matrix,
     _poly_matrix,
+    _ring_rows,
     det,
     inverse,
     kernel_line,
@@ -132,10 +131,10 @@ def _l_operator(module: ModuleRep, r_factors, s_factors) -> Matrix:
     r_mat = prod(r_factors, start=ident)
     rows = []
     for i in range(module.dim):
-        rs = r_mat * prod(s_factors[:module.dim - 1 - i], start=ident)
-        if any(any(row) for row in rs.entries[1:]):
+        head, *rest = (r_mat * prod(s_factors[:module.dim - 1 - i], start=ident)).entries
+        if any(any(row) for row in rest):
             raise TranscriptionError("lowering product did not land in the base line")
-        rows.append(rs.entries[0])
+        rows.append(head)
     return Matrix(rows)
 
 
@@ -551,17 +550,6 @@ def _quadruple(q, ks, d: int, parity: str) -> ParamQuadruple:
         raise ClassificationError(str(exc)) from exc
 
 
-def _rows(m: Matrix):
-    """m as (int rows, denominator), or as (scalar rows, 1) over Q(q)."""
-    return (m.entries, 1) if m._ints is None else (m._ints, m._den)
-
-
-def _matmul(a, b):
-    """The product of two matrices given as lists of rows."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
 def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
     """A proof from eigenbases that a is irreducible and isomorphic to b:
     the invertible T with T t_k^(a) = t_k^(b) T, scaled to a leading 1
@@ -571,20 +559,26 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
     reference, the triangular X of an untwisted module) must be n
     distinct simple eigenvalues in a and in b, with eigenbases P_a, P_b.
     There the generators are A_k = P_a^-1 t_k^(a) P_a and B_k likewise,
-    and i -> j is an edge when some A_k[j][i] != 0.  An intertwiner keeps
-    eigenvalues, so it is P_b diag(c) P_a^-1 with c_j A_k[j][i] =
-    B_k[j][i] c_i; from c_0 = 1 the edges fix c, and every equation is
-    checked exactly.  Sound whatever the file's metadata says:
+    and v -> u is an edge when some A_k[u][v] != 0.  An intertwiner keeps
+    eigenvalues, so it is P_b diag(c) P_a^-1 with c_u A_k[u][v] =
+    B_k[u][v] c_v; from c_0 = 1 the edges of a spanning tree fix c, and
+    T = P_b diag(c) P_a^-1 is kept only when :func:`is_intertwiner`
+    holds.  Sound whatever the file's metadata says:
 
-    * n eigenvectors for n distinct eigenvalues are independent;
+    * n eigenvectors for n distinct eigenvalues are independent, so P_a
+      and P_b are invertible and T is nonzero (c_0 = 1);
     * a submodule is W-invariant, hence spanned by the eigenvectors it
       contains, a vertex set no edge leaves: in a strongly connected
       graph none or all, so a is irreducible;
     * the eigenvectors lie in the base field, so this holds over the
       algebraic closure too, as Burnside's n**2 does;
-    * by Schur's lemma the intertwiners a -> b are then one line, and T
-      is the reduced kernel vector :func:`find_intertwiner` returns, in
-      the one field of the matrices (see :class:`~daha.linalg.Matrix`).
+    * the kernel of the checked intertwiner T is a submodule of a other
+      than a, hence zero, so T is invertible (Schur's lemma);
+    * by Schur's lemma the intertwiners a -> b are then one line, so any
+      of them has the tree's c up to a factor (the route never misses
+      one), and the scaled T is the reduced kernel vector
+      :func:`find_intertwiner` returns, in the one field of the matrices
+      (see :class:`~daha.linalg.Matrix`).
     """
     n = a.dim
     if b.dim != n:
@@ -594,10 +588,10 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
     thetas = [w_b.entry(i, i) for i in range(n)]
     if len(set(thetas)) != n:
         return None
-    ident = Matrix.identity(n, one=thetas[0] ** 0)
-    rational = all(x._ints is not None for x in a.t + b.t)
-    pairs, bases = [], []
-    for module, w in ((a, a.t[i3] * a.t[i0]), (b, w_b)):
+    one = thetas[0] ** 0
+    ident = Matrix.identity(n, one=one)
+    bases = []
+    for w in (a.t[i3] * a.t[i0], w_b):
         shifted = [w - ident.scale(theta) for theta in thetas]
         columns = [kernel_line(x) for x in shifted]
         if None in columns:
@@ -605,36 +599,32 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
         # kernel_line gives columns in its matrix's ring: ints or int polynomials
         cols = list(zip(*columns))
         p = _int_matrix(cols, 1) if shifted[0]._ints is not None else _poly_matrix(cols, (1,))
-        p_inv = inverse(p)
-        (pr, pd), (ir, idn) = _rows(p), _rows(p_inv)
-        pairs.append([(_matmul(ir, _matmul(r, pr)), idn * d * pd) for r, d in map(_rows, module.t)])
-        bases.append((p, p_inv))
-    pairs = list(zip(*pairs))
+        bases.append((p, inverse(p)))
+    (p_a, pa_inv), (p_b, pb_inv) = bases
+    gens_a = [pa_inv * t * p_a for t in a.t]
+    gens_b = [None] * 4  # B_k, formed when a tree edge first needs it
+    support = [_ring_rows(g) for g in gens_a]
 
-    # c_j = num[j]/den[j] along the edges from vertex 0, and the vertices
-    # that reach 0; the graph is strongly connected iff both are all, and
-    # then the checked equations make every c_j nonzero
-    num, den, back = [1] + [None] * (n - 1), [1] * n, [True] + [False] * (n - 1)
+    # c along the tree edges from vertex 0, and the vertices that reach 0;
+    # the graph is strongly connected iff both are all
+    c, back = [one] + [None] * (n - 1), [True] + [False] * (n - 1)
     todo = [(0, True), (0, False)]
     while todo:
         v, forward = todo.pop()
-        for ((ar, ad), (br, bd)), u in product(pairs, range(n)):
-            if forward and num[u] is None and ar[u][v]:
-                num[u], den[u] = num[v] * br[u][v] * ad, den[v] * ar[u][v] * bd
+        for k, u in product(range(4), range(n)):
+            if forward and c[u] is None and support[k][u][v]:
+                if gens_b[k] is None:
+                    gens_b[k] = pb_inv * b.t[k] * p_b
+                c[u] = c[v] * gens_b[k].entry(u, v) / gens_a[k].entry(u, v)
                 todo.append((u, True))
-            elif not (forward or back[u]) and ar[v][u]:
+            elif not (forward or back[u]) and support[k][v][u]:
                 back[u] = True
                 todo.append((u, False))
-    if None in num or not all(back):
+    if None in c or not all(back):
         return None
-    for ((ar, ad), (br, bd)), j, i in product(pairs, range(n), range(n)):
-        if num[j] * ar[j][i] * bd * den[i] != br[j][i] * num[i] * ad * den[j]:
-            return None
-
-    # T = P_b diag(c) P_a^-1, up to the factor prod(den)
-    c = [x * prod(den[:j] + den[j + 1:]) for j, x in enumerate(num)]
-    (_, pa_inv), (p_b, _) = bases
-    pc = [[x * cj for x, cj in zip(row, c)] for row in _rows(p_b)[0]]
-    t = (_int_matrix(pc, p_b._den) if rational else Matrix(pc)) * pa_inv
-    lead = next(e for row in (t._ints or t._polys) for e in row if e)
-    return t.scale(Fraction(t._den, lead)) if t._ints else _poly_matrix(t._polys, lead)
+    diag = Matrix([[x if i == j else 0 for j in range(n)] for i, x in enumerate(c)])
+    t = p_b * diag * pa_inv
+    if not is_intertwiner(t, a, b):
+        return None
+    i, j = next((i, j) for i, row in enumerate(_ring_rows(t)) for j, x in enumerate(row) if x)
+    return t.scale(1 / t.entry(i, j))

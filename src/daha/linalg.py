@@ -63,13 +63,15 @@ class Matrix:
     N' = c N for a rational c, which the content and sign conditions
     make 1.  So ``==`` compares tuples of ints on both forms, and a
     rational matrix meets a Q(q) one as constant polynomials over (den,),
-    which is canonical.  The scalar :attr:`entries` (Fractions or
-    RatFuns) are a view built on first read, which no routine here
-    reads; a matrix learns its one field once, at construction, and an
-    operation with a Q(q) operand gives a Q(q) result.
+    which is canonical.  Those two are the only storage forms: the
+    scalar :attr:`entries` (Fractions or RatFuns) are built anew on each
+    read, for printing and for callers outside this module, and
+    :meth:`entry` builds one.  A matrix learns its one field once, at
+    construction, and an operation with a Q(q) operand gives a Q(q)
+    result.
     """
 
-    __slots__ = ("rows", "cols", "_ints", "_polys", "_den", "_entries")
+    __slots__ = ("rows", "cols", "_ints", "_polys", "_den")
 
     def __init__(self, entries):
         rows = [tuple(row) for row in entries]
@@ -190,22 +192,16 @@ class Matrix:
 
     @property
     def entries(self) -> tuple:
-        """The rows of scalars, built on first read: Fractions of a
-        rational matrix, RatFuns of a Q(q) one."""
-        rows = self._entries
-        if rows is None:
-            den = self._den
-            if self._ints is None:
-                rows = tuple(tuple(_ratfun(x, den) for x in row) for row in self._polys)
-            else:
-                rows = tuple(tuple(Fraction(x, den) for x in row) for row in self._ints)
-            _set_entries(self, rows)
-        return rows
+        """The rows of scalars, built on each read (read it once where
+        many entries are needed): Fractions of a rational matrix,
+        RatFuns of a Q(q) one."""
+        den = self._den
+        if self._ints is None:
+            return tuple(tuple(_ratfun(x, den) for x in row) for row in self._polys)
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self._ints)
 
     def entry(self, i: int, j: int):
         """Entry (i, j), without building the others."""
-        if self._entries is not None:
-            return self._entries[i][j]
         if self._ints is None:
             return _ratfun(self._polys[i][j], self._den)
         return Fraction(self._ints[i][j], self._den)
@@ -228,12 +224,11 @@ class Matrix:
         """The scalar c when this matrix equals c*I, else None."""
         if not self.is_square():
             return None
-        ints = self._ints
-        rows = self._polys if ints is None else ints
+        rows = _ring_rows(self)
         c = rows[0][0]
         if any(e != c if i == j else e for i, row in enumerate(rows) for j, e in enumerate(row)):
             return None
-        return _ratfun(c, self._den) if ints is None else Fraction(c, self._den)
+        return _ratfun(c, self._den) if self._ints is None else Fraction(c, self._den)
 
     def _strings(self) -> list:
         """The entries as exact strings, read off the int rows of a
@@ -275,7 +270,7 @@ class Matrix:
         return m
 
 
-_set_rows, _set_cols, _set_ints, _set_polys, _set_den, _set_entries = (
+_set_rows, _set_cols, _set_ints, _set_polys, _set_den = (
     getattr(Matrix, name).__set__ for name in Matrix.__slots__
 )
 
@@ -288,7 +283,6 @@ def _fill(m: Matrix, ints, den, polys) -> Matrix:
     _set_ints(m, ints)
     _set_polys(m, polys)
     _set_den(m, den)
-    _set_entries(m, None)
     return m
 
 
@@ -326,6 +320,12 @@ def _poly_matrix(rows, den, out=None) -> Matrix:
     flat, den = _canonical_polys([x for row in rows for x in row], den)
     polys = tuple(flat[i:i + cols] for i in range(0, len(flat), cols))
     return _fill(object.__new__(Matrix) if out is None else out, None, den, polys)
+
+
+def _ring_rows(m: Matrix):
+    """m's int rows, or its int polynomial rows over Q(q): zero exactly
+    where m is."""
+    return m._polys if m._ints is None else m._ints
 
 
 def _poly_rows(m: Matrix) -> tuple:

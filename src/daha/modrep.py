@@ -200,9 +200,10 @@ def _in_field(m: Matrix, q) -> Matrix:
         return m if m._ints is None else m.scale(q ** 0)
     if m._ints is not None:
         return m
-    if not all(e.is_constant() for row in m.entries for e in row):
+    rows = m.entries
+    if not all(e.is_constant() for row in rows for e in row):
         raise InputError("a matrix entry depends on q, but the params' q is rational")
-    return Matrix([[e.as_fraction() for e in row] for row in m.entries])
+    return Matrix([[e.as_fraction() for e in row] for row in rows])
 
 
 def _truncate(p: ParamQuadruple, family: str) -> ModuleRep:
@@ -335,7 +336,8 @@ def ladder_check(m: ModuleRep, which: str) -> Report:
     items = []
     for i in range(m.dim):
         # column i of the factor is its image of m_i
-        lhs = [row[i] for row in _ladder_factor(*ops, base, p.q, i).entries]
+        factor = _ladder_factor(*ops, base, p.q, i)
+        lhs = [factor.entry(r, i) for r in range(m.dim)]
         expect = [0] * m.dim
         if which == "X" and i > 0:
             expect[i - 1] = seq_rho(p.q, *p.k, i)

@@ -258,15 +258,13 @@ def criterion_4(seed, grid):
             failures.append(f"{p.to_json()}: {exc}")
             continue
         checks += len(routes)
-        reference = routes["operator"].entries
+        reference = routes["operator"].entries.entries
         n = p.d + 1
-        upper_ok = all(
-            not reference.entries[i][j] for i in range(n) for j in range(i + 1, n)
-        )
+        upper_ok = all(not reference[i][j] for i in range(n) for j in range(i + 1, n))
         checks += 1
         if not upper_ok:
             failures.append(f"{p.to_json()}: nonzero entry above the diagonal")
-        diag_nonzero = all(reference.entries[i][i] for i in range(n))
+        diag_nonzero = all(reference[i][i] for i in range(n))
         crit = not violations(p)
         checks += 1
         if diag_nonzero != crit:

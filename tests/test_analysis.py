@@ -22,7 +22,7 @@ from daha.analysis import (
     twist,
 )
 from daha.errors import ClassificationError, ParameterError
-from daha.linalg import Matrix, det, kernel, solve_sylvester_homogeneous
+from daha.linalg import Matrix, det, kernel, rank, solve_sylvester_homogeneous
 from daha.modrep import ModuleRep, central_character, make_E, make_O, verify_relations
 from daha.params import ParamQuadruple, canonical_orbit_rep
 from daha.sampling import adversarial_even, adversarial_odd, sample_even, sample_odd
@@ -448,6 +448,22 @@ def test_spectral_route_over_the_rational_functions(old_format):
             for e in range(4):
                 got, want = _both_routes(twist(module, e))
                 assert got is not None and got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("e", range(4))
+def test_spectral_route_certifies_formal_even_d7(e):
+    """The eigenbasis route decides formal d=7 on its own, with an
+    invertible certificate that intertwines with the rebuilt reference.
+    Invertibility is read off the rank (full rank iff det != 0), which
+    eliminates with gcd-cancelled rows instead of Bareiss's growing
+    minors."""
+    q = QQ_Q.default_q()
+    p = ParamQuadruple(q, q ** -4, 3, F(-12, 5), F(-4, 11), d=7, parity="even")
+    module = twist(make_E(p), e)
+    eps, _, reference = _recover(module)
+    cert = _spectral_intertwiner(module, reference, eps)
+    assert cert is not None
+    assert rank(cert) == module.dim and is_intertwiner(cert, module, reference)
 
 
 def _in_q_of_q(m: Matrix) -> bool:

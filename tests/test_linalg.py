@@ -24,7 +24,15 @@ from daha.linalg import (
     _int_insert,
     _rref_rows,
 )
-from daha.analysis import _shift, criterion_E, criterion_O
+from daha.analysis import (
+    _recover,
+    _shift,
+    _spectral_intertwiner,
+    classify,
+    criterion_E,
+    criterion_O,
+    find_intertwiner,
+)
 from daha.modrep import ModuleRep, _ladder_block, make_E, make_O
 from daha.params import canonical_orbit_rep
 from daha.sampling import adversarial_even, adversarial_odd, sample_params
@@ -1051,6 +1059,30 @@ def test_formal_routines_read_no_entries(monkeypatch):
         assert kernel_line(shifted) is not None
         assert span_closure(t) == n * n
         assert solve_sylvester_homogeneous(zip(t, t)).dim == 1
+
+
+@pytest.mark.parametrize("e", range(4))
+@pytest.mark.parametrize("family,d", [("even", 1), ("even", 3), ("odd", 2)])
+def test_formal_classify_reads_single_entries_only(monkeypatch, family, d, e):
+    """Formal classify certifies on the polynomial rows: with the RatFun
+    view patched to raise (single entries still allowed), the eigenbasis
+    route and classify give the equations' certificate, for a k1 with a
+    non-monomial numerator and denominator."""
+    rng = random.Random(f"classify-no-entries:{family}:{d}")
+    crit = criterion_E if family == "even" else criterion_O
+    p = with_non_monomial_k1(sample_params(rng, family, d, field=QQ_Q))
+    while not crit(p):
+        p = with_non_monomial_k1(sample_params(rng, family, d, field=QQ_Q))
+    m = _shift(make_module(p), e)
+    eps, _, reference = _recover(m)
+    want = find_intertwiner(m, reference)
+
+    def refuse(*args):
+        raise AssertionError("formal classify read the RatFun entries")
+
+    monkeypatch.setattr(Matrix, "entries", property(refuse))
+    assert _spectral_intertwiner(m, reference, eps) == want
+    assert classify(m).certificate == want
 
 
 def test_integer_elimination_matches_sympy():
