@@ -26,6 +26,7 @@ from .linalg import (
     det,
     inverse,
     kernel_line,
+    rank,
     solve_sylvester_homogeneous,
     span_closure,
 )
@@ -109,9 +110,6 @@ class LMatrix:
     d: int
     entries: Matrix
     route: str
-
-    def to_json(self) -> dict:
-        return {"d": self.d, "route": self.route, "matrix": self.entries.to_json()}
 
 
 def _ceil_half(i: int) -> int:
@@ -410,7 +408,9 @@ def find_intertwiner(a: ModuleRep, b: ModuleRep):
 
     Returns the matrix, or None when no invertible intertwiner exists,
     or INDETERMINATE when the solution space has dimension >= 2 and
-    none of the tried combinations was invertible.
+    none of the tried combinations was invertible.  A square matrix is
+    invertible when its rank is full, which elimination decides without
+    the determinant's growth in degree over Q(q).
     """
     if a.dim != b.dim:
         return None  # no invertible map between different dimensions
@@ -420,7 +420,7 @@ def find_intertwiner(a: ModuleRep, b: ModuleRep):
         return None
     mats = [_reshape(v, b.dim, a.dim) for v in space.basis]
     for mat in mats:
-        if det(mat):
+        if rank(mat) == a.dim:
             return mat
     if space.dim == 1:
         return None
@@ -430,7 +430,7 @@ def find_intertwiner(a: ModuleRep, b: ModuleRep):
         for mat in mats[1:]:
             power *= c
             combo = combo + mat.scale(power)
-        if det(combo):
+        if rank(combo) == a.dim:
             return combo
     return INDETERMINATE
 

@@ -143,7 +143,8 @@ def cmd_verify(args) -> int:
     except ParameterError as exc:
         sections["central_character"] = str(exc)
         ok = False
-    sections["det_fingerprint"] = [scalar_to_str(x) for x in det_fingerprint(module)]
+    fingerprint = det_fingerprint(module)
+    sections["det_fingerprint"] = [scalar_to_str(x) for x in fingerprint]
     if character is not None:
         commutation = commutation_check(module)
         sections["commutation"] = commutation.to_json()
@@ -155,7 +156,7 @@ def cmd_verify(args) -> int:
             rep = ladder_check(module, which)
             sections[f"ladder_{which}"] = rep.to_json()
             ok = ok and rep.ok
-        matches, matches_fp = _matches_params(module, character)
+        matches, matches_fp = _matches_params(module, character, fingerprint)
         sections["character_matches_parameters"] = matches
         sections["fingerprint_matches_family"] = matches_fp
         ok = ok and matches and matches_fp
@@ -164,13 +165,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _matches_params(module, character):
+def _matches_params(module, character, fingerprint):
     """Whether an untwisted module's central character is (k_i + 1/k_i)
     and its determinant fingerprint is its family's, for the file's
     params; a character of None matches nothing."""
     expected_c, expected_fp = family_invariants(module.params)
     matches = character is not None and character == expected_c
-    return matches, det_fingerprint(module) == expected_fp
+    return matches, fingerprint == expected_fp
 
 
 def _verified(module, out_path) -> bool:
@@ -189,7 +190,9 @@ def cmd_irreducible(args) -> int:
     # the criterion speaks for the file's params only if the matrices
     # belong to them
     untwisted = module.twist == 0
-    if untwisted and not all(_matches_params(module, central_character(module))):
+    if untwisted and not all(
+        _matches_params(module, central_character(module), det_fingerprint(module))
+    ):
         raise ParameterError(
             "the module's central character or determinant fingerprint does "
             "not match its params; see `daha verify`"

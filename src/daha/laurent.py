@@ -8,8 +8,8 @@ polynomial in q (ascending degree, no trailing zeros, as in
 :mod:`daha.scalar`) and den is a nonzero int polynomial in q, held as a
 tuple; the value is sum_e terms[e] / den * z^e.  Raw pairs need not be
 reduced, and no function changes a raw pair it is given; only
-:func:`_canonical_polys` puts values over one denominator into
-canonical form, so a computation that chains several steps
+:func:`daha.scalar._canonical_polys` puts values over one denominator
+into canonical form, so a computation that chains several steps
 canonicalises its result once.  The sums and scalings key terms by
 anything hashable: :mod:`daha.modrep` keys its ladder vectors by basis
 index, and :class:`daha.linalg.Matrix` holds Q(q) matrices in the same
@@ -18,20 +18,20 @@ canonical form.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import chain
 
 from .errors import DahaError, TranscriptionError
-from .scalar import RatFun, _padd, _parts, _pexquo, _pgcd, _pmul, as_scalar, scalar_to_str
-
-
-def _pair_mul(x: tuple, y: tuple) -> tuple:
-    """x*y for nonzero (num, den) scalar pairs, without their common
-    power of q."""
-    num, den = _pmul(x[0], y[0]), _pmul(x[1], y[1])
-    v = min(_qval(num), _qval(den))
-    return tuple(num[v:]), tuple(den[v:])
+from .scalar import (
+    RatFun,
+    _canonical_polys,
+    _cofactors,
+    _padd,
+    _parts,
+    _pmul,
+    _ratfun,
+    as_scalar,
+    scalar_to_str,
+)
 
 
 def _times(terms: dict, c) -> dict:
@@ -40,15 +40,6 @@ def _times(terms: dict, c) -> dict:
         k = c[0]
         return terms if k == 1 else {e: [k * y for y in x] for e, x in terms.items()}
     return {e: _pmul(c, x) for e, x in terms.items()}
-
-
-def _cofactors(a: tuple, b: tuple) -> tuple:
-    """(fa, fb) with a*fa == b*fb, a common multiple of a and b whose
-    content and polynomial part are their lcms."""
-    g = _pgcd(a, b)
-    c = math.gcd(math.gcd(*a), math.gcd(*b))
-    return (tuple(_pexquo([x // c for x in b], g)),
-            tuple(_pexquo([x // c for x in a], g)))
 
 
 def _accumulate(out: dict, e: int, c) -> None:
@@ -165,49 +156,6 @@ def _raw_div(a: tuple, b: tuple) -> tuple:
     return _times(quo, bd), tuple(_pmul(ad, scale))
 
 
-def _qval(c) -> int:
-    """The power of q dividing a nonzero int polynomial."""
-    i = 0
-    while not c[i]:
-        i += 1
-    return i
-
-
-def _canonical_polys(polys, den) -> tuple:
-    """The canonical form of the int polynomials polys over den, () for
-    zero: strip the common power of q, divide by the polynomial gcd when
-    den has two or more terms, then by the integer content, with den's
-    leading coefficient > 0.  Returns (tuple of polynomials, den); every
-    Q(q) value held over one denominator is put into canonical form here
-    (see :class:`LaurentPoly` for why the form is unique)."""
-    nonzero = [c for c in polys if c]
-    if not nonzero:
-        return tuple(() for _ in polys), (1,)
-    if not den[0] and not any(c[0] for c in nonzero):
-        v = min(_qval(den), *map(_qval, nonzero))
-        den = den[v:]
-        polys = [c[v:] for c in polys]
-    if len(den) > 1 and len(den) - _qval(den) > 1:
-        g = den
-        for c in polys:
-            if c:
-                g = _pgcd(g, c)
-                if len(g) == 1:
-                    break
-        if len(g) > 1:
-            den = _pexquo(den, g)
-            polys = [_pexquo(c, g) if c else c for c in polys]
-    g = math.gcd(*den)
-    if g != 1:
-        g = math.gcd(g, *chain.from_iterable(polys))
-    if den[-1] < 0:
-        g = -g
-    if g != 1:
-        den = [x // g for x in den]
-        polys = [[x // g for x in c] for c in polys]
-    return tuple(map(tuple, polys)), tuple(den)
-
-
 def _canonical_terms(raw: tuple) -> tuple:
     """The raw pair (terms, den) in canonical form, as sorted (key,
     polynomial) pairs and den."""
@@ -225,12 +173,12 @@ def _exponent(e) -> int:
 
 class _OneDenominator:
     """Coefficients keyed by an exponent or an index, held as int
-    polynomials in q over one int polynomial denominator in canonical
-    form (see :class:`LaurentPoly`), so ``==`` compares tuples of ints;
-    the common part of :class:`LaurentPoly` and
-    :class:`daha.modrep.SparseVec`.  Each coefficient reads in the field
-    of the inputs: a RatFun once any input scalar was one, a Fraction
-    otherwise."""
+    polynomials in q over one int polynomial denominator in the
+    canonical form of :func:`daha.scalar._canonical_polys`, so ``==``
+    compares tuples of ints; the common part of :class:`LaurentPoly`
+    and :class:`daha.modrep.SparseVec`.  Each coefficient reads in the
+    field of the inputs: a RatFun once any input scalar was one, a
+    Fraction otherwise."""
 
     __slots__ = ("_terms", "_den", "_formal")
 
@@ -259,7 +207,7 @@ class _OneDenominator:
     def _coefficients(self) -> tuple:
         """Sorted (key, coefficient) pairs."""
         if self._formal:
-            return tuple((e, RatFun(c, self._den)) for e, c in self._terms)
+            return tuple((e, _ratfun(c, self._den)) for e, c in self._terms)
         den = self._den[0]
         return tuple((e, Fraction(c[0], den)) for e, c in self._terms)
 
@@ -299,17 +247,12 @@ class LaurentPoly(_OneDenominator):
     """A Laurent polynomial in z over Q or Q(q), held as int polynomials
     in q over one int polynomial denominator: sum_e N_e(q)/D(q) z^e.
 
-    Canonical form: the N_e are nonzero; D and all N_e have no common
-    factor of positive degree in Q[q]; the gcd of all their integer
-    coefficients is 1; the leading coefficient of D is positive.  The
-    form is unique.  If N/D and N'/D' are both canonical for one value,
-    then D*N'_e = D'*N_e for every e.  Each power p^m of an irreducible
-    p dividing D fails to divide some N_e, so p^m divides D'; hence D
-    divides D', likewise D' divides D, and D' = c*D, N'_e = c*N_e for a
-    rational c.  The content condition forces |c| = 1 and the sign
-    condition c = 1.  So ``==`` compares tuples of ints.  A rational
-    coefficient is the degree-0 case: D is a positive int and each N_e
-    an int.
+    Canonical form, that of :func:`daha.scalar._canonical_polys`: the
+    N_e are nonzero; D and all N_e have no common factor of positive
+    degree in Q[q]; the gcd of all their integer coefficients is 1; the
+    leading coefficient of D is positive.  The form is unique, so ``==``
+    compares tuples of ints.  A rational coefficient is the degree-0
+    case: D is a positive int and each N_e an int.
 
     Exact division is long division in z from the top exponent.  The
     divisors of :func:`daha.modrep.poly_apply`, 1 - q^2 z^-2 and

@@ -4,12 +4,13 @@ Everything here works with :mod:`daha.scalar` values (Fraction or
 RatFun); a pivot is any nonzero entry, there are no tolerances
 anywhere.  A rational matrix is held as int rows over one common
 denominator, a matrix over Q(q) as int polynomial rows over one int
-polynomial denominator in the canonical form of
-:class:`~daha.laurent.LaurentPoly`.  Products, sums, elimination, the
-determinant (Bareiss's), the inverse, the Sylvester solve and the span
-closure run fraction-free on those rows and normalise once per result;
-Fractions or RatFuns are made only for the scalars a routine returns.
-Matrices are immutable after construction, all functions are pure.
+polynomial denominator in the canonical form that
+:func:`daha.scalar._canonical_polys` computes.  Products, sums,
+elimination, the determinant (Bareiss's), the inverse, the Sylvester
+solve and the span closure run fraction-free on those rows and
+normalise once per result; Fractions or RatFuns are made only for the
+scalars a routine returns.  Matrices are immutable after construction,
+all functions are pure.
 """
 
 from __future__ import annotations
@@ -21,20 +22,21 @@ from math import gcd, lcm, prod
 from operator import add, mul
 
 from .errors import DahaError, InputError, SingularMatrixError
-from .laurent import _canonical_polys, _cofactors, _raw_from_pairs
+from .laurent import _raw_from_pairs
 from .scalar import (
     QQ,
     QQ_Q,
     RatFun,
+    _canonical_polys,
+    _cofactors,
     _padd,
     _parts,
     _pexquo,
     _pgcd,
     _pmul,
     _ppow,
+    _ratfun,
     _rational_parts,
-    _raw,
-    _reduce,
     _ZERO,
     as_scalar,
     as_scalars,
@@ -53,17 +55,13 @@ class Matrix:
     lifted into Q(q) (:func:`~daha.scalar.as_scalars`) and is held as
     int polynomial rows ``_polys`` (ascending degree, () for zero) over
     an int polynomial denominator ``_den``; ``_ints`` is None.  Its
-    canonical form is that of :class:`~daha.laurent.LaurentPoly`: the
-    entries N_ij and D have no common factor of positive degree in
-    Q[q], the gcd of all their int coefficients is 1, and D has a
-    positive leading coefficient.  The form is unique: if N/D and N'/D'
-    are canonical for one matrix, D N'_ij = D' N_ij for all i, j; each
-    power p^m of an irreducible p dividing D fails to divide some N_ij,
-    so p^m divides D', hence D | D' and likewise D' | D, so D' = c D and
-    N' = c N for a rational c, which the content and sign conditions
-    make 1.  So ``==`` compares tuples of ints on both forms, and a
-    rational matrix meets a Q(q) one as constant polynomials over (den,),
-    which is canonical.  Those two are the only storage forms: the
+    canonical form is the unique one of
+    :func:`~daha.scalar._canonical_polys`: the entries N_ij and D have
+    no common factor of positive degree in Q[q], the gcd of all their
+    int coefficients is 1, and D has a positive leading coefficient.
+    So ``==`` compares tuples of ints on both forms, and a rational
+    matrix meets a Q(q) one as constant polynomials over (den,), which
+    is canonical.  Those two are the only storage forms: the
     scalar :attr:`entries` (Fractions or RatFuns) are built anew on each
     read, for printing and for callers outside this module, and
     :meth:`entry` builds one.  A matrix learns its one field once, at
@@ -161,7 +159,7 @@ class Matrix:
             rows = [[fa * x + fb * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
             return _int_matrix(rows, den)
         (a, ad), (b, bd) = _poly_rows(self), _poly_rows(other)
-        fa, fb = ((1,), (1,)) if ad == bd else _cofactors(ad, bd)
+        fa, fb = _cofactors(ad, bd)
         if sign < 0:
             fb = [-x for x in fb]
         rows = [
@@ -341,11 +339,6 @@ def _times_rows(rows, c):
     if c == (1,):
         return rows
     return [[_pmul(c, x) if x else () for x in row] for row in rows]
-
-
-def _ratfun(x, den) -> RatFun:
-    """The RatFun x/den of a polynomial entry over its denominator."""
-    return _raw(*_reduce(x, den)) if x else _ZERO
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ from .laurent import (
     LaurentPoly,
     _OneDenominator,
     _canonical_terms,
-    _pair_mul,
     _raw_add,
     _raw_div,
     _raw_from_pairs,
@@ -632,7 +631,7 @@ def _laurent_params(p: ParamQuadruple) -> tuple:
     """What the Laurent realization needs of p, built once per params:
     each generator t_i as (a, b, den, s) with t_i f = (a f + b g) / den,
     where g = f(s/z) for s = q^2 (t0, t1) and g = f(1/z) for s = None
-    (t2, t3); then k0 k1 q and q^2 as (num, den) scalar pairs; then the
+    (t2, t3); then the scalars k0 k1 q and q^2; then the
     list of raw basis images that :func:`_basis_images` extends.
 
     With c_i = k_i + 1/k_i, t0 is k0 g + a (f - g) / den and t3 is
@@ -658,7 +657,7 @@ def _laurent_params(p: ParamQuadruple) -> tuple:
         (LaurentPoly({0: c3, 1: -c2}),
          LaurentPoly({0: -1 / k3, 1: c2, 2: -k3}), den_1, None),
     )
-    return generators, _parts(k0 * k1 * q), _parts(q2), [({0: (1,)}, (1,))]
+    return generators, k0 * k1 * q, q2, [({0: (1,)}, (1,))]
 
 
 def poly_apply(gen: int, f: LaurentPoly, p: ParamQuadruple) -> LaurentPoly:
@@ -690,7 +689,7 @@ def _basis_images(top: int, p: ParamQuadruple) -> list:
     (q^2)^floor(h/2).  Callers index the list and never change it."""
     _, coef, q2, images = _laurent_params(p)
     for h in range(len(images) - 1, top):
-        n, d = functools.reduce(_pair_mul, [q2] * (h // 2), coef)
+        n, d = _parts(coef * q2 ** (h // 2))
         z_exp = 1 if h % 2 else -1
         images.append(_raw_mul(({0: d, z_exp: [-x for x in n]}, d), images[h]))
     return images

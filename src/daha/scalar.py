@@ -1,8 +1,7 @@
 """Exact scalar arithmetic.
 
 Two interchangeable backends sit behind one informal field contract
-(add, negate, multiply, invert, equality, zero/one, integer power,
-optional evaluation at a rational point):
+(add, negate, multiply, invert, equality, zero/one, integer power):
 
 * ``Rational`` -- arbitrary-precision rationals, provided by
   :class:`fractions.Fraction`.  Numeric runs default to q = 2.
@@ -13,6 +12,12 @@ optional evaluation at a rational point):
   positive leading denominator coefficient.  That form is unique, so
   equality is a comparison of coefficient tuples, and all arithmetic
   runs on Python ints.
+
+The polynomial section below computes that canonical form for every
+Q(q) value in the package: :func:`_canonical_polys` puts int
+polynomials over one int polynomial denominator into it, for a RatFun
+here and for the coefficients of :class:`daha.laurent.LaurentPoly`,
+:class:`daha.modrep.SparseVec` and :class:`daha.linalg.Matrix`.
 
 Both are immutable, all operations are pure, and values can be shared
 freely between threads.
@@ -185,6 +190,77 @@ def _pexquo(a, g) -> list:
     return out
 
 
+def _qval(c) -> int:
+    """The power of q dividing a nonzero int polynomial."""
+    i = 0
+    while not c[i]:
+        i += 1
+    return i
+
+
+def _cofactors(a, b) -> tuple:
+    """(fa, fb) with a*fa == b*fb, a common multiple of the nonzero int
+    polynomials a and b whose content and polynomial part are their
+    lcms: fa = b/g and fb = a/g for g the gcd of their contents times
+    that of their primitive parts, which divides both in Z[q]."""
+    if a == b:
+        return (1,), (1,)
+    if len(a) == 1 and len(b) == 1:
+        g = math.gcd(a[0], b[0])
+        return (b[0] // g,), (a[0] // g,)
+    g = _pgcd(a, b)
+    c = math.gcd(math.gcd(*a), math.gcd(*b))
+    if c != 1:
+        g = [c * x for x in g]
+    return tuple(_pexquo(b, g)), tuple(_pexquo(a, g))
+
+
+def _canonical_polys(polys, den) -> tuple:
+    """The canonical form of the int polynomials polys over den, () for
+    zero: strip the common power of q, divide by the polynomial gcd when
+    den has two or more terms, then by the integer content, with den's
+    leading coefficient > 0.  Returns (tuple of polynomials, den), den
+    (1,) when every polynomial is zero.  Every Q(q) value is put into
+    canonical form here.
+
+    The form is unique.  If N/D and N'/D' are both canonical for one
+    tuple of values, then D*N'_e = D'*N_e for every e.  Each power p^m
+    of an irreducible p dividing D fails to divide some N_e, so p^m
+    divides D'; hence D divides D', likewise D' divides D, and D' = c*D,
+    N'_e = c*N_e for a rational c.  The content condition forces
+    |c| = 1 and the sign condition c = 1.  So ``==`` on canonical forms
+    compares tuples of ints.  A tuple of rationals is the degree-0
+    case: D is a positive int and each N_e an int.
+    """
+    if not any(polys):
+        return tuple(() for _ in polys), (1,)
+    if not den[0] and not any(c[0] for c in polys if c):
+        v = min(_qval(den), *map(_qval, filter(None, polys)))
+        den = den[v:]
+        polys = [c[v:] for c in polys]
+    if len(den) > 1 and len(den) - _qval(den) > 1:
+        g = den
+        for c in polys:
+            if c:
+                g = _pgcd(g, c)
+                if len(g) == 1:
+                    break
+        if len(g) > 1:
+            den = _pexquo(den, g)
+            polys = [_pexquo(c, g) if c else c for c in polys]
+    g = math.gcd(*den)
+    for c in polys:
+        if g == 1:
+            break
+        g = math.gcd(g, *c)
+    if den[-1] < 0:
+        g = -g
+    if g != 1:
+        den = [x // g for x in den]
+        polys = [[x // g for x in c] for c in polys]
+    return tuple(map(tuple, polys)), tuple(den)
+
+
 def _psqrt(a):
     """The square root with positive leading coefficient of a nonzero
     integer polynomial, or None when a is not the square of one."""
@@ -227,22 +303,16 @@ class RatFun:
     """A rational function num/den in one variable over the rationals.
 
     Stored as integer coefficient tuples ``_n``/``_d`` (ascending
-    degree) in canonical form: coprime over the rationals, joint
-    content 1 (the gcd of all their coefficients), positive leading
-    denominator coefficient; the zero element is ()/(1,).  Two coprime
-    representatives of one value differ by a rational factor, and the
-    content and sign conditions fix that factor, so the form is unique
-    and ``==`` compares tuples.
+    degree) in the canonical form of :func:`_canonical_polys`, which
+    is unique, so ``==`` compares tuples: coprime over the rationals,
+    joint content 1 (the gcd of all their coefficients), positive
+    leading denominator coefficient; the zero element is ()/(1,).
 
-    The constructor is the one normalising entry point: it accepts
-    sequences of int or Fraction coefficients, clears denominators,
-    divides by the gcd and fixes content and sign.  Dividing by a
-    primitive gcd is exact over the integers by Gauss's lemma, so no
-    Fraction is created.
-    Results that are canonical by construction (negation, inversion,
-    powers, constants, cross-cancelled products and sums over coprime
-    denominators) skip it; every result that needs a polynomial gcd
-    goes through it.
+    The constructor accepts sequences of int or Fraction coefficients,
+    clears their denominators and canonicalises by
+    :func:`_canonical_polys`; sums, products and quotients do so by
+    :func:`_ratfun`.  Results that are canonical by construction
+    (negation, powers, square roots, constants) skip it.
 
     ``num`` and ``den`` are the monic-denominator views with Fraction
     coefficients, which is also what ``str`` prints.
@@ -256,7 +326,7 @@ class RatFun:
         den = _ptrim(c.numerator * (scale // c.denominator) for c in den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        num, den = _reduce(num, den)
+        (num,), den = _canonical_polys((num,), den)
         _set_n(self, num)
         _set_d(self, den)
 
@@ -333,8 +403,6 @@ class RatFun:
         c, d = o
         if not c:
             raise ZeroDivisionError("division by zero rational function")
-        if c[-1] < 0:
-            c, d = tuple(-x for x in c), tuple(-x for x in d)
         return _mul(self._n, self._d, d, c)
 
     def __rtruediv__(self, other):
@@ -413,68 +481,28 @@ def _parts(x):
     return None
 
 
-def _content_free(num, den):
-    """Divide coprime num/den by their joint content, den leading > 0."""
-    g = math.gcd(*num, *den)
-    if den[-1] < 0:
-        g = -g
-    if g == 1:
-        return tuple(num), tuple(den)
-    return tuple(c // g for c in num), tuple(c // g for c in den)
-
-
-def _reduce(num, den) -> tuple:
-    """The canonical (num, den) tuples of num/den for int polynomials
-    with den nonzero."""
-    if not num:
-        return (), (1,)
-    g = _pgcd(num, den)
-    return _content_free(_pexquo(num, g), _pexquo(den, g))
-
-
-def _canonical(num, den) -> RatFun:
-    """A RatFun from coprime num/den (num may be zero)."""
-    if not num:
-        return _ZERO
-    return _raw(*_content_free(num, den))
+def _ratfun(num, den) -> RatFun:
+    """The RatFun num/den of int polynomials, den nonzero, in the
+    canonical form of :func:`_canonical_polys`."""
+    (num,), den = _canonical_polys((num,), den)
+    return _raw(num, den)
 
 
 def _mul(a, b, c, d) -> RatFun:
-    """(a/b)(c/d) for canonical operands, cross-cancelled."""
+    """(a/b)(c/d) for int polynomials a, c and nonzero b, d."""
     if not a or not c:
         return _ZERO
-    # gcd(a, b) = gcd(c, d) = 1, so after removing gcd(a, d) and
-    # gcd(c, b) the product of the numerators is coprime to that of the
-    # denominators
-    if len(a) > 1 and len(d) > 1:
-        g = _pgcd(a, d)
-        if len(g) > 1:
-            a, d = _pexquo(a, g), _pexquo(d, g)
-    if len(c) > 1 and len(b) > 1:
-        g = _pgcd(c, b)
-        if len(g) > 1:
-            c, b = _pexquo(c, g), _pexquo(b, g)
-    return _canonical(_pmul(a, c), _pmul(b, d))
+    return _ratfun(_pmul(a, c), _pmul(b, d))
 
 
 def _add(a, b, c, d) -> RatFun:
-    """a/b + c/d for canonical operands."""
+    """a/b + c/d for canonical operands, over the lcm of b and d."""
     if not c:
         return _raw(a, b)
     if not a:
         return _raw(c, d)
-    if b == d:
-        if len(b) == 1:
-            return _canonical(_padd(a, c), b)
-        return RatFun(_padd(a, c), b)
-    if len(b) > 1 and len(d) > 1:
-        g = _pgcd(b, d)
-        if len(g) > 1:
-            b1 = _pexquo(b, g)
-            return RatFun(_padd(_pmul(a, _pexquo(d, g)), _pmul(c, b1)), _pmul(b1, d))
-    # coprime denominators: gcd(a*d + c*b, b) = gcd(a*d, b) = 1, and
-    # likewise for d, so the sum needs no gcd
-    return _canonical(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
+    fa, fb = _cofactors(b, d)
+    return _ratfun(_padd(_pmul(a, fa), _pmul(c, fb)), _pmul(b, fa))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import daha.analysis
 import daha.linalg
 from daha.analysis import (
     INDETERMINATE,
@@ -29,6 +32,7 @@ from daha.sampling import adversarial_even, adversarial_odd, sample_even, sample
 from daha.scalar import QQ_Q, RatFun, field_by_name, scalar_pow
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 def test_criterion_E_examples(p_even_d1, p_even_d1_reducible):
@@ -258,6 +262,35 @@ def test_find_intertwiner_indeterminate_path():
     a = _direct_sum(x, x)
     b = _direct_sum(x, z)
     assert find_intertwiner(a, b) is INDETERMINATE
+
+
+def test_find_intertwiner_decides_invertibility_without_det(monkeypatch):
+    """The search keeps a candidate exactly when its rank is full: the
+    module pairs of the two rational intertwiner goldens, a formal pair
+    and the indeterminate direct sum give the same results with
+    ``det`` made to raise."""
+    def module_file(name):
+        return ModuleRep.from_json(json.loads((DATA / name).read_text()))
+
+    even = [twist(make_E(ParamQuadruple(2, F(1, 8), 3, F(-2, 5), k3, d=5, parity="even")), 3)
+            for k3 in (F(7, 3), F(3, 7))]
+    odd = make_O(ParamQuadruple(2, 3, F(-5, 2), F(7, 3), F(-1, 560), d=4, parity="odd"))
+    formal = module_file("ratfun_odd_d2.json")
+    x = make_E(ParamQuadruple(2, F(1, 2), 1, F(1, 2), 1, d=1, parity="even"))
+    pairs = [
+        tuple(even),
+        (odd, module_file("rational_odd_d4_conj.json")),
+        (formal, _recover(formal)[2]),
+        (_direct_sum(x, x), _direct_sum(x, twist(x, 2))),
+    ]
+    want = [find_intertwiner(a, b) for a, b in pairs]
+    assert all(isinstance(t, Matrix) for t in want[:3]) and want[3] is INDETERMINATE
+
+    def refuse(m):
+        raise AssertionError("find_intertwiner computed a determinant")
+
+    monkeypatch.setattr(daha.analysis, "det", refuse)
+    assert [find_intertwiner(a, b) for a, b in pairs] == want
 
 
 def test_classify_even_round_trip():

@@ -459,10 +459,15 @@ def test_non_object_module_file_is_an_input_error(tmp_path, capsys):
         ("rational_odd_d4_conj.json", "rational_odd_d4_conj_verify.json", EXIT_VERIFY),
     ],
 )
-def test_verify_golden(tmp_path, module, golden, code):
+def test_verify_golden(tmp_path, monkeypatch, module, golden, code):
+    """The report is the golden's bytes, from one fingerprint."""
+    calls = []
+    fingerprint = daha.cli.det_fingerprint
+    monkeypatch.setattr(daha.cli, "det_fingerprint", lambda m: calls.append(m) or fingerprint(m))
     out = tmp_path / "verify.json"
     assert run("verify", "--in", str(DATA / module), "--out", str(out)) == code
     assert out.read_bytes() == (DATA / golden).read_bytes()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["verify", "classify"])

@@ -10,6 +10,10 @@ from daha.scalar import (
     QQ,
     QQ_Q,
     RatFun,
+    _padd,
+    _pexquo,
+    _pgcd,
+    _pmul,
     as_scalars,
     scalar_from_str,
     scalar_pow,
@@ -210,6 +214,101 @@ def test_ratfun_matches_sympy_cancel():
             f = RatFun(coeffs(a), coeffs(b)) + RatFun(coeffs(c), coeffs(b))
             expr = (a + c) / b
         assert (f.num, f.den) == canonical(expr), (f, expr)
+
+
+# The canonical form as an earlier RatFun computed it, apart from
+# _canonical_polys: gcd and content per value, cross-cancelled
+# products, and sums that take a gcd only over a shared denominator
+# factor.  Kept as the reference for the values and bytes RatFun gives.
+def _ref_content_free(num, den):
+    g = math.gcd(*num, *den)
+    if den[-1] < 0:
+        g = -g
+    return tuple(c // g for c in num), tuple(c // g for c in den)
+
+
+def _ref_reduce(num, den):
+    if not num:
+        return (), (1,)
+    g = _pgcd(num, den)
+    return _ref_content_free(_pexquo(num, g), _pexquo(den, g))
+
+
+def _ref_canonical(num, den):
+    return _ref_content_free(num, den) if num else ((), (1,))
+
+
+def _ref_new(num, den):
+    scale = math.lcm(*(c.denominator for c in num), *(c.denominator for c in den))
+    num = [c.numerator * (scale // c.denominator) for c in num]
+    den = [c.numerator * (scale // c.denominator) for c in den]
+    while num and not num[-1]:
+        num.pop()
+    while not den[-1]:
+        den.pop()
+    return _ref_reduce(num, den)
+
+
+def _ref_mul(a, b, c, d):
+    if not a or not c:
+        return (), (1,)
+    if len(a) > 1 and len(d) > 1:
+        g = _pgcd(a, d)
+        if len(g) > 1:
+            a, d = _pexquo(a, g), _pexquo(d, g)
+    if len(c) > 1 and len(b) > 1:
+        g = _pgcd(c, b)
+        if len(g) > 1:
+            c, b = _pexquo(c, g), _pexquo(b, g)
+    return _ref_canonical(_pmul(a, c), _pmul(b, d))
+
+
+def _ref_add(a, b, c, d):
+    if not c:
+        return a, b
+    if not a:
+        return c, d
+    if b == d:
+        return (_ref_canonical if len(b) == 1 else _ref_reduce)(_padd(a, c), b)
+    if len(b) > 1 and len(d) > 1:
+        g = _pgcd(b, d)
+        if len(g) > 1:
+            b1 = _pexquo(b, g)
+            return _ref_reduce(_padd(_pmul(a, _pexquo(d, g)), _pmul(c, b1)), _pmul(b1, d))
+    return _ref_canonical(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
+
+
+def test_ratfun_arithmetic_matches_the_reference_canonical_form():
+    """RatFun(num, den) and + - * / give the reference's tuples on a
+    seeded grid of values with non-monomial and monomial denominators,
+    shared factors, zero, constants and negative leading coefficients."""
+    rng = random.Random("canonical-reference")
+    F = Fraction
+    polys = [(F(1), F(1)), (F(2), F(-1)), (F(0), F(0), F(-3)), (F(-1), F(0), F(1)),
+             (F(1, 2), F(0), F(-2, 3)), (F(5),), (F(-7, 4),), (F(0), F(3), F(3))]
+    raw = [((), (F(1),)), ((F(1), F(1)), (F(2), F(-1)))]  # zero and (1+q)/(2-q)
+    for _ in range(60):
+        num, den, shared = (rng.choice(polys) for _ in range(3))
+        if rng.random() < 0.5:
+            num = tuple(_pmul(num, shared))
+            den = tuple(_pmul(den, shared))
+        raw.append((num, den))
+    values = []
+    for num, den in raw:
+        x = RatFun(num, den)
+        assert (x._n, x._d) == _ref_new(num, den), (num, den)
+        values.append(x)
+    values += [RatFun((F(3, 5),)), Q ** -2 * F(-2, 7)]
+    for x in values:
+        for y in rng.sample(values, 12):
+            assert ((x + y)._n, (x + y)._d) == _ref_add(x._n, x._d, y._n, y._d)
+            neg = tuple(-c for c in y._n)
+            assert ((x - y)._n, (x - y)._d) == _ref_add(x._n, x._d, neg, y._d)
+            assert ((x * y)._n, (x * y)._d) == _ref_mul(x._n, x._d, y._n, y._d)
+            if y:
+                num, den = (y._d, y._n) if y._n[-1] > 0 else (tuple(-c for c in y._d), neg)
+                assert ((x / y)._n, (x / y)._d) == _ref_mul(x._n, x._d, num, den)
+                assert str(x / y) == str(x * y ** -1)
 
 
 fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
