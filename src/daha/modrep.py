@@ -15,11 +15,19 @@ Three realizations are built here:
 Matrices act on column coordinate vectors: the j-th column of a
 generator matrix is the coordinate vector of the generator applied to
 the j-th basis vector.  The generator columns are written once, in
-:func:`_verma_column`; the column table :func:`_verma_columns` keeps
-each column that the ladder module and the formal-q blocks read, as
-int polynomials over one denominator, once per params.  The ladder
-factor 1 - c q^(2 ceil(i/2)) Op^(+-1) that every ladder check and the
-operator routes of the L-matrices multiply is written once, in
+:func:`_verma_column`, on unreduced (numerator, denominator) pairs of a
+ring: ints for the blocks of rational params (:class:`_IntPairs`), int
+polynomials for the column table (:class:`_PolyPairs`).  No entry is
+reduced on its own.  A rational block goes into int rows over the lcm
+of its denominators, reduced once by :func:`daha.linalg._int_matrix`;
+a formal block or a ladder vector is put into canonical form once, by
+:func:`daha.scalar._canonical_polys`.  Both forms are unique, so the
+result does not depend on the common factors or signs of the pairs.
+The column table :func:`_verma_columns` keeps each column that the
+ladder module and the formal-q blocks read, as int polynomials over
+one denominator, once per params.  The ladder factor
+1 - c q^(2 ceil(i/2)) Op^(+-1) that every ladder check and the operator
+routes of the L-matrices multiply is written once, in
 :func:`_ladder_factor` (its scalar in :func:`_ladder_coef`).  Inverse
 generators have no formulas of their own: a finite module's inverse
 matrices come from exact inversion, and the ladder module applies
@@ -32,9 +40,10 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import DahaError, InputError, ParameterError, TranscriptionError
-from .linalg import Matrix, _int_matrix, _over_lcm, _poly_matrix, inverse, rank
+from .linalg import Matrix, _int_matrix, _poly_matrix, inverse, rank
 from .params import (
     PARITY_EVEN,
     PARITY_ODD,
@@ -53,7 +62,16 @@ from .laurent import (
     _raw_scale,
     _times,
 )
-from .scalar import RatFun, _parts, _pmul, json_field, scalar_pow, scalar_to_str
+from .scalar import (
+    RatFun,
+    _padd,
+    _parts,
+    _pmul,
+    _ppow,
+    json_field,
+    scalar_pow,
+    scalar_to_str,
+)
 
 GEN_NAMES = ("t0", "t1", "t2", "t3")
 
@@ -262,18 +280,25 @@ def verify_relations(m: ModuleRep) -> Report:
     scalar is recorded); (c) the ordered product of the four generators
     is q^{-1} times the identity.  Failures become report entries, not
     exceptions.
+
+    Check (a) forms one product per pair when it holds.  The matrices
+    are square over a field, so t t' = 1 makes t' the inverse of t, and
+    then t' t = 1 as well; t' t is formed only when t t' = 1 fails, to
+    report whether it holds and its difference.
     """
     ident = m.identity_matrix()
     items = []
     for i in range(4):
-        for tag, prod in (
-            (f"{GEN_NAMES[i]}*{GEN_NAMES[i]}^-1 = 1", m.t[i] * m.tinv[i]),
-            (f"{GEN_NAMES[i]}^-1*{GEN_NAMES[i]} = 1", m.tinv[i] * m.t[i]),
-        ):
+        t, tinv, name = m.t[i], m.tinv[i], GEN_NAMES[i]
+        prod = t * tinv
+        ok = prod == ident
+        detail = "" if ok else _diff_detail(prod - ident)
+        items.append(CheckItem(f"{name}*{name}^-1 = 1", ok, detail))
+        if not ok:
+            prod = tinv * t
             ok = prod == ident
-            items.append(
-                CheckItem(tag, ok, "" if ok else _diff_detail(prod - ident))
-            )
+            detail = "" if ok else _diff_detail(prod - ident)
+        items.append(CheckItem(f"{name}^-1*{name} = 1", ok, detail))
     for i in range(4):
         c = (m.t[i] + m.tinv[i]).scalar_value()
         ok = c is not None
@@ -451,44 +476,120 @@ class SparseVec(_OneDenominator):
         return f"SparseVec({body})"
 
 
-def _verma_column(gen: int, j: int, p: ParamQuadruple) -> dict:
-    """Coordinates of generator gen applied to the basis vector m_j."""
-    q, (k0, k1, k2, k3) = p.q, p.k
+class _IntPairs:
+    """The ring of rational params' generator columns: a value n/d is an
+    int pair (n, d), d nonzero and of either sign, never reduced."""
+
+    one = (1, 1)
+
+    @staticmethod
+    def mul(a, b):
+        return a[0] * b[0], a[1] * b[1]
+
+    @staticmethod
+    def sub(a, b):
+        return a[0] * b[1] - b[0] * a[1], a[1] * b[1]
+
+    @staticmethod
+    def neg(a):
+        return -a[0], a[1]
+
+    @staticmethod
+    def inv(a):
+        return a[1], a[0]
+
+    @staticmethod
+    def qpow(q, n: int):
+        return q[0] ** n, q[1] ** n
+
+
+class _PolyPairs:
+    """The ring of the column table: a value n/d is a pair of int
+    polynomials (n, d), d nonzero, never reduced.  A zero numerator is
+    empty, never a list of zeros, and never reaches ``_pmul``, which
+    multiplies nonzero polynomials: the formulas meet zero as a - k2 in
+    a product and as 1/a - 1/k2 subtracted, at a = k2."""
+
+    one = ((1,), (1,))
+
+    @staticmethod
+    def mul(a, b):
+        if not a[0] or not b[0]:
+            return (), (1,)
+        return _pmul(a[0], b[0]), _pmul(a[1], b[1])
+
+    @staticmethod
+    def sub(a, b):
+        if not b[0]:
+            return a
+        diff = _padd(_pmul(a[0], b[1]), [-x for x in _pmul(b[0], a[1])])
+        return diff, _pmul(a[1], b[1])
+
+    @staticmethod
+    def neg(a):
+        return [-x for x in a[0]], a[1]
+
+    @staticmethod
+    def inv(a):
+        return a[1], a[0]
+
+    @staticmethod
+    def qpow(q, n: int):
+        return _ppow(q[0], n), _ppow(q[1], n)
+
+
+def _verma_column(gen: int, j: int, q, k, ring) -> dict:
+    """Coordinates of generator gen applied to the basis vector m_j, the
+    one place the generator formulas are written.
+
+    q and the four k's come as (numerator, denominator) pairs of ring,
+    :class:`_IntPairs` or :class:`_PolyPairs`, and so do the coordinates:
+    each is built from the k's and powers q^n (n >= 1) by the ring's
+    product, difference, negation and reciprocal, with no gcd and no
+    reduction.  A pair is exact whatever common factors and signs it
+    carries, so the callers canonicalise once per result:
+    :func:`_ladder_block` once per rational block, :func:`_column` never
+    (its raw pairs are summed and canonicalised by their users).
+    """
+    mul, sub, inv, neg, one, qpow = ring.mul, ring.sub, ring.inv, ring.neg, ring.one, ring.qpow
+    k0, k1, k2, k3 = k
     if gen == 0:
         if j == 0:
             return {0: k0}
         if j % 2 == 0:
-            c = scalar_pow(q, -j) / k0
+            t = qpow(q, j)
+            c = inv(mul(t, k0))
             return {
-                j - 1: c * (1 - scalar_pow(q, j)) * (1 - k0 * k0 * scalar_pow(q, j)),
-                j: k0 + 1 / k0 - c,
+                j - 1: mul(c, mul(sub(one, t), sub(one, mul(mul(k0, k0), t)))),
+                j: sub(k0, sub(c, inv(k0))),
             }
-        c = scalar_pow(q, -j - 1) / k0
-        return {j: c, j + 1: -c}
+        c = inv(mul(qpow(q, j + 1), k0))
+        return {j: c, j + 1: neg(c)}
     if gen == 1:
         if j == 0:
-            return {0: k1, 1: 1 / k1}
+            return {0: k1, 1: inv(k1)}
         if j % 2 == 0:
+            t = qpow(q, j)
             return {
-                j - 1: -k1 * (1 - scalar_pow(q, j)) * (1 - k0 * k0 * scalar_pow(q, j)),
+                j - 1: neg(mul(k1, mul(sub(one, t), sub(one, mul(mul(k0, k0), t))))),
                 j: k1,
-                j + 1: 1 / k1,
+                j + 1: inv(k1),
             }
-        return {j: 1 / k1}
+        return {j: inv(k1)}
     if gen == 2:
         if j % 2 == 0:
-            c = scalar_pow(q, -j - 1) / (k0 * k1 * k3)
-            return {j: c, j + 1: -c}
-        a = k0 * k1 * k3 * scalar_pow(q, j)
+            c = inv(mul(qpow(q, j + 1), mul(mul(k0, k1), k3)))
+            return {j: c, j + 1: neg(c)}
+        a = mul(mul(mul(k0, k1), k3), qpow(q, j))
         return {
-            j - 1: (a - k2) * (a - 1 / k2) / a,
-            j: k2 + 1 / k2 - 1 / a,
+            j - 1: mul(mul(sub(a, k2), sub(a, inv(k2))), inv(a)),
+            j: sub(k2, sub(inv(a), inv(k2))),
         }
     if gen == 3:
         if j % 2 == 0:
             return {j: k3}
-        a = k0 * k1 * k3 * scalar_pow(q, j)
-        return {j - 1: -(a - k2) * (a - 1 / k2) / k3, j: 1 / k3, j + 1: k3}
+        a = mul(mul(mul(k0, k1), k3), qpow(q, j))
+        return {j - 1: neg(mul(mul(sub(a, k2), sub(a, inv(k2))), inv(k3))), j: inv(k3), j + 1: k3}
     raise DahaError(f"unknown generator {gen!r}")
 
 
@@ -503,21 +604,33 @@ def _verma_columns(p: ParamQuadruple) -> dict:
 
 
 def _column(gen: int, j: int, p: ParamQuadruple) -> tuple:
-    """Column (gen, j) of p's column table, computed on first use."""
+    """Column (gen, j) of p's column table, computed on first use: the
+    :class:`_PolyPairs` coordinates of :func:`_verma_column` (constant
+    polynomials for rational params) go unreduced into one raw pair,
+    which :mod:`daha.laurent`'s raw arithmetic takes as it is; callers
+    canonicalise their results."""
     table = _verma_columns(p)
     col = table.get((gen, j))
     if col is None:
-        column = _verma_column(gen, j, p)
-        col = table[(gen, j)] = _raw_from_pairs([(i, _parts(c)) for i, c in column.items()])
+        column = _verma_column(gen, j, _parts(p.q), tuple(map(_parts, p.k)), _PolyPairs)
+        col = table[(gen, j)] = _raw_from_pairs(
+            [(i, (n, tuple(d))) for i, (n, d) in column.items()]
+        )
     return col
 
 
 def _ladder_block(gen: int, rows: int, cols: int, p: ParamQuadruple) -> Matrix:
     """The top-left rows x cols block of generator gen on the basis
     m_0, m_1, ...: column j holds the coordinates of gen applied to m_j.
-    Rational params put the nonzero entries straight into int rows over
-    the lcm of their denominators; formal params sum the columns of the
-    column table, keyed by their row-major place, over one denominator."""
+
+    Rational params build each column's nonzero entries as
+    :class:`_IntPairs` and scatter them into int rows over the lcm of
+    their denominators, made positive; formal params sum the columns of
+    the column table, keyed by their row-major place, over one
+    denominator.  Either way one call, :func:`~daha.linalg._int_matrix`
+    or :func:`~daha.linalg._poly_matrix`, canonicalises the block, and
+    its form is unique whatever common factors the unreduced input had.
+    """
     if isinstance(p.q, RatFun):
         pairs = []
         for j in range(cols):
@@ -527,12 +640,19 @@ def _ladder_block(gen: int, rows: int, cols: int, p: ParamQuadruple) -> Matrix:
         return _poly_matrix(
             [[flat.get(i * cols + j, ()) for j in range(cols)] for i in range(rows)], den
         )
-    columns = [_verma_column(gen, j, p) for j in range(cols)]
-    pairs = [
-        [(x.numerator, x.denominator) if (x := col.get(i)) else (0, 1) for col in columns]
-        for i in range(rows)
-    ]
-    return _int_matrix(*_over_lcm(pairs))
+    q = p.q.numerator, p.q.denominator
+    k = [(x.numerator, x.denominator) for x in p.k]
+    entries = []
+    for j in range(cols):
+        entries += [
+            (i, j, n, d) for i, (n, d) in _verma_column(gen, j, q, k, _IntPairs).items()
+            if n and i < rows
+        ]
+    den = lcm(*(d for *_, d in entries))
+    out = [[0] * cols for _ in range(rows)]
+    for i, j, n, d in entries:
+        out[i][j] = n * (den // d)
+    return _int_matrix(out, den)
 
 
 def _verma_forward(gen: int, raw: tuple, p: ParamQuadruple) -> tuple:

@@ -597,7 +597,9 @@ def scalar_sqrt(x):
 # ---------------------------------------------------------------------------
 
 def fraction_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+    """x as "p/r" in lowest terms, or "p" when r = 1.  An int prints
+    as itself, since it has a numerator and a denominator too; nothing
+    is copied."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

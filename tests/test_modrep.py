@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,10 @@ from daha.linalg import Matrix, inverse, solve_right
 from daha.modrep import (
     LaurentPoly,
     _ladder_block,
+    CheckItem,
     ModuleRep,
     SparseVec,
     _Inverses,
-    _verma_column,
     central_character,
     commutation_check,
     ladder_check,
@@ -40,6 +42,7 @@ from daha.sampling import (
 from daha.scalar import QQ, QQ_Q, RatFun, as_scalars, scalar_from_json
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 def test_make_E_d1_matrices(p_even_d1):
@@ -126,6 +129,63 @@ def test_verify_relations_fault_injection(p_even_d1):
     failed_names = {item.name for item in report.failed()}
     assert "t0*t1*t2*t3 = q^-1" in failed_names
     assert any(item.detail for item in report.failed())
+
+
+def both_products_report(m):
+    """The inverse checks of verify_relations with both products of
+    every pair formed: the reference for the one product it forms when
+    t t^-1 = 1 holds."""
+    ident = m.identity_matrix()
+    items = []
+    for i, name in enumerate(("t0", "t1", "t2", "t3")):
+        for tag, prod in ((f"{name}*{name}^-1 = 1", m.t[i] * m.tinv[i]),
+                          (f"{name}^-1*{name} = 1", m.tinv[i] * m.t[i])):
+            ok = prod == ident
+            items.append(CheckItem(tag, ok, "" if ok else "difference " + repr(prod - ident)))
+    return items
+
+
+def test_verify_relations_forms_one_product_per_pair(monkeypatch, p_even_d1):
+    """The reports on broken modules, rational and formal, and on the
+    corrupt golden equal those of the both-products reference, and an
+    intact pair costs one product."""
+    rng = random.Random("one-product")
+    corrupt = DATA / "rational_even_d3_corrupt.json"
+    modules = [ModuleRep.from_json(json.loads(corrupt.read_text()))]
+    for p in (p_even_d1, sample_odd(rng, 2), sample_even(rng, 3, field=QQ_Q)):
+        module = make_E(p) if p.parity == "even" else make_O(p)
+        modules += [module, _with_entry(module, 2, 0, 0), _with_entry(module, 0, 1, 0)]
+        # t2 changed and the inverses kept, as in the fault injection above
+        stale = ModuleRep(dim=module.dim, t=_with_entry(module, 2, 0, 0).t, tinv=module.tinv,
+                          params=p, twist=0, label="stale")
+        swapped = ModuleRep(dim=module.dim, t=module.t, tinv=module.t, params=p, twist=0,
+                            label="swapped")
+        modules += [stale, swapped]
+    for d in (1, 2):
+        free = ParamQuadruple(2, 5, F(2, 3), 7, F(3, 11), d=d, parity="free")
+        t = tuple(_ladder_block(gen, d + 1, d + 1, free) for gen in range(4))
+        modules.append(ModuleRep(dim=d + 1, t=t, tinv=tuple(inverse(m) for m in t),
+                                 params=free, twist=0, label=""))
+    failures = 0
+    for module in modules:
+        report = verify_relations(module)
+        assert list(report.items[:8]) == both_products_report(module)
+        assert len(report.items) == 13
+        failures += sum(not item.passed for item in report.items[:8])
+    assert failures >= 10
+
+    counted = []
+    mul = Matrix.__mul__
+
+    def counting(a, b):
+        counted.append(1)
+        return mul(a, b)
+
+    module = make_E(p_even_d1)
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    assert verify_relations(module).ok
+    # four inverse pairs and the three products of t0 t1 t2 t3
+    assert len(counted) == 7
 
 
 def test_ladder_check_examples(p_even_d1):
@@ -408,52 +468,125 @@ def test_constructed_inverses_are_computed_on_first_read(monkeypatch, p_even_d1)
         assert verify_relations(shifted).ok
 
 
-# -- ladder blocks on int rows ------------------------------------------------
+# -- ladder blocks against the field reference --------------------------------
 
-def scalar_block(gen, rows, cols, p):
-    """The block built from Matrix(...) on the same _verma_column dicts:
-    the reference for the int rows of rational params."""
-    columns = [_verma_column(gen, j, p) for j in range(cols)]
+def reference_column(gen, j, p):
+    """Coordinates of generator gen applied to m_j by Fraction or RatFun
+    arithmetic, normalised after every operation: the reference for the
+    unreduced ring pairs of daha.modrep._verma_column."""
+    q, (k0, k1, k2, k3) = p.q, p.k
+    if gen == 0:
+        if j == 0:
+            return {0: k0}
+        if j % 2 == 0:
+            c = q ** -j / k0
+            return {j - 1: c * (1 - q ** j) * (1 - k0 * k0 * q ** j), j: k0 + 1 / k0 - c}
+        c = q ** (-j - 1) / k0
+        return {j: c, j + 1: -c}
+    if gen == 1:
+        if j == 0:
+            return {0: k1, 1: 1 / k1}
+        if j % 2 == 0:
+            return {j - 1: -k1 * (1 - q ** j) * (1 - k0 * k0 * q ** j), j: k1, j + 1: 1 / k1}
+        return {j: 1 / k1}
+    if gen == 2:
+        if j % 2 == 0:
+            c = q ** (-j - 1) / (k0 * k1 * k3)
+            return {j: c, j + 1: -c}
+        a = k0 * k1 * k3 * q ** j
+        return {j - 1: (a - k2) * (a - 1 / k2) / a, j: k2 + 1 / k2 - 1 / a}
+    if j % 2 == 0:
+        return {j: k3}
+    a = k0 * k1 * k3 * q ** j
+    return {j - 1: -(a - k2) * (a - 1 / k2) / k3, j: 1 / k3, j + 1: k3}
+
+
+def reference_block(gen, rows, cols, p):
+    """The block built by Matrix(...) from the reference columns."""
+    columns = [reference_column(gen, j, p) for j in range(cols)]
     return Matrix([[col.get(i, p.q * 0) for col in columns] for i in range(rows)])
 
 
-def test_ladder_block_int_rows_match_the_scalar_build():
-    rng = random.Random("ladder-int")
+BIG = F(10 ** 40 + 3, 7 ** 47)  # a numerator and a denominator of about 10^40
+
+
+def _block_grid(rng, field):
+    """Sampled params at d = 0..7 in the field (and adversarial ones
+    when it is QQ), then q = -5/3 with huge k's: even, odd, and free
+    params whose odd columns of t2 and t3 have a zero entry
+    (a - k2 = 0 or a - 1/k2 = 0 for a = k0 k1 k3 q^j)."""
     grid = []
     for d in range(8):
         parity = "odd" if d % 2 == 0 else "even"
-        grid += [sample_params(rng, parity, d) for _ in range(3)]
-        if d % 2:
+        grid += [sample_params(rng, parity, d, field=field) for _ in range(3)]
+        if field is QQ and d % 2:
             grid.append(adversarial_even(rng, d))
-        elif d >= 2:
+        elif field is QQ and d >= 2:
             grid.append(adversarial_odd(rng, d))
-    grid.append(ParamQuadruple(F(-5, 3), F(7, 2), F(-2, 9), 11, F(3, 13), d=3, parity="free"))
-    for p in grid:
-        for gen in range(4):
-            for rows, cols in ((p.d + 1, p.d + 1), (p.d + 2, p.d + 1), (p.d + 1, p.d + 2)):
-                got = _ladder_block(gen, rows, cols, p)
-                want = scalar_block(gen, rows, cols, p)
-                assert got._ints is not None
-                assert (got._ints, got._den) == (want._ints, want._den), (p, gen)
+    q = F(-5, 3) * field.one
+    k0, k1, k3 = BIG * field.one, F(-3, 7) * field.one, 1 / BIG
+    grid += [
+        ParamQuadruple(q, -q ** -2, 1 / BIG, BIG, F(-2, 9), d=3, parity="even"),
+        ParamQuadruple(q, BIG, F(-7, 2), 1 / BIG, q ** -5 * F(-2, 7), d=4, parity="odd"),
+        ParamQuadruple(q, F(7, 2), F(-2, 9), 11, F(3, 13), d=3, parity="free"),
+        ParamQuadruple(q, k0, k1, k0 * k1 * k3 * q, k3, d=5, parity="free"),
+        ParamQuadruple(q, k0, k1, 1 / (k0 * k1 * k3 * q ** 3), k3, d=5, parity="free"),
+    ]
+    return grid
+
+
+def _blocks(p):
+    d = p.d
+    for gen in range(4):
+        for rows, cols in ((d + 1, d + 1), (d + 2, d + 1), (d + 1, d + 2), (d + 3, d + 1)):
+            yield gen, rows, cols
+
+
+def test_ladder_block_int_rows_match_the_scalar_build():
+    """Rational blocks, scattered from unreduced int pairs and reduced
+    once, equal the reference blocks in their canonical int rows."""
+    rng = random.Random("ladder-int")
+    zeros = 0
+    for p in _block_grid(rng, QQ):
+        for gen, rows, cols in _blocks(p):
+            got = _ladder_block(gen, rows, cols, p)
+            want = reference_block(gen, rows, cols, p)
+            assert got._ints is not None
+            assert (got._ints, got._den) == (want._ints, want._den), (p, gen, rows, cols)
+        zeros += sum(not c for gen in range(4) for j in range(p.d + 1)
+                     for c in reference_column(gen, j, p).values())
+    assert zeros >= 4
 
 
 def test_formal_q_ladder_blocks_stay_field_matrices():
-    """Formal-q blocks, summed from the column table, equal the blocks
-    Matrix(...) builds from the same columns, entry types included: every
-    entry is a RatFun, since formal params lift their k's into Q(q)."""
+    """Formal-q blocks, summed from the column table of unreduced
+    polynomial pairs, equal the reference blocks, entry types included:
+    every entry is a RatFun, since formal params lift their k's into
+    Q(q).  The grid has the rational grid's shapes lifted into Q(q),
+    formal zero entries, and the non-monomial k1 = (1+q)/(2-q)."""
     rng = random.Random("ladder-formal")
-    field_blocks = 0
-    for d in range(5):
-        p = sample_params(rng, "odd" if d % 2 == 0 else "even", d, field=QQ_Q)
-        for gen in range(4):
-            got = _ladder_block(gen, d + 1, d + 1, p)
-            want = scalar_block(gen, d + 1, d + 1, p)
-            assert got == want and (got._ints is None) == (want._ints is None)
-            assert [list(map(type, row)) for row in got.entries] == [
-                list(map(type, row)) for row in want.entries
-            ]
-            field_blocks += got._ints is None
-    assert field_blocks >= 12
+    grid = _block_grid(rng, QQ_Q)
+    even = next(p for p in grid if (p.parity, p.d) == ("even", 3))
+    odd = next(p for p in grid if (p.parity, p.d) == ("odd", 4))
+    grid += [
+        even.with_k(k1=NM, k3=1 / NM),
+        odd.with_k(k1=NM, k3=odd.k3 * odd.k1 / NM),
+        ParamQuadruple(RatFun.variable(), NM, F(-3, 4), 1 / NM, RatFun((0, 1), (1, 1)),
+                       d=3, parity="free"),
+    ]
+    q = RatFun.variable()
+    k0, k1, k3 = NM, q ** -2, F(5, 3) * q ** 0
+    grid.append(ParamQuadruple(q, k0, k1, k0 * k1 * k3 * q ** 3, k3, d=4, parity="free"))
+    zeros = 0
+    for p in grid:
+        for gen, rows, cols in _blocks(p):
+            got = _ladder_block(gen, rows, cols, p)
+            want = reference_block(gen, rows, cols, p)
+            assert got == want and got._ints is None and want._ints is None, (p, gen)
+            assert {type(x) for row in got.entries for x in row} == {RatFun}
+        zeros += sum(not c for gen in range(4) for j in range(p.d + 1)
+                     for c in reference_column(gen, j, p).values())
+    assert zeros >= 2
 
 
 # -- the scalar grammar of module and parameter files ------------------------
@@ -557,7 +690,8 @@ class RefVec:
 
 
 def ref_forward(gen, v, p):
-    return RefVec(tuple((i, c * e) for j, c in v.items for i, e in _verma_column(gen, j, p).items()))
+    return RefVec(tuple((i, c * e) for j, c in v.items
+                        for i, e in reference_column(gen, j, p).items()))
 
 
 def ref_inverse(gen, v, p):
@@ -663,9 +797,11 @@ def test_a_perturbed_column_fails_the_inverse_recheck(monkeypatch, fresh_columns
 
     column = daha.modrep._verma_column
 
-    def perturbed(g, j, p):
-        col = column(g, j, p)
-        return {i: 2 * c if (g, i) == (gen, j) else c for i, c in col.items()}
+    def perturbed(g, j, q, k, ring):
+        # the column table's pairs hold polynomial numerators
+        col = column(g, j, q, k, ring)
+        return {i: ([2 * x for x in n] if (g, i) == (gen, j) else n, den)
+                for i, (n, den) in col.items()}
 
     for p in _vec_params()[::2]:
         v = SparseVec.unit(2, p.q ** 0)
