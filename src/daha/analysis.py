@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 from .errors import DahaError, ClassificationError, ParameterError, TranscriptionError
 from .linalg import (
@@ -23,6 +23,8 @@ from .linalg import (
     _int_matrix,
     _poly_matrix,
     _ring_rows,
+    _times_columns,
+    _times_rows,
     det,
     inverse,
     kernel_line,
@@ -47,7 +49,7 @@ from .params import (
     seq_rho,
     violations,
 )
-from .scalar import scalar_pow, scalar_sqrt
+from .scalar import QQ, QQ_Q, _cofactors, _padd, _pmul, scalar_pow, scalar_sqrt
 
 ROUTE_OPERATOR = "operator"
 ROUTE_RECURRENCE = "recurrence"
@@ -557,74 +559,129 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
 
     The diagonal of b's W = t_{(3-eps)%4} t_{(-eps)%4} (on a classify
     reference, the triangular X of an untwisted module) must be n
-    distinct simple eigenvalues in a and in b, with eigenbases P_a, P_b.
-    There the generators are A_k = P_a^-1 t_k^(a) P_a and B_k likewise,
-    and v -> u is an edge when some A_k[u][v] != 0.  An intertwiner keeps
-    eigenvalues, so it is P_b diag(c) P_a^-1 with c_u A_k[u][v] =
-    B_k[u][v] c_v; from c_0 = 1 the edges of a spanning tree fix c, and
-    T = P_b diag(c) P_a^-1 is kept only when :func:`is_intertwiner`
-    holds.  Sound whatever the file's metadata says:
+    distinct simple eigenvalues in a and in b, with eigenbases P_a, P_b
+    (see :func:`_eigenbasis`).  There the generators are A_k = P_a^-1
+    t_k^(a) P_a and B_k likewise, and v -> u is an edge when some
+    A_k[u][v] != 0.  The A_k are formed one at a time, k = 0, 1, 2, 3,
+    until the edges of those formed make a strongly connected graph.  An
+    intertwiner keeps eigenvalues, so it is P_b diag(c) P_a^-1 with
+    c_u A_k[u][v] = B_k[u][v] c_v; from c_0 = 1 the edges of a spanning
+    tree fix c, each B_k is formed when a tree edge first needs it, and
+    T = (P_b diag c) P_a^-1 is one product, diag(c) folded into P_b's
+    columns.  T is kept only when :func:`is_intertwiner` holds on all
+    four generators.  Sound whatever the file's metadata says:
 
     * n eigenvectors for n distinct eigenvalues are independent, so P_a
       and P_b are invertible and T is nonzero (c_0 = 1);
     * a submodule is W-invariant, hence spanned by the eigenvectors it
-      contains, a vertex set no edge leaves: in a strongly connected
-      graph none or all, so a is irreducible;
+      contains, a vertex set that no edge of any generator leaves, in
+      particular no edge of the A_k formed: in a strongly connected
+      graph of a subset of the generators that set is none or all, so
+      a is irreducible;
     * the eigenvectors lie in the base field, so this holds over the
       algebraic closure too, as Burnside's n**2 does;
     * the kernel of the checked intertwiner T is a submodule of a other
-      than a, hence zero, so T is invertible (Schur's lemma);
-    * by Schur's lemma the intertwiners a -> b are then one line, so any
-      of them has the tree's c up to a factor (the route never misses
-      one), and the scaled T is the reduced kernel vector
-      :func:`find_intertwiner` returns, in the one field of the matrices
-      (see :class:`~daha.linalg.Matrix`).
+      than a, hence zero, so T is invertible (Schur's lemma); the check
+      covers all four generators, also those whose A_k was never formed;
+    * by Schur's lemma the intertwiners a -> b are then one line, and
+      each of them meets the tree's equations, so any of them has the
+      tree's c up to a factor (the route never misses one), and the
+      scaled T is the reduced kernel vector :func:`find_intertwiner`
+      returns, in the one field of the matrices (see
+      :class:`~daha.linalg.Matrix`).
     """
     n = a.dim
     if b.dim != n:
         return None
     i3, i0 = (3 - eps) % 4, -eps % 4
     w_b = b.t[i3] * b.t[i0]
-    thetas = [w_b.entry(i, i) for i in range(n)]
-    if len(set(thetas)) != n:
+    heads = [row[i] for i, row in enumerate(_ring_rows(w_b))]
+    if len(set(heads)) != n:
         return None
-    one = thetas[0] ** 0
-    ident = Matrix.identity(n, one=one)
+    w_a = a.t[i3] * a.t[i0]
+    if (w_a._ints is None) != (w_b._ints is None):
+        return None  # W's over two fields: left to the equations
     bases = []
-    for w in (a.t[i3] * a.t[i0], w_b):
-        shifted = [w - ident.scale(theta) for theta in thetas]
-        columns = [kernel_line(x) for x in shifted]
-        if None in columns:
+    for w in (w_a, w_b):
+        p = _eigenbasis(w, heads, w_b._den)
+        if p is None:
             return None
-        # kernel_line gives columns in its matrix's ring: ints or int polynomials
-        cols = list(zip(*columns))
-        p = _int_matrix(cols, 1) if shifted[0]._ints is not None else _poly_matrix(cols, (1,))
         bases.append((p, inverse(p)))
     (p_a, pa_inv), (p_b, pb_inv) = bases
-    gens_a = [pa_inv * t * p_a for t in a.t]
-    gens_b = [None] * 4  # B_k, formed when a tree edge first needs it
-    support = [_ring_rows(g) for g in gens_a]
-
-    # c along the tree edges from vertex 0, and the vertices that reach 0;
-    # the graph is strongly connected iff both are all
-    c, back = [one] + [None] * (n - 1), [True] + [False] * (n - 1)
-    todo = [(0, True), (0, False)]
-    while todo:
-        v, forward = todo.pop()
-        for k, u in product(range(4), range(n)):
-            if forward and c[u] is None and support[k][u][v]:
-                if gens_b[k] is None:
-                    gens_b[k] = pb_inv * b.t[k] * p_b
-                c[u] = c[v] * gens_b[k].entry(u, v) / gens_a[k].entry(u, v)
-                todo.append((u, True))
-            elif not (forward or back[u]) and support[k][v][u]:
-                back[u] = True
-                todo.append((u, False))
-    if None in c or not all(back):
+    gens_a, support = [], []
+    for t in a.t:
+        gens_a.append(pa_inv * (t * p_a))
+        support.append(_ring_rows(gens_a[-1]))
+        if _reaches_all(support, n, True) and _reaches_all(support, n, False):
+            break
+    else:
         return None
-    diag = Matrix([[x if i == j else 0 for j in range(n)] for i, x in enumerate(c)])
-    t = p_b * diag * pa_inv
+
+    # c along the edges of a tree from vertex 0
+    gens_b = [None] * len(gens_a)  # B_k, formed when a tree edge first needs it
+    c = [(QQ if p_a._ints is not None else QQ_Q).one] + [None] * (n - 1)
+    todo = [0]
+    while todo:
+        v = todo.pop()
+        for k, u in product(range(len(gens_a)), range(n)):
+            if c[u] is None and support[k][u][v]:
+                if gens_b[k] is None:
+                    gens_b[k] = pb_inv * (b.t[k] * p_b)
+                c[u] = c[v] * gens_b[k].entry(u, v) / gens_a[k].entry(u, v)
+                todo.append(u)
+    t = _times_columns(p_b, c) * pa_inv
     if not is_intertwiner(t, a, b):
         return None
-    i, j = next((i, j) for i, row in enumerate(_ring_rows(t)) for j, x in enumerate(row) if x)
-    return t.scale(1 / t.entry(i, j))
+    # T = R/D over its leading ring entry h is R/h: no product with a scalar
+    rows = _ring_rows(t)
+    h = next(x for row in rows for x in row if x)
+    if t._ints is not None:
+        return _int_matrix(rows, h) if h > 0 else _int_matrix([[-x for x in row] for row in rows], -h)
+    return _poly_matrix(rows, h)
+
+
+def _eigenbasis(w: Matrix, heads, den):
+    """The matrix whose column i spans the kernel of W - theta_i, theta_i
+    = heads[i]/den in W's ring, or None when a kernel is not a line.
+    With W = R/D and fa, fb the cofactors of D and den to their lcm L,
+    W - theta_i = (fa R - fb heads[i] I)/L: each shift is formed on W's
+    int or int polynomial rows and handed to :func:`kernel_line`."""
+    rows = _ring_rows(w)
+    if w._ints is not None:
+        g = gcd(w._den, den)
+        fa, fb = den // g, w._den // g
+        rows = [[fa * x for x in row] for row in rows]
+        shifted = (
+            _int_matrix([[*row[:r], row[r] - s, *row[r + 1:]] for r, row in enumerate(rows)], 1)
+            for s in (fb * h for h in heads)
+        )
+    else:
+        fa, fb = _cofactors(w._den, den)
+        rows = _times_rows(rows, fa)
+        shifted = (
+            _poly_matrix([[*row[:r], _padd(row[r], s), *row[r + 1:]]
+                          for r, row in enumerate(rows)], (1,))
+            for s in ([-x for x in _pmul(fb, h)] if h else () for h in heads)
+        )
+    columns = []
+    for x in shifted:
+        v = kernel_line(x)
+        if v is None:
+            return None
+        columns.append(v)
+    # kernel_line gives columns in its matrix's ring: ints or int polynomials
+    cols = list(zip(*columns))
+    return _int_matrix(cols, 1) if w._ints is not None else _poly_matrix(cols, (1,))
+
+
+def _reaches_all(support, n: int, forward: bool) -> bool:
+    """Whether every vertex is reached from vertex 0 along the edges
+    v -> u with some support[k][u][v] != 0 (or, not forward, reaches 0)."""
+    seen, todo = [True] + [False] * (n - 1), [0]
+    while todo:
+        v = todo.pop()
+        for rows, u in product(support, range(n)):
+            if not seen[u] and (rows[u][v] if forward else rows[v][u]):
+                seen[u] = True
+                todo.append(u)
+    return all(seen)

@@ -36,7 +36,7 @@ from .scalar import (
     _pmul,
     _ppow,
     _ratfun,
-    _rational_parts,
+    _rational_lists,
     _ZERO,
     as_scalar,
     as_scalars,
@@ -95,7 +95,16 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, one=Fraction(1)) -> "Matrix":
-        return cls([[one if i == j else 0 for j in range(n)] for i in range(n)])
+        """The n x n identity, built straight on its canonical rows: int
+        rows over 1, or, when one is a RatFun, int polynomial rows over
+        (1,).  one only selects the field; no scalar is read."""
+        if n < 1:
+            raise DahaError("empty matrix")
+        if isinstance(one, RatFun):
+            rows = tuple(tuple((1,) if i == j else () for j in range(n)) for i in range(n))
+            return _fill(object.__new__(cls), None, (1,), rows)
+        rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return _fill(object.__new__(cls), rows, 1, None)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -249,18 +258,26 @@ class Matrix:
     @classmethod
     def from_json(cls, data: dict) -> "Matrix":
         """A matrix from its JSON form.  With no ``|`` entry the strings
-        are read as rationals straight into int rows over the lcm of
-        their denominators; otherwise all are parsed and lifted to Q(q)."""
+        are read as rationals, all at once by
+        :func:`~daha.scalar._rational_lists` (the grammar of
+        :func:`~daha.scalar._rational_parts`, read by ``int``), straight
+        into int rows over the lcm of their denominators; otherwise all
+        are parsed and lifted to Q(q).  An entry that does not parse, a
+        zero denominator or an int past Python's limit on int string
+        conversion raises InputError."""
         entries = json_field(data, "entries", list)
         widths = {len(row) if isinstance(row, list) else 0 for row in entries}
         if len(widths) != 1 or 0 in widths:
             raise InputError("matrix entries must be nonempty lists of equal length")
-        if all(isinstance(e, str) and "|" not in e for row in entries for e in row):
+        flat = [e for row in entries for e in row]
+        if all(isinstance(e, str) and "|" not in e for e in flat):
             try:
-                parts = [[_rational_parts(e) for e in row] for row in entries]
+                nums, dens = _rational_lists(flat)
             except ValueError as exc:
                 raise InputError(str(exc)) from None
-            m = _int_matrix(*_over_lcm(parts))
+            den, cols = lcm(*dens), len(entries[0])
+            ints = [x * (den // d) for x, d in zip(nums, dens)]
+            m = _int_matrix([ints[i:i + cols] for i in range(0, len(ints), cols)], den)
         else:
             m = cls([[scalar_from_json(e) for e in row] for row in entries])
         if m.rows != json_field(data, "rows", int) or m.cols != json_field(data, "cols", int):
@@ -339,6 +356,21 @@ def _times_rows(rows, c):
     if c == (1,):
         return rows
     return [[_pmul(c, x) if x else () for x in row] for row in rows]
+
+
+def _times_columns(m: Matrix, c) -> Matrix:
+    """m diag(c) for scalars c: c put over one denominator L, each
+    column of m's ring rows times its numerator, over m's denominator
+    times L; no product of matrices.  A RatFun in m or c gives a Q(q)
+    result, as in the other operations."""
+    if m._ints is not None and not any(type(x) is RatFun for x in c):
+        (nums,), den = _over_lcm([[(x.numerator, x.denominator) for x in c]])
+        return _int_matrix([list(map(mul, row, nums)) for row in m._ints], m._den * den)
+    terms, den = _raw_from_pairs([(j, _parts(x)) for j, x in enumerate(c)])
+    nums = [terms.get(j, ()) for j in range(m.cols)]
+    rows, mden = _poly_rows(m)
+    rows = [[_pmul(x, y) if x and y else () for x, y in zip(row, nums)] for row in rows]
+    return _poly_matrix(rows, _pmul(mden, den))
 
 
 @dataclass(frozen=True)

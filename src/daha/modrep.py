@@ -63,6 +63,7 @@ from .laurent import (
     _times,
 )
 from .scalar import (
+    QQ_Q,
     RatFun,
     _padd,
     _parts,
@@ -166,7 +167,8 @@ class ModuleRep:
         return self.tinv[1] * self.tinv[0]
 
     def identity_matrix(self) -> Matrix:
-        return Matrix.identity(self.dim, one=self.t[0].entry(0, 0) ** 0)
+        """The identity over the generators' field, read off how t0 is held."""
+        return Matrix.identity(self.dim, one=QQ_Q.one if self.t[0]._ints is None else 1)
 
     def to_json(self) -> dict:
         return {

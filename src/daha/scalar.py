@@ -612,7 +612,7 @@ def scalar_to_str(x) -> str:
     return fraction_to_str(x)
 
 
-_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _rational_parts(s: str) -> tuple:
@@ -621,15 +621,42 @@ def _rational_parts(s: str) -> tuple:
     ``-?[0-9]+(/[0-9]+)?`` (ASCII digits only: no exponent, decimal
     point, ``+``, ``_`` or spaces inside); otherwise, on a zero
     denominator, or past Python's limit on int string conversion, this
-    raises ValueError.  Every scalar parser reads rationals here."""
+    raises ValueError.  Every scalar parser reads rationals here, or
+    many at once in :func:`_rational_lists` by the same grammar."""
     m = _RATIONAL.fullmatch(s.strip())
     if m is None:
         raise ValueError(f"not a rational scalar: {s!r}")
-    sign, num, den = m.groups()
+    num, den = m.groups()
     den = int(den) if den else 1
     if not den:
         raise ValueError(f"zero denominator in scalar {s.strip()!r}")
-    return -int(num) if sign else int(num), den
+    return int(num), den
+
+
+def _rational_lists(strings: list) -> tuple:
+    """:func:`_rational_parts` of each string: the list of their
+    numerators and the list of their denominators.  The stripped strings
+    are joined by commas and split once by the grammar of
+    :func:`_rational_parts`; they all match it when the text between
+    the matches is the commas alone and there is one match per string.
+    The matched digits are then read by ``int``.  When that check fails,
+    an int is past the limit or a denominator is zero, each string goes
+    through :func:`_rational_parts`, which raises the ValueError that
+    reading them one by one raises."""
+    parts = _RATIONAL.split(",".join([s.strip() for s in strings]))
+    nums, dens = parts[1::3], parts[2::3]  # between them the separators
+    if (len(nums) == len(strings) and parts[0] == parts[-1] == ""
+            and parts[3:-1:3].count(",") == len(nums) - 1):
+        try:
+            nums = list(map(int, nums))
+            dens = [int(d) if d else 1 for d in dens]
+        except ValueError:
+            pass
+        else:
+            if 0 not in dens:
+                return nums, dens
+    parts = [_rational_parts(s) for s in strings]
+    return [n for n, _ in parts], [d for _, d in parts]
 
 
 def scalar_from_str(s: str) -> Scalar:

@@ -25,7 +25,7 @@ from daha.analysis import (
     twist,
 )
 from daha.errors import ClassificationError, ParameterError
-from daha.linalg import Matrix, det, kernel, rank, solve_sylvester_homogeneous
+from daha.linalg import Matrix, det, inverse, kernel, rank, solve_sylvester_homogeneous
 from daha.modrep import ModuleRep, central_character, make_E, make_O, verify_relations
 from daha.params import ParamQuadruple, canonical_orbit_rep
 from daha.sampling import adversarial_even, adversarial_odd, sample_even, sample_odd
@@ -408,6 +408,92 @@ def test_spectral_intertwiner_refuses_missing_eigenvalues():
     b = make_E(a.params.with_k(k3=F(3, 5)))
     assert _spectral_intertwiner(a, b) is None
     assert _spectral_intertwiner(b, a) is None
+
+
+def test_spectral_route_makes_no_scalar_matrices(monkeypatch):
+    """On a twisted d=5 file the route shifts W on its int rows, folds
+    diag(c) into P_b and scales T on its rows: only products remain,
+    2 for the W's, 2 per A_k or B_k formed (3 A_k, 2 B_k), 1 for T and
+    8 in the check."""
+    module = ModuleRep.from_json(json.loads((DATA / "rational_even_d5_tw3.json").read_text()))
+    eps, _, reference = _recover(module)
+    counts = dict.fromkeys(("__mul__", "scale", "__add__", "__init__"), 0)
+    for name in counts:
+        def counting(*args, _name=name, _fn=getattr(Matrix, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(Matrix, name, counting)
+    cert = _spectral_intertwiner(module, reference, eps)
+    assert counts == {"__mul__": 21, "scale": 0, "__add__": 0, "__init__": 0}
+    monkeypatch.undo()
+    assert cert.to_json() == find_intertwiner(module, reference).to_json()
+
+
+def _formed_generators(monkeypatch):
+    """The number of A_k the route formed on each call, read off the
+    support lists it hands to the strong connectivity test."""
+    formed = []
+    reaches_all = daha.analysis._reaches_all
+
+    def recording(support, n, forward):
+        if forward:
+            formed.append(len(support))
+        return reaches_all(support, n, forward)
+
+    monkeypatch.setattr(daha.analysis, "_reaches_all", recording)
+    return formed
+
+
+@pytest.mark.parametrize("field", ["rational", "ratfun"])
+def test_lazy_conjugation_keeps_the_check_on_all_four_generators(monkeypatch, field):
+    """b differs from a in k2 only: t0 and t1 are equal and X has the
+    same simple spectrum, so both eigenbases exist, the graph of A_0,
+    A_1 is connected and the tree gives a candidate T.  a and b are not
+    isomorphic, and only the final check, which covers t2 and t3 whose
+    A_k were never formed, refuses T."""
+    q = field_by_name(field).default_q()
+    a = make_E(ParamQuadruple(q, scalar_pow(q, -2), F(2, 3), 3, F(5, 7), d=3, parity="even"))
+    b = make_E(a.params.with_k(k2=F(-4, 9)))
+    assert criterion_E(a.params) and criterion_E(b.params)
+    assert a.t[:2] == b.t[:2] and a.t[2:] != b.t[2:]
+    x_diagonal = lambda m: [m.x_matrix().entry(i, i) for i in range(m.dim)]
+    assert x_diagonal(a) == x_diagonal(b) and len(set(x_diagonal(a))) == a.dim
+    formed = _formed_generators(monkeypatch)
+    candidates = []
+
+    def recording(t, a_in, b_in):
+        candidates.append(t)
+        return is_intertwiner(t, a_in, b_in)
+
+    monkeypatch.setattr(daha.analysis, "is_intertwiner", recording)
+    # with t2 alone doubled, the eigenbases and A_0, A_1 agree, so the
+    # candidate is the identity: it intertwines t0, t1 and t3, not t2
+    t2 = a.t[2].scale(2)
+    doubled = ModuleRep(a.dim, (*a.t[:2], t2, a.t[3]), (*a.tinv[:2], inverse(t2), a.tinv[3]),
+                        a.params, 0, "")
+    for other in (b, doubled):
+        formed.clear()
+        assert _spectral_intertwiner(a, other) is None
+        assert max(formed) == 2
+        assert find_intertwiner(a, other) is None
+    t, ident = candidates
+    assert not is_intertwiner(t, a, b) and ident == a.identity_matrix()
+
+
+@pytest.mark.parametrize("field", ["rational", "ratfun"])
+def test_some_twists_need_a_third_generator(monkeypatch, field):
+    """Even d=3 twists 1 and 3 connect the graph only with A_2; every
+    twist still certifies with the equations' certificate, byte for byte."""
+    q = field_by_name(field).default_q()
+    p = ParamQuadruple(q, scalar_pow(q, -2), F(2, 3), 3, F(5, 7), d=3, parity="even")
+    formed = _formed_generators(monkeypatch)
+    for e in range(4):
+        module = twist(make_E(p), e)
+        eps, _, reference = _recover(module)
+        formed.clear()
+        cert = _spectral_intertwiner(module, reference, eps)
+        assert max(formed) == (3 if e % 2 else 2)
+        assert json.dumps(cert.to_json()) == json.dumps(find_intertwiner(module, reference).to_json())
 
 
 @pytest.mark.parametrize(

@@ -249,6 +249,22 @@ def test_zero_denominator_is_an_input_error(tmp_path, capsys, command, entry):
         assert "zero denominator" in capsys.readouterr().err, backend
 
 
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_an_over_long_int_is_an_input_error(tmp_path, command):
+    """A 5,000-digit numerator, past Python's limit on int string
+    conversion, exits 4 with a one-line message and no traceback."""
+    data = json.loads((DATA / "rational_even_d5_tw3.json").read_text())
+    data["t"][2]["entries"][1][3] = "7" * 5000 + "/3"
+    mod = tmp_path / "long.json"
+    mod.write_text(json.dumps(data))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(daha.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "daha", command, "--in", str(mod)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_IO
+    assert "Traceback" not in proc.stderr and "limit" in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("flag,token", [
     ("--q", "1/0"), ("--k", "1/2,1,3,1/0"), ("--k", "1/2,1,3,2/0q^2"), ("--k", "1/2,1,3,-1/0q"),
 ])

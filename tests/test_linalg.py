@@ -7,9 +7,11 @@ from operator import mul
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daha import linalg
-from daha.errors import SingularMatrixError
+from daha.errors import InputError, SingularMatrixError
 from daha.linalg import (
     Matrix,
     Subspace,
@@ -36,7 +38,7 @@ from daha.analysis import (
 from daha.modrep import ModuleRep, _ladder_block, make_E, make_O
 from daha.params import canonical_orbit_rep
 from daha.sampling import adversarial_even, adversarial_odd, sample_params
-from daha.scalar import QQ_Q, RatFun, _pgcd, as_scalar, scalar_to_str
+from daha.scalar import QQ_Q, RatFun, _pgcd, as_scalar, scalar_from_str, scalar_to_str
 
 Q = RatFun.variable()
 
@@ -1160,3 +1162,76 @@ def test_from_json_reads_unreduced_rationals_canonically():
     want = Matrix([[Fraction(1, 2), Fraction(-3, 2)], [7, 0]])
     assert (m._ints, m._den) == (want._ints, want._den) == (((1, -3), (14, 0)), 2)
     assert m.to_json()["entries"] == [["1/2", "-3/2"], ["7", "0"]]
+
+
+# -- reading matrix JSON, against scalar_from_str on each entry -------------
+
+def _read_each(entries):
+    """The rows of scalar_from_str of each entry, or None when an entry
+    does not parse."""
+    try:
+        return [[scalar_from_str(e) for e in row] for row in entries]
+    except ValueError:
+        return None
+
+
+def _check_loader(entries):
+    want = _read_each(entries)
+    data = {"rows": len(entries), "cols": len(entries[0]), "entries": entries}
+    try:
+        m = Matrix.from_json(data)
+    except InputError:
+        assert want is None, entries
+    else:
+        assert want is not None and m == Matrix(want), entries
+
+
+# near-misses of the grammar: int() reads "+1", "1_0", " 1" and "١",
+# float() "1.5" and "1e3"; "," splits the batch read and "|" the Q(q) one
+_LOADER_TEXT = st.text("0123456789-/, +_.e\u0661|", max_size=7)
+_LOADER_ENTRY = st.one_of(
+    _LOADER_TEXT,
+    st.fractions(max_denominator=10 ** 6).map(str),
+    st.tuples(st.sampled_from(["", " ", "  "]), st.integers(-10 ** 30, 10 ** 30),
+              st.integers(0, 40)).map(lambda t: f"{t[0]}{t[1]}/{t[2]}{t[0]}"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_from_json_reads_each_entry_as_scalar_from_str(rows, cols, data):
+    """Matrix.from_json equals scalar_from_str on every entry, or raises
+    InputError exactly when an entry does not parse."""
+    entries = [[data.draw(_LOADER_ENTRY) for _ in range(cols)] for _ in range(rows)]
+    _check_loader(entries)
+
+
+@pytest.mark.parametrize("entries", [
+    [["1,2"]],
+    [["1", "1,2"]],
+    [["1,", "2"]],
+    [[" 3/4 ", "-0", "007/14"]],
+    [["1/0"]],
+    [["2", "-5/00"]],
+    [["", "1"]],
+    [["+1"]],
+    [["2", "1."]],
+    [["1_0", "e5"]],
+    [["\u0661"]],
+    [["1" * 5000, "1"]],
+    [["1/" + "7" * 5000]],
+    [["1 | 1", "1/2"], ["-3", "0 | 1,2"]],
+    [["1 | 1", "1/0"]],
+])
+def test_from_json_fixed_cases(entries):
+    _check_loader(entries)
+
+
+def test_from_json_keeps_the_error_of_the_first_bad_entry():
+    with pytest.raises(InputError, match="zero denominator in scalar '1/0'"):
+        Matrix.from_json({"rows": 1, "cols": 3, "entries": [["2", "1/0", "x"]]})
+    with pytest.raises(InputError, match=r"not a rational scalar: ' 1,2 '"):
+        Matrix.from_json({"rows": 1, "cols": 2, "entries": [[" 1,2 ", "1/0"]]})
+    with pytest.raises(InputError, match="limit"):
+        Matrix.from_json({"rows": 1, "cols": 2, "entries": [["1/2", "1" * 5000]]})
+    assert Matrix.from_json({"rows": 1, "cols": 1, "entries": [[" 3/4 "]]}) == Matrix([[Fraction(3, 4)]])
