@@ -68,7 +68,6 @@ from .modrep import (
 from .analysis import (
     INDETERMINATE,
     ClassificationResult,
-    LMatrix,
     burnside_irreducible,
     classify,
     criterion_E,

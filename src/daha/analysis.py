@@ -15,19 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd, prod
+from math import prod
 
 from .errors import DahaError, ClassificationError, ParameterError, TranscriptionError
 from .linalg import (
     Matrix,
-    _int_matrix,
-    _poly_matrix,
+    _ring_matrix,
     _ring_rows,
     _times_columns,
-    _times_rows,
     det,
+    eigenbasis,
     inverse,
-    kernel_line,
     rank,
     solve_sylvester_homogeneous,
     span_closure,
@@ -49,7 +47,7 @@ from .params import (
     seq_rho,
     violations,
 )
-from .scalar import QQ, QQ_Q, _cofactors, _padd, _pmul, scalar_pow, scalar_sqrt
+from .scalar import scalar_pow, scalar_sqrt
 
 ROUTE_OPERATOR = "operator"
 ROUTE_RECURRENCE = "recurrence"
@@ -107,13 +105,6 @@ def burnside_irreducible(m: ModuleRep) -> bool:
 # and a closed product formula.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LMatrix:
-    d: int
-    entries: Matrix
-    route: str
-
-
 def _ceil_half(i: int) -> int:
     return (i + 1) // 2
 
@@ -154,7 +145,7 @@ def _l_matrix_from_recurrence(d: int, seed_col0, rec) -> Matrix:
     return Matrix(L)
 
 
-def l_matrix_E(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
+def l_matrix_E(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> Matrix:
     """The lower-triangular coefficient matrix of the even family."""
     if p.parity != PARITY_EVEN:
         raise ParameterError("l_matrix_E needs an even-family quadruple")
@@ -170,7 +161,7 @@ def l_matrix_E(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
         # S_i's factors are the w-raising factors of w_basis_check
         r_factors = [_ladder_factor(*xs, k0 * k3, q, h) for h in range(1, d + 1)]
         s_factors = [_ladder_factor(*ys, k0 / k1, q, h) for h in range(d)]
-        return LMatrix(d, _l_operator(module, r_factors, s_factors), route)
+        return _l_operator(module, r_factors, s_factors)
 
     if route == ROUTE_RECURRENCE:
         def seed(i):
@@ -191,7 +182,7 @@ def l_matrix_E(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
                 )
             return (1 - scalar_pow(q, j - i - 1)) * L[i][j - 1] + L[i - 1][j] - L[i - 1][j - 1]
 
-        return LMatrix(d, _l_matrix_from_recurrence(d, seed, rec), route)
+        return _l_matrix_from_recurrence(d, seed, rec)
 
     if route == ROUTE_CLOSED:
         rows = []
@@ -220,12 +211,12 @@ def l_matrix_E(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
                         val = val * (1 - k3 * k3 * scalar_pow(q, 2 - 2 * h))
                 row.append(val)
             rows.append(row)
-        return LMatrix(d, Matrix(rows), route)
+        return Matrix(rows)
 
     raise DahaError(f"unknown route {route!r}")
 
 
-def l_matrix_O(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
+def l_matrix_O(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> Matrix:
     """The lower-triangular coefficient matrix of the odd family.
 
     The column-0 closed seeds and the closed form are derived under the
@@ -242,7 +233,7 @@ def l_matrix_O(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
     criterion_holds = criterion_O(p)
 
     if route == ROUTE_OPERATOR:
-        return LMatrix(d, _l_operator_O(p), route)
+        return _l_operator_O(p)
 
     if route == ROUTE_RECURRENCE:
         if criterion_holds:
@@ -273,7 +264,7 @@ def l_matrix_O(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
                 + L[i][j - 1]
             )
 
-        return LMatrix(d, _l_matrix_from_recurrence(d, seed, rec), route)
+        return _l_matrix_from_recurrence(d, seed, rec)
 
     if route == ROUTE_CLOSED:
         if not criterion_holds:
@@ -322,7 +313,7 @@ def l_matrix_O(p: ParamQuadruple, route: str = ROUTE_OPERATOR) -> LMatrix:
                         val = val * (p.q - scalar_pow(q, 2 * h - i - 1))
                 row.append(val)
             rows.append(row)
-        return LMatrix(d, Matrix(rows), route)
+        return Matrix(rows)
 
     raise DahaError(f"unknown route {route!r}")
 
@@ -347,9 +338,9 @@ def l_matrix_routes(p: ParamQuadruple):
     if p.parity == PARITY_EVEN or criterion_O(p):
         routes.append(ROUTE_CLOSED)
     out = {r: maker(p, r) for r in routes}
-    reference = out[ROUTE_OPERATOR].entries
+    reference = out[ROUTE_OPERATOR]
     for r, lm in out.items():
-        if lm.entries != reference:
+        if lm != reference:
             raise TranscriptionError(f"route {r} disagrees with the operator route")
     return out
 
@@ -560,7 +551,13 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
     The diagonal of b's W = t_{(3-eps)%4} t_{(-eps)%4} (on a classify
     reference, the triangular X of an untwisted module) must be n
     distinct simple eigenvalues in a and in b, with eigenbases P_a, P_b
-    (see :func:`_eigenbasis`).  There the generators are A_k = P_a^-1
+    from :func:`~daha.linalg.eigenbasis`, which forms each W - theta I
+    on W's int or int polynomial rows, and whose kernel lines and
+    inverses :mod:`daha.linalg` reads off rows brought to one pivot
+    (see :func:`~daha.linalg.kernel_line`); the support graph and the
+    scaling to a leading 1 go through :func:`~daha.linalg._ring_rows`
+    and :func:`~daha.linalg._ring_matrix`, so only :mod:`daha.linalg`
+    reads how a matrix is stored.  There the generators are A_k = P_a^-1
     t_k^(a) P_a and B_k likewise, and v -> u is an edge when some
     A_k[u][v] != 0.  The A_k are formed one at a time, k = 0, 1, 2, 3,
     until the edges of those formed make a strongly connected graph.  An
@@ -595,19 +592,11 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
         return None
     i3, i0 = (3 - eps) % 4, -eps % 4
     w_b = b.t[i3] * b.t[i0]
-    heads = [row[i] for i, row in enumerate(_ring_rows(w_b))]
-    if len(set(heads)) != n:
+    p_a = eigenbasis(a.t[i3] * a.t[i0], w_b)
+    p_b = None if p_a is None else eigenbasis(w_b, w_b)
+    if p_b is None:
         return None
-    w_a = a.t[i3] * a.t[i0]
-    if (w_a._ints is None) != (w_b._ints is None):
-        return None  # W's over two fields: left to the equations
-    bases = []
-    for w in (w_a, w_b):
-        p = _eigenbasis(w, heads, w_b._den)
-        if p is None:
-            return None
-        bases.append((p, inverse(p)))
-    (p_a, pa_inv), (p_b, pb_inv) = bases
+    pa_inv, pb_inv = inverse(p_a), inverse(p_b)
     gens_a, support = [], []
     for t in a.t:
         gens_a.append(pa_inv * (t * p_a))
@@ -619,7 +608,7 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
 
     # c along the edges of a tree from vertex 0
     gens_b = [None] * len(gens_a)  # B_k, formed when a tree edge first needs it
-    c = [(QQ if p_a._ints is not None else QQ_Q).one] + [None] * (n - 1)
+    c = [1] + [None] * (n - 1)
     todo = [0]
     while todo:
         v = todo.pop()
@@ -634,44 +623,7 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
         return None
     # T = R/D over its leading ring entry h is R/h: no product with a scalar
     rows = _ring_rows(t)
-    h = next(x for row in rows for x in row if x)
-    if t._ints is not None:
-        return _int_matrix(rows, h) if h > 0 else _int_matrix([[-x for x in row] for row in rows], -h)
-    return _poly_matrix(rows, h)
-
-
-def _eigenbasis(w: Matrix, heads, den):
-    """The matrix whose column i spans the kernel of W - theta_i, theta_i
-    = heads[i]/den in W's ring, or None when a kernel is not a line.
-    With W = R/D and fa, fb the cofactors of D and den to their lcm L,
-    W - theta_i = (fa R - fb heads[i] I)/L: each shift is formed on W's
-    int or int polynomial rows and handed to :func:`kernel_line`."""
-    rows = _ring_rows(w)
-    if w._ints is not None:
-        g = gcd(w._den, den)
-        fa, fb = den // g, w._den // g
-        rows = [[fa * x for x in row] for row in rows]
-        shifted = (
-            _int_matrix([[*row[:r], row[r] - s, *row[r + 1:]] for r, row in enumerate(rows)], 1)
-            for s in (fb * h for h in heads)
-        )
-    else:
-        fa, fb = _cofactors(w._den, den)
-        rows = _times_rows(rows, fa)
-        shifted = (
-            _poly_matrix([[*row[:r], _padd(row[r], s), *row[r + 1:]]
-                          for r, row in enumerate(rows)], (1,))
-            for s in ([-x for x in _pmul(fb, h)] if h else () for h in heads)
-        )
-    columns = []
-    for x in shifted:
-        v = kernel_line(x)
-        if v is None:
-            return None
-        columns.append(v)
-    # kernel_line gives columns in its matrix's ring: ints or int polynomials
-    cols = list(zip(*columns))
-    return _int_matrix(cols, 1) if w._ints is not None else _poly_matrix(cols, (1,))
+    return _ring_matrix(rows, next(x for row in rows for x in row if x))
 
 
 def _reaches_all(support, n: int, forward: bool) -> bool:

@@ -257,10 +257,9 @@ def cmd_lmatrix(args) -> int:
     if args.route == "all":
         routes = l_matrix_routes(p)
     else:
-        lm = maker(p, args.route)
-        routes = {args.route: lm}
+        routes = {args.route: maker(p, args.route)}
     _dump(
-        {"d": p.d, "routes": {name: lm.entries.to_json() for name, lm in routes.items()}},
+        {"d": p.d, "routes": {name: lm.to_json() for name, lm in routes.items()}},
         args.out,
     )
     return EXIT_OK

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import add, mul
 
 from .errors import DahaError, InputError, SingularMatrixError
@@ -94,13 +94,13 @@ class Matrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int, one=Fraction(1)) -> "Matrix":
-        """The n x n identity, built straight on its canonical rows: int
-        rows over 1, or, when one is a RatFun, int polynomial rows over
-        (1,).  one only selects the field; no scalar is read."""
+    def identity(cls, n: int, field=QQ) -> "Matrix":
+        """The n x n identity over field (QQ or QQ_Q), built straight on
+        its canonical rows: int rows over 1, or int polynomial rows over
+        (1,)."""
         if n < 1:
             raise DahaError("empty matrix")
-        if isinstance(one, RatFun):
+        if field is QQ_Q:
             rows = tuple(tuple((1,) if i == j else () for j in range(n)) for i in range(n))
             return _fill(object.__new__(cls), None, (1,), rows)
         rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
@@ -212,6 +212,11 @@ class Matrix:
         if self._ints is None:
             return _ratfun(self._polys[i][j], self._den)
         return Fraction(self._ints[i][j], self._den)
+
+    @property
+    def field(self):
+        """QQ for a rational matrix, QQ_Q for one over Q(q)."""
+        return QQ if self._ints is not None else QQ_Q
 
     @property
     def shape(self):
@@ -337,6 +342,17 @@ def _poly_matrix(rows, den, out=None) -> Matrix:
     return _fill(object.__new__(Matrix) if out is None else out, None, den, polys)
 
 
+def _ring_matrix(rows, den) -> Matrix:
+    """The matrix rows/den in canonical form: int rows over a nonzero int
+    den of either sign, or int polynomial rows over a nonzero int
+    polynomial den; the one way back from :func:`_ring_rows`."""
+    if type(den) is not int:
+        return _poly_matrix(rows, den)
+    if den < 0:
+        rows, den = [[-x for x in row] for row in rows], -den
+    return _int_matrix(rows, den)
+
+
 def _ring_rows(m: Matrix):
     """m's int rows, or its int polynomial rows over Q(q): zero exactly
     where m is."""
@@ -437,13 +453,9 @@ def _int_rref(m: Matrix):
 
 
 def _poly_rref(rows):
-    """:func:`_int_rref` of int polynomial rows, every pivot made equal:
-    the rows are inserted by :func:`_poly_insert`, each pivot column is
-    cleared from the rows above by the same gcd-cancelled step, keeping
-    primitive parts, and last each row is multiplied by D/h, h its pivot
-    and D the lcm of the pivots.  Each step is an invertible row
-    operation over Q(q), so the row space is kept, every pivot ends
-    equal to D and the reduced rows are the rows over D."""
+    """:func:`_int_rref` of int polynomial rows: the rows are inserted by
+    :func:`_poly_insert`, and each pivot column is cleared from the rows
+    above by the same gcd-cancelled step, keeping primitive parts."""
     basis = {}
     for row in rows:
         if _poly_insert(basis, row) and len(basis) == len(row):
@@ -456,11 +468,29 @@ def _poly_rref(rows):
             if reduced[i][p]:
                 v = _poly_cancel(reduced[i], b, p)
                 reduced[i] = _canonical_polys(v, v[pivots[i]])[0]
+    return reduced, pivots
+
+
+def _one_pivot(m: Matrix):
+    """m's ring rows eliminated by :func:`_int_rref` or :func:`_poly_rref`,
+    then each row multiplied by D/h, h its pivot and D the lcm of the
+    pivots (positive, or with a positive leading coefficient; 1 or (1,)
+    when there is none): (rows, pivot columns, D).  Each step is an
+    invertible row operation over m's field, so the row space is kept,
+    every pivot ends equal to D and the reduced row echelon form is the
+    rows over D; :func:`kernel_line` and :func:`inverse` read it off
+    alike on both rings."""
+    if m._ints is not None:
+        reduced, pivots = _int_rref(m)
+        heads = [row[p] for row, p in zip(reduced, pivots)]
+        top = lcm(*heads)
+        return [[x * (top // h) for x in row] for row, h in zip(reduced, heads)], pivots, top
+    reduced, pivots = _poly_rref(m._polys)
     heads = [row[p] for row, p in zip(reduced, pivots)]
     top = heads[0] if heads else (1,)
     for h in heads[1:]:
         top = _pmul(top, _cofactors(top, h)[0])
-    return [_times_rows([row], _pexquo(top, h))[0] for row, h in zip(reduced, heads)], pivots
+    return [_times_rows([row], _pexquo(top, h))[0] for row, h in zip(reduced, heads)], pivots, top
 
 
 def _poly_cancel(v, b, p):
@@ -489,7 +519,7 @@ def kernel(m: Matrix) -> Subspace:
     reduced, pivots = _rref_rows(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    field = QQ if m._ints is not None else QQ_Q
+    field = m.field
     vectors = []
     for fc in free:
         v = [field.zero] * m.cols
@@ -502,27 +532,49 @@ def kernel(m: Matrix) -> Subspace:
 
 def kernel_line(m: Matrix):
     """A vector spanning the kernel of m when that kernel is a line, else
-    None, in m's ring: ints from :func:`_int_rref`, int polynomials from
-    :func:`_poly_rref`.  With pivots h_r and free column f it is v_f =
-    prod(h) and v_{p_r} = -row_r[f] * prod(h_s, s != r), or that over
-    D**(r-1) when every h_r is D: v_f = D and v_{p_r} = -row_r[f]."""
-    formal = m._ints is None
-    reduced, pivots = _poly_rref(m._polys) if formal else _int_rref(m)
+    None, in m's ring (ints or int polynomials).  With the rows of
+    :func:`_one_pivot`, every pivot D, and free column f it is v_f = D
+    and v_p = -row[f] at each pivot column p."""
+    reduced, pivots, top = _one_pivot(m)
     if len(pivots) != m.cols - 1:
         return None
     free = next(c for c, p in enumerate(pivots + [m.cols]) if c != p)
-    heads = [row[p] for row, p in zip(reduced, pivots)]
-    if formal:
-        v = [()] * m.cols
-        v[free] = heads[0] if heads else (1,)
-        for row, p in zip(reduced, pivots):
-            v[p] = [-x for x in row[free]]
-        return v
-    v = [0] * m.cols
-    v[free] = prod(heads)
-    for r, (row, p) in enumerate(zip(reduced, pivots)):
-        v[p] = -row[free] * prod(heads[:r] + heads[r + 1:])
+    v = [top] * m.cols
+    for row, p in zip(reduced, pivots):
+        x = row[free]
+        v[p] = -x if type(x) is int else [-c for c in x]
     return v
+
+
+def eigenbasis(w: Matrix, of: Matrix):
+    """The matrix whose column i spans the kernel of w - theta_i, theta_i
+    the i-th diagonal entry of of, or None when those entries are not
+    distinct, when w and of lie over two fields or when a kernel is not
+    a line.  With w = R/D, of = S/E and fa, fb the cofactors of D and E
+    to their lcm L, w - theta_i = (fa R - fb S_ii I)/L: each shift is
+    formed on w's int or int polynomial rows, with no scalar and no
+    matrix sum, and handed to :func:`kernel_line`, whose columns are in
+    that ring."""
+    heads = [row[i] for i, row in enumerate(_ring_rows(of))]
+    if len(set(heads)) != len(heads) or w.field is not of.field:
+        return None
+    if w._ints is not None:
+        g = gcd(w._den, of._den)
+        fa, fb = of._den // g, -(w._den // g)
+        rows = [[fa * x for x in row] for row in w._ints]
+        shifts, plus, one = [fb * h for h in heads], add, 1
+    else:
+        fa, fb = _cofactors(w._den, of._den)
+        rows, fb = _times_rows(w._polys, fa), [-x for x in fb]
+        shifts, plus, one = [_pmul(fb, h) if h else () for h in heads], _padd, (1,)
+    columns = []
+    for s in shifts:
+        shifted = [[*row[:r], plus(row[r], s), *row[r + 1:]] for r, row in enumerate(rows)]
+        v = kernel_line(_ring_matrix(shifted, one))
+        if v is None:
+            return None
+        columns.append(v)
+    return _ring_matrix(list(zip(*columns)), one)
 
 
 def det(m: Matrix):
@@ -585,27 +637,20 @@ def inverse(m: Matrix) -> Matrix:
     """Exact inverse; raises SingularMatrixError when det is zero.
 
     m = A/den is inverted by reducing [A | den*I], whose reduced row
-    echelon form is [I | m^-1].  :func:`_poly_rref` gives it as
-    D*[I | m^-1], D every row's pivot, so m^-1 is the right block over D.
-    :func:`_int_rref` gives row i as [h_i e_i | y_i], so row i of m^-1 is
-    y_i/h_i, read off over the lcm of the |h_i|, each head's sign kept."""
+    echelon form is [I | m^-1].  :func:`_one_pivot` gives it as
+    D*[I | m^-1], D every row's pivot, so m^-1 is the right block over D."""
     if not m.is_square():
         raise DahaError("inverse of a non-square matrix")
     n, den = m.rows, m._den
-    formal = m._ints is None
-    zero = () if formal else 0
+    zero, one = (0, 1) if m._ints is not None else ((), (1,))
     rows = [
         row + (zero,) * i + (den,) + (zero,) * (n - 1 - i)
-        for i, row in enumerate(m._polys if formal else m._ints)
+        for i, row in enumerate(_ring_rows(m))
     ]
-    reduced, pivots = _poly_rref(rows) if formal else _int_rref(_int_matrix(rows, 1))
+    reduced, pivots, top = _one_pivot(_ring_matrix(rows, one))
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    if formal:
-        return _poly_matrix([row[n:] for row in reduced], reduced[0][0])
-    heads = [row[i] for i, row in enumerate(reduced)]
-    den = lcm(*heads)
-    return _int_matrix([[x * (den // h) for x in row[n:]] for row, h in zip(reduced, heads)], den)
+    return _ring_matrix([row[n:] for row in reduced], top)
 
 
 def solve_right(m: Matrix, rhs):
@@ -667,7 +712,7 @@ def solve_sylvester_homogeneous(pairs) -> Subspace:
                     row[r * n + s] = ae[s][c]
                 row[r * n + c] = plus(ae[c][c], nbe[r][r])
                 rows.append(row)
-    return kernel(_int_matrix(rows, 1) if rational else _poly_matrix(rows, (1,)))
+    return kernel(_ring_matrix(rows, 1 if rational else (1,)))
 
 
 def span_closure(gens) -> int:
@@ -707,7 +752,7 @@ def span_closure(gens) -> int:
         sparse = [[[(k * n, x) for k, x in enumerate(row) if x] for row in g._ints] for g in gens]
         return _closure(sparse, ident, _int_product, _int_insert, n * n)
     insert = lambda basis, w: _poly_insert(basis, [x for row in w._polys for x in row])
-    return _closure(gens, Matrix.identity(n, one=QQ_Q.one), mul, insert, n * n)
+    return _closure(gens, Matrix.identity(n, QQ_Q), mul, insert, n * n)
 
 
 def _closure(gens, ident, product, insert, cap) -> int:

@@ -19,7 +19,7 @@ the j-th basis vector.  The generator columns are written once, in
 ring: ints for the blocks of rational params (:class:`_IntPairs`), int
 polynomials for the column table (:class:`_PolyPairs`).  No entry is
 reduced on its own.  A rational block goes into int rows over the lcm
-of its denominators, reduced once by :func:`daha.linalg._int_matrix`;
+of its denominators, reduced once by :func:`daha.linalg._ring_matrix`;
 a formal block or a ladder vector is put into canonical form once, by
 :func:`daha.scalar._canonical_polys`.  Both forms are unique, so the
 result does not depend on the common factors or signs of the pairs.
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import DahaError, InputError, ParameterError, TranscriptionError
-from .linalg import Matrix, _int_matrix, _poly_matrix, inverse, rank
+from .linalg import Matrix, _ring_matrix, inverse, rank
 from .params import (
     PARITY_EVEN,
     PARITY_ODD,
@@ -63,6 +63,7 @@ from .laurent import (
     _times,
 )
 from .scalar import (
+    QQ,
     QQ_Q,
     RatFun,
     _padd,
@@ -167,8 +168,8 @@ class ModuleRep:
         return self.tinv[1] * self.tinv[0]
 
     def identity_matrix(self) -> Matrix:
-        """The identity over the generators' field, read off how t0 is held."""
-        return Matrix.identity(self.dim, one=QQ_Q.one if self.t[0]._ints is None else 1)
+        """The identity over the generators' field, that of t0."""
+        return Matrix.identity(self.dim, self.t[0].field)
 
     def to_json(self) -> dict:
         return {
@@ -216,8 +217,8 @@ def _in_field(m: Matrix, q) -> Matrix:
     is lowered to its rationals when q is rational; InputError when such
     a matrix has an entry that depends on q."""
     if isinstance(q, RatFun):
-        return m if m._ints is None else m.scale(q ** 0)
-    if m._ints is not None:
+        return m if m.field is QQ_Q else m.scale(q ** 0)
+    if m.field is QQ:
         return m
     rows = m.entries
     if not all(e.is_constant() for row in rows for e in row):
@@ -346,7 +347,7 @@ def _ladder_factor(fwd: Matrix, bwd: Matrix, base, q, i: int) -> Matrix:
     factors here.
     """
     op = fwd if i % 2 else bwd
-    return Matrix.identity(op.rows, one=q ** 0) - op.scale(_ladder_coef(base, q, i))
+    return Matrix.identity(op.rows, op.field) - op.scale(_ladder_coef(base, q, i))
 
 
 def ladder_check(m: ModuleRep, which: str) -> Report:
@@ -627,11 +628,11 @@ def _ladder_block(gen: int, rows: int, cols: int, p: ParamQuadruple) -> Matrix:
 
     Rational params build each column's nonzero entries as
     :class:`_IntPairs` and scatter them into int rows over the lcm of
-    their denominators, made positive; formal params sum the columns of
-    the column table, keyed by their row-major place, over one
-    denominator.  Either way one call, :func:`~daha.linalg._int_matrix`
-    or :func:`~daha.linalg._poly_matrix`, canonicalises the block, and
-    its form is unique whatever common factors the unreduced input had.
+    their denominators; formal params sum the columns of the column
+    table, keyed by their row-major place, over one denominator.  Either
+    way one call, :func:`~daha.linalg._ring_matrix`, canonicalises the
+    block, and its form is unique whatever common factors or signs the
+    unreduced input had.
     """
     if isinstance(p.q, RatFun):
         pairs = []
@@ -639,22 +640,21 @@ def _ladder_block(gen: int, rows: int, cols: int, p: ParamQuadruple) -> Matrix:
             terms, den = _column(gen, j, p)
             pairs += [(i * cols + j, (c, den)) for i, c in terms.items() if i < rows]
         flat, den = _raw_from_pairs(pairs)
-        return _poly_matrix(
-            [[flat.get(i * cols + j, ()) for j in range(cols)] for i in range(rows)], den
-        )
-    q = p.q.numerator, p.q.denominator
-    k = [(x.numerator, x.denominator) for x in p.k]
-    entries = []
-    for j in range(cols):
-        entries += [
-            (i, j, n, d) for i, (n, d) in _verma_column(gen, j, q, k, _IntPairs).items()
-            if n and i < rows
-        ]
-    den = lcm(*(d for *_, d in entries))
-    out = [[0] * cols for _ in range(rows)]
-    for i, j, n, d in entries:
-        out[i][j] = n * (den // d)
-    return _int_matrix(out, den)
+        out = [[flat.get(i * cols + j, ()) for j in range(cols)] for i in range(rows)]
+    else:
+        q = p.q.numerator, p.q.denominator
+        k = [(x.numerator, x.denominator) for x in p.k]
+        entries = []
+        for j in range(cols):
+            entries += [
+                (i, j, n, d) for i, (n, d) in _verma_column(gen, j, q, k, _IntPairs).items()
+                if n and i < rows
+            ]
+        den = lcm(*(d for *_, d in entries))
+        out = [[0] * cols for _ in range(rows)]
+        for i, j, n, d in entries:
+            out[i][j] = n * (den // d)
+    return _ring_matrix(out, den)
 
 
 def _verma_forward(gen: int, raw: tuple, p: ParamQuadruple) -> tuple:

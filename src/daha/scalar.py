@@ -132,6 +132,14 @@ def _prem(a, b) -> list:
     return r
 
 
+def _qval(c) -> int:
+    """The power of q dividing a nonzero int polynomial."""
+    i = 0
+    while not c[i]:
+        i += 1
+    return i
+
+
 def _pgcd(a, b) -> tuple:
     """The gcd over the rationals of two nonzero polynomials, as a
     primitive integer polynomial with positive leading coefficient.
@@ -140,12 +148,7 @@ def _pgcd(a, b) -> tuple:
     a primitive Euclidean remainder sequence, which keeps coefficient
     growth under control.
     """
-    i = 0
-    while a[i] == 0:
-        i += 1
-    j = 0
-    while b[j] == 0:
-        j += 1
+    i, j = _qval(a), _qval(b)
     a, b = a[i:], b[j:]
     if len(a) == 1 or len(b) == 1:
         g = (1,)
@@ -171,9 +174,7 @@ def _pexquo(a, g) -> list:
     so each step of the long division divides exactly by g's leading
     coefficient; a divisor c*q^m shifts and divides by c.
     """
-    m = 0
-    while g[m] == 0:
-        m += 1
+    m = _qval(g)
     if m == len(g) - 1:
         c = g[m]
         return list(a[m:]) if c == 1 else [x // c for x in a[m:]]
@@ -188,14 +189,6 @@ def _pexquo(a, g) -> list:
             for i in range(dg):
                 r[k + i] -= c * g[i]
     return out
-
-
-def _qval(c) -> int:
-    """The power of q dividing a nonzero int polynomial."""
-    i = 0
-    while not c[i]:
-        i += 1
-    return i
 
 
 def _cofactors(a, b) -> tuple:
@@ -623,13 +616,14 @@ def _rational_parts(s: str) -> tuple:
     denominator, or past Python's limit on int string conversion, this
     raises ValueError.  Every scalar parser reads rationals here, or
     many at once in :func:`_rational_lists` by the same grammar."""
-    m = _RATIONAL.fullmatch(s.strip())
+    s = s.strip()
+    m = _RATIONAL.fullmatch(s)
     if m is None:
         raise ValueError(f"not a rational scalar: {s!r}")
     num, den = m.groups()
     den = int(den) if den else 1
     if not den:
-        raise ValueError(f"zero denominator in scalar {s.strip()!r}")
+        raise ValueError(f"zero denominator in scalar {s!r}")
     return int(num), den
 
 

@@ -258,7 +258,7 @@ def criterion_4(seed, grid):
             failures.append(f"{p.to_json()}: {exc}")
             continue
         checks += len(routes)
-        reference = routes["operator"].entries.entries
+        reference = routes["operator"].entries
         n = p.d + 1
         upper_ok = all(not reference[i][j] for i in range(n) for j in range(i + 1, n))
         checks += 1

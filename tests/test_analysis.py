@@ -76,14 +76,14 @@ def test_l_matrix_d1(p_even_d1):
     routes = l_matrix_routes(p_even_d1)
     expected = Matrix([[F(-4, 3), 0], [0, F(-4, 3)]])
     for lm in routes.values():
-        assert lm.entries == expected
+        assert lm == expected
 
 
 def test_l_matrix_d0():
     p = ParamQuadruple(2, 1, 1, 1, F(1, 2), d=0, parity="odd")
     routes = l_matrix_routes(p)
-    assert routes["operator"].entries == Matrix([[1]])
-    assert routes["closed"].entries == Matrix([[1]])
+    assert routes["operator"] == Matrix([[1]])
+    assert routes["closed"] == Matrix([[1]])
 
 
 def test_l_matrix_route_agreement_random():
@@ -91,40 +91,40 @@ def test_l_matrix_route_agreement_random():
     for d in (3, 5):
         p = sample_even(rng, d)
         routes = l_matrix_routes(p)
-        ref = routes["operator"].entries
+        ref = routes["operator"]
         n = d + 1
         assert all(not ref.entries[i][j] for i in range(n) for j in range(i + 1, n))
         for i in range(n):
-            assert ref.entries[i][i] == routes["closed"].entries.entry(i, i)
+            assert ref.entries[i][i] == routes["closed"].entry(i, i)
         assert (
             all(ref.entries[i][i] for i in range(n)) == criterion_E(p)
         )
     for d in (2, 4):
         p = sample_odd(rng, d)
         routes = l_matrix_routes(p)
-        ref = routes["operator"].entries
+        ref = routes["operator"]
         n = d + 1
         assert all(not ref.entries[i][j] for i in range(n) for j in range(i + 1, n))
         if criterion_O(p):
             for i in range(n):
-                assert ref.entries[i][i] == routes["closed"].entries.entry(i, i)
+                assert ref.entries[i][i] == routes["closed"].entry(i, i)
 
 
 def test_l_matrix_d6():
     rng = random.Random("lmatrix6")
     p = sample_odd(rng, 6)
     routes = l_matrix_routes(p)
-    ref = routes["operator"].entries
+    ref = routes["operator"]
     assert all(not ref.entries[i][j] for i in range(7) for j in range(i + 1, 7))
     if criterion_O(p):
-        assert all(ref.entries[i][i] == routes["closed"].entries.entry(i, i) for i in range(7))
+        assert all(ref.entries[i][i] == routes["closed"].entry(i, i) for i in range(7))
 
 
 def test_l_matrix_adversarial_diagonal():
     rng = random.Random("lmatrixadv")
     p = adversarial_even(rng, 3)
     routes = l_matrix_routes(p)
-    ref = routes["operator"].entries
+    ref = routes["operator"]
     assert not all(ref.entries[i][i] for i in range(4))
 
     p = adversarial_odd(rng, 2)
@@ -133,7 +133,7 @@ def test_l_matrix_adversarial_diagonal():
     assert set(routes) == {"operator", "recurrence"}
     with pytest.raises(ParameterError):
         l_matrix_O(p, "closed")
-    ref = routes["operator"].entries
+    ref = routes["operator"]
     assert not all(ref.entries[i][i] for i in range(3))
 
 

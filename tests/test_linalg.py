@@ -172,7 +172,7 @@ def test_inverse_round_trip():
 def test_ratfun_matrix_inverse():
     m = Matrix([[Q, 1], [0, Q ** -1]])
     assert det(m) == 1
-    assert m * inverse(m) == Matrix.identity(2, one=Q ** 0)
+    assert m * inverse(m) == Matrix.identity(2, QQ_Q)
 
 
 def test_solve_right():
@@ -377,7 +377,7 @@ def test_int_form_matches_field_loop():
 
 def test_mixed_operands_give_ratfun_results():
     for a, a2, b in int_form_grid()[:12]:
-        rb = lift(b).scale(Q) + Matrix.identity(b.rows, one=Q ** 0) * lift(b)
+        rb = lift(b).scale(Q) + Matrix.identity(b.rows, QQ_Q) * lift(b)
         ra = lift(a2).scale(Q + 1)
         results = {
             "a*rb": (a * rb, lift(a) * rb),
@@ -508,7 +508,7 @@ def field_closure(gens):
     entries of the lifted generators."""
     gens = [lift(g) for g in gens]
     n = gens[0].rows
-    return linalg._closure(gens, Matrix.identity(n, one=Q ** 0), mul, _field_insert, n * n)
+    return linalg._closure(gens, Matrix.identity(n, QQ_Q), mul, _field_insert, n * n)
 
 
 def module_gens(p):
@@ -1053,7 +1053,7 @@ def test_formal_routines_read_no_entries(monkeypatch):
     monkeypatch.setattr(Matrix, "entry", refuse)
     for m, theta in zip(modules, thetas):
         n, t = m.dim, m.t
-        ident = Matrix.identity(n, one=Q ** 0)
+        ident = Matrix.identity(n, QQ_Q)
         assert all(inverse(g) * g == ident and det(g) for g in t)
         shifted = t[3] * t[0] - ident.scale(theta)
         (v,) = kernel(shifted).basis
@@ -1230,7 +1230,7 @@ def test_from_json_fixed_cases(entries):
 def test_from_json_keeps_the_error_of_the_first_bad_entry():
     with pytest.raises(InputError, match="zero denominator in scalar '1/0'"):
         Matrix.from_json({"rows": 1, "cols": 3, "entries": [["2", "1/0", "x"]]})
-    with pytest.raises(InputError, match=r"not a rational scalar: ' 1,2 '"):
+    with pytest.raises(InputError, match=r"not a rational scalar: '1,2'"):
         Matrix.from_json({"rows": 1, "cols": 2, "entries": [[" 1,2 ", "1/0"]]})
     with pytest.raises(InputError, match="limit"):
         Matrix.from_json({"rows": 1, "cols": 2, "entries": [["1/2", "1" * 5000]]})
