@@ -8,9 +8,10 @@ polynomial denominator in the canonical form that
 :func:`daha.scalar._canonical_polys` computes.  Products, sums,
 elimination, the determinant (Bareiss's), the inverse, the Sylvester
 solve and the span closure run fraction-free on those rows and
-normalise once per result; Fractions or RatFuns are made only for the
-scalars a routine returns.  Matrices are immutable after construction,
-all functions are pure.
+normalise once per result; every elimination is read off
+:func:`_one_pivot`.  Fractions or RatFuns are made only for the scalars
+a routine returns, by :func:`_scalars` as for :attr:`Matrix.entries`.
+Matrices are immutable after construction, all functions are pure.
 """
 
 from __future__ import annotations
@@ -202,10 +203,7 @@ class Matrix:
         """The rows of scalars, built on each read (read it once where
         many entries are needed): Fractions of a rational matrix,
         RatFuns of a Q(q) one."""
-        den = self._den
-        if self._ints is None:
-            return tuple(tuple(_ratfun(x, den) for x in row) for row in self._polys)
-        return tuple(tuple(Fraction(x, den) for x in row) for row in self._ints)
+        return _scalars(_ring_rows(self), self._den)
 
     def entry(self, i: int, j: int):
         """Entry (i, j), without building the others."""
@@ -389,54 +387,34 @@ def _times_columns(m: Matrix, c) -> Matrix:
     return _poly_matrix(rows, _pmul(mden, den))
 
 
+def _scalars(rows, den) -> tuple:
+    """Ring rows over den as rows of scalars: Fractions over an int den,
+    RatFuns over an int polynomial one."""
+    if type(den) is int:
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+    return tuple(tuple(_ratfun(x, den) for x in row) for row in rows)
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of coordinate space, held as a reduced-echelon basis.
 
     Basis rows are pairwise independent with strictly increasing pivot
-    columns; the zero space has an empty basis.
+    columns, each 1 at its pivot (:func:`kernel` divides the rows of
+    :func:`_one_pivot` by D); the zero space has an empty basis.
     """
 
     ambient: int
     basis: tuple
-
-    @classmethod
-    def from_vectors(cls, ambient: int, vectors) -> "Subspace":
-        rows = [list(v) for v in vectors]
-        for r in rows:
-            if len(r) != ambient:
-                raise DahaError("vector length does not match ambient dimension")
-        reduced, _ = _rref_rows(Matrix(rows)) if rows else ([], [])
-        return cls(ambient, tuple(tuple(r) for r in reduced))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
 
-def _rref_rows(m: Matrix):
-    """Reduced row echelon form of m's rows: (nonzero rows, pivot cols).
-
-    m's ring rows (a nonzero multiple of m, so the same row space) are
-    eliminated fraction-free by :func:`_int_rref` or :func:`_poly_rref`,
-    and each row is divided by its pivot once, at the end, into
-    Fractions or RatFuns.  The reduced row echelon form of a space is
-    unique, so it is the one elimination over the field gives.
-    """
-    if m._ints is None:
-        reduced, pivots = _poly_rref(m._polys)
-        return [[_ratfun(x, row[p]) for x in row] for row, p in zip(reduced, pivots)], pivots
-    reduced, pivots = _int_rref(m)
-    zero = Fraction(0)
-    return [
-        [Fraction(x, row[p]) if x else zero for x in row]
-        for row, p in zip(reduced, pivots)
-    ], pivots
-
-
 def _int_rref(m: Matrix):
-    """:func:`_rref_rows` of a rational m before the division by the
-    pivots: primitive int rows, each a multiple of a reduced row."""
+    """The reduced row echelon form of a rational m, up to one nonzero
+    factor per row: (primitive int rows, pivot columns)."""
     basis = {}  # pivot column -> [primitive int row, its support]
     for row in m._ints:
         _int_insert(basis, row)
@@ -478,8 +456,8 @@ def _one_pivot(m: Matrix):
     when there is none): (rows, pivot columns, D).  Each step is an
     invertible row operation over m's field, so the row space is kept,
     every pivot ends equal to D and the reduced row echelon form is the
-    rows over D; :func:`kernel_line` and :func:`inverse` read it off
-    alike on both rings."""
+    rows over D; rank, kernel, kernel_line, inverse and solve_right read
+    every elimination off it, alike on both rings."""
     if m._ints is not None:
         reduced, pivots = _int_rref(m)
         heads = [row[p] for row, p in zip(reduced, pivots)]
@@ -511,39 +489,47 @@ def _combine(s, row, c, top):
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref_rows(m)[1])
+    """The number of pivots of :func:`_one_pivot`."""
+    return len(_one_pivot(m)[1])
+
+
+def _null_vectors(reduced, pivots, top, cols) -> list:
+    """The kernel's spanning vectors in the ring of the rows of
+    :func:`_one_pivot`, every pivot top = D: for each free column f,
+    v_f = D, v_p = -row[f] at each pivot column p and 0 elsewhere."""
+    zero = 0 if type(top) is int else ()
+    vectors = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [zero] * cols
+        v[f] = top
+        for row, p in zip(reduced, pivots):
+            x = row[f]
+            v[p] = -x if type(x) is int else [-c for c in x]
+        vectors.append(v)
+    return vectors
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Basis of the right null space; dim = cols - rank."""
-    reduced, pivots = _rref_rows(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    field = m.field
-    vectors = []
-    for fc in free:
-        v = [field.zero] * m.cols
-        v[fc] = field.one
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
-        vectors.append(v)
-    return Subspace.from_vectors(m.cols, vectors)
+    """Basis of the right null space; dim = cols - rank.
+
+    The null vectors of :func:`_null_vectors` are brought to reduced
+    echelon form by a second :func:`_one_pivot` on their ring rows and
+    divided by its D once, so scalars are made for the basis alone."""
+    vectors = _null_vectors(*_one_pivot(m), m.cols)
+    if not vectors:
+        return Subspace(m.cols, ())
+    reduced, _, top = _one_pivot(_ring_matrix(vectors, 1 if m._ints is not None else (1,)))
+    return Subspace(m.cols, _scalars(reduced, top))
 
 
 def kernel_line(m: Matrix):
     """A vector spanning the kernel of m when that kernel is a line, else
-    None, in m's ring (ints or int polynomials).  With the rows of
-    :func:`_one_pivot`, every pivot D, and free column f it is v_f = D
-    and v_p = -row[f] at each pivot column p."""
+    None, in m's ring (ints or int polynomials): the one vector of
+    :func:`_null_vectors`, built only when the kernel is a line."""
     reduced, pivots, top = _one_pivot(m)
     if len(pivots) != m.cols - 1:
         return None
-    free = next(c for c, p in enumerate(pivots + [m.cols]) if c != p)
-    v = [top] * m.cols
-    for row, p in zip(reduced, pivots):
-        x = row[free]
-        v[p] = -x if type(x) is int else [-c for c in x]
-    return v
+    return _null_vectors(reduced, pivots, top, m.cols)[0]
 
 
 def eigenbasis(w: Matrix, of: Matrix):
@@ -656,21 +642,25 @@ def inverse(m: Matrix) -> Matrix:
 def solve_right(m: Matrix, rhs):
     """The unique solution x of m x = rhs, or None when none/ambiguous.
 
+    With m = A/a and rhs = b/c on ring rows, m x = rhs iff (c*A) x = a*b,
+    so [c*A | a*b] is built once and reduced by :func:`_one_pivot`: x is
+    its last column over D, as :func:`inverse` reads its right block.
     No program code calls it; it stays because the benchmark's tracer
     wraps it by name (see ``tests/test_trace_targets.py``).
     """
     rhs = list(rhs)
     if len(rhs) != m.rows:
         raise DahaError("right-hand side length mismatch")
-    # [m | rhs] = m * [I | 0] + rhs * [0 ... 0 1], in the field of both
-    widen = Matrix([[int(i == j) for j in range(m.cols + 1)] for i in range(m.cols)])
-    last = Matrix([[0] * m.cols + [1]])
-    reduced, pivots = _rref_rows(m * widen + Matrix([[b] for b in rhs]) * last)
-    if m.cols in pivots:
-        return None  # inconsistent
-    if len(pivots) != m.cols:
-        return None  # underdetermined
-    return tuple(row[-1] for row in reduced)  # pivots are 0..cols-1
+    b = Matrix([[x] for x in rhs])
+    if m._ints is not None and b._ints is not None:
+        rows, one = [[b._den * x for x in r] + [m._den * y] for r, (y,) in zip(m._ints, b._ints)], 1
+    else:
+        (ar, ad), (br, bd) = _poly_rows(m), _poly_rows(b)
+        rows, one = [[*x, *y] for x, y in zip(_times_rows(ar, bd), _times_rows(br, ad))], (1,)
+    reduced, pivots, top = _one_pivot(_ring_matrix(rows, one))
+    if pivots != list(range(m.cols)):
+        return None  # inconsistent (a pivot in the last column) or underdetermined
+    return _scalars([[row[-1] for row in reduced]], top)[0]
 
 
 def solve_sylvester_homogeneous(pairs) -> Subspace:

@@ -275,6 +275,13 @@ def _diff_detail(diff: Matrix) -> str:
     return "difference " + repr(diff)
 
 
+def _central_scalars(m: ModuleRep):
+    """The scalar c_i with t_i + t_i^{-1} = c_i, None where that sum is
+    not a scalar matrix, for i = 0..3 in turn: each inverse is read only
+    when its term is reached."""
+    return ((t + tinv).scalar_value() for t, tinv in zip(m.t, m.tinv))
+
+
 def verify_relations(m: ModuleRep) -> Report:
     """Check the defining relations on a module.
 
@@ -302,8 +309,7 @@ def verify_relations(m: ModuleRep) -> Report:
             ok = prod == ident
             detail = "" if ok else _diff_detail(prod - ident)
         items.append(CheckItem(f"{name}^-1*{name} = 1", ok, detail))
-    for i in range(4):
-        c = (m.t[i] + m.tinv[i]).scalar_value()
+    for i, c in enumerate(_central_scalars(m)):
         ok = c is not None
         items.append(
             CheckItem(
@@ -324,8 +330,7 @@ def verify_relations(m: ModuleRep) -> Report:
 def central_character(m: ModuleRep):
     """The four scalars by which the central combinations t_i + t_i^{-1} act."""
     out = []
-    for i in range(4):
-        c = (m.t[i] + m.tinv[i]).scalar_value()
+    for i, c in enumerate(_central_scalars(m)):
         if c is None:
             raise ParameterError(f"{GEN_NAMES[i]}+{GEN_NAMES[i]}^-1 is not scalar")
         out.append(c)

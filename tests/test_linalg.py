@@ -14,7 +14,6 @@ from daha import linalg
 from daha.errors import InputError, SingularMatrixError
 from daha.linalg import (
     Matrix,
-    Subspace,
     det,
     inverse,
     kernel,
@@ -24,7 +23,7 @@ from daha.linalg import (
     solve_sylvester_homogeneous,
     span_closure,
     _int_insert,
-    _rref_rows,
+    _one_pivot,
 )
 from daha.analysis import (
     _recover,
@@ -38,7 +37,15 @@ from daha.analysis import (
 from daha.modrep import ModuleRep, _ladder_block, make_E, make_O
 from daha.params import canonical_orbit_rep
 from daha.sampling import adversarial_even, adversarial_odd, sample_params
-from daha.scalar import QQ_Q, RatFun, _pgcd, as_scalar, scalar_from_str, scalar_to_str
+from daha.scalar import (
+    QQ_Q,
+    RatFun,
+    _pgcd,
+    _ratfun,
+    as_scalar,
+    scalar_from_str,
+    scalar_to_str,
+)
 
 Q = RatFun.variable()
 
@@ -72,6 +79,25 @@ def _field_rref_rows(rows):
         if r == len(rows):
             break
     return rows[:r], pivots
+
+
+def one_pivot_rref(m):
+    """The reduced row echelon form read off _one_pivot: its rows divided
+    by their one pivot D, as scalars, and the pivot columns."""
+    reduced, pivots, top = _one_pivot(m)
+    over = Fraction if type(top) is int else _ratfun
+    return [[over(x, top) for x in row] for row in reduced], pivots
+
+
+def field_one_pivot(m):
+    """A stand-in for _one_pivot that eliminates m's scalar entries by the
+    field loop: the ring rows of the reduced rows, the pivots, and the
+    denominator of those rows as D (the ring's one when there is none)."""
+    reduced, pivots = _field_rref_rows([list(r) for r in m.entries])
+    if not reduced:
+        return [], [], 1 if m._ints is not None else (1,)
+    r = Matrix(reduced)
+    return [list(row) for row in linalg._ring_rows(r)], pivots, r._den
 
 
 def _field_det(entries):
@@ -126,10 +152,10 @@ def rand_matrix(rng, n, height=9):
 
 
 def test_rref_examples():
-    assert _rref_rows(Matrix.identity(3)) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2])
-    assert _rref_rows(Matrix([[1, 1], [1, 1]])) == ([[1, 1]], [0])
-    assert _rref_rows(Matrix([[0, 0], [0, 0]])) == ([], [])
-    assert _rref_rows(Matrix([[0, 2, 4], [0, 1, 3]])) == ([[0, 1, 0], [0, 0, 1]], [1, 2])
+    assert one_pivot_rref(Matrix.identity(3)) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2])
+    assert one_pivot_rref(Matrix([[1, 1], [1, 1]])) == ([[1, 1]], [0])
+    assert one_pivot_rref(Matrix([[0, 0], [0, 0]])) == ([], [])
+    assert one_pivot_rref(Matrix([[0, 2, 4], [0, 1, 3]])) == ([[0, 1, 0], [0, 0, 1]], [1, 2])
 
 
 def test_kernel_examples():
@@ -233,8 +259,9 @@ def test_span_closure_permutation_invariant(p_even_d1):
 
 
 def test_subspace_contains():
-    s = Subspace.from_vectors(3, [[1, 0, 1], [0, 1, 1]])
-    assert s.dim == 2
+    # the plane x + y = z, its basis in reduced echelon form
+    s = kernel(Matrix([[1, 1, -1]]))
+    assert s.dim == 2 and s.basis == ((1, 0, 1), (0, 1, 1))
     assert rank(Matrix(list(s.basis) + [[1, 1, 2]])) == 2
     assert rank(Matrix(list(s.basis) + [[0, 0, 1]])) == 3
 
@@ -796,14 +823,14 @@ def test_integer_closure_matches_sympy_rank(p_even_d1, p_even_d1_reducible, p_od
 
 
 def scalars_of_results(m, rhs, vectors):
-    """Every scalar that _rref_rows, kernel, inverse, solve_right, det and
-    Subspace.from_vectors return for the square invertible matrix m."""
-    out = [e for row in _rref_rows(m)[0] for e in row]
-    out += [e for v in kernel(m).basis for e in v]
+    """Every scalar that kernel, inverse, solve_right and det return for
+    the square invertible matrix m, and the basis of the kernel of the
+    matrix whose rows are vectors."""
+    out = [e for v in kernel(m).basis for e in v]
     out += [e for row in inverse(m).entries for e in row]
     out += list(solve_right(m, rhs))
     out.append(det(m))
-    out += [e for v in Subspace.from_vectors(len(vectors[0]), vectors).basis for e in v]
+    out += [e for v in kernel(Matrix(vectors)).basis for e in v]
     return out
 
 
@@ -835,17 +862,18 @@ def test_rational_results_have_one_scalar_type():
 
 @pytest.fixture
 def field_loop(monkeypatch):
-    """A context in which _rref_rows, rank, kernel, inverse, solve_right,
-    Subspace.from_vectors and det run the field loops on any input."""
+    """A context in which rank, kernel, inverse, solve_right and det run
+    the field loops on any input: rank, kernel and solve_right read every
+    elimination off _one_pivot, which field_one_pivot stands in for."""
     @contextmanager
     def context():
         with monkeypatch.context() as patch:
-            patch.setattr(
-                linalg, "_rref_rows", lambda m: _field_rref_rows([list(r) for r in m.entries])
-            )
+            patch.setattr(linalg, "_one_pivot", field_one_pivot)
             patch.setattr(linalg, "_int_det", lambda m: _field_det(m.entries))
             patch.setattr(linalg, "_poly_det", lambda m: _field_det(m.entries))
-            # inverse reads its rows off _int_rref or _poly_rref, not _rref_rows
+            # the whole inverse, not only its elimination: the [A | den*I]
+            # rows and the read-off of the right block stay out of the
+            # reference too
             patch.setattr(linalg, "inverse", field_inverse)
             yield
 
@@ -907,7 +935,7 @@ def test_integer_elimination_matches_field_loop(field_loop):
     assert any(r["rank"] < min(m.shape) for m, r in zip(grid, expected))
     assert any(r.get("inverse") for r in expected)
     for m, want in zip(grid, expected):
-        assert _rref_rows(m) == _field_rref_rows([list(r) for r in m.entries]), m
+        assert one_pivot_rref(m) == _field_rref_rows([list(r) for r in m.entries]), m
         assert results(m) == want, m
 
 
@@ -978,7 +1006,7 @@ def test_polynomial_elimination_matches_the_field_loop(field_loop):
     singular = [m for m, r in zip(grid, expected) if m.is_square() and not r["det"]]
     assert len(singular) >= 5 and any(m.rows == 1 for m in singular)
     for m, want in zip(grid, expected):
-        assert _rref_rows(m) == _field_rref_rows([list(r) for r in m.entries]), m
+        assert one_pivot_rref(m) == _field_rref_rows([list(r) for r in m.entries]), m
         assert results(m) == want, m
         line = kernel_line(m)
         if want["kernel"].dim == 1:
@@ -1063,6 +1091,29 @@ def test_formal_routines_read_no_entries(monkeypatch):
         assert solve_sylvester_homogeneous(zip(t, t)).dim == 1
 
 
+def test_kernel_rank_and_sylvester_build_no_matrix_from_scalars(monkeypatch):
+    """rank, kernel and the Sylvester solve stay on ring rows from input
+    to basis: with Matrix.__init__, the way in from scalars, patched to
+    raise, each still answers on a rational and on a Q(q) input."""
+    inputs = [
+        Matrix([[1, 2, 3], [2, 4, 6], [Fraction(1, 2), 0, 1]]),
+        Matrix([[Q, 1, Q + 1], [Q * Q, Q, Q * Q + Q], [0, 0, 0]]),
+    ]
+
+    def answers(m):
+        return rank(m), kernel(m), solve_sylvester_homogeneous([(m, m)])
+
+    wants = [answers(m) for m in inputs]
+    assert [(r, k.dim) for r, k, _ in wants] == [(2, 1), (1, 2)]
+
+    def refuse(*args):
+        raise AssertionError("a matrix was built from scalars")
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    for m, want in zip(inputs, wants):
+        assert answers(m) == want
+
+
 @pytest.mark.parametrize("e", range(4))
 @pytest.mark.parametrize("family,d", [("even", 1), ("even", 3), ("odd", 2)])
 def test_formal_classify_reads_single_entries_only(monkeypatch, family, d, e):
@@ -1097,7 +1148,7 @@ def test_integer_elimination_matches_sympy():
         sm = sympy.Matrix(
             [[sympy.Rational(e.numerator, e.denominator) for e in row] for row in m.entries]
         )
-        reduced, pivots = _rref_rows(m)
+        reduced, pivots = one_pivot_rref(m)
         sreduced, spivots = sm.rref()
         assert pivots == list(spivots)
         assert [[fraction(e) for e in row] for row in sreduced.tolist()] == reduced + [
