@@ -9,8 +9,11 @@ polynomial denominator in the canonical form that
 elimination, the determinant (Bareiss's), the inverse, the Sylvester
 solve and the span closure run fraction-free on those rows and
 normalise once per result; every elimination is read off
-:func:`_one_pivot`.  Fractions or RatFuns are made only for the scalars
-a routine returns, by :func:`_scalars` as for :attr:`Matrix.entries`.
+:func:`_one_pivot`.  The back-elimination :func:`_rref`, Bareiss's loop
+:func:`_bareiss` and the span closure :func:`_closure` are each written
+once and handed the int or the Z[q] row operations.  Fractions or
+RatFuns are made only for the scalars a routine returns, by
+:func:`_scalars` as for :attr:`Matrix.entries`.
 Matrices are immutable after construction, all functions are pure.
 """
 
@@ -38,7 +41,6 @@ from .scalar import (
     _ppow,
     _ratfun,
     _rational_lists,
-    _ZERO,
     as_scalar,
     as_scalars,
     json_field,
@@ -412,13 +414,17 @@ class Subspace:
         return len(self.basis)
 
 
-def _int_rref(m: Matrix):
-    """The reduced row echelon form of a rational m, up to one nonzero
-    factor per row: (primitive int rows, pivot columns)."""
-    basis = {}  # pivot column -> [primitive int row, its support]
-    for row in m._ints:
-        _int_insert(basis, row)
-        if len(basis) == m.cols:
+def _rref(rows, insert, clear):
+    """The reduced row echelon form of ring rows, up to one nonzero factor
+    per row: (rows, pivot columns).  The rows are inserted by insert
+    (:func:`_int_insert` or :func:`_poly_insert`, each storing ``[row,
+    ...]`` at its pivot) until the basis is full, then each pivot column
+    is cleared from the rows above by clear (:func:`_cancel` or
+    :func:`_poly_clear`), the gcd-cancelled step that keeps the primitive
+    part."""
+    basis = {}  # pivot column -> [row, what insert keeps beside it]
+    for row in rows:
+        if insert(basis, row) and len(basis) == len(row):
             break
     pivots = sorted(basis)
     reduced = [basis[p][0] for p in pivots]
@@ -426,44 +432,25 @@ def _int_rref(m: Matrix):
         p, b = pivots[k], reduced[k]
         for i in range(k):
             if reduced[i][p]:
-                reduced[i] = _primitive(_cancel(reduced[i], b, p))
-    return reduced, pivots
-
-
-def _poly_rref(rows):
-    """:func:`_int_rref` of int polynomial rows: the rows are inserted by
-    :func:`_poly_insert`, and each pivot column is cleared from the rows
-    above by the same gcd-cancelled step, keeping primitive parts."""
-    basis = {}
-    for row in rows:
-        if _poly_insert(basis, row) and len(basis) == len(row):
-            break
-    pivots = sorted(basis)
-    reduced = [basis[p] for p in pivots]
-    for k in range(len(pivots) - 1, 0, -1):
-        p, b = pivots[k], reduced[k]
-        for i in range(k):
-            if reduced[i][p]:
-                v = _poly_cancel(reduced[i], b, p)
-                reduced[i] = _canonical_polys(v, v[pivots[i]])[0]
+                reduced[i] = clear(reduced[i], b, p)
     return reduced, pivots
 
 
 def _one_pivot(m: Matrix):
-    """m's ring rows eliminated by :func:`_int_rref` or :func:`_poly_rref`,
-    then each row multiplied by D/h, h its pivot and D the lcm of the
-    pivots (positive, or with a positive leading coefficient; 1 or (1,)
-    when there is none): (rows, pivot columns, D).  Each step is an
-    invertible row operation over m's field, so the row space is kept,
-    every pivot ends equal to D and the reduced row echelon form is the
-    rows over D; rank, kernel, kernel_line, inverse and solve_right read
-    every elimination off it, alike on both rings."""
+    """m's ring rows eliminated by :func:`_rref`, then each row multiplied
+    by D/h, h its pivot and D the lcm of the pivots (positive, or with a
+    positive leading coefficient; 1 or (1,) when there is none): (rows,
+    pivot columns, D).  Each step is an invertible row operation over m's
+    field, so the row space is kept, every pivot ends equal to D and the
+    reduced row echelon form is the rows over D; rank, kernel,
+    kernel_line, inverse and solve_right read every elimination off it,
+    alike on both rings."""
     if m._ints is not None:
-        reduced, pivots = _int_rref(m)
+        reduced, pivots = _rref(m._ints, _int_insert, _cancel)
         heads = [row[p] for row, p in zip(reduced, pivots)]
         top = lcm(*heads)
         return [[x * (top // h) for x in row] for row, h in zip(reduced, heads)], pivots, top
-    reduced, pivots = _poly_rref(m._polys)
+    reduced, pivots = _rref(m._polys, _poly_insert, _poly_clear)
     heads = [row[p] for row, p in zip(reduced, pivots)]
     top = heads[0] if heads else (1,)
     for h in heads[1:]:
@@ -476,6 +463,14 @@ def _poly_cancel(v, b, p):
     b[p] and v[p], which divides both in Z[q] (Gauss's lemma)."""
     g = _pgcd(b[p], v[p])
     return _combine(_pexquo(b[p], g), v, _pexquo(v[p], g), b)
+
+
+def _poly_clear(v, b, p):
+    """:func:`_poly_cancel` kept as its primitive part, the first nonzero
+    entry with a positive leading coefficient, as :func:`_poly_insert`
+    stores a row."""
+    v = _poly_cancel(v, b, p)
+    return _canonical_polys(v, next(filter(None, v)))[0]
 
 
 def _combine(s, row, c, top):
@@ -564,59 +559,56 @@ def eigenbasis(w: Matrix, of: Matrix):
 
 
 def det(m: Matrix):
-    """Exact determinant, by Bareiss's fraction-free elimination (Math.
-    Comp. 22, 1968) on the int or int polynomial rows A of m = A/den.
-
-    The step at pivot pv turns each row below into ``(pv*row -
-    row[k]*top) / prev``, prev the pivot before (1 at first).  By
-    Sylvester's identity, after k steps entry (i, j) is the minor of A on
-    rows 1..k, i and columns 1..k, j (rows as swapped), so every division
-    is exact in Z or Z[q] and the last pivot is det A; each swap flips
-    the sign, and det m is det A over den**n, a Fraction or a RatFun.
-    """
+    """Exact determinant: :func:`_bareiss` on the int or int polynomial
+    rows A of m = A/den gives det A, and det m is det A over den**n, a
+    Fraction or a RatFun."""
     if not m.is_square():
         raise DahaError("determinant of a non-square matrix")
     if m._ints is not None:
-        return _int_det(m)
-    return _poly_det(m)
+        sign, d = _bareiss(m._ints, 1, 0, _int_step)
+        return Fraction(sign * d, m._den ** m.rows)
+    sign, d = _bareiss(m._polys, (1,), (), _poly_step)
+    return _ratfun([sign * x for x in d], _ppow(m._den, m.rows))
 
 
-def _int_det(m: Matrix):
-    """Bareiss elimination on the int rows of a rational matrix; a Fraction."""
-    rows = list(m._ints)
+def _bareiss(rows, one, zero, step):
+    """Bareiss's fraction-free elimination (Math. Comp. 22, 1968) on the
+    square ring rows A: (sign, d) with det A = sign*d.
+
+    The step at pivot pv = top[k] turns each row below into ``(pv*row -
+    row[k]*top) / prev``, prev the pivot before (one at first).  By
+    Sylvester's identity, after k steps entry (i, j) is the minor of A on
+    rows 1..k, i and columns 1..k, j (rows as swapped), so every division
+    is exact in Z or Z[q] and the last pivot is det A.  A zero pivot is
+    swapped with the first row below that is nonzero in its column, each
+    swap flipping the sign; a column with none gives det A = zero.  step
+    is :func:`_int_step` or :func:`_poly_step`."""
+    rows = list(rows)
     n = len(rows)
-    sign, prev = 1, 1
+    sign, prev = 1, one
     for k in range(n - 1):
         if not rows[k][k]:
             pr = next((i for i in range(k + 1, n) if rows[i][k]), None)
             if pr is None:
-                return Fraction(0)
-            rows[k], rows[pr] = rows[pr], rows[k]
-            sign = -sign
-        rk = rows[k]
-        pv = rk[k]
+                return 1, zero
+            rows[k], rows[pr], sign = rows[pr], rows[k], -sign
+        top = rows[k]
+        pv = top[k]
         for i in range(k + 1, n):
-            f = rows[i][k]
-            rows[i] = [(pv * a - f * b) // prev for a, b in zip(rows[i], rk)]
+            rows[i] = step(pv, rows[i], rows[i][k], top, prev)
         prev = pv
-    return Fraction(sign * rows[-1][-1], m._den ** n)
+    return sign, rows[-1][-1]
 
 
-def _poly_det(m: Matrix):
-    """:func:`_int_det` on the int polynomial rows of a Q(q) matrix, each
-    step dropping the pivot's row and column; a RatFun."""
-    rows, sign, prev = list(m._polys), 1, (1,)
-    while len(rows) > 1:
-        pr = next((i for i, row in enumerate(rows) if row[0]), None)
-        if pr is None:
-            return _ZERO
-        if pr:
-            rows[0], rows[pr], sign = rows[pr], rows[0], -sign
-        (pv, *top), rows = rows[0], rows[1:]
-        rows = [[_pexquo(x, prev) if x else () for x in _combine(pv, row[1:], row[0], top)]
-                for row in rows]
-        prev = pv
-    return _ratfun([sign * x for x in rows[0][0]], _ppow(m._den, m.rows))
+def _int_step(pv, row, f, top, prev):
+    """One Bareiss step on int rows: ``(pv*row - f*top) // prev``."""
+    return [(pv * a - f * b) // prev for a, b in zip(row, top)]
+
+
+def _poly_step(pv, row, f, top, prev):
+    """:func:`_int_step` on int polynomial rows, divided by
+    :func:`~daha.scalar._pexquo`."""
+    return [_pexquo(x, prev) if x else () for x in _combine(pv, row, f, top)]
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -746,7 +738,9 @@ def span_closure(gens) -> int:
 
 
 def _closure(gens, ident, product, insert, cap) -> int:
-    """Close the span of ident under left multiplication by gens.
+    """Close the span of ident under left multiplication by gens, on
+    either ring: product and insert are the int or the Z[q] ones, as
+    :func:`_rref` and :func:`_bareiss` take the ring's row operations.
 
     Soundness.  Let S be the span of the inserted words (ident and every
     product that enlarged the basis).  S holds ident and lies in the
@@ -825,7 +819,7 @@ def _int_insert(basis, v) -> bool:
     other step multiplies u by s*sign first and resets sign to 1.  The
     stored row is ``sign * u`` divided by the gcd of its entries: the
     row the step-by-step recurrence gives, sign included, so
-    :func:`_int_rref` and :func:`kernel_line` see the same rows.
+    :func:`_rref` and :func:`kernel_line` see the same rows.
     """
     v = list(v)
     sign = 1  # the reduced vector is sign * v
@@ -864,27 +858,29 @@ def _int_insert(basis, v) -> bool:
 
 
 def _cancel(v, b, p):
-    """``(b[p]/g)*v - (v[p]/g)*b`` with ``g = gcd(b[p], v[p])``: zero at p."""
+    """``(b[p]/g)*v - (v[p]/g)*b`` with ``g = gcd(b[p], v[p])``, zero at p,
+    divided by the gcd of its entries."""
     g = gcd(b[p], v[p])
     bp, c = b[p] // g, v[p] // g
-    return [bp * x - c * y for x, y in zip(v, b)]
+    return _primitive([bp * x - c * y for x, y in zip(v, b)])
 
 
 def _poly_insert(basis, v) -> bool:
     """:func:`_int_insert` on a flat vector of int polynomials: the
     leading entry p of v is cleared by :func:`_poly_cancel` while a basis
-    row has its pivot there, and an independent v is stored at p as its
-    primitive part (divided by the gcd of its entries in Z[q], v[p] with
-    a positive leading coefficient)."""
+    row has its pivot there, and an independent v is stored at p as
+    ``[row, None]``, the row its primitive part (divided by the gcd of
+    its entries in Z[q], v[p] with a positive leading coefficient), in
+    the format :func:`_rref` reads."""
     p = 0
     while True:
         p = next((i for i in range(p, len(v)) if v[i]), None)
         if p is None:
             return False
         if p not in basis:
-            basis[p] = _canonical_polys(v, v[p])[0]
+            basis[p] = [_canonical_polys(v, v[p])[0], None]
             return True
-        v = _poly_cancel(v, basis[p], p)
+        v = _poly_cancel(v, basis[p][0], p)
 
 
 def _primitive(v):

@@ -137,9 +137,6 @@ class _Inverses(Sequence):
     def __hash__(self):
         return hash(tuple(self))
 
-    def __radd__(self, other):
-        return other + tuple(self)
-
 
 @dataclass(frozen=True)
 class ModuleRep:

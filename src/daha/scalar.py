@@ -506,8 +506,6 @@ class RationalField:
     """Arbitrary-precision rationals; numeric default q = 2."""
 
     name = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
 
     @staticmethod
     def default_q() -> Fraction:
@@ -518,8 +516,6 @@ class RatFunField:
     """Rational functions in the formal variable q."""
 
     name = "ratfun"
-    zero = _ZERO
-    one = _ONE
 
     @staticmethod
     def default_q() -> RatFun:

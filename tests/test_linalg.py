@@ -126,6 +126,15 @@ def _field_det(entries):
     return acc if sign > 0 else -acc
 
 
+def field_bareiss(rows, one, zero, step):
+    """A stand-in for _bareiss that runs _field_det on the scalars of the
+    ring rows: (1, det) with det back in the ring, an int or an int
+    polynomial (det of ring rows lies in the ring, so its denominator is
+    1)."""
+    d = _field_det(linalg._scalars(rows, one))
+    return 1, d.numerator if type(one) is int else d._n
+
+
 def _field_insert(basis, mat):
     """Reduce mat against basis by division; store it when independent."""
     v = [e for row in mat.entries for e in row]
@@ -864,13 +873,13 @@ def test_rational_results_have_one_scalar_type():
 def field_loop(monkeypatch):
     """A context in which rank, kernel, inverse, solve_right and det run
     the field loops on any input: rank, kernel and solve_right read every
-    elimination off _one_pivot, which field_one_pivot stands in for."""
+    elimination off _one_pivot, which field_one_pivot stands in for, and
+    det runs _bareiss on both rings, which field_bareiss stands in for."""
     @contextmanager
     def context():
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "_one_pivot", field_one_pivot)
-            patch.setattr(linalg, "_int_det", lambda m: _field_det(m.entries))
-            patch.setattr(linalg, "_poly_det", lambda m: _field_det(m.entries))
+            patch.setattr(linalg, "_bareiss", field_bareiss)
             # the whole inverse, not only its elimination: the [A | den*I]
             # rows and the read-off of the right block stay out of the
             # reference too
@@ -901,10 +910,20 @@ def results(m):
     return out
 
 
+def bareiss_branches(x, c):
+    """Matrices in x (2 or q), some over the denominator of c, on which
+    det's one Bareiss loop takes each branch: a zero pivot at step 1
+    swapped with the row below, and a column with no pivot at step 1 and
+    at step 0, where the last entry is nonzero but det is 0."""
+    swap = Matrix([[1, x, x * x], [x, x * x, 1], [1, 1 + x, 2]])
+    stuck = Matrix([[x, 1, 0], [x * x, x, 0], [0, 0, 1]])
+    return [swap, swap.scale(c), stuck, stuck.scale(c), Matrix([[0, 1], [0, x]])]
+
+
 def elimination_grid():
     """Seeded rational matrices: tall, wide and square, full rank and
     rank-deficient, with zero rows, 1x1, negative entries and
-    denominators of size 10^40."""
+    denominators of size 10^40; and the matrices of bareiss_branches."""
     rng = random.Random("int-elimination")
     big = 10 ** 40 + 7
 
@@ -925,7 +944,7 @@ def elimination_grid():
             with_zero_row = [list(row) for row in full.entries]
             with_zero_row[rng.randrange(rows)] = [Fraction(0)] * cols
             grid.append(Matrix(with_zero_row))
-    return grid
+    return grid + bareiss_branches(2, Fraction(1, 3))
 
 
 def test_integer_elimination_matches_field_loop(field_loop):
@@ -974,7 +993,8 @@ def formal_elimination_grid():
     matrices) and the products of its triples, where a tall block times
     a wide one is rank-deficient; random matrices of small rational
     functions, rank-deficient products of them and copies with a zeroed
-    row; and zero leading entries that force row swaps."""
+    row; zero leading entries that force row swaps; and the matrices of
+    bareiss_branches."""
     rng = random.Random("poly-elimination")
     grid = []
     for a, a2, b in poly_form_grid():
@@ -992,7 +1012,7 @@ def formal_elimination_grid():
         zeroed[rng.randrange(rows)] = [0] * cols
         grid.append(Matrix(zeroed).scale(Q ** 0))
     grid += [Matrix([[0, Q], [NM, 1]]), Matrix([[0, 0, Q], [0, NM, 1], [Q, 1, 0]])]
-    return grid
+    return grid + bareiss_branches(Q, 1 / (1 + Q))
 
 
 def test_polynomial_elimination_matches_the_field_loop(field_loop):
@@ -1158,10 +1178,23 @@ def test_integer_elimination_matches_sympy():
             assert det(m) == fraction(sm.det())
 
 
+def test_formal_bareiss_branches_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(e):
+        num, den = (sum(c * x ** i for i, c in enumerate(cs)) for cs in (e._n, e._d))
+        return num / den
+
+    for m in bareiss_branches(Q, 1 / (1 + Q)):
+        want = sympy.Matrix([[to_sympy(e) for e in row] for row in m.entries]).det()
+        assert sympy.cancel(to_sympy(det(m)) - want) == 0, m
+
+
 # -- inverse and printing on int rows, against Fractions ---------------------
 
 def test_inverse_matches_the_field_loop():
-    """inverse reads y_i/h_i off _int_rref's rows [h_i e_i | y_i]; the
+    """inverse reads y_i/h_i off _rref's rows [h_i e_i | y_i]; the
     canonical pair must be the one the field loop's [I | m^-1] gives,
     also where a head h_i is negative, and singular input raises."""
     rng = random.Random("int-inverse")
@@ -1186,7 +1219,7 @@ def test_inverse_matches_the_field_loop():
                 inverse(m)
             continue
         ints = [row + (0,) * i + (m._den,) + (0,) * (n - 1 - i) for i, row in enumerate(m._ints)]
-        heads = [row[i] for i, row in enumerate(linalg._int_rref(linalg._int_matrix(ints, 1))[0])]
+        heads = [row[i] for i, row in enumerate(linalg._rref(ints, _int_insert, linalg._cancel)[0])]
         negative_heads += sum(h < 0 for h in heads)
         want = Matrix([row[n:] for row in reduced])
         got = inverse(m)
