@@ -623,7 +623,7 @@ def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
         return None
     # T = R/D over its leading ring entry h is R/h: no product with a scalar
     rows = _ring_rows(t)
-    return _ring_matrix(rows, next(x for row in rows for x in row if x))
+    return _ring_matrix(t.ring, rows, next(x for row in rows for x in row if x))
 
 
 def _reaches_all(support, n: int, forward: bool) -> bool:

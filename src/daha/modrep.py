@@ -16,16 +16,15 @@ Matrices act on column coordinate vectors: the j-th column of a
 generator matrix is the coordinate vector of the generator applied to
 the j-th basis vector.  The generator columns are written once, in
 :func:`_verma_column`, on unreduced (numerator, denominator) pairs of a
-ring: ints for the blocks of rational params (:class:`_IntPairs`), int
-polynomials for the column table (:class:`_PolyPairs`).  No entry is
-reduced on its own.  A rational block goes into int rows over the lcm
-of its denominators, reduced once by :func:`daha.linalg._ring_matrix`;
-a formal block or a ladder vector is put into canonical form once, by
-:func:`daha.scalar._canonical_polys`.  Both forms are unique, so the
-result does not depend on the common factors or signs of the pairs.
-The column table :func:`_verma_columns` keeps each column that the
-ladder module and the formal-q blocks read, as int polynomials over
-one denominator, once per params.  The ladder factor
+ring of :mod:`daha.linalg` (:func:`_pairs`): Z for the blocks of
+rational params, Z[q] for the column table.  No entry is reduced on
+its own.  A block goes over one denominator by its ring and is reduced
+once by :func:`daha.linalg._ring_matrix`; a ladder vector is put into
+canonical form once, by :func:`daha.scalar._canonical_polys`.  Both
+forms are unique, so the result does not depend on the common factors
+or signs of the pairs.  The column table :func:`_verma_columns` keeps
+each column that the ladder module and the formal-q blocks read, as int
+polynomials over one denominator, once per params.  The ladder factor
 1 - c q^(2 ceil(i/2)) Op^(+-1) that every ladder check and the operator
 routes of the L-matrices multiply is written once, in
 :func:`_ladder_factor` (its scalar in :func:`_ladder_coef`).  Inverse
@@ -40,10 +39,10 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import lcm
+from types import SimpleNamespace
 
 from .errors import DahaError, InputError, ParameterError, TranscriptionError
-from .linalg import Matrix, _ring_matrix, inverse, rank
+from .linalg import ZZ, ZZ_Q, Matrix, _ring_matrix, inverse, rank
 from .params import (
     PARITY_EVEN,
     PARITY_ODD,
@@ -66,10 +65,8 @@ from .scalar import (
     QQ,
     QQ_Q,
     RatFun,
-    _padd,
     _parts,
     _pmul,
-    _ppow,
     json_field,
     scalar_pow,
     scalar_to_str,
@@ -481,66 +478,43 @@ class SparseVec(_OneDenominator):
         return f"SparseVec({body})"
 
 
-class _IntPairs:
-    """The ring of rational params' generator columns: a value n/d is an
-    int pair (n, d), d nonzero and of either sign, never reduced."""
+def _pairs(ring) -> SimpleNamespace:
+    """The fractions of a ring of :mod:`daha.linalg` as (numerator,
+    denominator) pairs, the denominator nonzero (of either sign over Z)
+    and never reduced, with the product, difference, negation,
+    reciprocal and power that :func:`_verma_column` reads, built from
+    the ring's mul, sub, neg and pow.  The formulas meet zero as a - k2
+    in a product and as 1/a - 1/k2 subtracted, at a = k2: a product
+    with a zero value is zero over one, and subtracting it returns the
+    other operand, so no denominator grows for it."""
+    mul, sub, neg, power = ring.mul, ring.sub, ring.neg, ring.pow
+    zero = ring.zero, ring.one
 
-    one = (1, 1)
-
-    @staticmethod
-    def mul(a, b):
-        return a[0] * b[0], a[1] * b[1]
-
-    @staticmethod
-    def sub(a, b):
-        return a[0] * b[1] - b[0] * a[1], a[1] * b[1]
-
-    @staticmethod
-    def neg(a):
-        return -a[0], a[1]
-
-    @staticmethod
-    def inv(a):
-        return a[1], a[0]
-
-    @staticmethod
-    def qpow(q, n: int):
-        return q[0] ** n, q[1] ** n
-
-
-class _PolyPairs:
-    """The ring of the column table: a value n/d is a pair of int
-    polynomials (n, d), d nonzero, never reduced.  A zero numerator is
-    empty, never a list of zeros, and never reaches ``_pmul``, which
-    multiplies nonzero polynomials: the formulas meet zero as a - k2 in
-    a product and as 1/a - 1/k2 subtracted, at a = k2."""
-
-    one = ((1,), (1,))
-
-    @staticmethod
-    def mul(a, b):
+    def pair_mul(a, b):
         if not a[0] or not b[0]:
-            return (), (1,)
-        return _pmul(a[0], b[0]), _pmul(a[1], b[1])
+            return zero
+        return mul(a[0], b[0]), mul(a[1], b[1])
 
-    @staticmethod
-    def sub(a, b):
+    def pair_sub(a, b):
         if not b[0]:
             return a
-        diff = _padd(_pmul(a[0], b[1]), [-x for x in _pmul(b[0], a[1])])
-        return diff, _pmul(a[1], b[1])
+        return sub(mul(a[0], b[1]), mul(b[0], a[1])), mul(a[1], b[1])
 
-    @staticmethod
-    def neg(a):
-        return [-x for x in a[0]], a[1]
+    def pair_neg(a):
+        return neg(a[0]), a[1]
 
-    @staticmethod
     def inv(a):
         return a[1], a[0]
 
-    @staticmethod
     def qpow(q, n: int):
-        return _ppow(q[0], n), _ppow(q[1], n)
+        return power(q[0], n), power(q[1], n)
+
+    return SimpleNamespace(
+        one=(ring.one, ring.one), mul=pair_mul, sub=pair_sub, neg=pair_neg, inv=inv, qpow=qpow
+    )
+
+
+_INT_PAIRS, _POLY_PAIRS = _pairs(ZZ), _pairs(ZZ_Q)
 
 
 def _verma_column(gen: int, j: int, q, k, ring) -> dict:
@@ -548,7 +522,7 @@ def _verma_column(gen: int, j: int, q, k, ring) -> dict:
     one place the generator formulas are written.
 
     q and the four k's come as (numerator, denominator) pairs of ring,
-    :class:`_IntPairs` or :class:`_PolyPairs`, and so do the coordinates:
+    a view made by :func:`_pairs`, and so do the coordinates:
     each is built from the k's and powers q^n (n >= 1) by the ring's
     product, difference, negation and reciprocal, with no gcd and no
     reduction.  A pair is exact whatever common factors and signs it
@@ -610,14 +584,14 @@ def _verma_columns(p: ParamQuadruple) -> dict:
 
 def _column(gen: int, j: int, p: ParamQuadruple) -> tuple:
     """Column (gen, j) of p's column table, computed on first use: the
-    :class:`_PolyPairs` coordinates of :func:`_verma_column` (constant
+    Z[q] pair coordinates of :func:`_verma_column` (constant
     polynomials for rational params) go unreduced into one raw pair,
     which :mod:`daha.laurent`'s raw arithmetic takes as it is; callers
     canonicalise their results."""
     table = _verma_columns(p)
     col = table.get((gen, j))
     if col is None:
-        column = _verma_column(gen, j, _parts(p.q), tuple(map(_parts, p.k)), _PolyPairs)
+        column = _verma_column(gen, j, _parts(p.q), tuple(map(_parts, p.k)), _POLY_PAIRS)
         col = table[(gen, j)] = _raw_from_pairs(
             [(i, (n, tuple(d))) for i, (n, d) in column.items()]
         )
@@ -628,35 +602,31 @@ def _ladder_block(gen: int, rows: int, cols: int, p: ParamQuadruple) -> Matrix:
     """The top-left rows x cols block of generator gen on the basis
     m_0, m_1, ...: column j holds the coordinates of gen applied to m_j.
 
-    Rational params build each column's nonzero entries as
-    :class:`_IntPairs` and scatter them into int rows over the lcm of
-    their denominators; formal params sum the columns of the column
-    table, keyed by their row-major place, over one denominator.  Either
-    way one call, :func:`~daha.linalg._ring_matrix`, canonicalises the
-    block, and its form is unique whatever common factors or signs the
-    unreduced input had.
+    Formal params read the columns of the column table over Z[q], which
+    the ladder module shares; rational params build each column's
+    entries as Z pairs.  Either way the entries, keyed by their
+    row-major place, go over one denominator by the ring's
+    ``over_one``, and one call, :func:`~daha.linalg._ring_matrix`,
+    canonicalises the block, whose form is unique whatever common
+    factors or signs the unreduced input had.
     """
+    pairs = []
     if isinstance(p.q, RatFun):
-        pairs = []
+        ring = ZZ_Q
         for j in range(cols):
             terms, den = _column(gen, j, p)
             pairs += [(i * cols + j, (c, den)) for i, c in terms.items() if i < rows]
-        flat, den = _raw_from_pairs(pairs)
-        out = [[flat.get(i * cols + j, ()) for j in range(cols)] for i in range(rows)]
     else:
-        q = p.q.numerator, p.q.denominator
+        ring, q = ZZ, (p.q.numerator, p.q.denominator)
         k = [(x.numerator, x.denominator) for x in p.k]
-        entries = []
         for j in range(cols):
-            entries += [
-                (i, j, n, d) for i, (n, d) in _verma_column(gen, j, q, k, _IntPairs).items()
-                if n and i < rows
-            ]
-        den = lcm(*(d for *_, d in entries))
-        out = [[0] * cols for _ in range(rows)]
-        for i, j, n, d in entries:
-            out[i][j] = n * (den // d)
-    return _ring_matrix(out, den)
+            column = _verma_column(gen, j, q, k, _INT_PAIRS)
+            pairs += [(i * cols + j, pair) for i, pair in column.items() if i < rows]
+    flat, den = ring.over_one(pairs)
+    out = [[ring.zero] * cols for _ in range(rows)]
+    for key, x in flat.items():
+        out[key // cols][key % cols] = x
+    return _ring_matrix(ring, out, den)
 
 
 def _verma_forward(gen: int, raw: tuple, p: ParamQuadruple) -> tuple:

@@ -586,21 +586,22 @@ def test_spectral_route_certifies_formal_even_d7(e):
 
 
 def _in_q_of_q(m: Matrix) -> bool:
-    return m._ints is None and all(isinstance(e, RatFun) for row in m.entries for e in row)
+    return m.field is QQ_Q and all(isinstance(e, RatFun) for row in m.entries for e in row)
 
 
 def test_formal_values_hold_ratfuns_only(monkeypatch):
     """Formal params lift their rational k's into Q(q), and so every
     matrix, kernel basis and certificate built from them holds RatFuns
-    only, also where a rational operand meets a formal one."""
-    poly_matrix = daha.linalg._poly_matrix
+    only, also where a rational operand meets a formal one: every
+    matrix made over Z[q] is checked as it is made."""
+    ring_matrix = daha.linalg._ring_matrix
 
-    def checked(rows, den, out=None):
-        m = poly_matrix(rows, den, out)
-        assert _in_q_of_q(m)
+    def checked(ring, rows, den, m=None):
+        m = ring_matrix(ring, rows, den, m)
+        assert ring is not daha.linalg.ZZ_Q or _in_q_of_q(m)
         return m
 
-    monkeypatch.setattr(daha.linalg, "_poly_matrix", checked)
+    monkeypatch.setattr(daha.linalg, "_ring_matrix", checked)
     rng = random.Random("one-field")
     for sampler, d in ((sample_even, 1), (sample_even, 3), (sample_odd, 0), (sample_odd, 2)):
         p = sampler(rng, d, field=QQ_Q)

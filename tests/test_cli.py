@@ -363,7 +363,7 @@ def test_old_format_formal_files_read_like_the_pipe_form(tmp_path, old_format):
             assert any("|" not in json.dumps(m) for m in old_format(module)["t"])
         loaded = ModuleRep.from_json(json.loads(old.read_text()))
         assert loaded.params == module.params and loaded.to_json() == module.to_json()
-        assert all(m._ints is None and all(isinstance(e, RatFun) for row in m.entries for e in row)
+        assert all(m.field is QQ_Q and all(isinstance(e, RatFun) for row in m.entries for e in row)
                    for m in loaded.t + tuple(loaded.tinv))
         for argv in (("verify", "--in"), ("classify", "--in"),
                      ("intertwiner", "--b", str(new), "--a")):

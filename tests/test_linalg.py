@@ -15,6 +15,7 @@ from daha.errors import InputError, SingularMatrixError
 from daha.linalg import (
     Matrix,
     det,
+    eigenbasis,
     inverse,
     kernel,
     kernel_line,
@@ -22,7 +23,7 @@ from daha.linalg import (
     solve_right,
     solve_sylvester_homogeneous,
     span_closure,
-    _int_insert,
+    ZZ,
     _one_pivot,
 )
 from daha.analysis import (
@@ -41,7 +42,6 @@ from daha.scalar import (
     QQ_Q,
     RatFun,
     _pgcd,
-    _ratfun,
     as_scalar,
     scalar_from_str,
     scalar_to_str,
@@ -85,8 +85,7 @@ def one_pivot_rref(m):
     """The reduced row echelon form read off _one_pivot: its rows divided
     by their one pivot D, as scalars, and the pivot columns."""
     reduced, pivots, top = _one_pivot(m)
-    over = Fraction if type(top) is int else _ratfun
-    return [[over(x, top) for x in row] for row in reduced], pivots
+    return [[m.ring.scalar(x, top) for x in row] for row in reduced], pivots
 
 
 def field_one_pivot(m):
@@ -95,7 +94,7 @@ def field_one_pivot(m):
     denominator of those rows as D (the ring's one when there is none)."""
     reduced, pivots = _field_rref_rows([list(r) for r in m.entries])
     if not reduced:
-        return [], [], 1 if m._ints is not None else (1,)
+        return [], [], m.ring.one
     r = Matrix(reduced)
     return [list(row) for row in linalg._ring_rows(r)], pivots, r._den
 
@@ -126,13 +125,14 @@ def _field_det(entries):
     return acc if sign > 0 else -acc
 
 
-def field_bareiss(rows, one, zero, step):
+def field_bareiss(rows, ring):
     """A stand-in for _bareiss that runs _field_det on the scalars of the
-    ring rows: (1, det) with det back in the ring, an int or an int
-    polynomial (det of ring rows lies in the ring, so its denominator is
-    1)."""
-    d = _field_det(linalg._scalars(rows, one))
-    return 1, d.numerator if type(one) is int else d._n
+    ring rows: det back in the ring, an int or an int polynomial (det of
+    ring rows lies in the ring, so the 1 x 1 matrix of det is its ring
+    entry over one)."""
+    d = Matrix([[_field_det(linalg._scalars(ring, rows, ring.one))]])
+    assert d._den == ring.one
+    return linalg._ring_rows(d)[0][0]
 
 
 def _field_insert(basis, mat):
@@ -474,8 +474,8 @@ def make_module(p):
 
 def assert_canonical(m):
     """The polynomial rows are in the documented canonical form."""
-    flat = [x for row in m._polys for x in row]
-    assert m._ints is None and m._den[-1] > 0 and all(x == () or x[-1] for x in flat)
+    flat = [x for row in m._rows for x in row]
+    assert m.field is QQ_Q and m._den[-1] > 0 and all(x == () or x[-1] for x in flat)
     assert gcd(*m._den, *(c for x in flat for c in x)) == 1
     common = m._den
     for x in flat:
@@ -527,7 +527,7 @@ def test_mixed_rational_and_polynomial_rows_match_the_field_loop():
         agree(r * b, fr * fb, RatFun)
         agree(a * rb, fa * frb, RatFun)
         lifted = r.scale(Q ** 0)
-        assert lifted._ints is None and lifted == r and r == lifted and hash(lifted) == hash(r)
+        assert lifted.field is QQ_Q and lifted == r and r == lifted and hash(lifted) == hash(r)
         assert (lifted == r.scale(Q)) == (r == zero_like(r))
 
 
@@ -575,7 +575,7 @@ def test_integer_closure_matches_field_loop():
         p = sample_params(rng, "odd" if d % 2 == 0 else "even", d, field=QQ_Q)
         for params in (p, with_non_monomial_k1(p)):
             gens = module_gens(params)
-            assert gens[0]._ints is None
+            assert gens[0].field is QQ_Q
             assert span_closure(gens) == field_closure(gens) == (d + 1) ** 2, params
 
 
@@ -739,14 +739,14 @@ def test_the_last_generator_is_dropped_on_a_module(monkeypatch):
     # t0*t1*t2*t3 = q**-1, so once the closure has formed that product
     # it never multiplies by t3 again, and the dimension is unchanged.
     m = make_E(sample_params(random.Random("drop-last"), "even", 7))
-    real = linalg._int_product
+    real = ZZ.word
     calls = []
 
     def spy(a, w):
         calls.append(a)
         return real(a, w)
 
-    monkeypatch.setattr(linalg, "_int_product", spy)
+    monkeypatch.setattr(ZZ, "word", spy)
     dim = span_closure(m.t)
     monkeypatch.undo()
     assert dim == plain_closure(m.t)
@@ -768,14 +768,14 @@ def test_int_insert_unit_steps_follow_the_recurrence():
     # also takes a unit step at pivot -9 and a scaled one at column 2.
     basis = {}
     for row in [(-1, 2, 3, 0, 5), (2, 5, 7, 1, 0), (3, -6, 0, 0, 1), (1, 7, 0, 2, 2)]:
-        assert _int_insert(basis, row)
+        assert ZZ.insert(basis, row)
     assert {p: row for p, (row, _) in basis.items()} == {
         0: [-1, 2, 3, 0, 5],
         1: [0, -9, -13, -1, -10],
         2: [0, 0, -9, 0, -16],
         3: [0, 0, 0, -9, -133],
     }
-    assert not _int_insert(basis, (0, 9, 13, 1, 10))
+    assert not ZZ.insert(basis, (0, 9, 13, 1, 10))
     assert [p for p, (_, support) in basis.items() if support is not None] == [0, 1, 2]
     for pivot, (row, support) in basis.items():
         assert support in (None, [(j, x) for j, x in enumerate(row) if x and j > pivot])
@@ -788,7 +788,7 @@ def test_int_insert_unit_steps_follow_the_recurrence():
                 for _ in range(rng.randint(1, 8))]
         got, want = {}, {}
         for row in rows:
-            assert _int_insert(got, tuple(row)) == plain_insert(want, list(row))
+            assert ZZ.insert(got, tuple(row)) == plain_insert(want, list(row))
         assert {p: row for p, (row, _) in got.items()} == want
 
 
@@ -890,7 +890,7 @@ def field_loop(monkeypatch):
 
 
 def field_one(m):
-    return Fraction(1) if m._ints is not None else Q ** 0
+    return Q ** 0 if m.field is QQ_Q else Fraction(1)
 
 
 def field_inverse(m):
@@ -1017,7 +1017,7 @@ def formal_elimination_grid():
 
 def test_polynomial_elimination_matches_the_field_loop(field_loop):
     grid = formal_elimination_grid()
-    assert all(m._ints is None for m in grid)
+    assert all(m.field is QQ_Q for m in grid)
     with field_loop():
         expected = [results(m) for m in grid]
     assert sum(r["rank"] < min(m.shape) for m, r in zip(grid, expected)) >= 10
@@ -1080,6 +1080,32 @@ def test_polynomial_sylvester_kernel_matches_field_loop(field_loop):
     assert {space.dim for space in expected} == {0, 1}
     for system, want in zip(systems, expected):
         assert solve_sylvester_homogeneous(system) == want
+
+
+def diagonal_of(m):
+    return Matrix([[m.entry(i, i) if i == j else 0 for j in range(m.cols)] for i in range(m.rows)])
+
+
+def test_eigenbasis_diagonalises_or_declines():
+    """eigenbasis(w, of) on both rings: None for a repeated diagonal of
+    of and for a kernel that is not a line; on a module's X against
+    itself, P^-1 X P is of's diagonal; and a rational w against a Q(q)
+    of is joined like any other operands, giving the lifted result."""
+    assert eigenbasis(Matrix([[2, 1], [0, 3]]), Matrix.identity(2)) is None
+    assert eigenbasis(Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
+                      Matrix([[1, 0, 0], [0, 3, 0], [0, 0, 2]])) is None
+    rng = random.Random("eigenbasis")
+    rational = make_E(sample_params(rng, "even", 3)).x_matrix()
+    formal = make_O(sample_params(rng, "odd", 2, field=QQ_Q)).x_matrix()
+    for x in (rational, formal):
+        diagonal = diagonal_of(x)
+        assert len({diagonal.entry(i, i) for i in range(x.rows)}) == x.rows
+        p = eigenbasis(x, x)
+        assert p.field is x.field and inverse(p) * x * p == diagonal
+    lifted = eigenbasis(rational, lift(rational))
+    assert lifted.field is QQ_Q and lifted == eigenbasis(rational, rational)
+    assert eigenbasis(lift(rational), rational) == lifted
+    assert inverse(lifted) * rational * lifted == lift(diagonal_of(rational))
 
 
 def test_formal_routines_read_no_entries(monkeypatch):
@@ -1218,12 +1244,12 @@ def test_inverse_matches_the_field_loop():
             with pytest.raises(SingularMatrixError):
                 inverse(m)
             continue
-        ints = [row + (0,) * i + (m._den,) + (0,) * (n - 1 - i) for i, row in enumerate(m._ints)]
-        heads = [row[i] for i, row in enumerate(linalg._rref(ints, _int_insert, linalg._cancel)[0])]
+        ints = [row + (0,) * i + (m._den,) + (0,) * (n - 1 - i) for i, row in enumerate(m._rows)]
+        heads = [row[i] for i, row in enumerate(linalg._rref(ints, ZZ)[0])]
         negative_heads += sum(h < 0 for h in heads)
         want = Matrix([row[n:] for row in reduced])
         got = inverse(m)
-        assert (got._ints, got._den) == (want._ints, want._den), m
+        assert (got._rows, got._den) == (want._rows, want._den), m
         assert got * m == Matrix.identity(n)
     assert negative_heads and singular >= 8
 
@@ -1232,9 +1258,9 @@ def test_strings_read_the_int_rows():
     triples = int_form_grid()
     grid = [m for triple in triples for m in triple] + [a * b for a, _, b in triples]
     grid.append(Matrix([[Fraction(1, 2), Fraction(1, 3)]]))
-    assert any(m._den > 1 and any(gcd(x, m._den) > 1 for row in m._ints for x in row) for m in grid)
+    assert any(m._den > 1 and any(gcd(x, m._den) > 1 for row in m._rows for x in row) for m in grid)
     for m in grid:
-        want = [[scalar_to_str(Fraction(x, m._den)) for x in row] for row in m._ints]
+        want = [[scalar_to_str(Fraction(x, m._den)) for x in row] for row in m._rows]
         assert m._strings() == want
         assert m.to_json()["entries"] == want
         assert repr(m) == "Matrix[" + "; ".join(" ".join(row) for row in want) + "]"
@@ -1244,7 +1270,7 @@ def test_from_json_reads_unreduced_rationals_canonically():
     data = {"rows": 2, "cols": 2, "entries": [["2/4", "-12/8"], ["007", " -0 "]]}
     m = Matrix.from_json(data)
     want = Matrix([[Fraction(1, 2), Fraction(-3, 2)], [7, 0]])
-    assert (m._ints, m._den) == (want._ints, want._den) == (((1, -3), (14, 0)), 2)
+    assert (m._rows, m._den) == (want._rows, want._den) == (((1, -3), (14, 0)), 2)
     assert m.to_json()["entries"] == [["1/2", "-3/2"], ["7", "0"]]
 
 
