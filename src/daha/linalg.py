@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import chain
 from math import gcd, lcm
 from operator import add, attrgetter, floordiv, mul, neg, sub
@@ -61,8 +60,8 @@ class Matrix:
     (den,), canonical too, so an operation with a Q(q) operand gives a
     Q(q) result.  The scalar :attr:`entries` (Fractions or RatFuns) are
     built anew on each read, for printing and for callers outside this
-    module, and :meth:`entry` builds one.  Only the constructors choose
-    a ring.
+    module, and :meth:`entry` builds one.  Only the constructors, and
+    :meth:`scale` for its scalar, choose a ring.
     """
 
     __slots__ = ("rows", "cols", "ring", "_rows", "_den")
@@ -94,23 +93,25 @@ class Matrix:
     # -- arithmetic ---------------------------------------------------
 
     def __mul__(self, other):
-        """The matrix product: the ring rows multiply, over the product
-        of the denominators, and the result is put into canonical form
-        once (see :class:`_Integers` for why ``==`` on
+        """The matrix product: the ring multiplies the rows, over the
+        product of the denominators, and the result is put into
+        canonical form once (see :class:`_Integers` for why ``==`` on
         canonical pairs is exact matrix equality)."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise DahaError(f"shape mismatch {self.shape} * {other.shape}")
         ring = self.ring.join[other.ring]
-        (a, ad), (b, bd) = ring.over(self), ring.over(other)
-        return _ring_matrix(ring, ring.product(a, b), ring.mul(ad, bd))
+        return _ring_matrix(ring, *ring.product(self, other))
 
     def scale(self, c) -> "Matrix":
         """c times the matrix: c's numerator times the rows, over the
-        product of the denominators, c joined as a 1 x 1 ring matrix."""
-        ring, ((rows, den), (((cn,),), cd)) = _joined(self, _scalar_matrix(c))
-        return _ring_matrix(ring, ring.times(rows, [cn] * len(rows)), ring.mul(den, cd))
+        product of the denominators, in the join of the matrix's ring
+        and c's."""
+        c = as_scalar(c)
+        ring = self.ring.join[ZZ_Q if isinstance(c, RatFun) else ZZ]
+        (rows, den), (cn, cd) = ring.over(self), ring.parts(c)
+        return _ring_matrix(ring, ring.times(rows, [cn] * self.rows), ring.mul(den, cd))
 
     def __add__(self, other, sign=1):
         """self + sign * other, for sign 1 or -1, over the lcm of the
@@ -131,13 +132,18 @@ class Matrix:
         return self.__add__(other, -1)
 
     def __neg__(self):
-        return self.scale(-1)
+        """rows/(-den), signed by the canonical form."""
+        return _ring_matrix(self.ring, self._rows, self.ring.neg(self._den))
 
     def __eq__(self, other):
+        """Equal (rows, den) pairs are equal matrices, canonical in one
+        ring; any other two are compared over the join of their rings."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.shape != other.shape:
             return False
+        if self._den == other._den and self._rows == other._rows:
+            return True
         ring = self.ring.join[other.ring]
         return ring.over(self) == ring.over(other)
 
@@ -239,22 +245,13 @@ _set_rows, _set_cols, _set_ring, _set_body, _set_den = (
 def _from_scalars(rows) -> tuple:
     """Rows of scalars, lifted into one field by
     :func:`~daha.scalar.as_scalars`, as (ring, ring rows, den) over one
-    denominator: the way in from scalars, a RatFun choosing Z[q]."""
+    denominator by the ring's ``lift``: the way in from scalars, a
+    RatFun choosing Z[q]."""
     cols = len(rows[0])
     flat = as_scalars(chain.from_iterable(rows))
     ring = ZZ_Q if isinstance(flat[0], RatFun) else ZZ
-    terms, den = ring.over_one([(k, ring.parts(x)) for k, x in enumerate(flat)])
-    flat = [terms.get(k, ring.zero) for k in range(len(flat))]
+    flat, den = ring.lift(flat)
     return ring, [flat[i:i + cols] for i in range(0, len(flat), cols)], den
-
-
-def _scalar_matrix(c) -> Matrix:
-    """:func:`_from_scalars` for one scalar, as a 1 x 1 matrix: one
-    denominator already, so nothing is put over a common one."""
-    c = as_scalar(c)
-    ring = ZZ_Q if isinstance(c, RatFun) else ZZ
-    num, den = ring.parts(c)
-    return _ring_matrix(ring, [[num]], den)
 
 
 def _ring_matrix(ring, rows, den, m=None) -> Matrix:
@@ -281,7 +278,9 @@ def _ring_rows(m: Matrix):
 def _joined(*mats) -> tuple:
     """The join of the rings of mats, Z[q] when any is over Z[q], and
     each of mats as (rows, den) over it, the rows of a Z one lifted."""
-    ring = reduce(lambda joined, m: joined.join[m.ring], mats, ZZ)
+    ring = ZZ
+    for m in mats:
+        ring = ring.join[m.ring]
     return ring, [ring.over(m) for m in mats]
 
 
@@ -332,6 +331,12 @@ class _Integers:
         (den,), canonical too."""
         return tuple(tuple((x,) if x else () for x in row) for row in m._rows), (m._den,)
 
+    def lift(self, scalars) -> tuple:
+        """Fractions as ints over the lcm of their denominators, and that
+        lcm."""
+        den = lcm(*(x.denominator for x in scalars))
+        return [x.numerator * (den // x.denominator) for x in scalars], den
+
     def over_one(self, pairs) -> tuple:
         """Keyed (numerator, denominator) pairs, the keys distinct, over one
         den, the lcm of the nonzero ones' denominators: ({key: num}, den)."""
@@ -359,9 +364,11 @@ class _Integers:
         g = gcd(a, b)
         return b // g, a // g
 
-    def product(self, a, b) -> list:
-        cols = list(zip(*b))
-        return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    def product(self, left, right) -> tuple:
+        """The rows and den of left*right, both over Z (their join)."""
+        cols = list(zip(*right._rows))
+        rows = [[sum(map(mul, row, col)) for col in cols] for row in left._rows]
+        return rows, left._den * right._den
 
     def times(self, rows, factors) -> list:
         """Each int row times its factor."""
@@ -486,6 +493,12 @@ class _Polynomials:
         """m as (rows, den) over Z[q], lifted by its ring."""
         return m.ring.as_poly(m)
 
+    def lift(self, scalars) -> tuple:
+        """RatFuns as int polynomials over one denominator, and that
+        denominator."""
+        terms, den = _raw_from_pairs([(k, (x._n, x._d)) for k, x in enumerate(scalars)])
+        return [terms.get(k, ()) for k in range(len(scalars))], den
+
     def canonical(self, rows, den) -> tuple:
         cols = len(rows[0])
         flat, den = _canonical_polys([x for row in rows for x in row], den)
@@ -501,9 +514,10 @@ class _Polynomials:
             top = _pmul(top, _cofactors(top, h)[0])
         return top
 
-    def product(self, a, b) -> list:
-        """The product of polynomial rows: each row of a sums its nonzero
-        entries times the nonzero entries of the rows of b."""
+    def product(self, left, right) -> tuple:
+        """The rows and den of left*right over Z[q]: each row of left sums
+        its nonzero entries times the nonzero entries of right's rows."""
+        (a, ad), (b, bd) = self.over(left), self.over(right)
         support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
         out = []
         for row in a:
@@ -513,7 +527,7 @@ class _Polynomials:
                     for j, y in support[k]:
                         acc[j] = _padd(acc[j], _pmul(x, y)) if acc[j] else _pmul(x, y)
             out.append(acc)
-        return out
+        return out, _pmul(ad, bd)
 
     def times(self, rows, factors) -> list:
         """Each polynomial row times its factor."""

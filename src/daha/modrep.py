@@ -604,8 +604,8 @@ def _ladder_block(gen: int, rows: int, cols: int, p: ParamQuadruple) -> Matrix:
 
     Formal params read the columns of the column table over Z[q], which
     the ladder module shares; rational params build each column's
-    entries as Z pairs.  Either way the entries, keyed by their
-    row-major place, go over one denominator by the ring's
+    entries as Z pairs.  Either way the entries, keyed by (row,
+    column), go over one denominator by the ring's
     ``over_one``, and one call, :func:`~daha.linalg._ring_matrix`,
     canonicalises the block, whose form is unique whatever common
     factors or signs the unreduced input had.
@@ -615,17 +615,17 @@ def _ladder_block(gen: int, rows: int, cols: int, p: ParamQuadruple) -> Matrix:
         ring = ZZ_Q
         for j in range(cols):
             terms, den = _column(gen, j, p)
-            pairs += [(i * cols + j, (c, den)) for i, c in terms.items() if i < rows]
+            pairs += [((i, j), (c, den)) for i, c in terms.items() if i < rows]
     else:
         ring, q = ZZ, (p.q.numerator, p.q.denominator)
         k = [(x.numerator, x.denominator) for x in p.k]
         for j in range(cols):
             column = _verma_column(gen, j, q, k, _INT_PAIRS)
-            pairs += [(i * cols + j, pair) for i, pair in column.items() if i < rows]
+            pairs += [((i, j), pair) for i, pair in column.items() if i < rows]
     flat, den = ring.over_one(pairs)
     out = [[ring.zero] * cols for _ in range(rows)]
-    for key, x in flat.items():
-        out[key // cols][key % cols] = x
+    for (i, j), x in flat.items():
+        out[i][j] = x
     return _ring_matrix(ring, out, den)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import daha.analysis
 import daha.linalg
+import daha.modrep
 from daha.analysis import (
     INDETERMINATE,
     _recover,
@@ -593,15 +594,24 @@ def test_formal_values_hold_ratfuns_only(monkeypatch):
     """Formal params lift their rational k's into Q(q), and so every
     matrix, kernel basis and certificate built from them holds RatFuns
     only, also where a rational operand meets a formal one: every
-    matrix made over Z[q] is checked as it is made."""
+    matrix made over Z[q] is checked as it is made, by linalg itself
+    and by the modules that import its one door, and each of them is
+    seen making one."""
     ring_matrix = daha.linalg._ring_matrix
+    made = dict.fromkeys((daha.linalg, daha.modrep, daha.analysis), 0)
 
-    def checked(ring, rows, den, m=None):
-        m = ring_matrix(ring, rows, den, m)
-        assert ring is not daha.linalg.ZZ_Q or _in_q_of_q(m)
-        return m
+    def checker(module):
+        def checked(ring, rows, den, m=None):
+            m = ring_matrix(ring, rows, den, m)
+            if ring is daha.linalg.ZZ_Q:
+                assert _in_q_of_q(m)
+                made[module] += 1
+            return m
 
-    monkeypatch.setattr(daha.linalg, "_ring_matrix", checked)
+        return checked
+
+    for module in made:
+        monkeypatch.setattr(module, "_ring_matrix", checker(module))
     rng = random.Random("one-field")
     for sampler, d in ((sample_even, 1), (sample_even, 3), (sample_odd, 0), (sample_odd, 2)):
         p = sampler(rng, d, field=QQ_Q)
@@ -629,6 +639,7 @@ def test_formal_values_hold_ratfuns_only(monkeypatch):
             result = classify(m)
             assert all(isinstance(x, RatFun) for x in (result.params.q, *result.params.k))
             assert _in_q_of_q(result.certificate)
+    assert all(made.values()), made
 
 
 # the even family's k1..k3 and the odd family's k0..k2, at q = 2
