@@ -7,28 +7,25 @@ generated by the four generator matrices has full dimension n**2 iff
 the module is absolutely irreducible).  The classification recovers
 the twist from the determinant fingerprint, the parameters from the
 central character, and certifies the answer with an explicit
-invertible intertwiner, read off eigenbases of X where X has a simple
-spectrum -- nothing is trusted without a certificate.
+invertible intertwiner, read off a standard basis once Norton's test
+has proved irreducibility -- nothing is trusted without a certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 
 from .errors import DahaError, ClassificationError, ParameterError, TranscriptionError
 from .linalg import (
     Matrix,
-    _ring_matrix,
-    _ring_rows,
-    _times_columns,
     det,
-    eigenbasis,
+    eigenline,
     inverse,
     rank,
     solve_sylvester_homogeneous,
     span_closure,
+    standard_basis,
 )
 from .modrep import (
     ModuleRep,
@@ -483,15 +480,16 @@ def classify(m: ModuleRep) -> ClassificationResult:
 
 def _classify_verified(m: ModuleRep):
     """:func:`classify` for a module known to satisfy the relations: the
-    result, or the closure dimension when m is reducible.  The eigenbasis
-    route of :func:`_spectral_intertwiner` goes first; when it cannot
-    decide, the closure and the intertwining equations do."""
+    result, or the closure dimension when m is reducible.  The route of
+    :func:`_standard_intertwiner` goes first; when the recovery fails,
+    a spin stops short (m is reducible) or no theta has kernel lines in
+    both modules, the closure and the intertwining equations decide."""
     try:
         eps, params, reference = _recover(m)
     except ClassificationError as exc:
         failure, certificate = exc, None
     else:
-        failure, certificate = None, _spectral_intertwiner(m, reference, eps)
+        failure, certificate = None, _standard_intertwiner(m, reference, eps)
     if certificate is None:
         closure = span_closure(m.t)
         if closure != m.dim * m.dim:
@@ -543,97 +541,58 @@ def _quadruple(q, ks, d: int, parity: str) -> ParamQuadruple:
         raise ClassificationError(str(exc)) from exc
 
 
-def _spectral_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
-    """A proof from eigenbases that a is irreducible and isomorphic to b:
-    the invertible T with T t_k^(a) = t_k^(b) T, scaled to a leading 1
-    (row-major), or None when this route cannot decide.
+def _standard_intertwiner(a: ModuleRep, b: ModuleRep, eps: int = 0):
+    """A proof by Norton's test and a standard basis (R. A. Parker, "The
+    computer calculation of modular characters (the Meat-Axe)", 1984;
+    D. F. Holt and S. Rees, J. Austral. Math. Soc. A 57, 1994) that a is
+    absolutely irreducible and isomorphic to b: the T with T t_k^(a) =
+    t_k^(b) T, scaled to a leading 1 (row-major), or None when this
+    route cannot decide.
 
-    The diagonal of b's W = t_{(3-eps)%4} t_{(-eps)%4} (on a classify
-    reference, the triangular X of an untwisted module) must be n
-    distinct simple eigenvalues in a and in b, with eigenbases P_a, P_b
-    from :func:`~daha.linalg.eigenbasis`, which forms each W - theta I
-    on W's int or int polynomial rows, and whose kernel lines and
-    inverses :mod:`daha.linalg` reads off rows brought to one pivot
-    (see :func:`~daha.linalg.kernel_line`); the support graph and the
-    scaling to a leading 1 go through :func:`~daha.linalg._ring_rows`
-    and :func:`~daha.linalg._ring_matrix`, so only :mod:`daha.linalg`
-    reads how a matrix is stored.  There the generators are A_k = P_a^-1
-    t_k^(a) P_a and B_k likewise, and v -> u is an edge when some
-    A_k[u][v] != 0.  The A_k are formed one at a time, k = 0, 1, 2, 3,
-    until the edges of those formed make a strongly connected graph.  An
-    intertwiner keeps eigenvalues, so it is P_b diag(c) P_a^-1 with
-    c_u A_k[u][v] = B_k[u][v] c_v; from c_0 = 1 the edges of a spanning
-    tree fix c, each B_k is formed when a tree edge first needs it, and
-    T = (P_b diag c) P_a^-1 is one product, diag(c) folded into P_b's
-    columns.  T is kept only when :func:`is_intertwiner` holds on all
-    four generators.  Sound whatever the file's metadata says:
+    W = t_{(3-eps)%4} t_{(-eps)%4} (on a classify reference, the
+    triangular X of an untwisted module).  theta runs over the diagonal
+    of b's W, a's W[0][0] first when it is there (on a file in the
+    ladder basis its eigenvector is e_0, which keeps the standard basis
+    sparse), until ker(W_a - theta) = span(v) and ker(W_b - theta) =
+    span(u) are lines (:func:`~daha.linalg.eigenline`); with none left
+    the route declines.  Then :func:`~daha.linalg.standard_basis` spins
+    v under a's generators and applies the words to u under b's, and
+    spins w spanning ker(W_a^T - theta) under the transposes; either
+    spin stopping short of n declines.  T = Q P^-1 is kept only when :func:`is_intertwiner`
+    holds on all four generators.  Sound whatever the file's metadata
+    says:
 
-    * n eigenvectors for n distinct eigenvalues are independent, so P_a
-      and P_b are invertible and T is nonzero (c_0 = 1);
-    * a submodule is W-invariant, hence spanned by the eigenvectors it
-      contains, a vertex set that no edge of any generator leaves, in
-      particular no edge of the A_k formed: in a strongly connected
-      graph of a subset of the generators that set is none or all, so
-      a is irreducible;
-    * the eigenvectors lie in the base field, so this holds over the
-      algebraic closure too, as Burnside's n**2 does;
-    * the kernel of the checked intertwiner T is a submodule of a other
-      than a, hence zero, so T is invertible (Schur's lemma); the check
-      covers all four generators, also those whose A_k was never formed;
-    * by Schur's lemma the intertwiners a -> b are then one line, and
-      each of them meets the tree's equations, so any of them has the
-      tree's c up to a factor (the route never misses one), and the
-      scaled T is the reduced kernel vector :func:`find_intertwiner`
-      returns, in the one field of the matrices (see
-      :class:`~daha.linalg.Matrix`).
+    * Norton's criterion: for a proper nonzero submodule N of a over the
+      algebraic closure, theta is an eigenvalue of W on N or on a/N.  In
+      the first case v lies in N, and so does its spin; in the second w
+      lies in the annihilator of N, which is closed under the
+      transposes, and so does its spin.  Both spins reach n, so a is
+      absolutely irreducible;
+    * T v = u is nonzero, so the kernel of the checked T is a submodule
+      other than a, hence zero, and T is invertible (Schur's lemma);
+    * an isomorphism a -> b sends v to a nonzero multiple of u, so it is
+      T up to that factor: the route never misses one, and the scaled T
+      is the reduced kernel vector :func:`find_intertwiner` returns, in
+      the one field of the matrices (see :class:`~daha.linalg.Matrix`).
     """
     n = a.dim
     if b.dim != n:
         return None
     i3, i0 = (3 - eps) % 4, -eps % 4
-    w_b = b.t[i3] * b.t[i0]
-    p_a = eigenbasis(a.t[i3] * a.t[i0], w_b)
-    p_b = None if p_a is None else eigenbasis(w_b, w_b)
-    if p_b is None:
-        return None
-    pa_inv, pb_inv = inverse(p_a), inverse(p_b)
-    gens_a, support = [], []
-    for t in a.t:
-        gens_a.append(pa_inv * (t * p_a))
-        support.append(_ring_rows(gens_a[-1]))
-        if _reaches_all(support, n, True) and _reaches_all(support, n, False):
-            break
-    else:
-        return None
-
-    # c along the edges of a tree from vertex 0
-    gens_b = [None] * len(gens_a)  # B_k, formed when a tree edge first needs it
-    c = [1] + [None] * (n - 1)
-    todo = [0]
-    while todo:
-        v = todo.pop()
-        for k, u in product(range(len(gens_a)), range(n)):
-            if c[u] is None and support[k][u][v]:
-                if gens_b[k] is None:
-                    gens_b[k] = pb_inv * (b.t[k] * p_b)
-                c[u] = c[v] * gens_b[k].entry(u, v) / gens_a[k].entry(u, v)
-                todo.append(u)
-    t = _times_columns(p_b, c) * pa_inv
-    if not is_intertwiner(t, a, b):
-        return None
-    # T = R/D over its leading ring entry h is R/h: no product with a scalar
-    rows = _ring_rows(t)
-    return _ring_matrix(t.ring, rows, next(x for row in rows for x in row if x))
-
-
-def _reaches_all(support, n: int, forward: bool) -> bool:
-    """Whether every vertex is reached from vertex 0 along the edges
-    v -> u with some support[k][u][v] != 0 (or, not forward, reaches 0)."""
-    seen, todo = [True] + [False] * (n - 1), [0]
-    while todo:
-        v = todo.pop()
-        for rows, u in product(support, range(n)):
-            if not seen[u] and (rows[u][v] if forward else rows[v][u]):
-                seen[u] = True
-                todo.append(u)
-    return all(seen)
+    w_a, w_b = a.t[i3] * a.t[i0], b.t[i3] * b.t[i0]
+    diagonal = [w_b.entry(i, i) for i in range(n)]
+    for theta in (w_a.entry(0, 0), *diagonal):
+        v = eigenline(w_a, theta) if theta in diagonal else None
+        u = None if v is None else eigenline(w_b, theta)
+        if u is None:
+            continue
+        bases = standard_basis(zip(a.t, b.t), v, u, eigenline(w_a, theta, True))
+        if bases is None:
+            return None  # a spin stopped short: a is reducible
+        p_v, p_u = bases
+        t = p_u * inverse(p_v)
+        if not is_intertwiner(t, a, b):
+            return None
+        lead = next(x for x in (t.entry(i, j) for i in range(n) for j in range(n)) if x)
+        return t.scale(1 / lead)
+    return None

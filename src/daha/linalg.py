@@ -8,8 +8,8 @@ Q(q)), and every routine asks that ring for its element and row
 operations, canonical form, scalars and elimination steps (insert,
 clear, the Bareiss step, the lcm of pivots), never which ring it is.
 Products, sums, elimination, the determinant (Bareiss's), the inverse,
-the Sylvester solve and the span closure run fraction-free on ring rows
-and normalise once per result; every elimination is read off
+the Sylvester solve, the span closure and the spin of a vector run
+fraction-free on ring rows and normalise once per result; every elimination is read off
 :func:`_one_pivot`.  Fractions or RatFuns are made only for the scalars
 a routine returns, by :func:`_scalars` as for :attr:`Matrix.entries`.
 Matrices are immutable after construction, all functions are pure.
@@ -102,15 +102,14 @@ class Matrix:
         if self.cols != other.rows:
             raise DahaError(f"shape mismatch {self.shape} * {other.shape}")
         ring = self.ring.join[other.ring]
-        return _ring_matrix(ring, *ring.product(self, other))
+        (a, ad), (b, bd) = ring.over(self), ring.over(other)
+        return _ring_matrix(ring, ring.product(a, b), ring.mul(ad, bd))
 
     def scale(self, c) -> "Matrix":
         """c times the matrix: c's numerator times the rows, over the
         product of the denominators, in the join of the matrix's ring
         and c's."""
-        c = as_scalar(c)
-        ring = self.ring.join[ZZ_Q if isinstance(c, RatFun) else ZZ]
-        (rows, den), (cn, cd) = ring.over(self), ring.parts(c)
+        ring, (rows, den), (cn, cd) = _with_scalar(self, c)
         return _ring_matrix(ring, ring.times(rows, [cn] * self.rows), ring.mul(den, cd))
 
     def __add__(self, other, sign=1):
@@ -257,8 +256,8 @@ def _from_scalars(rows) -> tuple:
 def _ring_matrix(ring, rows, den, m=None) -> Matrix:
     """The matrix rows/den in ring's canonical form (for Z, den a nonzero
     int of either sign), filled into m when given (as
-    :meth:`Matrix.__init__` fills itself): the one way back from
-    :func:`_ring_rows`, and the one place a matrix is made."""
+    :meth:`Matrix.__init__` fills itself): the one way back from ring
+    rows, and the one place a matrix is made."""
     rows, den = ring.canonical(rows, den)
     m = object.__new__(Matrix) if m is None else m
     _set_rows(m, len(rows))
@@ -267,12 +266,6 @@ def _ring_matrix(ring, rows, den, m=None) -> Matrix:
     _set_body(m, rows)
     _set_den(m, den)
     return m
-
-
-def _ring_rows(m: Matrix):
-    """m's ring rows (ints, or int polynomials over Q(q)): zero exactly
-    where m is."""
-    return m._rows
 
 
 def _joined(*mats) -> tuple:
@@ -284,15 +277,12 @@ def _joined(*mats) -> tuple:
     return ring, [ring.over(m) for m in mats]
 
 
-def _times_columns(m: Matrix, c) -> Matrix:
-    """m diag(c) for scalars c: c put over one denominator L as a 1 x n
-    ring row, built without a scalar matrix, and each column of m's
-    ring rows times its numerator, over m's denominator times L; no
-    product of matrices.  A RatFun in m or c gives a Q(q) result, as in
-    the other operations."""
-    ring, ((rows, den), ((nums,), cden)) = _joined(m, _ring_matrix(*_from_scalars([c])))
-    rows = [list(map(ring.mul, row, nums)) for row in rows]
-    return _ring_matrix(ring, rows, ring.mul(den, cden))
+def _with_scalar(m: Matrix, c) -> tuple:
+    """The join of m's ring and that of the scalar c, with m as (rows,
+    den) and c as (num, den) over it."""
+    c = as_scalar(c)
+    ring = m.ring.join[ZZ_Q if isinstance(c, RatFun) else ZZ]
+    return ring, ring.over(m), ring.parts(c)
 
 
 def _scalars(ring, rows, den) -> tuple:
@@ -364,11 +354,10 @@ class _Integers:
         g = gcd(a, b)
         return b // g, a // g
 
-    def product(self, left, right) -> tuple:
-        """The rows and den of left*right, both over Z (their join)."""
-        cols = list(zip(*right._rows))
-        rows = [[sum(map(mul, row, col)) for col in cols] for row in left._rows]
-        return rows, left._den * right._den
+    def product(self, a, b) -> list:
+        """The int rows of a*b."""
+        cols = list(zip(*b))
+        return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
     def times(self, rows, factors) -> list:
         """Each int row times its factor."""
@@ -514,10 +503,9 @@ class _Polynomials:
             top = _pmul(top, _cofactors(top, h)[0])
         return top
 
-    def product(self, left, right) -> tuple:
-        """The rows and den of left*right over Z[q]: each row of left sums
-        its nonzero entries times the nonzero entries of right's rows."""
-        (a, ad), (b, bd) = self.over(left), self.over(right)
+    def product(self, a, b) -> list:
+        """The polynomial rows of a*b: each row of a sums its nonzero
+        entries times the nonzero entries of b's rows."""
         support = [[(j, y) for j, y in enumerate(row) if y] for row in b]
         out = []
         for row in a:
@@ -527,7 +515,7 @@ class _Polynomials:
                     for j, y in support[k]:
                         acc[j] = _padd(acc[j], _pmul(x, y)) if acc[j] else _pmul(x, y)
             out.append(acc)
-        return out, _pmul(ad, bd)
+        return out
 
     def times(self, rows, factors) -> list:
         """Each polynomial row times its factor."""
@@ -695,30 +683,69 @@ def kernel_line(m: Matrix):
     return vectors[0] if len(vectors) == 1 else None
 
 
-def eigenbasis(w: Matrix, of: Matrix):
-    """The matrix whose column i spans the kernel of w - theta_i, theta_i
-    the i-th diagonal entry of of, or None when those entries are not
-    distinct or when a kernel is not a line.  w and of are joined like
-    the operands of any operation.  With w = R/D, of = S/E and fa, fb
-    the cofactors of D and E to their lcm L, w - theta_i = (fa R - fb
-    S_ii I)/L: each shift is formed on the joined ring rows, with no
-    scalar and no matrix sum, and handed to :func:`kernel_line`, whose
-    columns are in that ring."""
-    ring, ((rows, wd), (diag, od)) = _joined(w, of)
-    heads = [row[i] for i, row in enumerate(diag)]
-    if len(set(heads)) != len(heads):
+def eigenline(w: Matrix, theta, transpose=False):
+    """An n x 1 matrix spanning ker(w - theta), or ker(w^T - theta) when
+    transpose, when that kernel is a line, else None.  With w = R/D and
+    theta = a/b over the join of their rings, w - theta = (bR - aD)/(bD)
+    is formed on the ring rows, with no scalar matrix, for
+    :func:`kernel_line`."""
+    ring, (rows, den), (a, b) = _with_scalar(w, theta)
+    rows = ring.times(rows, [b] * len(rows))
+    if transpose:
+        rows = list(zip(*rows))
+    s = ring.neg(ring.mul(a, den))
+    shifted = [[*row[:r], ring.add(row[r], s), *row[r + 1:]] for r, row in enumerate(rows)]
+    v = kernel_line(_ring_matrix(ring, shifted, ring.one))
+    return None if v is None else _ring_matrix(ring, [[x] for x in v], ring.one)
+
+
+def _spin(ring, gens, v) -> tuple:
+    """The standard basis of the column v under gens, all ring rows:
+    (vectors, words).  Each product g u of a generator and a vector
+    found, u by u and g by g, that the ring's insert finds outside their
+    span is the next vector, until there are n; words[j] = (k, i) says
+    that vector j + 1 is gens[k] times vector i.  They span the smallest
+    subspace that holds v and is closed under gens."""
+    n, basis = len(v), {}
+    ring.insert(basis, [x for x, in v])
+    vectors, words = [v], []
+    for i, u in enumerate(vectors):
+        for k, g in enumerate(gens):
+            if len(vectors) == n:
+                return vectors, words
+            x = ring.product(g, u)
+            if ring.insert(basis, [y for y, in x]):
+                vectors.append(x)
+                words.append((k, i))
+    return vectors, words
+
+
+def standard_basis(pairs, v: Matrix, u: Matrix, w: Matrix):
+    """Norton's two spins and the standard basis, for n x 1 matrices v, u
+    and w: (P, Q), column j of each the j-th word of the spin of v under
+    the left matrices A_k of pairs, applied to v and, under the right
+    ones B_k, to u; or None when the spin of v, or that of w under the
+    transposes of the A_k, stops short of n (:func:`_spin`).  Each pair,
+    (v, u) among them, is put over one denominator by the ring's
+    cofactors, so column j of P and of Q carries the same factor.  A map
+    F with F A_k = B_k F for every k and F v = u then has F P = Q, so
+    it is Q P^-1."""
+    ring, ((w, _), *over) = _joined(w, v, u, *chain.from_iterable(pairs))
+    lefts, rights = [], []
+    for (a, ad), (b, bd) in zip(over[::2], over[1::2]):
+        fa, fb = ring.cofactors(ad, bd)
+        lefts.append(ring.times(a, [fa] * len(a)))
+        rights.append(ring.times(b, [fb] * len(b)))
+    (v, *lefts), (u, *rights) = lefts, rights
+    n = len(v)
+    vectors, words = _spin(ring, lefts, v)
+    if len(vectors) < n or len(_spin(ring, [list(zip(*g)) for g in lefts], w)[0]) < n:
         return None
-    fa, fb = ring.cofactors(wd, od)
-    rows, fb = ring.times(rows, [fa] * len(rows)), ring.neg(fb)
-    columns = []
-    for h in heads:
-        s = ring.mul(fb, h)
-        shifted = [[*row[:r], ring.add(row[r], s), *row[r + 1:]] for r, row in enumerate(rows)]
-        v = kernel_line(_ring_matrix(ring, shifted, ring.one))
-        if v is None:
-            return None
-        columns.append(v)
-    return _ring_matrix(ring, list(zip(*columns)), ring.one)
+    images = [u]
+    for k, i in words:
+        images.append(ring.product(rights[k], images[i]))
+    return tuple(_ring_matrix(ring, [[col[r][0] for col in cols] for r in range(n)], ring.one)
+                 for cols in (vectors, images))
 
 
 def det(m: Matrix):

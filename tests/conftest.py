@@ -31,11 +31,12 @@ def p_odd_d2():
 
 @pytest.fixture
 def fallback(monkeypatch):
-    """Turn off the eigenbasis route of ``classify`` and ``daha classify``,
-    so that the span closure and the intertwining equations decide."""
+    """Turn off the standard-basis route of ``classify`` and ``daha
+    classify`` (Norton's test and a standard basis), so that the span
+    closure and the intertwining equations decide."""
     import daha.analysis
 
-    monkeypatch.setattr(daha.analysis, "_spectral_intertwiner", lambda *args: None)
+    monkeypatch.setattr(daha.analysis, "_standard_intertwiner", lambda *args: None)
 
 
 @pytest.fixture

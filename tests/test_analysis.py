@@ -12,8 +12,9 @@ import daha.linalg
 import daha.modrep
 from daha.analysis import (
     INDETERMINATE,
+    _classify_verified,
     _recover,
-    _spectral_intertwiner,
+    _standard_intertwiner,
     burnside_irreducible,
     classify,
     criterion_E,
@@ -341,29 +342,29 @@ def test_ratfun_classification_certificate_is_ratfun():
 
 
 # ---------------------------------------------------------------------------
-# the eigenbasis route of classify
+# the standard-basis route of classify
 # ---------------------------------------------------------------------------
 
 def _both_routes(m: ModuleRep):
-    """The certificates onto m's classify reference from the eigenbases
-    and from the intertwining equations."""
+    """The certificates onto m's classify reference from the standard
+    basis and from the intertwining equations."""
     eps, _, reference = _recover(m)
-    return _spectral_intertwiner(m, reference, eps), find_intertwiner(m, reference)
+    return _standard_intertwiner(m, reference, eps), find_intertwiner(m, reference)
 
 
-def _spectral(m: ModuleRep):
-    """The eigenbasis certificate of classify, or None."""
+def _standard(m: ModuleRep):
+    """The standard-basis certificate of classify, or None."""
     try:
         eps, _, reference = _recover(m)
     except ClassificationError:
         return None
-    return _spectral_intertwiner(m, reference, eps)
+    return _standard_intertwiner(m, reference, eps)
 
 
 @pytest.mark.parametrize("family", ["even", "odd"])
 def test_spectral_intertwiner_matches_the_equations(family, conjugate):
     """Against references that are isomorphic, that share the X-diagonal
-    without being isomorphic, and that do not share it, the eigenbasis
+    without being isomorphic, and that do not share it, the standard-basis
     intertwiner is the equations' kernel vector or None with them."""
     rng = random.Random(f"spectral-references:{family}")
     seen = {"found": 0, "none": 0}
@@ -386,36 +387,35 @@ def test_spectral_intertwiner_matches_the_equations(family, conjugate):
                       make_O(ParamQuadruple(2, k0, k1 * 2, k2 / 2, k3, d=d, parity="odd"))]
         for b in others:
             for a_in in (a, conjugate(a, rng)):
-                got, want = _spectral_intertwiner(a_in, b), find_intertwiner(a_in, b)
+                got, want = _standard_intertwiner(a_in, b), find_intertwiner(a_in, b)
                 assert got == want
                 seen["none" if want is None else "found"] += 1
     assert seen["found"] >= 2 and seen["none"] >= 2
 
 
 def test_spectral_intertwiner_refuses_a_reference_on_the_same_spectrum():
-    # same k0 and k3, so X has the same diagonal, but k1 differs: the
-    # graph is strongly connected and only the edge equations fail
+    # same k0 and k3, so X has the same diagonal, but k1 differs: both
+    # spins reach n and only the final check fails
     a = make_E(ParamQuadruple(2, F(1, 4), F(2, 3), 3, F(5, 7), d=3, parity="even"))
     b = make_E(a.params.with_k(k1=F(3, 5)))
     x_diagonal = lambda m: [(m.t[3] * m.t[0]).entry(i, i) for i in range(4)]
     assert x_diagonal(a) == x_diagonal(b)
-    assert _spectral_intertwiner(a, a) is not None
-    assert _spectral_intertwiner(a, b) is None
+    assert _standard_intertwiner(a, a) is not None
+    assert _standard_intertwiner(a, b) is None
     assert find_intertwiner(a, b) is None
 
 
 def test_spectral_intertwiner_refuses_missing_eigenvalues():
     a = make_E(ParamQuadruple(2, F(1, 4), F(2, 3), 3, F(5, 7), d=3, parity="even"))
     b = make_E(a.params.with_k(k3=F(3, 5)))
-    assert _spectral_intertwiner(a, b) is None
-    assert _spectral_intertwiner(b, a) is None
+    assert _standard_intertwiner(a, b) is None
+    assert _standard_intertwiner(b, a) is None
 
 
 def test_spectral_route_makes_no_scalar_matrices(monkeypatch):
-    """On a twisted d=5 file the route shifts W on its int rows, folds
-    diag(c) into P_b and scales T on its rows: only products remain,
-    2 for the W's, 2 per A_k or B_k formed (3 A_k, 2 B_k), 1 for T and
-    8 in the check."""
+    """On a twisted d=5 file the route shifts W and spins on int rows:
+    only products and the scaling of T to a leading 1 remain, 2 products
+    for the W's, 1 for T and 8 in the check."""
     module = ModuleRep.from_json(json.loads((DATA / "rational_even_d5_tw3.json").read_text()))
     eps, _, reference = _recover(module)
     counts = dict.fromkeys(("__mul__", "scale", "__add__", "__init__"), 0)
@@ -424,34 +424,34 @@ def test_spectral_route_makes_no_scalar_matrices(monkeypatch):
             counts[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(Matrix, name, counting)
-    cert = _spectral_intertwiner(module, reference, eps)
-    assert counts == {"__mul__": 21, "scale": 0, "__add__": 0, "__init__": 0}
+    cert = _standard_intertwiner(module, reference, eps)
+    assert counts == {"__mul__": 11, "scale": 1, "__add__": 0, "__init__": 0}
     monkeypatch.undo()
     assert cert.to_json() == find_intertwiner(module, reference).to_json()
 
 
-def _formed_generators(monkeypatch):
-    """The number of A_k the route formed on each call, read off the
-    support lists it hands to the strong connectivity test."""
-    formed = []
-    reaches_all = daha.analysis._reaches_all
+def _word_generators(monkeypatch):
+    """The generators that the words of each spin multiply by, read off
+    the words of every spin the route runs."""
+    used = []
+    spin = daha.linalg._spin
 
-    def recording(support, n, forward):
-        if forward:
-            formed.append(len(support))
-        return reaches_all(support, n, forward)
+    def recording(ring, gens, v):
+        vectors, words = spin(ring, gens, v)
+        used.append({k for k, _ in words})
+        return vectors, words
 
-    monkeypatch.setattr(daha.analysis, "_reaches_all", recording)
-    return formed
+    monkeypatch.setattr(daha.linalg, "_spin", recording)
+    return used
 
 
 @pytest.mark.parametrize("field", ["rational", "ratfun"])
 def test_lazy_conjugation_keeps_the_check_on_all_four_generators(monkeypatch, field):
     """b differs from a in k2 only: t0 and t1 are equal and X has the
-    same simple spectrum, so both eigenbases exist, the graph of A_0,
-    A_1 is connected and the tree gives a candidate T.  a and b are not
-    isomorphic, and only the final check, which covers t2 and t3 whose
-    A_k were never formed, refuses T."""
+    same simple spectrum, so both kernel lines exist, the spins reach n
+    by words in t0 and t1 alone and the standard bases give a candidate
+    T.  a and b are not isomorphic, and only the final check, which
+    covers t2 and t3 that no word used, refuses T."""
     q = field_by_name(field).default_q()
     a = make_E(ParamQuadruple(q, scalar_pow(q, -2), F(2, 3), 3, F(5, 7), d=3, parity="even"))
     b = make_E(a.params.with_k(k2=F(-4, 9)))
@@ -459,7 +459,7 @@ def test_lazy_conjugation_keeps_the_check_on_all_four_generators(monkeypatch, fi
     assert a.t[:2] == b.t[:2] and a.t[2:] != b.t[2:]
     x_diagonal = lambda m: [m.x_matrix().entry(i, i) for i in range(m.dim)]
     assert x_diagonal(a) == x_diagonal(b) and len(set(x_diagonal(a))) == a.dim
-    formed = _formed_generators(monkeypatch)
+    used = _word_generators(monkeypatch)
     candidates = []
 
     def recording(t, a_in, b_in):
@@ -467,15 +467,16 @@ def test_lazy_conjugation_keeps_the_check_on_all_four_generators(monkeypatch, fi
         return is_intertwiner(t, a_in, b_in)
 
     monkeypatch.setattr(daha.analysis, "is_intertwiner", recording)
-    # with t2 alone doubled, the eigenbases and A_0, A_1 agree, so the
-    # candidate is the identity: it intertwines t0, t1 and t3, not t2
+    # with t2 alone doubled, the kernel lines and the words in t0 and t1
+    # agree, so the candidate is the identity: it intertwines t0, t1 and
+    # t3, not t2
     t2 = a.t[2].scale(2)
     doubled = ModuleRep(a.dim, (*a.t[:2], t2, a.t[3]), (*a.tinv[:2], inverse(t2), a.tinv[3]),
                         a.params, 0, "")
     for other in (b, doubled):
-        formed.clear()
-        assert _spectral_intertwiner(a, other) is None
-        assert max(formed) == 2
+        used.clear()
+        assert _standard_intertwiner(a, other) is None
+        assert used == [{0, 1}, {0, 1}]
         assert find_intertwiner(a, other) is None
     t, ident = candidates
     assert not is_intertwiner(t, a, b) and ident == a.identity_matrix()
@@ -483,17 +484,18 @@ def test_lazy_conjugation_keeps_the_check_on_all_four_generators(monkeypatch, fi
 
 @pytest.mark.parametrize("field", ["rational", "ratfun"])
 def test_some_twists_need_a_third_generator(monkeypatch, field):
-    """Even d=3 twists 1 and 3 connect the graph only with A_2; every
-    twist still certifies with the equations' certificate, byte for byte."""
+    """Even d=3 twists 1 and 3 reach n only by words in t2, twists 0 and
+    2 by words in t0 and t1; every twist certifies with the equations'
+    certificate, byte for byte."""
     q = field_by_name(field).default_q()
     p = ParamQuadruple(q, scalar_pow(q, -2), F(2, 3), 3, F(5, 7), d=3, parity="even")
-    formed = _formed_generators(monkeypatch)
+    used = _word_generators(monkeypatch)
     for e in range(4):
         module = twist(make_E(p), e)
         eps, _, reference = _recover(module)
-        formed.clear()
-        cert = _spectral_intertwiner(module, reference, eps)
-        assert max(formed) == (3 if e % 2 else 2)
+        used.clear()
+        cert = _standard_intertwiner(module, reference, eps)
+        assert used == [{0, 2} if e % 2 else {0, 1}] * 2
         assert json.dumps(cert.to_json()) == json.dumps(find_intertwiner(module, reference).to_json())
 
 
@@ -505,17 +507,58 @@ def test_some_twists_need_a_third_generator(monkeypatch, field):
     ],
     ids=["even-d1", "odd-d2"],
 )
-def test_repeated_x_diagonal_falls_back(p):
+def test_repeated_x_diagonal_takes_the_route(monkeypatch, p):
+    """X repeats a diagonal entry, yet an eigenvalue of nullity 1 lets the
+    route decide, with no closure and no Sylvester solve, and with the
+    certificate of the closure and the equations."""
     module = make_E(p) if p.parity == "even" else make_O(p)
     x = module.t[3] * module.t[0]
     diagonal = [x.entry(i, i) for i in range(module.dim)]
     assert len(set(diagonal)) < len(diagonal)
     assert burnside_irreducible(module)
-    spectral, equations = _both_routes(module)
-    assert spectral is None and classify(module).certificate == equations
+    standard, equations = _both_routes(module)
+    assert standard == equations
+    calls = []
+    for name in ("span_closure", "solve_sylvester_homogeneous"):
+        monkeypatch.setattr(daha.analysis, name, lambda *args, _name=name: calls.append(_name))
+    assert classify(module).certificate == equations and calls == []
+    monkeypatch.undo()
+    monkeypatch.setattr(daha.analysis, "_standard_intertwiner", lambda *args: None)
+    assert classify(module).certificate.to_json() == equations.to_json()
 
 
-def test_classify_recovers_once_on_the_fallback(monkeypatch):
+def test_no_kernel_line_declines_to_the_closure(monkeypatch, p_odd_d2):
+    """In M + M every eigenvalue of every W has nullity 2, so the route
+    declines before any spin.  M + M has no unique twist, so a recovery
+    that names the module itself as its reference stands in for
+    _recover: the route declines there too, and _classify_verified
+    reaches the closure, whose n**2 < (2n)**2 says the sum is
+    reducible."""
+    m = make_O(p_odd_d2)
+    n = m.dim
+    zero = Matrix([[0] * n] * n)
+
+    def doubled(g):
+        return Matrix([[*r, *z] for r, z in zip(g.entries, zero.entries)]
+                      + [[*z, *r] for r, z in zip(g.entries, zero.entries)])
+
+    twice = ModuleRep(2 * n, tuple(map(doubled, m.t)), tuple(map(doubled, m.tinv)),
+                      m.params, 0, "M+M")
+    assert verify_relations(twice).ok
+    spins = []
+    monkeypatch.setattr(daha.analysis, "standard_basis", lambda *args: spins.append(args))
+    for e in range(4):
+        assert _standard_intertwiner(twice, twice, e) is None
+    assert spins == []
+    closures = []
+    closure = daha.analysis.span_closure
+    monkeypatch.setattr(daha.analysis, "span_closure",
+                        lambda gens: closures.append(closure(gens)) or closures[-1])
+    monkeypatch.setattr(daha.analysis, "_recover", lambda module: (0, module.params, module))
+    assert _classify_verified(twice) == n * n and closures == [n * n] and spins == []
+
+
+def test_classify_recovers_once_on_the_fallback(monkeypatch, fallback):
     """The closure fallback reuses the first recovery, or raises its
     error once the closure proves irreducibility."""
     import daha.analysis
@@ -548,13 +591,13 @@ def test_spectral_route_refuses_reducible_modules(conjugate):
         for _ in range(3):
             module = twist(make_E(adversarial_even(rng, d)), rng.randrange(4))
             assert not burnside_irreducible(module)
-            assert _spectral(module) is None
-            assert _spectral(conjugate(module, rng)) is None
+            assert _standard(module) is None
+            assert _standard(conjugate(module, rng)) is None
     for d in (2, 4):
         for _ in range(3):
             module = make_O(adversarial_odd(rng, d))
             assert not burnside_irreducible(module)
-            assert _spectral(module) is None
+            assert _standard(module) is None
 
 
 def test_spectral_route_over_the_rational_functions(old_format):
@@ -572,7 +615,7 @@ def test_spectral_route_over_the_rational_functions(old_format):
 
 @pytest.mark.parametrize("e", range(4))
 def test_spectral_route_certifies_formal_even_d7(e):
-    """The eigenbasis route decides formal d=7 on its own, with an
+    """The standard-basis route decides formal d=7 on its own, with an
     invertible certificate that intertwines with the rebuilt reference.
     Invertibility is read off the rank (full rank iff det != 0), which
     eliminates with gcd-cancelled rows instead of Bareiss's growing
@@ -581,7 +624,7 @@ def test_spectral_route_certifies_formal_even_d7(e):
     p = ParamQuadruple(q, q ** -4, 3, F(-12, 5), F(-4, 11), d=7, parity="even")
     module = twist(make_E(p), e)
     eps, _, reference = _recover(module)
-    cert = _spectral_intertwiner(module, reference, eps)
+    cert = _standard_intertwiner(module, reference, eps)
     assert cert is not None
     assert rank(cert) == module.dim and is_intertwiner(cert, module, reference)
 
@@ -595,10 +638,10 @@ def test_formal_values_hold_ratfuns_only(monkeypatch):
     matrix, kernel basis and certificate built from them holds RatFuns
     only, also where a rational operand meets a formal one: every
     matrix made over Z[q] is checked as it is made, by linalg itself
-    and by the modules that import its one door, and each of them is
-    seen making one."""
+    and by modrep, which imports its one door, and each of them is seen
+    making one."""
     ring_matrix = daha.linalg._ring_matrix
-    made = dict.fromkeys((daha.linalg, daha.modrep, daha.analysis), 0)
+    made = dict.fromkeys((daha.linalg, daha.modrep), 0)
 
     def checker(module):
         def checked(ring, rows, den, m=None):
@@ -668,5 +711,5 @@ def test_classify_round_trips_on_both_families(d, sign, x, y, z, e):
     reference = make_E(want_params) if d % 2 else make_O(want_params)
     assert det(result.certificate)
     assert is_intertwiner(result.certificate, twist(module, e), twist(reference, e if d % 2 else 0))
-    spectral, equations = _both_routes(twist(module, e))
-    assert equations == result.certificate and spectral in (None, equations)
+    standard, equations = _both_routes(twist(module, e))
+    assert equations == result.certificate and standard in (None, equations)

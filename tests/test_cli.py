@@ -210,7 +210,7 @@ def test_classify_runs_each_check_once(tmp_path, monkeypatch):
     out = tmp_path / "cls.json"
     assert run("classify", "--in", str(mod), "--out", str(out)) == EXIT_OK
     assert json.loads(out.read_text())["verdict"] == "classified"
-    # the eigenbasis route proves irreducibility without the closure
+    # Norton's test proves irreducibility without the closure
     assert calls == {"verify_relations": 1, "span_closure": 0}
 
 
@@ -326,7 +326,7 @@ def test_formal_certificates_print_every_entry_in_pipe_form(tmp_path):
 
 
 def test_formal_classify_needs_no_intertwining_equations(tmp_path, monkeypatch, old_format):
-    """The eigenbasis route certifies a formal module on its own, in pipe
+    """The standard-basis route certifies a formal module on its own, in pipe
     form or in the old form alike, with the bytes the intertwining
     equations give."""
     old = tmp_path / "old.json"
@@ -342,7 +342,7 @@ def test_formal_classify_needs_no_intertwining_equations(tmp_path, monkeypatch, 
         assert run("classify", "--in", str(path), "--out", str(out)) == EXIT_OK
         outputs.append(out.read_bytes())
     assert calls == []
-    monkeypatch.setattr(daha.analysis, "_spectral_intertwiner", lambda *args: None)
+    monkeypatch.setattr(daha.analysis, "_standard_intertwiner", lambda *args: None)
     forced = tmp_path / "forced.json"
     assert run("classify", "--in", str(old), "--out", str(forced)) == EXIT_OK
     assert len(calls) == 1 and outputs == [forced.read_bytes()] * 2
@@ -602,7 +602,7 @@ def test_back_to_back_main_calls_behave_like_fresh_ones(tmp_path, capsys, monkey
 
 
 # The classify goldens through the closure and the intertwining
-# equations alone; the tests above take the eigenbasis route.
+# equations alone; the tests above take the standard-basis route.
 @pytest.mark.parametrize("module,golden", [
     ("rational_even_d5_tw3.json", "rational_even_d5_tw3_classify.json"),
     ("rational_odd_d4_conj.json", "rational_odd_d4_conj_classify.json"),
@@ -610,12 +610,15 @@ def test_back_to_back_main_calls_behave_like_fresh_ones(tmp_path, capsys, monkey
 ])
 def test_classify_goldens_through_the_fallback(tmp_path, fallback, module, golden):
     out = tmp_path / "cls.json"
-    assert daha.analysis._spectral_intertwiner(None, None) is None
+    assert daha.analysis._standard_intertwiner(None, None) is None
     assert run("classify", "--in", str(DATA / module), "--out", str(out)) == EXIT_OK
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_classify_goldens_take_the_eigenbasis_route(tmp_path, monkeypatch):
+    """The goldens are classified by the route that starts from an
+    eigenvector of X, Norton's test and a standard basis, with no
+    closure."""
     calls = []
     monkeypatch.setattr(daha.analysis, "span_closure", calls.append)
     for module in ("rational_even_d5_tw3.json", "rational_odd_d4_conj.json", "ratfun_even_d3.json"):
@@ -626,8 +629,9 @@ def test_classify_goldens_take_the_eigenbasis_route(tmp_path, monkeypatch):
 def _differential_grid(conjugate, old_format):
     """The JSON of irreducible modules of both families at d <= 5 with all
     twists, some in a random basis, reducible ones from single
-    violations, and formal-q modules in pipe form and in the old form
-    that prints constants as bare rationals."""
+    violations, formal-q modules in pipe form and in the old form that
+    prints constants as bare rationals, and a formal module with the
+    non-monomial k1 = (1+q)/(2-q)."""
     rng = random.Random("classify-differential")
     modules, docs = [], []
     for d in range(6):
@@ -648,6 +652,11 @@ def _differential_grid(conjugate, old_format):
             p = sampler(rng, d, QQ_Q)
             modules.append(twist(make(p), 1))
             docs.append(old_format(twist(make(p), 3)))
+    q = QQ_Q.default_q()
+    p = sample_even(rng, 1, QQ_Q).with_k(k1=(1 + q) / (2 - q))
+    while not criterion_E(p):
+        p = sample_even(rng, 1, QQ_Q).with_k(k1=(1 + q) / (2 - q))
+    modules.append(twist(make_E(p), 2))
     return [m.to_json() for m in modules] + docs
 
 
@@ -668,10 +677,10 @@ def test_classify_json_is_the_same_through_both_routes(tmp_path, monkeypatch, co
             got.append((code, out.read_bytes()))
         return got
 
-    spectral = outputs()
-    monkeypatch.setattr(daha.analysis, "_spectral_intertwiner", lambda *args: None)
-    assert outputs() == spectral
-    verdicts = [json.loads(text)["verdict"] for _, text in spectral]
+    standard = outputs()
+    monkeypatch.setattr(daha.analysis, "_standard_intertwiner", lambda *args: None)
+    assert outputs() == standard
+    verdicts = [json.loads(text)["verdict"] for _, text in standard]
     assert verdicts.count("reducible") == 5 and verdicts.count("classified") == len(docs) - 5
 
 
@@ -679,9 +688,11 @@ def test_classify_json_is_the_same_through_both_routes(tmp_path, monkeypatch, co
     ("even", "1", "-1/2,9/13,16/15,-1"),
     ("odd", "2", "7/9,1/7,-7/2,-9/28"),
 ])
-def test_repeated_x_diagonal_classifies_through_the_fallback(tmp_path, monkeypatch, parity, d, k):
-    """X has a repeated diagonal entry here, so the closure and the
-    intertwining equations decide, once each."""
+def test_repeated_x_diagonal_classifies_without_the_fallback(tmp_path, monkeypatch, parity,
+                                                             d, k):
+    """X has a repeated diagonal entry here, yet an eigenvalue of nullity
+    1 lets the standard-basis route decide, with no closure and no
+    Sylvester solve, and the forced fallback prints the same bytes."""
     mod = tmp_path / "mod.json"
     run("construct", "--parity", parity, "--q", "2", f"--k={k}", "--d", d, "--out", str(mod))
     calls = {"span_closure": 0, "solve_sylvester_homogeneous": 0}
@@ -699,8 +710,8 @@ def test_repeated_x_diagonal_classifies_through_the_fallback(tmp_path, monkeypat
     out, forced = tmp_path / "cls.json", tmp_path / "forced.json"
     assert run("classify", "--in", str(mod), "--out", str(out)) == EXIT_OK
     assert json.loads(out.read_text())["verdict"] == "classified"
-    assert calls == {"span_closure": 1, "solve_sylvester_homogeneous": 1}
-    monkeypatch.setattr(daha.analysis, "_spectral_intertwiner", lambda *args: None)
+    assert calls == {"span_closure": 0, "solve_sylvester_homogeneous": 0}
+    monkeypatch.setattr(daha.analysis, "_standard_intertwiner", lambda *args: None)
     assert run("classify", "--in", str(mod), "--out", str(forced)) == EXIT_OK
     assert forced.read_bytes() == out.read_bytes()
 

@@ -15,7 +15,7 @@ from daha.errors import InputError, SingularMatrixError
 from daha.linalg import (
     Matrix,
     det,
-    eigenbasis,
+    eigenline,
     inverse,
     kernel,
     kernel_line,
@@ -23,22 +23,24 @@ from daha.linalg import (
     solve_right,
     solve_sylvester_homogeneous,
     span_closure,
+    standard_basis,
     ZZ,
     _one_pivot,
 )
 from daha.analysis import (
     _recover,
     _shift,
-    _spectral_intertwiner,
+    _standard_intertwiner,
     classify,
     criterion_E,
     criterion_O,
     find_intertwiner,
 )
 from daha.modrep import ModuleRep, _ladder_block, make_E, make_O
-from daha.params import canonical_orbit_rep
+from daha.params import ParamQuadruple, canonical_orbit_rep
 from daha.sampling import adversarial_even, adversarial_odd, sample_params
 from daha.scalar import (
+    QQ,
     QQ_Q,
     RatFun,
     _pgcd,
@@ -96,7 +98,7 @@ def field_one_pivot(m):
     if not reduced:
         return [], [], m.ring.one
     r = Matrix(reduced)
-    return [list(row) for row in linalg._ring_rows(r)], pivots, r._den
+    return [list(row) for row in r._rows], pivots, r._den
 
 
 def _field_det(entries):
@@ -132,7 +134,7 @@ def field_bareiss(rows, ring):
     entry over one)."""
     d = Matrix([[_field_det(linalg._scalars(ring, rows, ring.one))]])
     assert d._den == ring.one
-    return linalg._ring_rows(d)[0][0]
+    return d._rows[0][0]
 
 
 def _field_insert(basis, mat):
@@ -1082,30 +1084,57 @@ def test_polynomial_sylvester_kernel_matches_field_loop(field_loop):
         assert solve_sylvester_homogeneous(system) == want
 
 
-def diagonal_of(m):
-    return Matrix([[m.entry(i, i) if i == j else 0 for j in range(m.cols)] for i in range(m.rows)])
-
-
-def test_eigenbasis_diagonalises_or_declines():
-    """eigenbasis(w, of) on both rings: None for a repeated diagonal of
-    of and for a kernel that is not a line; on a module's X against
-    itself, P^-1 X P is of's diagonal; and a rational w against a Q(q)
-    of is joined like any other operands, giving the lifted result."""
-    assert eigenbasis(Matrix([[2, 1], [0, 3]]), Matrix.identity(2)) is None
-    assert eigenbasis(Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
-                      Matrix([[1, 0, 0], [0, 3, 0], [0, 0, 2]])) is None
-    rng = random.Random("eigenbasis")
+def test_eigenline_spans_a_kernel_line_or_declines():
+    """eigenline(w, theta) on both rings: None for a kernel of nullity 0
+    or 2; on a module's X, for each diagonal entry theta, a column v with
+    X v = theta v and, with transpose, a row w with w X = theta w; and a
+    rational w with a Q(q) theta is joined like any other operands,
+    giving the lifted result."""
+    assert eigenline(Matrix([[2, 1], [0, 3]]), 1) is None
+    assert eigenline(Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), 1) is None
+    rng = random.Random("eigenline")
     rational = make_E(sample_params(rng, "even", 3)).x_matrix()
     formal = make_O(sample_params(rng, "odd", 2, field=QQ_Q)).x_matrix()
     for x in (rational, formal):
-        diagonal = diagonal_of(x)
-        assert len({diagonal.entry(i, i) for i in range(x.rows)}) == x.rows
-        p = eigenbasis(x, x)
-        assert p.field is x.field and inverse(p) * x * p == diagonal
-    lifted = eigenbasis(rational, lift(rational))
-    assert lifted.field is QQ_Q and lifted == eigenbasis(rational, rational)
-    assert eigenbasis(lift(rational), rational) == lifted
-    assert inverse(lifted) * rational * lifted == lift(diagonal_of(rational))
+        for i in range(x.rows):
+            theta = x.entry(i, i)
+            v = eigenline(x, theta)
+            w = Matrix([[e for (e,) in eigenline(x, theta, transpose=True).entries]])
+            assert v.field is x.field and v.scalar_value() is None
+            assert x * v == v.scale(theta) and w * x == w.scale(theta) and rank(w) == 1
+    theta = rational.entry(2, 2)
+    lifted = eigenline(rational, theta * Q ** 0)
+    assert lifted.field is QQ_Q and lifted == eigenline(rational, theta)
+
+
+def test_standard_basis_carries_the_words_to_a_conjugate():
+    """The standard basis of an eigenvector of X under a module's
+    generators, carried by the same words to the image of that vector in
+    a conjugate module: Q P^-1 is the conjugating matrix, on both rings
+    and across them, with generators over other denominators than the
+    conjugate's.  On a reducible module, with e_1 spanning a submodule,
+    standard_basis declines when v lies in it or when w lies in its
+    annihilator, and not otherwise."""
+    rng = random.Random("standard-basis")
+    s = Matrix([[1, 2, 0, 0], [0, 1, 0, Fraction(1, 3)], [Fraction(-1, 2), 0, 1, 0], [0, 0, 5, 1]])
+    for field in (QQ, QQ_Q):
+        p = sample_params(rng, "even", 3, field=field)
+        while not criterion_E(p):
+            p = sample_params(rng, "even", 3, field=field)
+        a = make_E(p)
+        conj = [s * t * inverse(s) for t in a.t]
+        assert any(c._den != t._den for c, t in zip(conj, a.t))
+        x = a.x_matrix()
+        theta = x.entry(0, 0)
+        v, w = eigenline(x, theta), eigenline(x, theta, True)
+        for others, u, want in ((conj, s * v, s), ([lift(t) for t in a.t], v, Matrix.identity(4))):
+            basis, images = standard_basis(zip(a.t, others), v, u, w)
+            assert images * inverse(basis) == want
+    a = make_E(ParamQuadruple(2, Fraction(1, 2), 1, 1, 1, d=1, parity="even"))
+    e0, e1 = Matrix([[1], [0]]), Matrix([[0], [1]])
+    declines = {(v, w): standard_basis(zip(a.t, a.t), v, v, w) is None
+                for v, w in ((e0, e0), (e0, e1), (e1, e0), (e1, e1))}
+    assert declines == {(e0, e0): True, (e0, e1): False, (e1, e0): True, (e1, e1): True}
 
 
 def test_formal_routines_read_no_entries(monkeypatch):
@@ -1133,6 +1162,9 @@ def test_formal_routines_read_no_entries(monkeypatch):
         (v,) = kernel(shifted).basis
         assert shifted * Matrix([[x] for x in v]) == Matrix([[0]] * n)
         assert kernel_line(shifted) is not None
+        v, w = eigenline(t[3] * t[0], theta), eigenline(t[3] * t[0], theta, True)
+        basis, images = standard_basis(zip(t, t), v, v, w)
+        assert basis == images and rank(basis) == n
         assert span_closure(t) == n * n
         assert solve_sylvester_homogeneous(zip(t, t)).dim == 1
 
@@ -1164,8 +1196,8 @@ def test_kernel_rank_and_sylvester_build_no_matrix_from_scalars(monkeypatch):
 @pytest.mark.parametrize("family,d", [("even", 1), ("even", 3), ("odd", 2)])
 def test_formal_classify_reads_single_entries_only(monkeypatch, family, d, e):
     """Formal classify certifies on the polynomial rows: with the RatFun
-    view patched to raise (single entries still allowed), the eigenbasis
-    route and classify give the equations' certificate, for a k1 with a
+    view patched to raise (single entries still allowed), the standard-
+    basis route and classify give the equations' certificate, for a k1 with a
     non-monomial numerator and denominator."""
     rng = random.Random(f"classify-no-entries:{family}:{d}")
     crit = criterion_E if family == "even" else criterion_O
@@ -1180,7 +1212,7 @@ def test_formal_classify_reads_single_entries_only(monkeypatch, family, d, e):
         raise AssertionError("formal classify read the RatFun entries")
 
     monkeypatch.setattr(Matrix, "entries", property(refuse))
-    assert _spectral_intertwiner(m, reference, eps) == want
+    assert _standard_intertwiner(m, reference, eps) == want
     assert classify(m).certificate == want
 
 

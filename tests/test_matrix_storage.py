@@ -3,8 +3,10 @@ asks which ring it is on.
 
 A matrix holds its ring (``ZZ`` or ``ZZ_Q``), ring rows ``_rows`` and a
 denominator (see ``daha.linalg.Matrix``).  No other module of
-``src/daha`` may read those rows or import the slot setters; they go
-through ``_ring_rows`` and ``_ring_matrix``, which serve both rings.
+``src/daha`` may read those rows or import the slot setters; they call
+the routines of ``daha.linalg`` instead, whose one way back from ring
+rows to a matrix, ``_ring_matrix``, serves both rings.  Tests may read
+``m._rows``.
 
 Inside ``daha.linalg`` and ``daha.modrep`` every routine asks its ring
 for what it needs, so outside the ``Matrix`` constructors no function
