@@ -10,7 +10,10 @@ clear, the Bareiss step, the lcm of pivots), never which ring it is.
 Products, sums, elimination, the determinant (Bareiss's), the inverse,
 the Sylvester solve, the span closure and the spin of a vector run
 fraction-free on ring rows and normalise once per result; every elimination is read off
-:func:`_one_pivot`.  Fractions or RatFuns are made only for the scalars
+:func:`_one_pivot`.  The span closure runs in F_P first, on words packed
+into ints (:class:`_Residues`), each ring mapping its rows there by its
+``residue``, and on the ring rows only when that pass proves nothing
+(see :func:`span_closure`).  Fractions or RatFuns are made only for the scalars
 a routine returns, by :func:`_scalars` as for :attr:`Matrix.entries`.
 Matrices are immutable after construction, all functions are pure.
 """
@@ -19,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import add, attrgetter, floordiv, mul, neg, sub
+from operator import add, attrgetter, floordiv, lshift, mul, neg, sub
 
 from .errors import DahaError, InputError, SingularMatrixError
 from .laurent import _raw_from_pairs
@@ -436,6 +440,10 @@ class _Integers:
         bp, c = b[p] // g, v[p] // g
         return _primitive([bp * x - c * y for x, y in zip(v, b)])
 
+    def residue(self, x: int) -> int:
+        """x mod P, the ring map Z -> F_P of :func:`span_closure`."""
+        return x % P
+
     def word(self, a, w):
         """The n x n int matrix a times the flat row-major word w, flat and
         divided by the gcd of its entries.  Row i of a is given as the pairs
@@ -538,6 +546,14 @@ class _Polynomials:
         g = _pgcd(b[p], v[p])
         return self.combine(_pexquo(b[p], g), v, self.neg(_pexquo(v[p], g)), b)
 
+    def residue(self, x) -> int:
+        """x(Q0) mod P by Horner's rule, the ring map Z[q] -> F_P of
+        :func:`span_closure`."""
+        r = 0
+        for c in reversed(x):
+            r = (r * Q0 + c) % P
+        return r
+
     def step(self, pv, row, tail, prev) -> list:
         """:meth:`_Integers.step` on polynomial rows, divided by
         :func:`~daha.scalar._pexquo`."""
@@ -587,6 +603,113 @@ ZZ = _Integers()
 ZZ_Q = _Polynomials()
 # ring.join[other]: the ring of an operation on operands over ring and other
 ZZ.join, ZZ_Q.join = {ZZ: ZZ, ZZ_Q: ZZ_Q}, {ZZ: ZZ_Q, ZZ_Q: ZZ_Q}
+
+P = (1 << 19) - 1  # a Mersenne prime: 2**19 = 1 (mod P), so a fold reduces
+Q0 = 314159  # q -> Q0 on Z[q]: a primitive root mod P, so no Q0**k = 1 for 0 < k < P - 1
+
+
+def _folds(bound: int) -> int:
+    """How many folds ``x -> (x mod 2**19) + (x >> 19)`` bring every
+    value up to bound to at most 2P - 1 (see :meth:`_Residues.canon`)."""
+    k = 0
+    while bound > 2 * P - 1:
+        bound, k = P + (bound >> 19), k + 1
+    return k
+
+
+class _Residues:
+    """F_P for the span closure of n x n matrices, its words packed into
+    one int each: the flat row-major entry i in the W-bit slot at bit
+    W*i, canonical when every slot is below P.
+
+    A generator g is held as its columns spread over the row slots,
+    E_k = sum_i g[i][k] << (W*n*i), so :meth:`word` forms g*w as
+    sum_k E_k * row_k(w), n int products.  :meth:`insert` keeps the
+    basis in reduced echelon form mod P, each row 1 at its pivot slot
+    and 0 mod P at every other pivot, so all coefficients of a candidate
+    v are read off its pivot slots at once and v reduces to
+    ``v + sum_j (P - c_j)*b_j``, folded once.  A new row r is made 1 at
+    its pivot and canonical, and cleared from every basis row by
+    ``b += (P - c)*r``, unfolded: each of the at most N = n*n inserts
+    adds below P**2 to a slot of b, so b stays below P + N*P**2 and an
+    unfolded sum below P + N*P*(P + N*P**2); W is one bit more than
+    that bound needs, so no slot ever carries into the next.
+    """
+
+    def __init__(self, n: int):
+        size = n * n
+        top = P + size * P * (P + size * P * P)  # the largest unfolded slot
+        w = self.width = top.bit_length() + 1
+        ones = sum(1 << (w * i) for i in range(size))
+        self.n, self.ones = n, ones
+        self.low, self.high = P * ones, ((1 << (w - 19)) - 1) * ones
+        self.slot, self.row = (1 << w) - 1, (1 << (w * n)) - 1
+        self.ident = sum(1 << (w * (i * n + i)) for i in range(n))
+        self.bits = [w * i for i in range(size)]  # where each slot starts
+        self.column = sum(self.slot << (w * n * i) for i in range(n))  # slots of column 0
+        self.reduce_folds, self.product_folds, self.scale_folds = (
+            _folds(top), _folds(n * P * P), _folds(P * P))
+
+    def canon(self, x: int, folds: int) -> int:
+        """x with every slot reduced to its canonical residue, given that
+        folds folds bring each slot to at most 2P - 1.  Since 2**19 = 1
+        (mod P), a fold ``(x & low) + ((x >> 19) & high)`` keeps each
+        slot's residue; one more fold of x + ones (slots 1..2P) gives
+        slots 1..P, and ones is subtracted after it, so P becomes 0."""
+        low, high = self.low, self.high
+        for _ in range(folds):
+            x = (x & low) + ((x >> 19) & high)
+        x += self.ones
+        return (x & low) + ((x >> 19) & high) - self.ones
+
+    def generator(self, entries) -> tuple:
+        """The n x n matrix of the flat row-major residues entries as the
+        pairs (bit of row k, E_k) of the nonzero E_k, for :meth:`word`:
+        packed as a word, column k shifted down to slot 0 and masked."""
+        packed = sum(map(lshift, entries, self.bits))
+        column, w = self.column, self.width
+        columns = ((packed >> (w * k)) & column for k in range(self.n))
+        return tuple((w * self.n * k, e) for k, e in enumerate(columns) if e)
+
+    def word(self, g, w: int) -> int:
+        """g times the canonical word w, canonical: row k of w, read off
+        its n slots, times E_k lands g[i][k]*w[k][j] in slot i*n + j, each
+        sum below n*P**2, and the sum over k is folded once."""
+        row = self.row
+        acc = 0
+        for bit, e in g:
+            acc += e * ((w >> bit) & row)
+        return self.canon(acc, self.product_folds)
+
+    def insert(self, basis, v: int) -> bool:
+        """Reduce the canonical word v against basis (bit of a pivot slot
+        -> row) and store it, 1 at its lowest nonzero slot, when it does
+        not vanish, clearing that slot from the other rows."""
+        acc = v
+        for bit, b in basis.items():
+            c = (v >> bit) & P
+            if c:
+                acc += (P - c) * b
+        if acc is not v:
+            acc = self.canon(acc, self.reduce_folds)
+        if not acc:
+            return False
+        bit = (acc & -acc).bit_length() - 1
+        bit -= bit % self.width
+        r = self.canon(acc * pow((acc >> bit) & P, -1, P), self.scale_folds)
+        slot = self.slot
+        for j, b in basis.items():
+            c = ((b >> bit) & slot) % P
+            if c:
+                basis[j] = b + (P - c) * r
+        basis[bit] = r
+        return True
+
+
+@lru_cache(maxsize=16)
+def _residues(n: int) -> _Residues:
+    """The :class:`_Residues` of n x n words, built once per n."""
+    return _Residues(n)
 
 
 @dataclass(frozen=True)
@@ -877,14 +1000,23 @@ def span_closure(gens) -> int:
     and is still exact over the field: a nonzero scalar multiple of a
     generator generates the same unital algebra, and every word becomes
     a nonzero multiple of the corresponding word over the field, so the
-    spans agree.  Words are flat row-major ring lists, each generator
-    multiplies by its nonzero entries only (the ring's word product),
-    and the ring's insert reduces a candidate by the fraction-free step
-    ``v <- (b[p]/g)*v - (v[p]/g)*b`` with g the gcd of b[p] and v[p] and
-    stores it divided by the gcd of its entries: invertible row
-    operations over the field, so membership in the span and the rank
-    are those of elimination over the field (see
-    :meth:`_Integers.insert`).
+    spans agree.  It runs twice at most: first in F_P on the rows' images
+    under the ring's residue map (:func:`_residue_closure`), then, only
+    when that falls short of n**2, on the ring rows themselves
+    (:func:`_exact_closure`).
+
+    Soundness of the F_P pass.  Reduction mod P and the substitution
+    q -> Q0 followed by it are ring maps Z -> F_P and Z[q] -> F_P, so
+    every word in the reduced generators is the image of the same word
+    in the ring rows, and every minor of the reduced words is the image
+    of a minor of the exact ones: the rank can only drop.  The argument
+    of :func:`_closure`, the last-generator drop and the quadratic skip
+    included, holds over any field, so the F_P pass returns the
+    dimension over F_P of the algebra of the reduced generators, which
+    is at most the exact dimension.  Hence n**2 in F_P proves n**2.
+    Below n**2 nothing is proved (a reduced generator may even vanish,
+    say when its entries are multiples of P), and the exact pass
+    decides, so the result is always the exact dimension.
     """
     gens = list(gens)
     if not gens:
@@ -894,8 +1026,33 @@ def span_closure(gens) -> int:
         if not g.is_square() or g.rows != n:
             raise DahaError("generators must be square of equal size")
     ring, over = _joined(*gens)
+    rows = [g for g, _ in over]
+    if _residue_closure(ring, rows, n) == n * n:
+        return n * n
+    return _exact_closure(ring, rows, n)
+
+
+def _residue_closure(ring, gens, n) -> int:
+    """:func:`_closure` in F_P (:class:`_Residues`) on the images of the
+    ring rows gens under the ring's residue map."""
+    field = _residues(n)
+    residue = ring.residue
+    packed = [field.generator(map(residue, chain.from_iterable(g))) for g in gens]
+    return _closure(packed, field.ident, field.word, field.insert, n * n)
+
+
+def _exact_closure(ring, gens, n) -> int:
+    """:func:`_closure` on the ring rows gens themselves.  Words are flat
+    row-major ring lists, each generator multiplies by its nonzero
+    entries only (the ring's word product), and the ring's insert
+    reduces a candidate by the fraction-free step
+    ``v <- (b[p]/g)*v - (v[p]/g)*b`` with g the gcd of b[p] and v[p] and
+    stores it divided by the gcd of its entries: invertible row
+    operations over the field, so membership in the span and the rank
+    are those of elimination over the field (see
+    :meth:`_Integers.insert`)."""
     ident = [ring.one if i == j else ring.zero for i in range(n) for j in range(n)]
-    sparse = [[[(k * n, x) for k, x in enumerate(row) if x] for row in g] for g, _ in over]
+    sparse = [[[(k * n, x) for k, x in enumerate(row) if x] for row in g] for g in gens]
     return _closure(sparse, ident, ring.word, ring.insert, n * n)
 
 

@@ -124,6 +124,21 @@ def test_irreducible_on_formal_files(name, closure_dim, capsys):
     assert data["irreducible"] and data["agrees"] is True
 
 
+def test_formal_even_d7_is_proved_irreducible_in_f_p(tmp_path, capsys, monkeypatch):
+    # E(q; q^-4, 3, -12/5, -4/11) at d=7 reaches n**2 = 64 in the F_P pass,
+    # so the exact Z[q] closure, which takes seconds here, never inserts.
+    mod = tmp_path / "d7.json"
+    assert run("construct", "--parity", "even", "--backend", "ratfun", "--d", "7",
+               "--k=q^-4,3,-12/5,-4/11", "--out", str(mod)) == EXIT_OK
+    calls = []
+    monkeypatch.setattr(daha.linalg.ZZ_Q, "insert", lambda *args: calls.append(args))
+    assert run("irreducible", "--in", str(mod)) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"agrees": True, "closure_dim": 64, "criterion": True, "dim": 8,
+                    "irreducible": True}
+    assert calls == []
+
+
 def test_twist_and_intertwiner(tmp_path, capsys):
     mod = tmp_path / "mod.json"
     run("construct", "--parity", "even", "--q", "2", "--k", "1/2,1,3,1",

@@ -553,6 +553,23 @@ def module_gens(p):
     return (make_E(p) if p.parity == "even" else make_O(p)).t
 
 
+def closure_input(gens):
+    """gens as span_closure passes them to each pass: (ring, ring rows, n)."""
+    ring, over = linalg._joined(*gens)
+    return ring, [g for g, _ in over], gens[0].rows
+
+
+def exact_closure(gens):
+    """span_closure's exact pass alone, which decides whenever the F_P
+    pass falls short of n**2, so that full-dimension inputs reach it too."""
+    return linalg._exact_closure(*closure_input(gens))
+
+
+def residue_closure(gens):
+    """span_closure's F_P pass alone."""
+    return linalg._residue_closure(*closure_input(gens))
+
+
 def test_integer_closure_matches_field_loop():
     # The int rows and the int polynomial rows of the same modules lifted
     # into Q(q), irreducible and reducible, then irreducible formal
@@ -570,7 +587,9 @@ def test_integer_closure_matches_field_loop():
         for p in samples:
             gens = module_gens(p)
             dim = span_closure(gens)
-            assert dim == field_closure(gens) == span_closure([lift(g) for g in gens]), p
+            lifted = [lift(g) for g in gens]
+            assert dim == exact_closure(gens) == field_closure(gens), p
+            assert dim == span_closure(lifted) == exact_closure(lifted), p
             verdicts.add(dim == (d + 1) ** 2)
     assert verdicts == {True, False}
     for d in range(4):
@@ -578,7 +597,7 @@ def test_integer_closure_matches_field_loop():
         for params in (p, with_non_monomial_k1(p)):
             gens = module_gens(params)
             assert gens[0].field is QQ_Q
-            assert span_closure(gens) == field_closure(gens) == (d + 1) ** 2, params
+            assert span_closure(gens) == exact_closure(gens) == field_closure(gens) == (d + 1) ** 2
 
 
 def plain_insert(basis, v):
@@ -628,7 +647,7 @@ def test_integer_closure_matches_field_loop_large(family, d):
     gens = module_gens(p)
     n = d + 1
     reference = plain_closure(gens)
-    assert span_closure(gens) == reference == n * n
+    assert span_closure(gens) == exact_closure(gens) == reference == n * n
 
 
 def test_integer_closure_edge_cases():
@@ -677,7 +696,7 @@ def test_closure_matches_plain_closure_on_a_grid(conjugate):
     verdicts = set()
     for m in modules:
         dim = span_closure(m.t)
-        assert dim == plain_closure(m.t), m.label
+        assert dim == exact_closure(m.t) == plain_closure(m.t), m.label
         verdicts.add(dim == m.dim * m.dim)
     assert verdicts == {True, False}
 
@@ -737,31 +756,53 @@ def test_closure_with_a_scalar_product_matches_plain_closure():
     assert plain_closure(cases[0][0]) == 6 and plain_closure(unit) == 4
 
 
-def test_the_last_generator_is_dropped_on_a_module(monkeypatch):
-    # t0*t1*t2*t3 = q**-1, so once the closure has formed that product
-    # it never multiplies by t3 again, and the dimension is unchanged.
-    m = make_E(sample_params(random.Random("drop-last"), "even", 7))
-    real = ZZ.word
-    calls = []
+def word_calls(monkeypatch, ring, gens, exact):
+    """span_closure(gens) with ring's word product spied on, and with the
+    F_P pass turned off when exact: (dimension, the generator argument of
+    each product)."""
+    real, calls = ring.word, []
 
     def spy(a, w):
         calls.append(a)
         return real(a, w)
 
-    monkeypatch.setattr(ZZ, "word", spy)
-    dim = span_closure(m.t)
-    monkeypatch.undo()
-    assert dim == plain_closure(m.t)
-    n = m.dim
-    ident = [int(i == j) for i in range(n) for j in range(n)]
+    with monkeypatch.context() as patch:
+        patch.setattr(ring, "word", spy)
+        if exact:
+            patch.setattr(linalg, "_residue_closure", lambda *args: 0)
+        dim = span_closure(gens)
+    return dim, calls
+
+
+def assert_used_once(calls, is_last):
+    """The four generators are used, and the one is_last picks only for
+    the first product, which starts the test of the ordered product."""
     rows = {id(a): a for a in calls}
     assert len(rows) == 4
-    den = lcm(*(e.denominator for row in m.t[3].entries for e in row))
-    t3 = [int(e * den) for row in m.t[3].entries for e in row]
-    t3 = [x // gcd(*t3) for x in t3]
-    (last,) = [a for a in rows.values() if real(a, ident) == t3]
+    (last,) = [a for a in rows.values() if is_last(a)]
     used = [i for i, a in enumerate(calls) if a is last]
     assert len(used) == 1 and used[0] < 4 < len(calls)
+
+
+def test_the_last_generator_is_dropped_on_a_module(monkeypatch):
+    # t0*t1*t2*t3 = q**-1, so once the closure has formed that product
+    # it never multiplies by t3 again, in the F_P pass and in the exact
+    # pass (forced by turning the F_P pass off), and the dimension is
+    # unchanged.
+    m = make_E(sample_params(random.Random("drop-last"), "even", 7))
+    want = plain_closure(m.t)
+    n = m.dim
+    flat = [x for row in m.t[3]._rows for x in row]
+    field = linalg._residues(n)
+    t3 = field.generator(map(ZZ.residue, flat))
+    dim, calls = word_calls(monkeypatch, field, m.t, exact=False)
+    assert dim == want
+    assert_used_once(calls, lambda a: a == t3)
+    ident = [int(i == j) for i in range(n) for j in range(n)]
+    t3 = [x // gcd(*flat) for x in flat]
+    dim, calls = word_calls(monkeypatch, ZZ, m.t, exact=True)
+    assert dim == want
+    assert_used_once(calls, lambda a: ZZ.word(a, ident) == t3)
 
 
 def test_int_insert_unit_steps_follow_the_recurrence():
@@ -830,7 +871,95 @@ def test_integer_closure_matches_sympy_rank(p_even_d1, p_even_d1_reducible, p_od
     cases.append(module_gens(adversarial_odd(rng, 2)))
     cases.append([rand_matrix(rng, 3, height=3)])
     for gens in cases:
-        assert span_closure(gens) == sympy_algebra_dim(gens)
+        assert span_closure(gens) == exact_closure(gens) == sympy_algebra_dim(gens)
+
+
+# -- span_closure: the F_P pass against the exact one ------------------------
+
+def test_residue_closure_never_exceeds_the_exact_one(conjugate):
+    # Rational and formal modules of both families, adversarial reducible
+    # samples, rational conjugates, k1 = (1+q)/(2-q) and a module whose
+    # relations fail: the F_P dimension is at most the exact one, and
+    # n**2 wherever the exact one is.
+    rng = random.Random("residue-closure")
+    q = QQ_Q.default_q()
+    modules = []
+    for d in range(6):
+        family = "odd" if d % 2 == 0 else "even"
+        adversarial = adversarial_even if family == "even" else adversarial_odd
+        samples = [sample_params(rng, family, d)]
+        if d >= 1:
+            samples.append(adversarial(rng, d))
+        if d <= 3:
+            formal = sample_params(rng, family, d, field=QQ_Q)
+            samples += [formal, with_non_monomial_k1(formal)]
+            if d >= 1:
+                samples.append(adversarial(rng, d, q))
+        for p in samples:
+            m = make_module(p)
+            modules.append(m)
+            if d <= 3 and m.t[0].field is QQ:
+                modules.append(conjugate(m, rng))
+    corrupt = Path(__file__).parent / "data" / "rational_even_d3_corrupt.json"
+    modules.append(ModuleRep.from_json(json.loads(corrupt.read_text())))
+    seen = set()
+    for m in modules:
+        full, fast, exact = m.dim * m.dim, residue_closure(m.t), exact_closure(m.t)
+        assert fast <= exact and (fast == full) == (exact == full), m.label
+        assert span_closure(m.t) == exact
+        seen.add((m.t[0].field, exact == full))
+    assert seen == {(QQ, True), (QQ, False), (QQ_Q, True), (QQ_Q, False)}
+
+
+def test_a_vanishing_residue_falls_back_to_the_exact_closure():
+    # Entries that are multiples of P, or that vanish at q = Q0, reduce to
+    # zero matrices: the F_P pass reaches 1 only, and the exact pass
+    # decides.
+    q = QQ_Q.default_q()
+    rational = module_gens(sample_params(random.Random("vanish"), "even", 3))
+    formal = [lift(g) for g in rational]
+    cases = [[g.scale(linalg.P) for g in rational], [g.scale(q - linalg.Q0) for g in formal],
+             [g.scale(linalg.P) for g in formal]]
+    assert span_closure(rational) == 16
+    for gens in cases:
+        assert not any(g.ring.residue(x) for g in gens for row in g._rows for x in row)
+        assert residue_closure(gens) == 1
+        assert span_closure(gens) == exact_closure(gens) == 16
+
+
+def test_packed_reduction_matches_the_remainder_slot_by_slot():
+    # Every slot bound the F_P pass relies on, at the bound itself and on
+    # random values below it: canon gives x % P in every slot.  The ring
+    # maps agree with the remainder and with evaluation at Q0.
+    P = linalg.P
+    rng = random.Random("packed")
+    for n in (1, 2, 3, 8):
+        field = linalg._residues(n)
+        size, width = n * n, field.width
+        top = P + size * P * (P + size * P * P)
+        assert top.bit_length() < width
+        for bound, folds in ((top, field.reduce_folds), (n * P * P, field.product_folds),
+                             (P * P, field.scale_folds)):
+            edges = [0, 1, P - 1, P, P + 1, 2 * P - 1, 2 * P, bound - bound % P, bound]
+            for _ in range(20):
+                slots = [rng.choice(edges) if rng.random() < 0.3 else rng.randint(0, bound)
+                         for _ in range(size)]
+                packed = sum(x << (width * i) for i, x in enumerate(slots))
+                got = field.canon(packed, folds)
+                assert [(got >> (width * i)) & field.slot for i in range(size)] == \
+                    [x % P for x in slots]
+                assert got >> (width * size) == 0
+        a = [[rng.randrange(P) for _ in range(n)] for _ in range(n)]
+        w = [[rng.choice((0, P - 1, rng.randrange(P))) for _ in range(n)] for _ in range(n)]
+        gen = field.generator(x for row in a for x in row)
+        word = sum(x << (width * i) for i, x in enumerate(x for row in w for x in row))
+        got = field.word(gen, word)
+        want = [sum(a[i][k] * w[k][j] for k in range(n)) % P for i in range(n) for j in range(n)]
+        assert [(got >> (width * i)) & field.slot for i in range(size)] == want
+    for x in (0, 5, -5, P, -P, P * P + 3, -(10 ** 40)):
+        assert ZZ.residue(x) == x % P
+    for poly in ((), (1,), (-3, 0, 2), (P, P), tuple(range(-5, 9))):
+        assert linalg.ZZ_Q.residue(poly) == sum(c * linalg.Q0 ** i for i, c in enumerate(poly)) % P
 
 
 def scalars_of_results(m, rhs, vectors):
