@@ -4,11 +4,13 @@ intertwiners, and classification of finite-dimensional modules.
 Irreducibility is decided two independent ways: the closed-form
 parameter criteria, and the Burnside oracle (the unital matrix algebra
 generated by the four generator matrices has full dimension n**2 iff
-the module is absolutely irreducible).  The classification recovers
-the twist from the determinant fingerprint, the parameters from the
-central character, and certifies the answer with an explicit
-invertible intertwiner, read off a standard basis once Norton's test
-has proved irreducibility -- nothing is trusted without a certificate.
+the module is absolutely irreducible; a reducible verdict is proved by
+an invariant subspace where Norton's test finds one).  The
+classification recovers the twist from the determinant fingerprint,
+the parameters from the central character, and certifies the answer
+with an explicit invertible intertwiner, read off a standard basis once
+Norton's test has proved irreducibility -- nothing is trusted without a
+certificate.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .linalg import (
     det,
     eigenline,
     inverse,
+    is_full_algebra,
     rank,
     solve_sylvester_homogeneous,
     span_closure,
@@ -85,8 +88,39 @@ def criterion_O(p: ParamQuadruple) -> bool:
 
 def burnside_irreducible(m: ModuleRep) -> bool:
     """Independent oracle: absolute irreducibility iff the generated
-    matrix algebra has dimension dim**2."""
-    return span_closure(m.t) == m.dim * m.dim
+    matrix algebra has dimension dim**2 (Burnside's theorem), decided by
+    :func:`~daha.linalg.is_full_algebra` on the generators alone.
+
+    The F_P pass of the span closure goes first and proves dim**2 on an
+    irreducible module.  Short of it, theta runs over the diagonal of
+    W_e = t_{(3-e)%4} t_{(-e)%4}, e = 0..3, until ker(W_e - theta) is a
+    line (:func:`_eigenline_pair`), and Norton's two spins start from
+    it: v spanning that line under the generators, w spanning
+    ker(W_e^T - theta) under their transposes.  A spin that stops short
+    of n is a proper nonzero subspace over the base field that is
+    invariant under the generators (or whose annihilator is).  It stays
+    invariant under the whole algebra, which therefore lies in the
+    stabiliser of that subspace, a proper subalgebra of the n x n
+    matrices (they fix no proper nonzero subspace), and has dimension
+    below dim**2: False is proved.  When no theta has a kernel
+    line (a module in another basis, M + M) or both spins reach n (the
+    F_P pass lost rank), the exact closure decides, so a True verdict is
+    always a Burnside closure of dimension dim**2.  Nothing here reads
+    the parameters, so the oracle stays independent of the criteria."""
+    return is_full_algebra(m.t, lambda: _eigenline_pair(m))
+
+
+def _eigenline_pair(m: ModuleRep):
+    """(v, w) spanning ker(W - theta) and ker(W^T - theta) for the first
+    theta on the diagonal of W = t_{(3-e)%4} t_{(-e)%4}, e = 0..3, whose
+    kernel is a line (:func:`~daha.linalg.eigenline`), or None."""
+    for e in range(4):
+        w = m.t[(3 - e) % 4] * m.t[-e % 4]
+        for theta in dict.fromkeys(w.entry(i, i) for i in range(m.dim)):
+            v = eigenline(w, theta)
+            if v is not None:
+                return v, eigenline(w, theta, True)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ fraction-free on ring rows and normalise once per result; every elimination is r
 :func:`_one_pivot`.  The span closure runs in F_P first, on words packed
 into ints (:class:`_Residues`), each ring mapping its rows there by its
 ``residue``, and on the ring rows only when that pass proves nothing
-(see :func:`span_closure`).  Fractions or RatFuns are made only for the scalars
+(see :func:`span_closure`); :func:`is_full_algebra` tries Norton's two
+spins between the passes, since a short spin proves that the algebra
+is not every matrix.  Fractions or RatFuns are made only for the scalars
 a routine returns, by :func:`_scalars` as for :attr:`Matrix.entries`.
 Matrices are immutable after construction, all functions are pure.
 """
@@ -843,12 +845,29 @@ def _spin(ring, gens, v) -> tuple:
     return vectors, words
 
 
+def _norton(ring, gens, v, w):
+    """Norton's two spins on ring rows (R. A. Parker, "The computer
+    calculation of modular characters (the Meat-Axe)", 1984; D. F. Holt
+    and S. Rees, J. Austral. Math. Soc. A 57, 1994): the spin of the
+    column v under gens, as :func:`_spin` gives it, when that spin and
+    the spin of the column w under the transposes of gens both reach n;
+    else None.  The spin of v is the smallest subspace that holds v and
+    is invariant under gens, and the annihilator of the spin of w is
+    invariant under gens too, so a short spin of a nonzero vector gives
+    a proper nonzero invariant subspace over the base field."""
+    n = len(v)
+    spin = _spin(ring, gens, v)
+    if len(spin[0]) < n or len(_spin(ring, [list(zip(*g)) for g in gens], w)[0]) < n:
+        return None
+    return spin
+
+
 def standard_basis(pairs, v: Matrix, u: Matrix, w: Matrix):
     """Norton's two spins and the standard basis, for n x 1 matrices v, u
     and w: (P, Q), column j of each the j-th word of the spin of v under
     the left matrices A_k of pairs, applied to v and, under the right
     ones B_k, to u; or None when the spin of v, or that of w under the
-    transposes of the A_k, stops short of n (:func:`_spin`).  Each pair,
+    transposes of the A_k, stops short of n (:func:`_norton`).  Each pair,
     (v, u) among them, is put over one denominator by the ring's
     cofactors, so column j of P and of Q carries the same factor.  A map
     F with F A_k = B_k F for every k and F v = u then has F P = Q, so
@@ -861,9 +880,10 @@ def standard_basis(pairs, v: Matrix, u: Matrix, w: Matrix):
         rights.append(ring.times(b, [fb] * len(b)))
     (v, *lefts), (u, *rights) = lefts, rights
     n = len(v)
-    vectors, words = _spin(ring, lefts, v)
-    if len(vectors) < n or len(_spin(ring, [list(zip(*g)) for g in lefts], w)[0]) < n:
+    spin = _norton(ring, lefts, v, w)
+    if spin is None:
         return None
+    vectors, words = spin
     images = [u]
     for k, i in words:
         images.append(ring.product(rights[k], images[i]))
@@ -1016,8 +1036,45 @@ def span_closure(gens) -> int:
     is at most the exact dimension.  Hence n**2 in F_P proves n**2.
     Below n**2 nothing is proved (a reduced generator may even vanish,
     say when its entries are multiples of P), and the exact pass
-    decides, so the result is always the exact dimension.
+    decides, so the result is always the exact dimension.  For n = 1 the
+    answer is 1 without either pass: the unital algebra of 1 x 1
+    matrices is the field.
     """
+    ring, rows, n = _closure_input(gens)
+    if n == 1:
+        return 1
+    if _residue_closure(ring, rows, n) == n * n:
+        return n * n
+    return _exact_closure(ring, rows, n)
+
+
+def is_full_algebra(gens, lines) -> bool:
+    """Whether the unital algebra generated by the n x n matrices gens is
+    every n x n matrix: ``span_closure(gens) == n**2``, with a shorter
+    proof when it is not.  The F_P pass of :func:`span_closure` runs
+    first, and n**2 there returns True.  Below it, lines() gives
+    nonzero n x 1 matrices (v, w), or None, and :func:`_norton` spins v
+    under gens and w under their transposes: a spin that stops short of
+    n is a proper nonzero subspace over the base field that is
+    invariant under gens (the spin of v) or whose annihilator is (the
+    spin of w), so the algebra lies in its stabiliser, a proper
+    subalgebra, and False is proved.  When lines() gives None or both
+    spins reach n, the exact pass decides, so True is always a closure
+    of dimension n**2."""
+    ring, rows, n = _closure_input(gens)
+    if n == 1 or _residue_closure(ring, rows, n) == n * n:
+        return True
+    start = lines()
+    if start is not None:
+        spin_ring, ((v, _), (w, _), *over) = _joined(*start, *gens)
+        if _norton(spin_ring, [g for g, _ in over], v, w) is None:
+            return False
+    return _exact_closure(ring, rows, n) == n * n
+
+
+def _closure_input(gens) -> tuple:
+    """The square generators gens of one size as (ring, ring rows, n),
+    each generator's rows over the join of their rings."""
     gens = list(gens)
     if not gens:
         raise DahaError("no generators given")
@@ -1026,10 +1083,7 @@ def span_closure(gens) -> int:
         if not g.is_square() or g.rows != n:
             raise DahaError("generators must be square of equal size")
     ring, over = _joined(*gens)
-    rows = [g for g, _ in over]
-    if _residue_closure(ring, rows, n) == n * n:
-        return n * n
-    return _exact_closure(ring, rows, n)
+    return ring, [g for g, _ in over], n
 
 
 def _residue_closure(ring, gens, n) -> int:

@@ -1,7 +1,10 @@
+import importlib.util
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 import daha.analysis
 import daha.linalg
 import daha.modrep
+import daha.sampling
 from daha.analysis import (
     INDETERMINATE,
     _classify_verified,
@@ -72,6 +76,176 @@ def test_oracle_equivalence_small_grid():
     p = adversarial_odd(rng, 2)
     assert not criterion_O(p)
     assert not burnside_irreducible(make_O(p))
+
+
+# -- the Burnside oracle: reducible verdicts proved by a short spin ----------
+
+def _oracle_spy(monkeypatch):
+    """Record the vectors of every spin and the result of every exact
+    closure that linalg runs: (spins, exact)."""
+    spins, exact = [], []
+    spin, closure = daha.linalg._spin, daha.linalg._exact_closure
+
+    def spying_spin(ring, gens, v):
+        vectors, words = spin(ring, gens, v)
+        spins.append(vectors)
+        return vectors, words
+
+    def spying_closure(*args):
+        exact.append(closure(*args))
+        return exact[-1]
+
+    monkeypatch.setattr(daha.linalg, "_spin", spying_spin)
+    monkeypatch.setattr(daha.linalg, "_exact_closure", spying_closure)
+    return spins, exact
+
+
+def _transpose(m: Matrix) -> Matrix:
+    return Matrix(list(zip(*m.entries)))
+
+
+def _assert_invariant(vectors, gens):
+    """The int columns vectors span a subspace B with 0 < dim B < n and
+    g*B inside B for every g of gens, read off ranks alone."""
+    n = gens[0].rows
+    b = Matrix([[col[r][0] for col in vectors] for r in range(n)])
+    dim = rank(b)
+    assert 0 < dim < n
+    for g in gens:
+        image = g * b
+        assert rank(Matrix([[*x, *y] for x, y in zip(b.entries, image.entries)])) == dim
+
+
+def _assert_short_spin(spins, m: ModuleRep):
+    """The last spin of one oracle call stopped short: the spin of v
+    (the first) under the generators, or that of w (the second) under
+    their transposes."""
+    assert len(spins) in (1, 2) and len(spins[-1]) < m.dim
+    gens = list(m.t) if len(spins) == 1 else [_transpose(g) for g in m.t]
+    _assert_invariant(spins[-1], gens)
+
+
+def _has_kernel_line(m: ModuleRep) -> bool:
+    """Whether some theta on the diagonal of some W_e has a kernel line,
+    by kernel on W_e - theta*I."""
+    n = m.dim
+    for e in range(4):
+        w = m.t[(3 - e) % 4] * m.t[-e % 4]
+        for i in range(n):
+            if kernel(w - Matrix.identity(n).scale(w.entry(i, i))).dim == 1:
+                return True
+    return False
+
+
+def _doubled(m: ModuleRep) -> ModuleRep:
+    """M + M, block diagonal."""
+    n = m.dim
+    zero = Matrix([[0] * n] * n)
+
+    def doubled(g):
+        return Matrix([[*r, *z] for r, z in zip(g.entries, zero.entries)]
+                      + [[*z, *r] for r, z in zip(g.entries, zero.entries)])
+
+    return ModuleRep(2 * n, tuple(map(doubled, m.t)), tuple(map(doubled, m.tinv)),
+                     m.params, 0, "M+M")
+
+
+def _reducible_ladder_modules(rng):
+    return ([twist(make_E(adversarial_even(rng, d)), e) for d in (1, 3, 5) for e in range(4)]
+            + [make_O(adversarial_odd(rng, d)) for d in (2, 4, 6)])
+
+
+def test_reducible_ladder_modules_are_proved_by_a_short_spin(monkeypatch):
+    """Single-violation modules in the ladder basis, even d = 1, 3, 5 at
+    all four twists and odd d = 2, 4, 6: the F_P pass falls short, one
+    of Norton's spins stops short, and the exact closure never runs.
+    Each short spin spans an invariant subspace, checked by rank."""
+    modules = _reducible_ladder_modules(random.Random("short-spin"))
+    spins, exact = _oracle_spy(monkeypatch)
+    for m in modules:
+        spins.clear()
+        assert not burnside_irreducible(m)
+        assert exact == []
+        _assert_short_spin(spins, m)
+
+
+def test_reducible_modules_without_a_kernel_line_take_the_exact_closure(
+        monkeypatch, conjugate, p_odd_d2):
+    """Rational conjugates of those modules, and M + M: no theta on the
+    diagonal of any W_e has a kernel line (read off kernel), so no spin
+    starts, the exact closure runs and its dimension below n**2 gives
+    False."""
+    rng = random.Random("short-spin")
+    modules = [conjugate(m, rng) for m in _reducible_ladder_modules(rng)]
+    modules.append(_doubled(make_O(p_odd_d2)))
+    assert not any(map(_has_kernel_line, modules))
+    spins, exact = _oracle_spy(monkeypatch)
+    for m in modules:
+        exact.clear()
+        assert not burnside_irreducible(m)
+        assert spins == [] and len(exact) == 1 and exact[0] < m.dim ** 2
+
+
+def test_a_lost_f_p_rank_leaves_irreducible_verdicts_to_the_exact_closure(monkeypatch):
+    """With the F_P pass forced to 0 on irreducible modules, both of
+    Norton's spins reach n, which the oracle does not take for True,
+    and True comes from the exact closure's n**2."""
+    rng = random.Random("lost-rank")
+    modules = []
+    for d in (1, 2, 3, 4, 5):
+        sampler, make, crit = ((sample_even, make_E, criterion_E) if d % 2
+                               else (sample_odd, make_O, criterion_O))
+        p = sampler(rng, d)
+        while not crit(p):
+            p = sampler(rng, d)
+        modules += [twist(make(p), e) for e in range(4)] if d % 2 else [make(p)]
+    monkeypatch.setattr(daha.linalg, "_residue_closure", lambda *args: 0)
+    spins, exact = _oracle_spy(monkeypatch)
+    for m in modules:
+        spins.clear()
+        exact.clear()
+        assert burnside_irreducible(m)
+        assert exact == [m.dim ** 2] and [len(s) for s in spins] == [m.dim, m.dim]
+
+
+def test_formal_reducible_modules_never_reach_the_exact_closure(monkeypatch):
+    """Formal odd d=8 and even d=7 single-violation modules are proved
+    reducible by a short spin: every Z[q] insert is of a column of
+    length n (the kernel lines and the spins), none of a flat word of
+    length n**2, so the exact closure, which takes seconds here, never
+    inserts."""
+    rng = random.Random("formal-short-spin")
+    q = QQ_Q.default_q()
+    modules = [make_O(adversarial_odd(rng, 8, q=q)), make_E(adversarial_even(rng, 7, q=q))]
+    lengths = []
+    insert = daha.linalg.ZZ_Q.insert
+    monkeypatch.setattr(daha.linalg.ZZ_Q, "insert",
+                        lambda basis, v: lengths.append(len(v)) or insert(basis, v))
+    for m in modules:
+        lengths.clear()
+        assert not burnside_irreducible(m)
+        assert set(lengths) == {m.dim}
+
+
+def test_the_oracle_workloads_reducible_items_skip_the_exact_closure(monkeypatch):
+    """The 18 reducible items of the benchmark's oracle cycle at seed 1
+    are each proved reducible by a short spin, with no exact closure."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "harness" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    dh = SimpleNamespace(analysis=daha.analysis, modrep=daha.modrep, sampling=daha.sampling)
+    items = workloads.Oracle().generate(dh, 1, None)
+    reducible = [item for item in items if not item.expected["irreducible"]]
+    assert len(reducible) == 18
+    spins, exact = _oracle_spy(monkeypatch)
+    for item in reducible:
+        m = make_E(item.params) if item.params.parity == "even" else make_O(item.params)
+        spins.clear()
+        assert not burnside_irreducible(m)
+        assert exact == []
+        _assert_short_spin(spins, m)
 
 
 def test_l_matrix_d1(p_even_d1):
@@ -362,7 +536,7 @@ def _standard(m: ModuleRep):
 
 
 @pytest.mark.parametrize("family", ["even", "odd"])
-def test_spectral_intertwiner_matches_the_equations(family, conjugate):
+def test_standard_intertwiner_matches_the_equations(family, conjugate):
     """Against references that are isomorphic, that share the X-diagonal
     without being isomorphic, and that do not share it, the standard-basis
     intertwiner is the equations' kernel vector or None with them."""
@@ -393,7 +567,7 @@ def test_spectral_intertwiner_matches_the_equations(family, conjugate):
     assert seen["found"] >= 2 and seen["none"] >= 2
 
 
-def test_spectral_intertwiner_refuses_a_reference_on_the_same_spectrum():
+def test_standard_intertwiner_refuses_a_reference_on_the_same_spectrum():
     # same k0 and k3, so X has the same diagonal, but k1 differs: both
     # spins reach n and only the final check fails
     a = make_E(ParamQuadruple(2, F(1, 4), F(2, 3), 3, F(5, 7), d=3, parity="even"))
@@ -405,7 +579,7 @@ def test_spectral_intertwiner_refuses_a_reference_on_the_same_spectrum():
     assert find_intertwiner(a, b) is None
 
 
-def test_spectral_intertwiner_refuses_missing_eigenvalues():
+def test_standard_intertwiner_refuses_missing_eigenvalues():
     a = make_E(ParamQuadruple(2, F(1, 4), F(2, 3), 3, F(5, 7), d=3, parity="even"))
     b = make_E(a.params.with_k(k3=F(3, 5)))
     assert _standard_intertwiner(a, b) is None
@@ -536,14 +710,7 @@ def test_no_kernel_line_declines_to_the_closure(monkeypatch, p_odd_d2):
     reducible."""
     m = make_O(p_odd_d2)
     n = m.dim
-    zero = Matrix([[0] * n] * n)
-
-    def doubled(g):
-        return Matrix([[*r, *z] for r, z in zip(g.entries, zero.entries)]
-                      + [[*z, *r] for r, z in zip(g.entries, zero.entries)])
-
-    twice = ModuleRep(2 * n, tuple(map(doubled, m.t)), tuple(map(doubled, m.tinv)),
-                      m.params, 0, "M+M")
+    twice = _doubled(m)
     assert verify_relations(twice).ok
     spins = []
     monkeypatch.setattr(daha.analysis, "standard_basis", lambda *args: spins.append(args))

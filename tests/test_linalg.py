@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daha import linalg
-from daha.errors import InputError, SingularMatrixError
+from daha.errors import DahaError, InputError, SingularMatrixError
 from daha.linalg import (
     Matrix,
     det,
     eigenline,
     inverse,
+    is_full_algebra,
     kernel,
     kernel_line,
     rank,
@@ -555,8 +556,7 @@ def module_gens(p):
 
 def closure_input(gens):
     """gens as span_closure passes them to each pass: (ring, ring rows, n)."""
-    ring, over = linalg._joined(*gens)
-    return ring, [g for g, _ in over], gens[0].rows
+    return linalg._closure_input(gens)
 
 
 def exact_closure(gens):
@@ -672,6 +672,20 @@ def test_integer_closure_edge_cases():
         Matrix([[F(big, big + 2), 0], [F(-1, big - 1), F(5, 2)]]),
     ]
     assert span_closure(huge) == field_closure(huge) == 4
+
+
+def test_one_by_one_generators_run_no_closure_pass(monkeypatch):
+    # The unital algebra of 1 x 1 matrices is the field: span_closure
+    # answers 1 and is_full_algebra True after the shape checks, with
+    # neither pass and no spin, on both rings.
+    for name in ("_residue_closure", "_exact_closure", "_norton"):
+        monkeypatch.setattr(linalg, name, lambda *args, _name=name: pytest.fail(_name))
+    q = QQ_Q.default_q()
+    for gens in ([Matrix([[Fraction(-3, 7)]]), Matrix([[0]])], [Matrix([[q]]), Matrix([[1 - q]])]):
+        assert span_closure(gens) == 1
+        assert is_full_algebra(gens, lambda: pytest.fail("lines"))
+    with pytest.raises(DahaError, match="square of equal size"):
+        span_closure([Matrix([[1]]), Matrix.identity(2)])
 
 
 def test_closure_matches_plain_closure_on_a_grid(conjugate):
