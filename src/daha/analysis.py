@@ -396,7 +396,8 @@ def _shift(m: ModuleRep, e) -> ModuleRep:
     The shift keeps them: each generator keeps its inverse and its
     scalar t_i + t_i^{-1}, and the product of the shifted generators is
     a conjugate of the old one, t1 t2 t3 t0 = t0^{-1} (t0 t1 t2 t3) t0
-    = t0^{-1} q^{-1} t0 = q^{-1}.
+    = t0^{-1} q^{-1} t0 = q^{-1}.  Lazy inverses stay lazy, their k's
+    rotated with the generators.
     """
     e = int(e) % 4
     if e == 0:
@@ -406,7 +407,7 @@ def _shift(m: ModuleRep, e) -> ModuleRep:
     return ModuleRep(
         dim=m.dim,
         t=t,
-        tinv=_Inverses(t) if lazy else tuple(m.tinv[(i + e) % 4] for i in range(4)),
+        tinv=m.tinv.rotated(e) if lazy else tuple(m.tinv[(i + e) % 4] for i in range(4)),
         params=m.params,
         twist=(m.twist + e) % 4,
         label=f"{m.label}^twist{e}",

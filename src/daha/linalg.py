@@ -808,19 +808,34 @@ def kernel_line(m: Matrix):
     return vectors[0] if len(vectors) == 1 else None
 
 
-def eigenline(w: Matrix, theta, transpose=False):
-    """An n x 1 matrix spanning ker(w - theta), or ker(w^T - theta) when
-    transpose, when that kernel is a line, else None.  With w = R/D and
-    theta = a/b over the join of their rings, w - theta = (bR - aD)/(bD)
-    is formed on the ring rows, with no scalar matrix, for
-    :func:`kernel_line`."""
+def _minus_scalar(w: Matrix, theta, transpose=False) -> tuple:
+    """w - theta, or w^T - theta when transpose, for a square w, as
+    (ring, rows, den) with no scalar matrix formed: with w = R/D and
+    theta = a/b over the join of their rings, w - theta = (bR - aD)/(bD),
+    the ring rows of w times b with aD taken off the diagonal."""
     ring, (rows, den), (a, b) = _with_scalar(w, theta)
     rows = ring.times(rows, [b] * len(rows))
     if transpose:
         rows = list(zip(*rows))
     s = ring.neg(ring.mul(a, den))
     shifted = [[*row[:r], ring.add(row[r], s), *row[r + 1:]] for r, row in enumerate(rows)]
-    v = kernel_line(_ring_matrix(ring, shifted, ring.one))
+    return ring, shifted, ring.mul(b, den)
+
+
+def scalar_minus(c, w: Matrix) -> Matrix:
+    """c - w, c times the identity less the square matrix w: the rows of
+    w - c (:func:`_minus_scalar`) over the negated denominator, put into
+    canonical form once."""
+    ring, rows, den = _minus_scalar(w, c)
+    return _ring_matrix(ring, rows, ring.neg(den))
+
+
+def eigenline(w: Matrix, theta, transpose=False):
+    """An n x 1 matrix spanning ker(w - theta), or ker(w^T - theta) when
+    transpose, when that kernel is a line, else None: the rows of
+    :func:`_minus_scalar`, over one, for :func:`kernel_line`."""
+    ring, rows, _ = _minus_scalar(w, theta, transpose)
+    v = kernel_line(_ring_matrix(ring, rows, ring.one))
     return None if v is None else _ring_matrix(ring, [[x] for x in v], ring.one)
 
 

@@ -27,11 +27,12 @@ each column that the ladder module and the formal-q blocks read, as int
 polynomials over one denominator, once per params.  The ladder factor
 1 - c q^(2 ceil(i/2)) Op^(+-1) that every ladder check and the operator
 routes of the L-matrices multiply is written once, in
-:func:`_ladder_factor` (its scalar in :func:`_ladder_coef`).  Inverse
-generators have no formulas of their own: a finite module's inverse
-matrices come from exact inversion, and the ladder module applies
-t_i^{-1} from the relation t_i + t_i^{-1} = k_i + 1/k_i, re-checking
-t_i w = v on each result.
+:func:`_ladder_factor` (its scalar in :func:`_ladder_coef`).  Both
+realisations take each inverse generator from the relation
+t_i + t_i^{-1} = k_i + 1/k_i: a finite module built from params forms
+the matrix (k_i + 1/k_i) - t_i on first read (:class:`_Inverses`), and
+the ladder module applies it to a vector, re-checking t_i w = v on each
+result (:func:`_verma_inverse`).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .errors import DahaError, InputError, ParameterError, TranscriptionError
-from .linalg import ZZ, ZZ_Q, Matrix, _ring_matrix, inverse, rank
+from .linalg import ZZ, ZZ_Q, Matrix, _ring_matrix, rank, scalar_minus
 from .params import (
     PARITY_EVEN,
     PARITY_ODD,
@@ -112,17 +113,38 @@ class Report:
 # ---------------------------------------------------------------------------
 
 class _Inverses(Sequence):
-    """The inverses of a tuple of matrices, each computed on first read;
-    it compares, hashes and concatenates like the tuple of them."""
+    """The inverses of a constructed module's generators t_i, taken from
+    the relation t_i + t_i^{-1} = c_i, c_i = k_i + 1/k_i, with the k's
+    held in generator order: entry i is c_i - t_i
+    (:func:`~daha.linalg.scalar_minus`), formed on its first read, and
+    c_i is kept for :func:`_central_scalars`.  It compares, hashes and
+    concatenates like the tuple of its entries.
 
-    def __init__(self, mats):
+    Soundness: t (c - t) = 1 is exactly t^2 - c t + 1 = 0.  When it
+    holds, c - t is the two-sided inverse of the square matrix t, and
+    t + t^{-1} = c.  So the product t_i t_i^{-1} = 1 of
+    :func:`verify_relations` checks the quadratic relation and pins c_i
+    to the scalar of t_i + t_i^{-1}; a read checks nothing on its own.
+    """
+
+    def __init__(self, mats, ks):
         self._mats = mats
+        self._ks = ks
         self._known = [None] * len(mats)
+        self._scalars = [None] * len(mats)
+
+    def scalar(self, i):
+        """c_i = k_i + 1/k_i, computed on first use and kept."""
+        c = self._scalars[i]
+        if c is None:
+            k = self._ks[i]
+            c = self._scalars[i] = k + 1 / k
+        return c
 
     def __getitem__(self, i):
         inv = self._known[i]
         if inv is None:
-            inv = self._known[i] = inverse(self._mats[i])
+            inv = self._known[i] = scalar_minus(self.scalar(i), self._mats[i])
         return inv
 
     def __len__(self):
@@ -134,13 +156,23 @@ class _Inverses(Sequence):
     def __hash__(self):
         return hash(tuple(self))
 
+    def rotated(self, e: int) -> "_Inverses":
+        """The inverses of the generators shifted by e, t_{i+e mod n} in
+        place of t_i, the k's rotated with them; nothing is formed."""
+        order = [(i + e) % len(self) for i in range(len(self))]
+        return _Inverses(tuple(self._mats[j] for j in order), tuple(self._ks[j] for j in order))
+
 
 @dataclass(frozen=True)
 class ModuleRep:
     """A finite-dimensional module: four generator matrices, their
     inverses, the parameters used to build it, and a twist counter.
-    A constructed module holds its inverses as :class:`_Inverses`, so a
-    caller that reads only the generators never inverts them."""
+    A module built from params holds its inverses as :class:`_Inverses`,
+    each c_i - t_i with c_i = k_i + 1/k_i, formed when first read, so a
+    caller that reads only the generators forms none of them.  That is
+    the inverse exactly when t_i^2 - c_i t_i + 1 = 0, which
+    :func:`verify_relations` checks as t_i t_i^{-1} = 1.  A module read
+    from a file keeps the inverses stored in it."""
 
     dim: int
     t: tuple
@@ -233,7 +265,7 @@ def _truncate(p: ParamQuadruple, family: str) -> ModuleRep:
     """
     dim = p.d + 1
     t = tuple(_ladder_block(gen, dim, dim, p) for gen in range(4))
-    tinv = _Inverses(t)
+    tinv = _Inverses(t, p.k)
     ks = ",".join(scalar_to_str(x) for x in p.k)
     label = f"{family}[q={scalar_to_str(p.q)}; k={ks}; d={p.d}]"
     return ModuleRep(dim=dim, t=t, tinv=tinv, params=p, twist=0, label=label)
@@ -272,7 +304,11 @@ def _diff_detail(diff: Matrix) -> str:
 def _central_scalars(m: ModuleRep):
     """The scalar c_i with t_i + t_i^{-1} = c_i, None where that sum is
     not a scalar matrix, for i = 0..3 in turn: each inverse is read only
-    when its term is reached."""
+    when its term is reached.  A module built from params gives the kept
+    c_i = k_i + 1/k_i of :class:`_Inverses` and forms no sum: its sum is
+    c_i identically in the ring, since t_i^{-1} = c_i - t_i."""
+    if isinstance(m.tinv, _Inverses):
+        return (m.tinv.scalar(i) for i in range(4))
     return ((t + tinv).scalar_value() for t, tinv in zip(m.t, m.tinv))
 
 
@@ -289,6 +325,13 @@ def verify_relations(m: ModuleRep) -> Report:
     are square over a field, so t t' = 1 makes t' the inverse of t, and
     then t' t = 1 as well; t' t is formed only when t t' = 1 fails, to
     report whether it holds and its difference.
+
+    On a module built from params, t' = c - t with c = k + 1/k
+    (:class:`_Inverses`), and t t' = 1 is exactly t^2 - c t + 1 = 0.  So
+    there (a) carries what (b) carries on a module read from a file: it
+    pins c to the scalar of t + t', and (b) records the kept c.  A
+    generator formula that breaks the quadratic relation fails
+    "t_i*t_i^-1 = 1" in (a).
     """
     ident = m.identity_matrix()
     items = []

@@ -586,7 +586,7 @@ def test_standard_intertwiner_refuses_missing_eigenvalues():
     assert _standard_intertwiner(b, a) is None
 
 
-def test_spectral_route_makes_no_scalar_matrices(monkeypatch):
+def test_standard_route_makes_no_scalar_matrices(monkeypatch):
     """On a twisted d=5 file the route shifts W and spins on int rows:
     only products and the scaling of T to a leading 1 remain, 2 products
     for the W's, 1 for T and 8 in the check."""
@@ -752,7 +752,7 @@ def test_classify_recovers_once_on_the_fallback(monkeypatch, fallback):
     assert calls == [module]
 
 
-def test_spectral_route_refuses_reducible_modules(conjugate):
+def test_standard_route_refuses_reducible_modules(conjugate):
     rng = random.Random("spectral-reducible")
     for d in (1, 3, 5):
         for _ in range(3):
@@ -767,7 +767,7 @@ def test_spectral_route_refuses_reducible_modules(conjugate):
             assert _standard(module) is None
 
 
-def test_spectral_route_over_the_rational_functions(old_format):
+def test_standard_route_over_the_rational_functions(old_format):
     """Formal modules take the route with the equations' certificate, also
     when read from a file that prints their constants as bare rationals."""
     rng = random.Random("spectral-ratfun")
@@ -781,7 +781,7 @@ def test_spectral_route_over_the_rational_functions(old_format):
 
 
 @pytest.mark.parametrize("e", range(4))
-def test_spectral_route_certifies_formal_even_d7(e):
+def test_standard_route_certifies_formal_even_d7(e):
     """The standard-basis route decides formal d=7 on its own, with an
     invertible certificate that intertwines with the rebuilt reference.
     Invertibility is read off the rank (full rank iff det != 0), which

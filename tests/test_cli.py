@@ -630,7 +630,7 @@ def test_classify_goldens_through_the_fallback(tmp_path, fallback, module, golde
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
-def test_classify_goldens_take_the_eigenbasis_route(tmp_path, monkeypatch):
+def test_classify_goldens_take_the_standard_basis_route(tmp_path, monkeypatch):
     """The goldens are classified by the route that starts from an
     eigenvector of X, Norton's test and a standard basis, with no
     closure."""

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daha.errors import DahaError, InputError, ParameterError, TranscriptionError
-from daha.linalg import Matrix, inverse, solve_right
+from daha.analysis import _shift
+from daha.linalg import Matrix, inverse, scalar_minus, solve_right
 from daha.modrep import (
     LaurentPoly,
     _ladder_block,
@@ -235,8 +236,8 @@ def _with_entry(module, gen, i, j):
     rows = [list(row) for row in module.t[gen].entries]
     rows[i][j] += 1
     t = tuple(Matrix(rows) if g == gen else x for g, x in enumerate(module.t))
-    return ModuleRep(dim=module.dim, t=t, tinv=_Inverses(t), params=module.params,
-                     twist=0, label="perturbed")
+    return ModuleRep(dim=module.dim, t=t, tinv=tuple(inverse(m) for m in t),
+                     params=module.params, twist=0, label="perturbed")
 
 
 LADDER_MODULES = [
@@ -432,23 +433,27 @@ def test_symbolic_module(p_even_d1):
     assert raising_product_annihilates(mo)
 
 
-def test_constructed_inverses_are_computed_on_first_read(monkeypatch, p_even_d1):
-    """A constructed module inverts a generator only when its inverse is
-    read, and still compares, serialises and twists like one built with
-    the tuple of inverses."""
+def test_constructed_inverses_are_computed_on_first_read(monkeypatch, p_even_d1,
+                                                         p_even_d1_reducible):
+    """A constructed module forms a generator's inverse from the relation
+    only when it is read, and still compares, serialises and twists like
+    one built with the tuple of inverses.  The Burnside oracle reads no
+    inverse, on an irreducible module or on a reducible one."""
     import daha.analysis
     import daha.modrep
 
     calls = []
 
-    def counting(m):
+    def counting(c, m):
         calls.append(m)
-        return inverse(m)
+        return scalar_minus(c, m)
 
-    monkeypatch.setattr(daha.modrep, "inverse", counting)
-    for module in (make_E(p_even_d1), make_O(ParamQuadruple(2, 1, 1, 3, F(1, 24), d=2, parity="odd"))):
+    monkeypatch.setattr(daha.modrep, "scalar_minus", counting)
+    odd = ParamQuadruple(2, 1, 1, 3, F(1, 24), d=2, parity="odd")
+    for module in (make_E(p_even_d1), make_E(p_even_d1_reducible), make_O(odd)):
         calls.clear()
         twisted = daha.analysis.twist(module, 0)
+        assert calls == []
         daha.analysis.burnside_irreducible(module)
         assert calls == []
         shifted = daha.analysis._shift(module, 1)
@@ -466,6 +471,76 @@ def test_constructed_inverses_are_computed_on_first_read(monkeypatch, p_even_d1)
         assert len(calls) == 8
         assert twisted is module
         assert verify_relations(shifted).ok
+
+
+def test_constructed_modules_are_never_inverted_exactly(monkeypatch):
+    """make_E and make_O, then verify_relations and central_character,
+    call linalg.inverse zero times, rational and formal."""
+    import daha.linalg
+
+    calls = []
+    monkeypatch.setattr(daha.linalg, "inverse", calls.append)
+    rng = random.Random("no-exact-inverse")
+    for field in (QQ, QQ_Q):
+        for p in (sample_even(rng, 3, field=field), sample_odd(rng, 2, field=field)):
+            module = make_E(p) if p.parity == "even" else make_O(p)
+            assert verify_relations(module).ok
+            assert central_character(module) == tuple(k + 1 / k for k in p.k)
+    assert calls == []
+
+
+def test_relation_inverses_equal_exact_inversion():
+    """Each inverse a constructed module forms as (k + 1/k) - t equals the
+    exact inverse of t, and its central character equals the scalar of
+    t + inverse(t), type included: even d = 1, 3, 5, 7 and odd d = 0, 2,
+    4, 6 at all four twists, sampled and reducible, over Q and Q(q), and
+    the non-monomial k1 = (1+q)/(2-q) in both families."""
+    rng = random.Random("relation-inverses")
+    params = []
+    for field in (QQ, QQ_Q):
+        q = field.default_q()
+        for d in (1, 3, 5, 7):
+            params += [sample_even(rng, d, field=field), adversarial_even(rng, d, q=q)]
+        for d in (0, 2, 4, 6):
+            params.append(sample_odd(rng, d, field=field))
+            if d:
+                params.append(adversarial_odd(rng, d, q=q))
+    even, odd = sample_even(rng, 3, field=QQ_Q), sample_odd(rng, 2, field=QQ_Q)
+    params += [even.with_k(k1=NM, k3=1 / NM), odd.with_k(k1=NM, k3=odd.k3 * odd.k1 / NM)]
+    count = 0
+    for p in params:
+        built = make_E(p) if p.parity == "even" else make_O(p)
+        for e in range(4):
+            module = _shift(built, e)
+            exact = [inverse(t) for t in module.t]
+            assert list(module.tinv) == exact, (p, e)
+            want = tuple((t + inv).scalar_value() for t, inv in zip(module.t, exact))
+            got = central_character(module)
+            assert got == want and list(map(type, got)) == list(map(type, want)), (p, e)
+            count += 1
+    assert count == 4 * len(params) == 128
+
+
+def test_a_wrong_generator_fails_the_relation_inverse_product():
+    """With 1 added to entry (0, 0) of t2 and the inverses still formed
+    from the relation, (k2 + 1/k2) - t2 is no inverse of it: the report
+    fails exactly the two t2 inverse items and the product, and records
+    the scalars k_i + 1/k_i."""
+    rng = random.Random("live-relation")
+    for p in (sample_even(rng, 3), sample_odd(rng, 2), sample_even(rng, 3, field=QQ_Q)):
+        module = make_E(p) if p.parity == "even" else make_O(p)
+        rows = [list(row) for row in module.t[2].entries]
+        rows[0][0] += 1
+        t = (module.t[0], module.t[1], Matrix(rows), module.t[3])
+        wrong = ModuleRep(dim=module.dim, t=t, tinv=_Inverses(t, p.k), params=p, twist=0,
+                          label="wrong t2")
+        report = verify_relations(wrong)
+        assert [item.name for item in report.failed()] == [
+            "t2*t2^-1 = 1", "t2^-1*t2 = 1", "t0*t1*t2*t3 = q^-1"
+        ]
+        assert [item.detail for item in report.items[8:12]] == [
+            item.detail for item in verify_relations(module).items[8:12]
+        ]
 
 
 # -- ladder blocks against the field reference --------------------------------
