@@ -10,9 +10,13 @@ clear, the Bareiss step, the lcm of pivots), never which ring it is.
 Products, sums, elimination, the determinant (Bareiss's), the inverse,
 the Sylvester solve, the span closure and the spin of a vector run
 fraction-free on ring rows and normalise once per result; every elimination is read off
-:func:`_one_pivot`.  The span closure runs in F_P first, on words packed
-into ints (:class:`_Residues`), each ring mapping its rows there by its
-``residue``, and on the ring rows only when that pass proves nothing
+:func:`_one_pivot`.  The span closure runs in F_P first, P = 2**20 - 3
+(:data:`P`, a prime at which 2 is a primitive root, so the default
+q = 2 is no root of unity there), on words packed into ints
+(:class:`_Residues`: a semi-echelon basis, as in Parker's MeatAxe,
+reduced by whole-word row operations on slots below P + n**2 * P**2),
+each ring mapping its rows there by its ``residue``, and on the ring
+rows only when that pass proves nothing
 (see :func:`span_closure`); :func:`is_full_algebra` tries Norton's two
 spins between the passes, since a short spin proves that the algebra
 is not every matrix.  Fractions or RatFuns are made only for the scalars
@@ -606,16 +610,19 @@ ZZ_Q = _Polynomials()
 # ring.join[other]: the ring of an operation on operands over ring and other
 ZZ.join, ZZ_Q.join = {ZZ: ZZ, ZZ_Q: ZZ_Q}, {ZZ: ZZ_Q, ZZ_Q: ZZ_Q}
 
-P = (1 << 19) - 1  # a Mersenne prime: 2**19 = 1 (mod P), so a fold reduces
+# P is prime and 2**20 = 3 (mod P), so a fold reduces; P - 1 = 2**2 * 3**3 * 7 * 19 * 73, and
+# 2 is a primitive root mod P, so the default q = 2 is no root of unity in F_P
+P = (1 << 20) - 3
 Q0 = 314159  # q -> Q0 on Z[q]: a primitive root mod P, so no Q0**k = 1 for 0 < k < P - 1
 
 
 def _folds(bound: int) -> int:
-    """How many folds ``x -> (x mod 2**19) + (x >> 19)`` bring every
-    value up to bound to at most 2P - 1 (see :meth:`_Residues.canon`)."""
+    """How many folds ``x -> (x mod 2**20) + 3*(x >> 20)`` bring every
+    value up to bound to at most 2P - 1 (see :meth:`_Residues.canon`):
+    a value up to b folds to at most 2**20 - 1 + 3*(b >> 20)."""
     k = 0
     while bound > 2 * P - 1:
-        bound, k = P + (bound >> 19), k + 1
+        bound, k = (1 << 20) - 1 + 3 * (bound >> 20), k + 1
     return k
 
 
@@ -627,24 +634,35 @@ class _Residues:
     A generator g is held as its columns spread over the row slots,
     E_k = sum_i g[i][k] << (W*n*i), so :meth:`word` forms g*w as
     sum_k E_k * row_k(w), n int products.  :meth:`insert` keeps the
-    basis in reduced echelon form mod P, each row 1 at its pivot slot
-    and 0 mod P at every other pivot, so all coefficients of a candidate
-    v are read off its pivot slots at once and v reduces to
-    ``v + sum_j (P - c_j)*b_j``, folded once.  A new row r is made 1 at
-    its pivot and canonical, and cleared from every basis row by
-    ``b += (P - c)*r``, unfolded: each of the at most N = n*n inserts
-    adds below P**2 to a slot of b, so b stays below P + N*P**2 and an
-    unfolded sum below P + N*P*(P + N*P**2); W is one bit more than
-    that bound needs, so no slot ever carries into the next.
+    basis semi-echelon, as the MeatAxe does: each row canonical, 1 at its
+    pivot (its lowest nonzero slot) and 0 below it, the rows in the
+    order they were stored, and nothing cleared from a row once stored.
+    A candidate v is reduced against the rows in that order, each
+    coefficient read off the running sum, ``c = slot % P`` at the row's
+    pivot, then ``v += (P - c)*b``, unfolded: each of the at most N = n*n
+    rows adds below P**2 to a slot, so a slot stays below P + N*P**2; W
+    is one bit more than that bound needs, so no slot ever carries into
+    the next.  The sum is folded once at the end.
+
+    Soundness: this is Gaussian elimination over F_P.  Each row was
+    reduced against the rows before it, so it is 0 at their pivots.
+    After row j the pivot slot of row j is 0 mod P, and the rows after
+    it, 0 there, leave it so: the reduced v is 0 mod P at every pivot.
+    It is v minus a combination of the rows, so it is 0 exactly when v
+    lies in their span, and otherwise its lowest nonzero slot is a new
+    pivot, and the new row is 0 at every earlier pivot.  So the F_P
+    rank, and :func:`span_closure`'s result, are those of any
+    elimination.
     """
 
     def __init__(self, n: int):
         size = n * n
-        top = P + size * P * (P + size * P * P)  # the largest unfolded slot
+        top = P + size * P * P  # the largest unfolded slot
         w = self.width = top.bit_length() + 1
         ones = sum(1 << (w * i) for i in range(size))
-        self.n, self.ones = n, ones
-        self.low, self.high = P * ones, ((1 << (w - 19)) - 1) * ones
+        self.n, self.threes = n, 3 * ones
+        self.low, self.high = ((1 << 20) - 1) * ones, ((1 << (w - 20)) - 1) * ones
+        self.bit20 = (1 << 20) * ones  # bit 20 of every slot
         self.slot, self.row = (1 << w) - 1, (1 << (w * n)) - 1
         self.ident = sum(1 << (w * (i * n + i)) for i in range(n))
         self.bits = [w * i for i in range(size)]  # where each slot starts
@@ -654,15 +672,17 @@ class _Residues:
 
     def canon(self, x: int, folds: int) -> int:
         """x with every slot reduced to its canonical residue, given that
-        folds folds bring each slot to at most 2P - 1.  Since 2**19 = 1
-        (mod P), a fold ``(x & low) + ((x >> 19) & high)`` keeps each
-        slot's residue; one more fold of x + ones (slots 1..2P) gives
-        slots 1..P, and ones is subtracted after it, so P becomes 0."""
+        folds folds bring each slot to at most 2P - 1.  Since 2**20 = 3
+        (mod P), a fold ``(x & low) + 3*((x >> 20) & high)`` keeps each
+        slot's residue.  Then a slot x <= 2P - 1 gives y = x + 3 below
+        2**21, and (y mod 2**20) + 3*(bit 20 of y) - 3 is x when x < P
+        (bit 20 clear, y >= 3) and x - P otherwise, so no slot borrows."""
         low, high = self.low, self.high
         for _ in range(folds):
-            x = (x & low) + ((x >> 19) & high)
-        x += self.ones
-        return (x & low) + ((x >> 19) & high) - self.ones
+            x = (x & low) + 3 * ((x >> 20) & high)
+        threes = self.threes
+        x += threes
+        return (x & low) + 3 * ((x & self.bit20) >> 20) - threes
 
     def generator(self, entries) -> tuple:
         """The n x n matrix of the flat row-major residues entries as the
@@ -685,11 +705,11 @@ class _Residues:
 
     def insert(self, basis, v: int) -> bool:
         """Reduce the canonical word v against basis (bit of a pivot slot
-        -> row) and store it, 1 at its lowest nonzero slot, when it does
-        not vanish, clearing that slot from the other rows."""
-        acc = v
+        -> row, in the order the rows were stored) and store it, 1 at its
+        lowest nonzero slot, when it does not vanish."""
+        acc, slot = v, self.slot
         for bit, b in basis.items():
-            c = (v >> bit) & P
+            c = ((acc >> bit) & slot) % P
             if c:
                 acc += (P - c) * b
         if acc is not v:
@@ -698,13 +718,7 @@ class _Residues:
             return False
         bit = (acc & -acc).bit_length() - 1
         bit -= bit % self.width
-        r = self.canon(acc * pow((acc >> bit) & P, -1, P), self.scale_folds)
-        slot = self.slot
-        for j, b in basis.items():
-            c = ((b >> bit) & slot) % P
-            if c:
-                basis[j] = b + (P - c) * r
-        basis[bit] = r
+        basis[bit] = self.canon(acc * pow((acc >> bit) & slot, -1, P), self.scale_folds)
         return True
 
 

@@ -2,7 +2,7 @@ import json
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from pathlib import Path
 
@@ -943,18 +943,23 @@ def test_a_vanishing_residue_falls_back_to_the_exact_closure():
 
 def test_packed_reduction_matches_the_remainder_slot_by_slot():
     # Every slot bound the F_P pass relies on, at the bound itself and on
-    # random values below it: canon gives x % P in every slot.  The ring
-    # maps agree with the remainder and with evaluation at Q0.
+    # random values below it: canon gives x % P in every slot.  The edges
+    # include those where the normalisation branches: P - 1 and P, where
+    # bit 20 of x + 3 turns on; P + 2 = 2**20 - 1, 2**20 and 2**20 + 2,
+    # where a fold first has a high part; and 2P - 1, the largest slot
+    # the last step takes.  The ring maps agree with the remainder and
+    # with evaluation at Q0.
     P = linalg.P
     rng = random.Random("packed")
     for n in (1, 2, 3, 8):
         field = linalg._residues(n)
         size, width = n * n, field.width
-        top = P + size * P * (P + size * P * P)
+        top = P + size * P * P
         assert top.bit_length() < width
         for bound, folds in ((top, field.reduce_folds), (n * P * P, field.product_folds),
                              (P * P, field.scale_folds)):
-            edges = [0, 1, P - 1, P, P + 1, 2 * P - 1, 2 * P, bound - bound % P, bound]
+            edges = [0, 1, P - 1, P, P + 1, P + 2, 2 * P - 1, 2 * P, 1 << 20, (1 << 20) + 2,
+                     bound - bound % P, bound]
             for _ in range(20):
                 slots = [rng.choice(edges) if rng.random() < 0.3 else rng.randint(0, bound)
                          for _ in range(size)]
@@ -974,6 +979,137 @@ def test_packed_reduction_matches_the_remainder_slot_by_slot():
         assert ZZ.residue(x) == x % P
     for poly in ((), (1,), (-3, 0, 2), (P, P), tuple(range(-5, 9))):
         assert linalg.ZZ_Q.residue(poly) == sum(c * linalg.Q0 ** i for i, c in enumerate(poly)) % P
+
+
+def mod_p_insert(basis, v):
+    """Reduce the residue list v mod P entry by entry against basis
+    (pivot -> row, 1 at its pivot), at every pivot in increasing order,
+    and store it, scaled to 1 at its leading index, when it does not
+    vanish."""
+    P = linalg.P
+    v = [x % P for x in v]
+    for p in sorted(basis):
+        c = v[p]
+        if c:
+            v = [(x - c * y) % P for x, y in zip(v, basis[p])]
+    lead = next((i for i, x in enumerate(v) if x), None)
+    if lead is None:
+        return False
+    inverse = pow(v[lead], -1, P)
+    basis[lead] = [x * inverse % P for x in v]
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_packed_insert_matches_elimination_mod_p(n):
+    # Random canonical words in a span of random rank, with slots at
+    # P - 1, leading zeros of random length so that pivots arrive out of
+    # order, the zero word, repeated words and scalar multiples: the
+    # packed insert, which reduces in the order the rows were stored,
+    # accepts and rejects as entry-wise elimination mod P in increasing
+    # pivot order does, and stores the same rows.
+    P = linalg.P
+    rng = random.Random(f"packed-insert-{n}")
+    field = linalg._residues(n)
+    size = n * n
+
+    def entry():
+        return rng.choice((0, 0, 1, P - 1, P - 1, rng.randrange(P)))
+
+    for _ in range(30):
+        gens = []
+        for _ in range(rng.randint(1, size)):
+            start = rng.randrange(size)
+            gens.append([0] * start + [entry() for _ in range(size - start)])
+        words = [[0] * size]
+        for _ in range(rng.randint(1, 2 * size + 2)):
+            kind = rng.random()
+            if kind < 0.15:
+                words.append(rng.choice(words))
+            elif kind < 0.3:
+                c = rng.choice((2, P - 1, rng.randrange(1, P)))
+                words.append([c * x % P for x in rng.choice(words)])
+            else:
+                cs = [rng.choice((0, 0, 1, P - 1, rng.randrange(P))) for _ in gens]
+                words.append([sum(map(mul, cs, col)) % P for col in zip(*gens)])
+        got, want = {}, {}
+        for v in words:
+            word = sum(x << (field.width * i) for i, x in enumerate(v))
+            assert field.insert(got, word) == mod_p_insert(want, v)
+        assert len(got) == len(want) <= size
+        width = field.width
+        assert {bit // width: [(row >> (width * i)) & field.slot for i in range(size)]
+                for bit, row in got.items()} == want
+
+
+def mod_p_closure(ring, gens, n):
+    """The algebra's dimension over F_P by the textbook loop on unpacked
+    residues, sharing no code with span_closure: each entry reduced mod
+    P, or evaluated at Q0 mod P, every new word times every generator,
+    no skipped products and no early stop."""
+    P, Q0 = linalg.P, linalg.Q0
+
+    def residue(x):
+        return x % P if isinstance(x, int) else sum(c * pow(Q0, i, P) for i, c in enumerate(x)) % P
+
+    mats = [[[residue(x) for x in row] for row in g] for g in gens]
+    basis = {}
+    frontier = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    mod_p_insert(basis, [x for row in frontier[0] for x in row])
+    while frontier:
+        words = [[[sum(a * b for a, b in zip(row, col)) % P for col in zip(*w)] for row in g]
+                 for w in frontier for g in mats]
+        frontier = [w for w in words if mod_p_insert(basis, [x for row in w for x in row])]
+    return len(basis)
+
+
+def test_residue_closure_matches_an_unpacked_closure_mod_p():
+    # Rational modules of both families at d <= 5 and formal ones at
+    # d <= 3, irreducible and adversarial reducible samples.
+    rng = random.Random("unpacked-closure")
+    q = QQ_Q.default_q()
+    verdicts = set()
+    for d in range(6):
+        family = "odd" if d % 2 == 0 else "even"
+        adversarial = adversarial_even if family == "even" else adversarial_odd
+        samples = [sample_params(rng, family, d)]
+        if d >= 1:
+            samples.append(adversarial(rng, d))
+        if d <= 3:
+            samples.append(sample_params(rng, family, d, field=QQ_Q))
+            if d >= 1:
+                samples.append(adversarial(rng, d, q))
+        for p in samples:
+            ring, rows, n = closure_input(make_module(p).t)
+            dim = linalg._residue_closure(ring, rows, n)
+            assert dim == mod_p_closure(ring, rows, n), p
+            verdicts.add((ring, dim == n * n))
+    assert verdicts == {(ZZ, True), (ZZ, False), (linalg.ZZ_Q, True), (linalg.ZZ_Q, False)}
+
+
+def test_the_prime_keeps_two_and_q0_of_full_order():
+    # P is prime, and 2, -2, 1/2 and Q0 generate F_P*, so none is a root
+    # of unity of order below P - 1: the default q = 2 stays generic mod P.
+    P = linalg.P
+    assert all(P % k for k in range(2, isqrt(P) + 1))
+    factors = {2: 2, 3: 3, 7: 1, 19: 1, 73: 1}
+    assert P - 1 == prod(r ** e for r, e in factors.items())
+    for g in (2, P - 2, pow(2, -1, P), linalg.Q0):
+        assert all(pow(g, (P - 1) // r, P) != 1 for r in factors)
+
+
+def test_q_of_order_two_mod_the_old_prime_stays_full():
+    # q = 2**19 - 2 is -1 mod 2**19 - 1, where the F_P pass reached 8
+    # and 12 on these modules and the exact closure had to decide; mod P
+    # it reaches n**2 itself.
+    rng = random.Random("stage-a")
+    for d, full in ((3, 16), (5, 36)):
+        while True:
+            p = sample_params(rng, "even", d, q=2 ** 19 - 2)
+            if criterion_E(p):
+                break
+        m = make_E(p)
+        assert residue_closure(m.t) == span_closure(m.t) == full
 
 
 def scalars_of_results(m, rhs, vectors):
