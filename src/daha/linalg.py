@@ -5,11 +5,13 @@ RatFun); a pivot is any nonzero entry, there are no tolerances
 anywhere.  A :class:`Matrix` is held as rows over one denominator in a
 ring, :data:`ZZ` (ints, for Q) or :data:`ZZ_Q` (int polynomials, for
 Q(q)), and every routine asks that ring for its element and row
-operations, canonical form, scalars and elimination steps (insert,
-clear, the Bareiss step, the lcm of pivots), never which ring it is.
-Products, sums, elimination, the determinant (Bareiss's), the inverse,
-the Sylvester solve, the span closure and the spin of a vector run
-fraction-free on ring rows and normalise once per result; every elimination is read off
+operations, canonical form, scalars, primitive part, cofactors, the
+Bareiss step and the lcm of pivots, never which ring it is.  Products,
+sums, elimination, the determinant (Bareiss's), the inverse, the
+Sylvester solve, the span closure and the spin of a vector run
+fraction-free on ring rows and normalise once per result; the
+fraction-free insert is written once, over the ring's arithmetic
+(:func:`_insert`), and every elimination is read off
 :func:`_one_pivot`.  The span closure runs in F_P first, P = 2**20 - 3
 (:data:`P`, a prime at which 2 is a primitive root, so the default
 q = 2 is no root of unity there), on words packed into ints
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from math import gcd, lcm
 from operator import add, attrgetter, floordiv, lshift, mul, neg, sub
@@ -44,7 +46,6 @@ from .scalar import (
     _padd,
     _parts,
     _pexquo,
-    _pgcd,
     _pmul,
     _ppow,
     _ratfun,
@@ -302,12 +303,6 @@ def _scalars(ring, rows, den) -> tuple:
     return tuple(tuple(scalar(x, den) for x in row) for row in rows)
 
 
-def _primitive(v):
-    """An int vector divided by the gcd of its entries."""
-    g = gcd(*v)
-    return [x // g for x in v] if g > 1 else v
-
-
 class _Integers:
     """Z, the ring of a rational matrix's rows.
 
@@ -383,90 +378,17 @@ class _Integers:
         f = row[0]
         return [(pv * a - f * b) // prev for a, b in zip(row[1:], tail)]
 
-    def insert(self, basis, v) -> bool:
-        """Fraction-free reduction of a flat int vector against primitive rows.
-
-        ``basis`` maps a pivot column p to ``[b, support]``: a primitive row
-        b whose first nonzero entry is b[p], and the (column, entry) pairs
-        of its nonzeros after p, listed when b is first used (None until
-        then; most rows of a small rref never are).  Only the leading entry
-        of v is eliminated, while a basis row has its pivot there, by the
-        step ``v <- s*v - c*b`` with ``s = b[p]/g``, ``c = v[p]/g`` and
-        ``g = gcd(b[p], v[p])``; it clears v[p] and keeps the entries before
-        it zero, so the scan resumes where it stopped.  b is zero outside p
-        and its support, so ``- c*b`` touches only those entries, in place
-        on a copy of the input.  A unit step (s = +-1, the common case)
-        scales nothing: v is held as ``sign * u``, and
-        ``u <- u - sign*s*c*b``, ``sign <- sign*s`` is the same step, since
-        s*(sign*u) - c*b = (sign*s)*(u - sign*s*c*b) when s*s = 1.  Any
-        other step multiplies u by s*sign first and resets sign to 1.  The
-        stored row is ``sign * u`` divided by the gcd of its entries: the
-        row the step-by-step recurrence gives, sign included, so
-        :func:`_rref` and :func:`kernel_line` see the same rows.
-        """
-        v = list(v)
-        sign = 1  # the reduced vector is sign * v
-        lead = 0
-        size = len(v)
-        while True:
-            while lead < size and not v[lead]:
-                lead += 1
-            if lead == size:
-                return False
-            entry = basis.get(lead)
-            if entry is None:
-                g = gcd(*v)
-                if g > 1 or sign < 0:
-                    g *= sign
-                    v = [x // g for x in v]
-                basis[lead] = [v, None]
-                return True
-            b, support = entry
-            if support is None:
-                support = entry[1] = [(j, b[j]) for j in range(lead + 1, size) if b[j]]
-            bp, x = b[lead], sign * v[lead]
-            g = gcd(bp, x)
-            s, c = bp // g, x // g
-            if s == 1 or s == -1:
-                f = sign * s * c
-                sign *= s
-            else:
-                f = c
-                s *= sign
-                v = [s * a for a in v]
-                sign = 1
-            for j, y in support:
-                v[j] -= f * y
-            v[lead] = 0
-
-    def clear(self, v, b, p):
-        """``(b[p]/g)*v - (v[p]/g)*b`` with ``g = gcd(b[p], v[p])``, zero at
-        p, divided by the gcd of its entries."""
-        g = gcd(b[p], v[p])
-        bp, c = b[p] // g, v[p] // g
-        return _primitive([bp * x - c * y for x, y in zip(v, b)])
+    def primitive(self, v):
+        """An int vector divided by the gcd of its entries, signed so that
+        its first nonzero entry is positive (a zero vector as it is)."""
+        g = gcd(*v)
+        if next(filter(None, v), 0) < 0:
+            g = -g
+        return v if g == 1 or not g else [x // g for x in v]
 
     def residue(self, x: int) -> int:
         """x mod P, the ring map Z -> F_P of :func:`span_closure`."""
         return x % P
-
-    def word(self, a, w):
-        """The n x n int matrix a times the flat row-major word w, flat and
-        divided by the gcd of its entries.  Row i of a is given as the pairs
-        (k*n, a[i][k]) of its nonzero entries, so row i of the product sums
-        a[i][k] times the row w[k*n:k*n+n] of the word over them only."""
-        n = len(a)
-        out = []
-        for terms in a:
-            if not terms:
-                out += [0] * n
-                continue
-            k, x = terms[0]
-            acc = [x * y for y in w[k:k + n]]
-            for k, x in terms[1:]:
-                acc = [s + x * y for s, y in zip(acc, w[k:k + n])]
-            out += acc
-        return _primitive(out)
 
 
 class _Polynomials:
@@ -546,12 +468,6 @@ class _Polynomials:
             out.append(_padd(x, _pmul(c, b)) if c and b else x)
         return out
 
-    def cancel(self, v, b, p):
-        """``(b[p]/g)*v - (v[p]/g)*b``, zero at p, with g the primitive gcd of
-        b[p] and v[p], which divides both in Z[q] (Gauss's lemma)."""
-        g = _pgcd(b[p], v[p])
-        return self.combine(_pexquo(b[p], g), v, self.neg(_pexquo(v[p], g)), b)
-
     def residue(self, x) -> int:
         """x(Q0) mod P by Horner's rule, the ring map Z[q] -> F_P of
         :func:`span_closure`."""
@@ -566,43 +482,11 @@ class _Polynomials:
         new = self.combine(pv, row[1:], self.neg(row[0]), tail)
         return [_pexquo(x, prev) if x else () for x in new]
 
-    def insert(self, basis, v) -> bool:
-        """:meth:`_Integers.insert` on a flat vector of int polynomials: the
-        leading entry p of v is cleared by :meth:`cancel` while a basis
-        row has its pivot there, and an independent v is stored at p as
-        ``[row, None]``, the row its primitive part (divided by the gcd of
-        its entries in Z[q], v[p] with a positive leading coefficient), in
-        the format :func:`_rref` reads."""
-        p = 0
-        while True:
-            p = next((i for i in range(p, len(v)) if v[i]), None)
-            if p is None:
-                return False
-            if p not in basis:
-                basis[p] = [_canonical_polys(v, v[p])[0], None]
-                return True
-            v = self.cancel(v, basis[p][0], p)
-
-    def clear(self, v, b, p):
-        """:meth:`cancel` kept as its primitive part, the first nonzero
-        entry with a positive leading coefficient, as :meth:`insert`
-        stores a row."""
-        v = self.cancel(v, b, p)
-        return _canonical_polys(v, next(filter(None, v)))[0]
-
-    def word(self, a, w):
-        """:meth:`_Integers.word` on int polynomials, the product kept as
-        its primitive part as :meth:`clear` keeps a row."""
-        n = len(a)
-        out = []
-        for terms in a:
-            acc = [()] * n
-            for k, x in terms:
-                for j, y in enumerate(w[k:k + n]):
-                    if y:
-                        acc[j] = _padd(acc[j], _pmul(x, y)) if acc[j] else _pmul(x, y)
-            out += acc
-        return _canonical_polys(out, next(filter(None, out), (1,)))[0]
+    def primitive(self, v):
+        """v over its first nonzero entry in the canonical form of
+        :func:`~daha.scalar._canonical_polys`: v divided by the gcd of its
+        entries in Z[q], that entry with a positive leading coefficient."""
+        return _canonical_polys(v, next(filter(None, v), (1,)))[0]
 
 
 ZZ = _Integers()
@@ -745,16 +629,58 @@ class Subspace:
         return len(self.basis)
 
 
+def _insert(ring, basis, v) -> bool:
+    """Fraction-free reduction of the flat ring vector v against basis,
+    and whether v was independent of it and stored.
+
+    ``basis`` maps a pivot column p to (b, support): a row b in the
+    ring's primitive form whose first nonzero entry is b[p], and the
+    (column, entry) pairs of its nonzeros after p.  Only the leading
+    entry of v is eliminated, while a basis row has its pivot there, by
+    the step ``v <- s*v - c*b`` with (s, c) the ring's cofactors of v[p]
+    and b[p] (b[p]/g and v[p]/g, g their gcd); it clears v[p] and keeps
+    the entries before it zero, so the scan resumes where it stopped.
+    v is scaled only when s is not one, and b is zero outside p and its
+    support, so ``-c*b`` touches only those entries.  Each step is an
+    invertible row operation over the field, so membership in the span
+    and the rank are those of elimination over the field.  An
+    independent v is stored at its leading index as the ring's
+    primitive part, whose first nonzero entry is positive (or has a
+    positive leading coefficient), so s is one whenever b[p] divides
+    v[p]."""
+    v = list(v)
+    size, p = len(v), 0
+    one, add, mul = ring.one, ring.add, ring.mul
+    while True:
+        while p < size and not v[p]:
+            p += 1
+        if p == size:
+            return False
+        stored = basis.get(p)
+        if stored is None:
+            b = ring.primitive(v)
+            basis[p] = b, [(j, b[j]) for j in range(p + 1, size) if b[j]]
+            return True
+        b, support = stored
+        s, c = ring.cofactors(v[p], b[p])
+        if s != one:
+            v[p + 1:] = map(partial(mul, s), v[p + 1:])
+        c = ring.neg(c)
+        for j, y in support:
+            v[j] = add(v[j], mul(c, y))
+        v[p] = ring.zero
+
+
 def _rref(rows, ring):
     """The reduced row echelon form of ring rows, up to one nonzero factor
-    per row: (rows, pivot columns).  The rows are inserted by the ring's
-    insert (each storing ``[row, ...]`` at its pivot) until the basis is
-    full, then each pivot column is cleared from the rows above by its
-    clear, the gcd-cancelled step that keeps the primitive part."""
-    insert, clear = ring.insert, ring.clear
-    basis = {}  # pivot column -> [row, what insert keeps beside it]
+    per row: (rows, pivot columns).  The rows are inserted by
+    :func:`_insert` until the basis is full, then each pivot column p is
+    cleared from a row above by one step ``s*row - c*b``, (s, c) the
+    ring's cofactors of row[p] and b[p], kept as its primitive part as
+    :func:`_insert` keeps a row."""
+    basis = {}  # pivot column -> (row, its support)
     for row in rows:
-        if insert(basis, row) and len(basis) == len(row):
+        if _insert(ring, basis, row) and len(basis) == len(row):
             break
     pivots = sorted(basis)
     reduced = [basis[p][0] for p in pivots]
@@ -762,7 +688,8 @@ def _rref(rows, ring):
         p, b = pivots[k], reduced[k]
         for i in range(k):
             if reduced[i][p]:
-                reduced[i] = clear(reduced[i], b, p)
+                s, c = ring.cofactors(reduced[i][p], b[p])
+                reduced[i] = ring.primitive(ring.combine(s, reduced[i], ring.neg(c), b))
     return reduced, pivots
 
 
@@ -856,19 +783,19 @@ def eigenline(w: Matrix, theta, transpose=False):
 def _spin(ring, gens, v) -> tuple:
     """The standard basis of the column v under gens, all ring rows:
     (vectors, words).  Each product g u of a generator and a vector
-    found, u by u and g by g, that the ring's insert finds outside their
+    found, u by u and g by g, that :func:`_insert` finds outside their
     span is the next vector, until there are n; words[j] = (k, i) says
     that vector j + 1 is gens[k] times vector i.  They span the smallest
     subspace that holds v and is closed under gens."""
     n, basis = len(v), {}
-    ring.insert(basis, [x for x, in v])
+    _insert(ring, basis, [x for x, in v])
     vectors, words = [v], []
     for i, u in enumerate(vectors):
         for k, g in enumerate(gens):
             if len(vectors) == n:
                 return vectors, words
             x = ring.product(g, u)
-            if ring.insert(basis, [y for y, in x]):
+            if _insert(ring, basis, [y for y, in x]):
                 vectors.append(x)
                 words.append((k, i))
     return vectors, words
@@ -1126,23 +1053,27 @@ def _residue_closure(ring, gens, n) -> int:
 
 def _exact_closure(ring, gens, n) -> int:
     """:func:`_closure` on the ring rows gens themselves.  Words are flat
-    row-major ring lists, each generator multiplies by its nonzero
-    entries only (the ring's word product), and the ring's insert
-    reduces a candidate by the fraction-free step
-    ``v <- (b[p]/g)*v - (v[p]/g)*b`` with g the gcd of b[p] and v[p] and
-    stores it divided by the gcd of its entries: invertible row
-    operations over the field, so membership in the span and the rank
-    are those of elimination over the field (see
-    :meth:`_Integers.insert`)."""
+    row-major ring lists; a generator times a word is the ring's product
+    on the word's n rows, kept as its primitive part (a nonzero multiple
+    of the word, so the span is the same), and :func:`_insert` reduces
+    a candidate by invertible row operations over the field, so
+    membership in the span and the rank are those of elimination over
+    the field."""
+    size, product, primitive = n * n, ring.product, ring.primitive
+
+    def word(g, w):
+        rows = product(g, [w[k:k + n] for k in range(0, size, n)])
+        return primitive([*chain.from_iterable(rows)])
+
     ident = [ring.one if i == j else ring.zero for i in range(n) for j in range(n)]
-    sparse = [[[(k * n, x) for k, x in enumerate(row) if x] for row in g] for g in gens]
-    return _closure(sparse, ident, ring.word, ring.insert, n * n)
+    return _closure(gens, ident, word, partial(_insert, ring), size)
 
 
 def _closure(gens, ident, product, insert, cap) -> int:
-    """Close the span of ident under left multiplication by gens, as
-    :func:`_rref` and :func:`_bareiss` take the ring's operations:
-    product and insert are a ring's word product and insert.
+    """Close the span of ident under left multiplication by gens, written
+    once for both passes: product(g, w) is a generator times a word and
+    insert(basis, w) stores w when it is outside the span, in F_P
+    (:class:`_Residues`) or on ring rows (:func:`_insert`).
 
     Soundness.  Let S be the span of the inserted words (ident and every
     product that enlarged the basis).  S holds ident and lies in the

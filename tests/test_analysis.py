@@ -218,9 +218,9 @@ def test_formal_reducible_modules_never_reach_the_exact_closure(monkeypatch):
     q = QQ_Q.default_q()
     modules = [make_O(adversarial_odd(rng, 8, q=q)), make_E(adversarial_even(rng, 7, q=q))]
     lengths = []
-    insert = daha.linalg.ZZ_Q.insert
-    monkeypatch.setattr(daha.linalg.ZZ_Q, "insert",
-                        lambda basis, v: lengths.append(len(v)) or insert(basis, v))
+    insert = daha.linalg._insert
+    monkeypatch.setattr(daha.linalg, "_insert",
+                        lambda ring, basis, v: lengths.append(len(v)) or insert(ring, basis, v))
     for m in modules:
         lengths.clear()
         assert not burnside_irreducible(m)

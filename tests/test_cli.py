@@ -131,7 +131,7 @@ def test_formal_even_d7_is_proved_irreducible_in_f_p(tmp_path, capsys, monkeypat
     assert run("construct", "--parity", "even", "--backend", "ratfun", "--d", "7",
                "--k=q^-4,3,-12/5,-4/11", "--out", str(mod)) == EXIT_OK
     calls = []
-    monkeypatch.setattr(daha.linalg.ZZ_Q, "insert", lambda *args: calls.append(args))
+    monkeypatch.setattr(daha.linalg, "_insert", lambda *args: calls.append(args))
     assert run("irreducible", "--in", str(mod)) == EXIT_OK
     data = json.loads(capsys.readouterr().out)
     assert data == {"agrees": True, "closure_dim": 64, "criterion": True, "dim": 8,

@@ -26,6 +26,7 @@ from daha.linalg import (
     span_closure,
     standard_basis,
     ZZ,
+    ZZ_Q,
     _one_pivot,
 )
 from daha.analysis import (
@@ -44,7 +45,10 @@ from daha.scalar import (
     QQ,
     QQ_Q,
     RatFun,
+    _canonical_polys,
+    _padd,
     _pgcd,
+    _pmul,
     as_scalar,
     scalar_from_str,
     scalar_to_str,
@@ -573,8 +577,9 @@ def residue_closure(gens):
 def test_integer_closure_matches_field_loop():
     # The int rows and the int polynomial rows of the same modules lifted
     # into Q(q), irreducible and reducible, then irreducible formal
-    # modules with sampled and with non-monomial k's, against the field
-    # closure.
+    # modules with sampled and with non-monomial k's, and reducible
+    # (single-violation) formal modules, against the field closure,
+    # which shares no insert with the program.
     rng = random.Random("int-closure")
     verdicts = set()
     for d in range(6):
@@ -598,6 +603,12 @@ def test_integer_closure_matches_field_loop():
             gens = module_gens(params)
             assert gens[0].field is QQ_Q
             assert span_closure(gens) == exact_closure(gens) == field_closure(gens) == (d + 1) ** 2
+    q = QQ_Q.default_q()
+    for make, sample, d in ((make_E, adversarial_even, 1), (make_E, adversarial_even, 3),
+                            (make_O, adversarial_odd, 2), (make_O, adversarial_odd, 4)):
+        gens = make(sample(rng, d, q=q)).t
+        assert gens[0].field is QQ_Q
+        assert exact_closure(gens) == field_closure(gens) < (d + 1) ** 2, d
 
 
 def plain_insert(basis, v):
@@ -770,18 +781,19 @@ def test_closure_with_a_scalar_product_matches_plain_closure():
     assert plain_closure(cases[0][0]) == 6 and plain_closure(unit) == 4
 
 
-def word_calls(monkeypatch, ring, gens, exact):
-    """span_closure(gens) with ring's word product spied on, and with the
-    F_P pass turned off when exact: (dimension, the generator argument of
-    each product)."""
-    real, calls = ring.word, []
+def word_calls(monkeypatch, ring, name, gens, exact):
+    """span_closure(gens) with the product ring.name (the packed word of
+    F_P, or a ring's matrix product) spied on, and with the F_P pass
+    turned off when exact: (dimension, the generator argument of each
+    product)."""
+    real, calls = getattr(ring, name), []
 
     def spy(a, w):
         calls.append(a)
         return real(a, w)
 
     with monkeypatch.context() as patch:
-        patch.setattr(ring, "word", spy)
+        patch.setattr(ring, name, spy)
         if exact:
             patch.setattr(linalg, "_residue_closure", lambda *args: 0)
         dim = span_closure(gens)
@@ -806,38 +818,50 @@ def test_the_last_generator_is_dropped_on_a_module(monkeypatch):
     m = make_E(sample_params(random.Random("drop-last"), "even", 7))
     want = plain_closure(m.t)
     n = m.dim
-    flat = [x for row in m.t[3]._rows for x in row]
     field = linalg._residues(n)
-    t3 = field.generator(map(ZZ.residue, flat))
-    dim, calls = word_calls(monkeypatch, field, m.t, exact=False)
+    t3 = field.generator(map(ZZ.residue, (x for row in m.t[3]._rows for x in row)))
+    dim, calls = word_calls(monkeypatch, field, "word", m.t, exact=False)
     assert dim == want
     assert_used_once(calls, lambda a: a == t3)
-    ident = [int(i == j) for i in range(n) for j in range(n)]
-    t3 = [x // gcd(*flat) for x in flat]
-    dim, calls = word_calls(monkeypatch, ZZ, m.t, exact=True)
+    dim, calls = word_calls(monkeypatch, ZZ, "product", m.t, exact=True)
     assert dim == want
-    assert_used_once(calls, lambda a: ZZ.word(a, ident) == t3)
+    assert_used_once(calls, lambda a: a == m.t[3]._rows)
+
+
+def plain_poly_insert(basis, v):
+    """plain_insert on int polynomial rows: whole-row steps
+    ``b[p]*v - v[p]*b``, with no content divided out."""
+    while any(v):
+        p = next(i for i, x in enumerate(v) if x)
+        if p not in basis:
+            basis[p] = v
+            return True
+        b = basis[p]
+        v = [_padd(_pmul(b[p], x) if x else [], _pmul([-c for c in v[p]], y) if y else [])
+             for x, y in zip(v, b)]
+    return False
 
 
 def test_int_insert_unit_steps_follow_the_recurrence():
-    # The pivot -1 of column 0 divides every lead there: unit steps of
-    # row scale s = -1, which store -v - c*b, not v + c*b.  The last row
-    # also takes a unit step at pivot -9 and a scaled one at column 2.
+    # Rows are stored with a positive pivot, so the pivot 1 of column 0
+    # (from the row -1, 2, 3, 0, 5) divides every lead there: unit steps,
+    # s = 1, that scale nothing.  The last row also takes a unit step at
+    # pivot 9 and a scaled one, s = 9, at column 2.
     basis = {}
     for row in [(-1, 2, 3, 0, 5), (2, 5, 7, 1, 0), (3, -6, 0, 0, 1), (1, 7, 0, 2, 2)]:
-        assert ZZ.insert(basis, row)
+        assert linalg._insert(ZZ, basis, row)
     assert {p: row for p, (row, _) in basis.items()} == {
-        0: [-1, 2, 3, 0, 5],
-        1: [0, -9, -13, -1, -10],
-        2: [0, 0, -9, 0, -16],
-        3: [0, 0, 0, -9, -133],
+        0: [1, -2, -3, 0, -5],
+        1: [0, 9, 13, 1, 10],
+        2: [0, 0, 9, 0, 16],
+        3: [0, 0, 0, 9, 133],
     }
-    assert not ZZ.insert(basis, (0, 9, 13, 1, 10))
-    assert [p for p, (_, support) in basis.items() if support is not None] == [0, 1, 2]
+    assert not linalg._insert(ZZ, basis, (0, -9, -13, -1, -10))
     for pivot, (row, support) in basis.items():
-        assert support in (None, [(j, x) for j, x in enumerate(row) if x and j > pivot])
-    # Random rows with many unit pivots of both signs give the rows,
-    # signs included, of whole-row elimination.
+        assert support == [(j, x) for j, x in enumerate(row) if x and j > pivot]
+    # Random rows with many unit pivots of both signs, and random Z[q]
+    # rows, give the rows of whole-row elimination in canonical form:
+    # divided by their content, the pivot positive.
     rng = random.Random("unit-steps")
     for _ in range(300):
         size = rng.randint(1, 7)
@@ -845,8 +869,18 @@ def test_int_insert_unit_steps_follow_the_recurrence():
                 for _ in range(rng.randint(1, 8))]
         got, want = {}, {}
         for row in rows:
-            assert ZZ.insert(got, tuple(row)) == plain_insert(want, list(row))
-        assert {p: row for p, (row, _) in got.items()} == want
+            assert linalg._insert(ZZ, got, tuple(row)) == plain_insert(want, list(row))
+        assert {p: row for p, (row, _) in got.items()} == {
+            p: [-x for x in row] if row[p] < 0 else row for p, row in want.items()}
+    entries = [(), (), (1,), (-1,), (2,), (0, 1), (1, -1), (-2, 0, 3), (0, 0, -1)]
+    for _ in range(100):
+        size = rng.randint(1, 5)
+        rows = [[rng.choice(entries) for _ in range(size)] for _ in range(rng.randint(1, 6))]
+        got, want = {}, {}
+        for row in rows:
+            assert linalg._insert(ZZ_Q, got, row) == plain_poly_insert(want, list(row))
+        assert {p: tuple(row) for p, (row, _) in got.items()} == {
+            p: _canonical_polys(row, row[p])[0] for p, row in want.items()}
 
 
 def test_integer_closure_invariant_under_scaling(p_even_d1_reducible, p_odd_d2):
@@ -1531,9 +1565,10 @@ def test_formal_bareiss_branches_match_sympy():
 # -- inverse and printing on int rows, against Fractions ---------------------
 
 def test_inverse_matches_the_field_loop():
-    """inverse reads y_i/h_i off _rref's rows [h_i e_i | y_i]; the
-    canonical pair must be the one the field loop's [I | m^-1] gives,
-    also where a head h_i is negative, and singular input raises."""
+    """inverse reads y_i/h_i off _rref's rows [h_i e_i | y_i], every head
+    h_i positive (each row is stored as its primitive part, as over
+    Z[q]); the canonical pair must be the one the field loop's
+    [I | m^-1] gives, and singular input raises."""
     rng = random.Random("int-inverse")
     grid = [Matrix([[0]]), Matrix([[-1, 2], [2, -4]])]
     for n in range(1, 9):
@@ -1544,7 +1579,7 @@ def test_inverse_matches_the_field_loop():
                 rows = [list(row) for row in rand_matrix(rng, n).entries]
                 rows[-1] = [Fraction(-3, 2) * x for x in rows[0]]
                 grid.append(Matrix(rows))
-    negative_heads = singular = 0
+    singular = 0
     for m in grid:
         n = m.rows
         aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
@@ -1557,12 +1592,12 @@ def test_inverse_matches_the_field_loop():
             continue
         ints = [row + (0,) * i + (m._den,) + (0,) * (n - 1 - i) for i, row in enumerate(m._rows)]
         heads = [row[i] for i, row in enumerate(linalg._rref(ints, ZZ)[0])]
-        negative_heads += sum(h < 0 for h in heads)
+        assert all(h > 0 for h in heads), m
         want = Matrix([row[n:] for row in reduced])
         got = inverse(m)
         assert (got._rows, got._den) == (want._rows, want._den), m
         assert got * m == Matrix.identity(n)
-    assert negative_heads and singular >= 8
+    assert singular >= 8
 
 
 def test_strings_read_the_int_rows():

@@ -114,3 +114,14 @@ def test_no_routine_asks_which_ring_it_is_on():
         for name in ("linalg.py", "modrep.py")
     }
     assert {name: tests for name, tests in found.items() if tests} == {}
+
+
+def test_the_rings_offer_one_contract_of_arithmetic():
+    # Elimination is written once in daha.linalg over the rings' element
+    # operations, so a ring provides arithmetic (and its primitive form),
+    # never an elimination of its own.
+    rings = (daha.linalg.ZZ, daha.linalg.ZZ_Q)
+    public = [{name for name in dir(ring) if not name.startswith("_")} for ring in rings]
+    assert public[0] == public[1]
+    assert {"primitive", "cofactors", "mul", "add", "neg", "combine", "product"} <= public[0]
+    assert not public[0] & {"insert", "clear", "cancel", "word"}
